@@ -2,11 +2,13 @@
 """Seed sweep over the liveness simulator.
 
 Runs fair and adversarial schedules across many seeds and prints drain
-times against the pending0 * fairness_bound + timeout bound.
+times against the pending0 * fairness_bound + timeout bound, with the mean
+wall-clock cost of one epoch of the drains.
 """
 
 import argparse
 import statistics
+import time
 
 from regsync.liveness import (
     NodeInfo,
@@ -24,7 +26,7 @@ from regsync import engine
 
 def build_config(n, f, timeout, k, seed):
     nodes = tuple(NodeInfo(i, honest=i >= f) for i in range(n))
-    return SimConfig(nodes, f, timeout, k, t_max=1000, n_max=1000, seed=seed)
+    return SimConfig(nodes, f, timeout, k, seed=seed)
 
 
 def initial_state(n_requests):
@@ -52,18 +54,23 @@ def main():
     bound = args.requests * args.fairness_bound + args.timeout
     for label, gen in (("fair", gen_fair_schedule), ("adversarial", gen_adversarial_schedule)):
         drains = []
+        drain_s = 0.0
         starvation_ok = True
         for seed in range(args.seeds):
             cfg = build_config(args.nodes, args.faults, args.timeout, args.fairness_bound, seed)
             sched = gen(cfg, bound)
-            trace = run_until_drained(initial_state(args.requests), sched, cfg, bound)
+            s0 = initial_state(args.requests)
+            start = time.perf_counter()
+            trace = run_until_drained(s0, sched, cfg, bound)
+            drain_s += time.perf_counter() - start
             drains.append(len(trace))
             starvation_ok &= check_starvation_bound(trace, cfg.fairness_bound).ok
             assert trace[-1].pending_after == 0, f"seed {seed} did not drain"
         print(
             f"{label}: drained {args.seeds}/{args.seeds} within bound {bound}; "
             f"epochs min={min(drains)} max={max(drains)} "
-            f"mean={statistics.mean(drains):.1f}; starvation windows ok={starvation_ok}"
+            f"mean={statistics.mean(drains):.1f}; {drain_s / sum(drains) * 1e6:.0f} us/epoch; "
+            f"starvation windows ok={starvation_ok}"
         )
 
 

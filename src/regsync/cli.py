@@ -14,6 +14,7 @@ from typing import Optional
 
 from . import engine, liveness
 from .modelcheck import run_modelcheck
+from .priority import DuplicateKeyError, HorizonError
 from .regulatory import RegAction, RegState, reg_transition
 from .report import BudgetExceededError
 from .scenario import ScenarioError, parse_scenario
@@ -124,6 +125,11 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
 
     s0 = liveness.SimState(0, tuple(scenario.requests), scenario.state, {})
+    try:
+        s0 = liveness.ranked(s0, cfg)
+    except (DuplicateKeyError, HorizonError) as exc:
+        print(f"error: requests cannot be ranked: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     trace = liveness.run_until_drained(s0, sched, cfg, args.max_epochs)
     for record in trace:
         print(json.dumps(record.to_json(), sort_keys=True))

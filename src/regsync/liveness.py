@@ -9,15 +9,20 @@ pending asset until the timeout forces release.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import engine
 from .priority import (
+    DEFAULT_HORIZON,
     PriorityConfig,
     RegRequest,
+    rank_requests,
     request_id,
-    select_highest,
+    select_highest,  # noqa: F401 -- kept as liveness.select_highest, which bench/tracer.py wraps
 )
 from .report import ValidationReport
 
@@ -34,8 +39,8 @@ class SimConfig:
     f_max: int
     lock_timeout: int
     fairness_bound: int
-    t_max: int = 2**32 - 1
-    n_max: int = 2**32 - 1
+    t_max: int = DEFAULT_HORIZON
+    n_max: int = DEFAULT_HORIZON
     seed: int = 0
 
     @property
@@ -46,8 +51,12 @@ class SimConfig:
     def byzantine_nodes(self) -> tuple[NodeInfo, ...]:
         return tuple(n for n in self.nodes if not n.honest)
 
+    @cached_property
+    def _honest_ids(self) -> frozenset[int]:
+        return frozenset(n.node_id for n in self.honest_nodes)
+
     def is_honest(self, node_id: int) -> bool:
-        return any(n.node_id == node_id and n.honest for n in self.nodes)
+        return node_id in self._honest_ids
 
     def priority_config(self) -> PriorityConfig:
         return PriorityConfig(t_max=self.t_max, n_max=self.n_max)
@@ -166,6 +175,85 @@ class SimState:
     pending: tuple[RegRequest, ...]
     global_state: engine.GlobalState
     lock_times: dict[str, int] = field(default_factory=dict)
+    # Derived from the fields above by step_epoch and trusted only while
+    # they are the very objects it was made for; not part of the value.
+    ranking: Optional[Ranking] = field(default=None, compare=False, repr=False)
+
+
+class Ranking:
+    """The pending requests of one state in descending priority order, each
+    key computed once per drain, plus what an epoch needs to update them
+    without re-ranking: the pending count per asset, the sorted distinct
+    pending assets, and the pending assets locked with no ``lock_times``
+    entry, which no epoch ever releases.
+
+    An epoch updates the ranking in place and hands it to the next state;
+    from then on it no longer matches the state it came from, which
+    therefore ranks afresh if it is stepped again.
+    """
+
+    def __init__(self, s: SimState, cfg: SimConfig):
+        copies = Counter(s.pending)
+        ranked = rank_requests(copies, cfg.priority_config())
+        self.pending = tuple(r for r in ranked for _ in range(copies[r]))
+        self.counts = Counter(r.asset for r in self.pending)
+        self.assets = sorted(self.counts)
+        self.stuck = frozenset(
+            a for a in self.assets if engine.is_locked(s.global_state, a) and a not in s.lock_times
+        )
+        self.global_state, self.lock_times = s.global_state, s.lock_times
+
+    def fits(self, s: SimState) -> bool:
+        return (
+            self.pending is s.pending
+            and self.global_state is s.global_state
+            and self.lock_times is s.lock_times
+        )
+
+    def unlocked_assets(self, gs: engine.GlobalState, lock_times: dict[str, int]) -> _Unlocked:
+        """The sorted distinct pending assets that are not locked in ``gs``."""
+        held = sorted(
+            a for a in {*lock_times, *self.stuck} if a in self.counts and engine.is_locked(gs, a)
+        )
+        return _Unlocked(self.assets, [bisect_left(self.assets, a) for a in held])
+
+    def advance(self, removed: Optional[str], s: SimState) -> None:
+        """Take one request on asset ``removed`` (if any) out of the counts,
+        and make this the ranking of ``s``."""
+        if removed is not None:
+            self.counts[removed] -= 1
+            if not self.counts[removed]:
+                del self.counts[removed]
+                del self.assets[bisect_left(self.assets, removed)]
+        self.pending, self.global_state, self.lock_times = s.pending, s.global_state, s.lock_times
+
+
+class _Unlocked:
+    """``assets`` without the entries at the sorted positions ``held``: the
+    list ``rng.choice`` draws from, without copying ``assets``."""
+
+    def __init__(self, assets: list[str], held: list[int]):
+        self.assets, self.held = assets, held
+
+    def __len__(self) -> int:
+        return len(self.assets) - len(self.held)
+
+    def __getitem__(self, i: int) -> str:
+        for p in self.held:
+            if p > i:
+                break
+            i += 1
+        return self.assets[i]
+
+
+def ranked(s: SimState, cfg: SimConfig) -> SimState:
+    """``s`` with its pending requests in descending priority order and its
+    ranking attached. Raises DuplicateKeyError or HorizonError if some
+    pending requests cannot be ranked."""
+    if s.ranking is not None and s.ranking.fits(s):
+        return s
+    rk = Ranking(s, cfg)
+    return SimState(s.epoch, rk.pending, s.global_state, s.lock_times, rk)
 
 
 @dataclass(frozen=True)
@@ -205,8 +293,13 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
     asset; honest leaders therefore always find work while requests remain,
     which is exactly the honest-progress premise the liveness theorems
     assume.
+
+    The first epoch of a drain ranks the pending requests (see ``ranked``);
+    later epochs reuse that ranking and never re-key, re-sort or scan the
+    pending requests.
     """
-    rng = random.Random(f"step:{cfg.seed}:{s.epoch}")
+    s = ranked(s, cfg)
+    rk = s.ranking
     events: list[LockEvent] = []
     gs = s.global_state
     lock_times = dict(s.lock_times)
@@ -219,13 +312,16 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
 
     leader = sched.leader_at(s.epoch)
     honest = cfg.is_honest(leader)
-    pending = list(s.pending)
+    pending = s.pending
     processed: Optional[str] = None
+    removed: Optional[str] = None
 
-    if honest and pending:
-        candidates = [r for r in pending if not engine.is_locked(gs, r.asset)]
-        if candidates:
-            chosen = select_highest(candidates, cfg.priority_config())
+    if honest:
+        # The first unlocked request in ranked order is select_highest of
+        # the unlocked candidates.
+        for i, chosen in enumerate(pending):
+            if engine.is_locked(gs, chosen.asset):
+                continue
             source = _source_chain(gs, chosen.asset)
             if source is not None:
                 events.append(LockEvent(chosen.asset, "acquire", s.epoch))
@@ -233,10 +329,13 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
                 if result.ok:
                     gs = result.state
                 events.append(LockEvent(chosen.asset, "release", s.epoch))
-            pending.remove(chosen)
+            pending = pending[:i] + pending[i + 1 :]
             processed = request_id(chosen)
-    elif not honest and pending:
-        unlocked = sorted({r.asset for r in pending if not engine.is_locked(gs, r.asset)})
+            removed = chosen.asset
+            break
+    elif pending:
+        rng = random.Random(f"step:{cfg.seed}:{s.epoch}")
+        unlocked = rk.unlocked_assets(gs, lock_times)
         # Single-resource discipline plus the no-total-blockade bound on the
         # adversary: at least one pending asset must stay unlocked.
         if len(unlocked) >= 2 and rng.random() < 0.5:
@@ -256,7 +355,8 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
         processed=processed,
         lock_events=tuple(events),
     )
-    next_state = SimState(s.epoch + 1, tuple(pending), gs, lock_times)
+    next_state = SimState(s.epoch + 1, pending, gs, lock_times, rk)
+    rk.advance(removed, next_state)
     return next_state, record
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .regulatory import RegAction
 from .report import ValidationReport
@@ -49,6 +50,11 @@ class HorizonError(ValueError):
 class DuplicateKeyError(ValueError):
     """Two distinct requests mapped to the same priority key."""
 
+    def __init__(self, a: RegRequest, b: RegRequest, key: PriorityKey):
+        super().__init__(f"requests {request_id(a)} and {request_id(b)} share priority key {key}")
+        self.requests = (a, b)
+        self.key = key
+
 
 @dataclass(frozen=True)
 class PriorityConfig:
@@ -78,9 +84,9 @@ def action_severity(a: RegAction) -> int:
 
 def priority_key(r: RegRequest, cfg: PriorityConfig = PriorityConfig()) -> PriorityKey:
     if not 0 <= r.timestamp <= cfg.t_max:
-        raise HorizonError(f"timestamp {r.timestamp} outside [0, {cfg.t_max}]")
+        raise HorizonError(f"{request_id(r)}: timestamp {r.timestamp} outside [0, {cfg.t_max}]")
     if not 0 <= r.node_id <= cfg.n_max:
-        raise HorizonError(f"node_id {r.node_id} outside [0, {cfg.n_max}]")
+        raise HorizonError(f"{request_id(r)}: node_id {r.node_id} outside [0, {cfg.n_max}]")
     return (
         authority_rank(r.authority),
         cfg.t_max - r.timestamp,
@@ -89,33 +95,41 @@ def priority_key(r: RegRequest, cfg: PriorityConfig = PriorityConfig()) -> Prior
     )
 
 
+def rank_requests(rs, cfg: PriorityConfig = PriorityConfig()) -> list[RegRequest]:
+    """The distinct requests of ``rs``, highest priority first.
+
+    Identical requests count once, and each distinct request's key is
+    computed exactly once. Raises DuplicateKeyError if two distinct requests
+    share a key, since the uniqueness guarantee rests on key injectivity,
+    and HorizonError if a request lies outside the horizons.
+    """
+    keyed = sorted(
+        ((priority_key(r, cfg), r) for r in dict.fromkeys(rs)),
+        key=itemgetter(0),
+        reverse=True,
+    )
+    for (k, a), (k2, b) in zip(keyed, keyed[1:]):
+        if k == k2:
+            raise DuplicateKeyError(a, b, k)
+    return [r for _, r in keyed]
+
+
 def select_highest(rs, cfg: PriorityConfig = PriorityConfig()):
     """Unique-maximum selection; order of the input is irrelevant.
 
-    Raises DuplicateKeyError if two distinct requests share a key, since
-    the uniqueness guarantee rests on key injectivity.
+    Returns None for an empty input; raises as ``rank_requests`` does.
     """
-    requests = sorted(set(rs), key=lambda r: priority_key(r, cfg))
-    if not requests:
-        return None
-    keyed: dict[PriorityKey, RegRequest] = {}
-    for r in requests:
-        k = priority_key(r, cfg)
-        if k in keyed:
-            raise DuplicateKeyError(f"requests {keyed[k]} and {r} share key {k}")
-        keyed[k] = r
-    return requests[-1]
+    ranked = rank_requests(rs, cfg)
+    return ranked[0] if ranked else None
 
 
 def check_injectivity(rs, cfg: PriorityConfig = PriorityConfig()) -> ValidationReport:
+    """Report the highest-ranked pair of distinct requests sharing a key."""
     report = ValidationReport()
-    keyed: dict[PriorityKey, RegRequest] = {}
-    for r in sorted(set(rs), key=lambda r: priority_key(r, cfg)):
-        k = priority_key(r, cfg)
-        if k in keyed and keyed[k] != r:
-            report.add("priority_injective", (keyed[k], r), f"shared key {k}")
-        else:
-            keyed[k] = r
+    try:
+        rank_requests(rs, cfg)
+    except DuplicateKeyError as exc:
+        report.add("priority_injective", exc.requests, f"shared key {exc.key}")
     return report
 
 

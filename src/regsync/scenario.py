@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import engine
 from .liveness import NodeInfo, SimConfig
-from .priority import RegRequest, request_from_json, request_to_json
+from .priority import DEFAULT_HORIZON, RegRequest, request_from_json, request_to_json
 from .regulatory import RegAction
 
 
@@ -79,8 +79,8 @@ def _sim_from_json(doc: dict, location: str) -> SimConfig:
             f_max=int(doc["f_max"]),
             lock_timeout=int(doc["lock_timeout"]),
             fairness_bound=int(doc["fairness_bound"]),
-            t_max=int(doc.get("t_max", 2**32 - 1)),
-            n_max=int(doc.get("n_max", 2**32 - 1)),
+            t_max=int(doc.get("t_max", DEFAULT_HORIZON)),
+            n_max=int(doc.get("n_max", DEFAULT_HORIZON)),
             seed=int(doc.get("seed", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:

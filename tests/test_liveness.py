@@ -1,9 +1,14 @@
-import pytest
+import random
+from collections import Counter
 
-from regsync import engine
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from regsync import engine, priority
 from regsync.liveness import (
     EpochRecord,
     LeaderSchedule,
+    LockEvent,
     NodeInfo,
     SimConfig,
     SimState,
@@ -18,7 +23,7 @@ from regsync.liveness import (
     step_epoch,
     validate_bft_config,
 )
-from regsync.priority import AuthorityLevel, RegRequest
+from regsync.priority import AuthorityLevel, RegRequest, request_id, select_highest
 from regsync.regulatory import RegAction, RegState
 
 from conftest import make_state
@@ -263,3 +268,129 @@ class TestTraceCheckers:
             "epoch", "leader", "honest", "pending_before",
             "pending_after", "processed", "lock_events",
         }
+
+
+def reference_step_epoch(s, sched, cfg):
+    """The epoch before pending requests were ranked once per drain: filter
+    the candidates, select_highest among them, then list.remove."""
+    rng = random.Random(f"step:{cfg.seed}:{s.epoch}")
+    events = []
+    gs = s.global_state
+    lock_times = dict(s.lock_times)
+    for aid in sorted(lock_times):
+        if not lock_effective(lock_times[aid], s.epoch, cfg.lock_timeout):
+            gs = engine.release_lock(gs, aid)
+            del lock_times[aid]
+            events.append(LockEvent(aid, "expire", s.epoch))
+    leader = sched.leader_at(s.epoch)
+    honest = cfg.is_honest(leader)
+    pending = list(s.pending)
+    processed = None
+    if honest and pending:
+        candidates = [r for r in pending if not engine.is_locked(gs, r.asset)]
+        if candidates:
+            chosen = select_highest(candidates, cfg.priority_config())
+            source = min(engine.connected_chains(gs, chosen.asset), default=None)
+            if source is not None:
+                events.append(LockEvent(chosen.asset, "acquire", s.epoch))
+                result = engine.sync(source, chosen.action, chosen.asset, gs)
+                if result.ok:
+                    gs = result.state
+                events.append(LockEvent(chosen.asset, "release", s.epoch))
+            pending.remove(chosen)
+            processed = request_id(chosen)
+    elif not honest and pending:
+        unlocked = sorted({r.asset for r in pending if not engine.is_locked(gs, r.asset)})
+        if len(unlocked) >= 2 and rng.random() < 0.5:
+            target = rng.choice(unlocked)
+            locked = engine.acquire_lock(gs, target)
+            if locked is not None:
+                gs = locked
+                lock_times[target] = s.epoch
+                events.append(LockEvent(target, "acquire", s.epoch))
+    record = EpochRecord(
+        s.epoch, leader, honest, len(s.pending), len(pending), processed, tuple(events)
+    )
+    return SimState(s.epoch + 1, tuple(pending), gs, lock_times), record
+
+
+ASSETS = ("a1", "a2", "a3", "a4")
+
+
+@st.composite
+def small_scenarios(draw):
+    """1-12 requests (identical copies included, keys otherwise distinct) on
+    a few assets held by 1-3 chains, some locks held at the start (with and
+    without an expiry), and a fair, adversarial or all-Byzantine schedule."""
+    chains = [f"c{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]
+    placement = {c: {} for c in chains}
+    for aid in ASSETS:
+        state = draw(st.sampled_from(list(RegState)))
+        for c in draw(st.lists(st.sampled_from(chains), unique=True)):
+            placement[c][aid] = state
+    held = draw(st.lists(st.sampled_from(ASSETS), unique=True, max_size=2))
+    gs = make_state(placement, {aid: True for aid in held})
+    cfg = config(timeout=draw(st.integers(1, 4)), k=draw(st.integers(2, 4)),
+                 seed=draw(st.integers(0, 50)))
+    lock_times = {aid: draw(st.integers(0, cfg.lock_timeout - 1))
+                  for aid in held if draw(st.booleans())}
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(list(AuthorityLevel)),
+                  st.integers(0, 5), st.sampled_from(list(RegAction))),
+        min_size=1, max_size=8, unique=True,
+    ))
+    distinct = [RegRequest(n, a, t, act, draw(st.sampled_from(ASSETS))) for n, a, t, act in keys]
+    copies = draw(st.lists(st.sampled_from(distinct), max_size=12 - len(distinct)))
+    reqs = draw(st.permutations(distinct + copies))
+    horizon = 40
+    kind = draw(st.sampled_from(["fair", "adversarial", "byzantine"]))
+    if kind == "fair":
+        sched = gen_fair_schedule(cfg, horizon)
+    elif kind == "adversarial":
+        sched = gen_adversarial_schedule(cfg, horizon)
+    else:
+        sched = all_byz_schedule(cfg, horizon)
+    return SimState(0, tuple(reqs), gs, lock_times), sched, cfg
+
+
+class TestRankedEpochMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(small_scenarios())
+    def test_every_epoch_of_the_drain_agrees(self, scenario):
+        s0, sched, cfg = scenario
+        new = ref = s0
+        while ref.pending and ref.epoch < sched.horizon:
+            new, new_record = step_epoch(new, sched, cfg)
+            ref, ref_record = reference_step_epoch(ref, sched, cfg)
+            assert new_record == ref_record
+            assert Counter(new.pending) == Counter(ref.pending)
+            assert new.global_state == ref.global_state
+            assert new.lock_times == ref.lock_times
+        assert not new.pending or new.epoch == sched.horizon
+
+    def test_stepping_an_earlier_state_again_gives_the_same_epoch(self):
+        cfg = config(seed=4)
+        sched = gen_adversarial_schedule(cfg, 20)
+        s1, _ = step_epoch(sim_state(requests(6)), sched, cfg)
+        first = step_epoch(s1, sched, cfg)
+        second = step_epoch(s1, sched, cfg)
+        assert first == second
+        assert step_epoch(first[0], sched, cfg) == step_epoch(second[0], sched, cfg)
+
+
+def test_each_priority_key_is_computed_once_per_drain(monkeypatch):
+    calls = Counter()
+    original = priority.priority_key
+
+    def counted(r, cfg=priority.PriorityConfig()):
+        calls[r] += 1
+        return original(r, cfg)
+
+    monkeypatch.setattr(priority, "priority_key", counted)
+    distinct = requests(150)
+    reqs = distinct + distinct[:50]
+    cfg = config(seed=2)
+    horizon = len(reqs) * cfg.fairness_bound + cfg.lock_timeout
+    trace = run_until_drained(sim_state(reqs), gen_adversarial_schedule(cfg, horizon), cfg, horizon)
+    assert trace[-1].pending_after == 0
+    assert sum(calls.values()) == len(set(reqs)) == 150

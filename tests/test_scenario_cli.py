@@ -197,6 +197,22 @@ class TestSimulateCommand:
         lines = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         assert len(lines) <= 5 * 3 + 2
 
+    def test_clashing_priority_keys_exit_2_before_any_epoch(self, capsys, tmp_path):
+        doc = simulate_doc()
+        # Same node, timestamp, authority and action on two assets.
+        doc["requests"][1].update(node=1, timestamp=0)
+        code, out, err = run_cli(capsys, "simulate", str(write(tmp_path, doc)))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        assert "n1-t0-FREEZE-a1" in err and "n1-t0-FREEZE-a2" in err
+
+    def test_out_of_range_node_exits_2_before_any_epoch(self, capsys, tmp_path):
+        doc = simulate_doc()
+        doc["requests"][2]["node"] = -1
+        code, out, err = run_cli(capsys, "simulate", str(write(tmp_path, doc)))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "node_id -1" in err
+
     def test_invalid_bft_config_exits_2(self, capsys, tmp_path):
         doc = simulate_doc()
         doc["sim"]["nodes"] = doc["sim"]["nodes"][:3]
