@@ -16,7 +16,7 @@ from . import engine, liveness
 from .modelcheck import run_modelcheck
 from .priority import DuplicateKeyError, HorizonError
 from .regulatory import RegAction, RegState, reg_transition
-from .report import BudgetExceededError
+from .report import BudgetExceededError, enumeration_budget
 from .scenario import ScenarioError, parse_scenario
 
 EXIT_OK = 0
@@ -79,7 +79,12 @@ def cmd_sync(args) -> int:
 
 def cmd_modelcheck(args) -> int:
     try:
-        result = run_modelcheck(args.domains, args.assets, args.depth)
+        budget = enumeration_budget()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        result = run_modelcheck(args.domains, args.assets, args.depth, budget)
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -107,6 +112,12 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
     if scenario.sim is None or not scenario.requests:
         print("error: scenario needs a 'sim' block and a 'requests' list", file=sys.stderr)
+        return EXIT_USAGE
+    held = sorted(aid for aid, flag in scenario.state.locks.items() if flag)
+    if held:
+        # A lock held at rest has no acquisition time, so it would never
+        # expire and its requests could never drain.
+        print(f"error: locks held at rest: {', '.join(held)}", file=sys.stderr)
         return EXIT_USAGE
     cfg = scenario.sim
     if args.seed is not None:
@@ -141,6 +152,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if starvation.ok and completion.ok else EXIT_VIOLATION
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regsync",
@@ -158,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sync)
 
     p = sub.add_parser("modelcheck", help="exhaustive small-scope model check")
-    p.add_argument("--domains", type=int, default=2)
-    p.add_argument("--assets", type=int, default=1)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--domains", type=_int_at_least(1), default=2)
+    p.add_argument("--assets", type=_int_at_least(1), default=1)
+    p.add_argument("--depth", type=_int_at_least(0), default=3)
     p.add_argument("--counterexample-out", metavar="PATH")
     p.set_defaults(func=cmd_modelcheck)
 

@@ -7,8 +7,8 @@ its input, so failed syncs leave no partial writes behind.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
 
 from .preservation import DomainStateMap
@@ -100,12 +100,14 @@ def is_locked(gs: GlobalState, aid: AssetKey) -> bool:
 def _with_lock(gs: GlobalState, aid: AssetKey, flag: bool) -> GlobalState:
     locks = dict(gs.locks)
     locks[aid] = flag
-    chains = {
-        c: (
-            {**table, aid: replace(table[aid], locked=flag)} if aid in table else table
+    chains = {}
+    for c, table in gs.chains.items():
+        rec = table.get(aid)
+        chains[c] = (
+            table
+            if rec is None
+            else {**table, aid: AssetState(rec.asset_id, rec.reg_state, rec.owner, flag)}
         )
-        for c, table in gs.chains.items()
-    }
     return GlobalState(chains, locks)
 
 
@@ -126,14 +128,12 @@ def update_all_chains(
 ) -> GlobalState:
     for c in targets:
         assert aid in gs.chains.get(c, {}), f"target {c} does not hold {aid}"
-    chains = {
-        c: (
-            {**table, aid: replace(table[aid], reg_state=new_state)}
-            if c in targets
-            else table
-        )
-        for c, table in gs.chains.items()
-    }
+    chains = {}
+    for c, table in gs.chains.items():
+        if c in targets:
+            rec = table[aid]
+            table = {**table, aid: AssetState(rec.asset_id, new_state, rec.owner, rec.locked)}
+        chains[c] = table
     return GlobalState(chains, gs.locks)
 
 
@@ -240,22 +240,66 @@ def to_json_dict(gs: GlobalState) -> dict:
     }
 
 
+def _json_object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def from_json_dict(doc: dict) -> GlobalState:
-    chains = {
-        c: {
-            aid: AssetState(
+    """Inverse of to_json_dict; raises KeyError, TypeError or ValueError
+    on a document that does not have its shape."""
+    doc = _json_object(doc, "state")
+    chains = {}
+    for c, table in _json_object(doc.get("chains", {}), "chains").items():
+        chains[c] = {}
+        for aid, cell in _json_object(table, f"chain {c!r}").items():
+            cell = _json_object(cell, f"asset {aid!r} on chain {c!r}")
+            owner = cell.get("owner", "")
+            if not isinstance(owner, str):
+                raise TypeError(f"owner of asset {aid!r} on chain {c!r} must be a string")
+            chains[c][aid] = AssetState(
                 asset_id=aid,
                 reg_state=RegState(cell["state"]),
-                owner=cell.get("owner", ""),
+                owner=owner,
                 locked=bool(cell.get("locked", False)),
             )
-            for aid, cell in table.items()
-        }
-        for c, table in doc.get("chains", {}).items()
-    }
-    return GlobalState.make(chains, {a: bool(b) for a, b in doc.get("locks", {}).items()})
+    locks = _json_object(doc.get("locks", {}), "locks")
+    return GlobalState.make(chains, {a: bool(b) for a, b in locks.items()})
 
 
 def canonical_dumps(gs: GlobalState) -> str:
-    """Canonical JSON form: sorted keys, stable layout, trailing newline."""
-    return json.dumps(to_json_dict(gs), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON form: sorted keys, two-space indent, trailing newline.
+
+    The bytes equal ``json.dumps(to_json_dict(gs), sort_keys=True,
+    indent=2) + "\n"``. They are written here directly because json.dumps
+    uses its pure-Python encoder whenever ``indent`` is set. The writer
+    walks the to_json_dict tree, so the snapshot keeps the fields that
+    function defines; strings go through the C escaper json.dumps uses.
+    """
+    esc = encode_basestring_ascii
+    doc = to_json_dict(gs)
+    chains = []
+    for c, table in sorted(doc["chains"].items()):
+        cells = [
+            f'      {esc(aid)}: {{\n'
+            f'        "locked": {"true" if cell["locked"] else "false"},\n'
+            f'        "owner": {esc(cell["owner"])},\n'
+            f'        "state": {esc(cell["state"])}\n'
+            f'      }}'
+            for aid, cell in sorted(table.items())
+        ]
+        chains.append(f"    {esc(c)}: {_block(cells, '    ')}")
+    locks = [
+        f'    {esc(aid)}: {"true" if held else "false"}'
+        for aid, held in sorted(doc["locks"].items())
+    ]
+    return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(locks, "  ")}\n}}\n'
+
+
+def _block(items: list[str], indent: str) -> str:
+    """A JSON object from already-indented members; ``indent`` is the
+    indentation of its closing brace."""
+    if not items:
+        return "{}"
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"

@@ -19,6 +19,7 @@ from . import engine
 from .preservation import sync_all
 from .regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from .report import BudgetExceededError, enumeration_budget
+from .sm_core import StateMachineSpec
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,7 @@ def _check_edge(
     result: engine.SyncResult,
     out: ModelCheckResult,
     origin: tuple[engine.GlobalState, tuple[SyncStep, ...]],
+    spec: StateMachineSpec,
 ) -> None:
     initial, steps = origin
     trail = steps + (step,)
@@ -152,7 +154,7 @@ def _check_edge(
             step.source,
             step.action.value,
             step.asset,
-            reg_machine_spec(),
+            spec,
         )
         if generic is None:
             report("generic_agreement", "generic sync_all failed where sync succeeded")
@@ -183,6 +185,7 @@ def run_modelcheck(
     if estimated > budget:
         raise BudgetExceededError(estimated, budget)
 
+    spec = reg_machine_spec()
     out = ModelCheckResult()
     visited: dict[str, None] = {}
     frontier: list[tuple[engine.GlobalState, tuple[engine.GlobalState, tuple[SyncStep, ...]]]] = []
@@ -201,7 +204,7 @@ def run_modelcheck(
                 if out.syncs_checked > budget:
                     raise BudgetExceededError(out.syncs_checked, budget)
                 result = sync_fn(step.source, step.action, step.asset, gs)
-                _check_edge(gs, step, result, out, origin)
+                _check_edge(gs, step, result, out, origin, spec)
                 if result.ok:
                     key = _state_key(result.state)
                     if key not in visited:

@@ -19,11 +19,17 @@ class BudgetExceededError(Exception):
 
 
 def enumeration_budget() -> int:
-    """Current enumeration budget; overridable via REGSYNC_BUDGET."""
+    """Current enumeration budget; overridable via REGSYNC_BUDGET.
+
+    Raises ValueError naming the variable when it is not an integer.
+    """
     raw = os.environ.get("REGSYNC_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"REGSYNC_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

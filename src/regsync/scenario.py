@@ -83,11 +83,18 @@ def _sim_from_json(doc: dict, location: str) -> SimConfig:
             n_max=int(doc.get("n_max", DEFAULT_HORIZON)),
             seed=int(doc.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(location, f"bad sim block: {exc}") from exc
 
 
 _EXPECT_TAGS = {"ok"} | {f.value for f in engine.SyncFailure}
+
+
+def _json_list(doc: dict, key: str, origin: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(f"{origin}/{key}", f"must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
@@ -102,8 +109,10 @@ def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
     declared_assets = {aid for table in state.chains.values() for aid in table}
 
     sync_cmds = []
-    for i, raw in enumerate(doc.get("sync", [])):
+    for i, raw in enumerate(_json_list(doc, "sync", origin)):
         loc = f"{origin}/sync[{i}]"
+        if not isinstance(raw, dict):
+            raise ScenarioError(loc, "sync step must be a JSON object")
         try:
             cmd = SyncCommand(
                 source=str(raw["source"]),
@@ -117,16 +126,20 @@ def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
             raise ScenarioError(loc, f"undeclared chain {cmd.source!r}")
         if cmd.asset not in declared_assets:
             raise ScenarioError(loc, f"undeclared asset {cmd.asset!r}")
-        if cmd.expect is not None and cmd.expect not in _EXPECT_TAGS:
+        if cmd.expect is not None and (
+            not isinstance(cmd.expect, str) or cmd.expect not in _EXPECT_TAGS
+        ):
             raise ScenarioError(loc, f"unknown expectation {cmd.expect!r}")
         sync_cmds.append(cmd)
 
     requests = []
-    for i, raw in enumerate(doc.get("requests", [])):
+    for i, raw in enumerate(_json_list(doc, "requests", origin)):
         loc = f"{origin}/requests[{i}]"
+        if not isinstance(raw, dict):
+            raise ScenarioError(loc, "request must be a JSON object")
         try:
             req = request_from_json(raw)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(loc, str(exc)) from exc
         if req.asset not in declared_assets:
             raise ScenarioError(loc, f"undeclared asset {req.asset!r}")

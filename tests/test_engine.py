@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from regsync import engine
 from regsync.engine import SyncFailure
@@ -81,6 +84,12 @@ class TestUpdateAllChains:
             engine.update_all_chains(
                 two_chain_active, "a2", RegState.FROZEN, frozenset({"c2"})
             )
+
+    def test_keeps_a_held_lock_mirrored(self, two_chain_active):
+        locked = engine.acquire_lock(two_chain_active, "a1")
+        updated = engine.update_all_chains(locked, "a1", RegState.FROZEN, frozenset({"c1"}))
+        assert updated.chains["c1"]["a1"].locked
+        assert engine.mirror_consistent(updated)
 
 
 class TestSync:
@@ -174,3 +183,89 @@ class TestCanonicalJson:
         text = engine.canonical_dumps(two_chain_active)
         assert text.index('"chains"') < text.index('"locks"')
         assert text.endswith("\n")
+
+
+def reference_canonical_dumps(gs):
+    """The canonical form as first defined, through the stdlib encoder;
+    engine.canonical_dumps must match it byte for byte."""
+    return json.dumps(engine.to_json_dict(gs), sort_keys=True, indent=2) + "\n"
+
+
+# Names mix plain identifiers, characters JSON must escape, non-ASCII text,
+# astral-plane characters and lone surrogates (json.loads yields those too).
+NAMES = st.one_of(
+    st.sampled_from(["c1", "a1", "", '"', "\\", "\n", "\x00", "\x7f", "é", "😀", "\ud800"]),
+    st.text(st.characters(exclude_categories=()), max_size=6),
+)
+REG_STATES = st.sampled_from(list(RegState))
+TABLES = st.dictionaries(NAMES, st.tuples(REG_STATES, NAMES), max_size=4)
+
+
+@st.composite
+def made_states(draw):
+    """States built through GlobalState.make, with held, explicit-false
+    and absent lock entries."""
+    chains = draw(st.dictionaries(NAMES, TABLES, max_size=4))
+    assets = sorted({aid for table in chains.values() for aid in table})
+    lock_keys = st.sampled_from(assets) | NAMES if assets else NAMES
+    locks = draw(st.dictionaries(lock_keys, st.booleans(), max_size=4))
+    return engine.GlobalState.make(
+        {
+            c: {aid: engine.AssetState(aid, reg, owner) for aid, (reg, owner) in table.items()}
+            for c, table in chains.items()
+        },
+        locks,
+    )
+
+
+@st.composite
+def stepped_states(draw):
+    """States built as GlobalState(chains, locks) and then moved by
+    acquire_lock, update_all_chains and release_lock."""
+    chains = draw(st.dictionaries(NAMES, TABLES, max_size=4))
+    gs = engine.GlobalState(
+        {
+            c: {aid: engine.AssetState(aid, reg, owner) for aid, (reg, owner) in table.items()}
+            for c, table in chains.items()
+        },
+        {},
+    )
+    assets = sorted({aid for table in chains.values() for aid in table})
+    if not assets:
+        return gs
+    ops = st.tuples(st.sampled_from(["acquire", "update", "release"]),
+                    st.sampled_from(assets), REG_STATES)
+    for op, aid, reg in draw(st.lists(ops, max_size=8)):
+        if op == "acquire":
+            gs = engine.acquire_lock(gs, aid) or gs
+        elif op == "update":
+            gs = engine.update_all_chains(gs, aid, reg, engine.connected_chains(gs, aid))
+        else:
+            gs = engine.release_lock(gs, aid)
+    return gs
+
+
+class TestCanonicalDumpsMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(made_states() | stepped_states())
+    @example(engine.GlobalState({}, {}))
+    @example(engine.GlobalState({"c1": {}, "c2": {}}, {"a1": False}))
+    def test_byte_identical(self, gs):
+        assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
+
+
+class TestFromJsonDictRejects:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"chains": []},
+            {"chains": {"c1": []}},
+            {"chains": {"c1": {"a1": "ACTIVE"}}},
+            {"chains": {"c1": {"a1": {"state": "ACTIVE", "owner": 5}}}},
+            {"chains": {}, "locks": ["a1"]},
+        ],
+    )
+    def test_wrong_shape_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            engine.from_json_dict(doc)

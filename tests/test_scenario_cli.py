@@ -1,10 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from regsync import cli
+from regsync import cli, engine, modelcheck
 from regsync.modelcheck import run_modelcheck
-from regsync.scenario import ScenarioError, canonical_dumps, parse_scenario
+from regsync.regulatory import RegAction
+from regsync.scenario import ScenarioError, canonical_dumps, parse_scenario, scenario_from_json
+
+from test_engine import reference_canonical_dumps
 
 
 def minimal_doc():
@@ -56,6 +60,28 @@ class TestParseScenario:
         doc["sync"][0]["action"] = "EXPLODE"
         with pytest.raises(ScenarioError, match=r"sync\[0\]"):
             parse_scenario(write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda d: d["state"].update(chains=[]), "/state"),
+            (lambda d: d["state"]["chains"]["c1"]["a1"].update(owner=5), "/state"),
+            (lambda d: d["sync"][0].update(expect=["ok"]), "/sync[0]"),
+            (lambda d: d.update(sync={"source": "c1"}), "/sync"),
+            (lambda d: d.update(sync=["x"]), "/sync[0]"),
+            (lambda d: d.update(requests="x"), "/requests"),
+            (lambda d: d.update(requests=[["x"]]), "/requests[0]"),
+        ],
+        ids=["chains-list", "owner-number", "expect-list", "sync-object",
+             "sync-entry-string", "requests-string", "request-list"],
+    )
+    def test_wrong_shape_is_positioned(self, tmp_path, edit, where):
+        doc = minimal_doc()
+        edit(doc)
+        path = write(tmp_path, doc)
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(path)
+        assert info.value.location == f"{path}{where}"
 
     def test_canonical_round_trip(self, tmp_path):
         path = tmp_path / "canon.json"
@@ -114,6 +140,36 @@ class TestSyncCommand:
         assert code == 1
         assert "expected Locked" in out
 
+    def test_stdout_matches_reference_snapshots(self, capsys, tmp_path):
+        owner = 'o "q" \\ é😀\n'
+        cell = {"state": "ACTIVE", "owner": owner, "locked": False}
+        doc = {
+            "state": {
+                "chains": {"c1": {"a1": dict(cell), "b\u00e9": dict(cell)},
+                           "c2": {"a1": dict(cell)}, "c3": {}},
+                "locks": {"b\u00e9": True, "a1": False},
+            },
+            "sync": [
+                {"source": "c1", "action": "FREEZE", "asset": "a1", "expect": "ok"},
+                {"source": "c2", "action": "SEIZE", "asset": "a1", "expect": "ok"},
+                {"source": "c1", "action": "FREEZE", "asset": "b\u00e9", "expect": "Locked"},
+                {"source": "c2", "action": "RELEASE", "asset": "a1"},
+                {"source": "c1", "action": "UNFREEZE", "asset": "a1", "expect": "InvalidTransition"},
+            ],
+        }
+        path = write(tmp_path, doc)
+        expected = []
+        gs = parse_scenario(path).state
+        for i, step in enumerate(doc["sync"]):
+            result = engine.sync(step["source"], RegAction(step["action"]), step["asset"], gs)
+            tag = "ok" if result.ok else result.reason.value
+            expected.append(f"step {i}: {step['source']} {step['action']} {step['asset']} -> {tag}\n")
+            gs = result.state if result.ok else gs
+            expected.append(reference_canonical_dumps(gs))
+        code, out, _ = run_cli(capsys, "sync", str(path))
+        assert code == 0
+        assert out == "".join(expected)
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -131,6 +187,31 @@ class TestModelcheckCommand:
         monkeypatch.setenv("REGSYNC_BUDGET", "10")
         code, _, err = run_cli(capsys, "modelcheck", "--domains", "3", "--assets", "2", "--depth", "2")
         assert code == 2 and "budget" in err
+
+    def test_non_integer_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REGSYNC_BUDGET", "abc")
+        code, out, err = run_cli(capsys, "modelcheck", "--domains", "1", "--depth", "1")
+        assert code == 2 and out == ""
+        assert err == "error: REGSYNC_BUDGET must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--depth", "-1"), ("--domains", "0"), ("--assets", "0"), ("--depth", "x")]
+    )
+    def test_out_of_range_bound_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "modelcheck", flag, value)
+        assert code == 2 and out == ""
+        assert f"argument {flag}:" in err
+
+    def test_spec_built_once_per_run(self, monkeypatch):
+        calls, build = [], modelcheck.reg_machine_spec
+
+        def counting_spec():
+            calls.append(None)
+            return build()
+
+        monkeypatch.setattr(modelcheck, "reg_machine_spec", counting_spec)
+        result = run_modelcheck(2, 1, 2)
+        assert result.ok and len(calls) == 1
 
     def test_counterexample_is_replayable(self, capsys, tmp_path):
         from regsync import engine as eng
@@ -213,6 +294,13 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "node_id -1" in err
 
+    def test_lock_held_at_rest_exits_2_before_any_epoch(self, capsys, tmp_path):
+        doc = simulate_doc()
+        doc["state"]["locks"] = {"a3": True, "a1": False}
+        code, out, err = run_cli(capsys, "simulate", str(write(tmp_path, doc)))
+        assert code == 2 and out == ""
+        assert err == "error: locks held at rest: a3\n"
+
     def test_invalid_bft_config_exits_2(self, capsys, tmp_path):
         doc = simulate_doc()
         doc["sim"]["nodes"] = doc["sim"]["nodes"][:3]
@@ -238,3 +326,49 @@ class TestDeterminism:
         first = run_cli(capsys, "simulate", path, "--seed", "5")
         second = run_cli(capsys, "simulate", path, "--seed", "5")
         assert first == second
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def near_valid_docs():
+    """A valid scenario with one block, entry or field swapped for an
+    arbitrary JSON value, so the fuzz reaches past the first check."""
+    doc = minimal_doc()
+    doc["requests"] = [{"node": 1, "authority": "National", "timestamp": 0,
+                        "action": "FREEZE", "asset": "a1"}]
+    doc["sim"] = simulate_doc()["sim"]
+    paths = [
+        (), ("state",), ("state", "chains"), ("state", "chains", "c1"),
+        ("state", "chains", "c1", "a1"), ("state", "chains", "c1", "a1", "state"),
+        ("state", "chains", "c1", "a1", "owner"), ("state", "chains", "c1", "a1", "locked"),
+        ("state", "locks"), ("sync",), ("sync", 0), ("sync", 0, "source"),
+        ("sync", 0, "action"), ("sync", 0, "expect"), ("requests",), ("requests", 0),
+        ("requests", 0, "node"), ("requests", 0, "timestamp"), ("requests", 0, "authority"),
+        ("sim",), ("sim", "nodes"), ("sim", "f_max"), ("sim", "seed"),
+    ]
+
+    def swap(path, value):
+        if not path:
+            return value
+        out = json.loads(json.dumps(doc))
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return out
+
+    return st.builds(swap, st.sampled_from(paths), JSON_VALUES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES | near_valid_docs())
+def test_any_json_value_parses_or_raises_scenario_error(doc):
+    try:
+        scenario_from_json(doc)
+    except ScenarioError:
+        pass
