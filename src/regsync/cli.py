@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modelcheck", help="exhaustive small-scope model check")
     p.add_argument("--domains", type=_int_at_least(1), default=2)
     p.add_argument("--assets", type=_int_at_least(1), default=1)
-    p.add_argument("--depth", type=_int_at_least(0), default=3)
+    p.add_argument("--depth", type=_int_at_least(1), default=3)
     p.add_argument("--counterexample-out", metavar="PATH")
     p.set_defaults(func=cmd_modelcheck)
 

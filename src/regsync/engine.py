@@ -77,7 +77,11 @@ class SyncResult:
 
     @staticmethod
     def failure(reason: SyncFailure) -> "SyncResult":
-        return SyncResult(reason=reason)
+        """The one shared result for ``reason``; a failure carries no state."""
+        return _FAILURES[reason]
+
+
+_FAILURES = {reason: SyncResult(reason=reason) for reason in SyncFailure}
 
 
 def get_reg_state(gs: GlobalState, c: ChainId, aid: AssetKey) -> Optional[RegState]:
@@ -246,6 +250,14 @@ def _json_object(value: object, what: str) -> dict:
     return value
 
 
+def json_bool(value: object, what: str) -> bool:
+    """``value`` itself if it is a JSON boolean; anything else, the string
+    ``"false"`` included, is a TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{what} must be true or false, got {type(value).__name__}")
+    return value
+
+
 def from_json_dict(doc: dict) -> GlobalState:
     """Inverse of to_json_dict; raises KeyError, TypeError or ValueError
     on a document that does not have its shape."""
@@ -258,14 +270,17 @@ def from_json_dict(doc: dict) -> GlobalState:
             owner = cell.get("owner", "")
             if not isinstance(owner, str):
                 raise TypeError(f"owner of asset {aid!r} on chain {c!r} must be a string")
+            locked = json_bool(cell.get("locked", False), f"locked of asset {aid!r} on chain {c!r}")
             chains[c][aid] = AssetState(
                 asset_id=aid,
                 reg_state=RegState(cell["state"]),
                 owner=owner,
-                locked=bool(cell.get("locked", False)),
+                locked=locked,
             )
     locks = _json_object(doc.get("locks", {}), "locks")
-    return GlobalState.make(chains, {a: bool(b) for a, b in locks.items()})
+    return GlobalState.make(
+        chains, {a: json_bool(b, f"lock of asset {a!r}") for a, b in locks.items()}
+    )
 
 
 def canonical_dumps(gs: GlobalState) -> str:

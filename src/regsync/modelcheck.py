@@ -11,12 +11,11 @@ agreement with the generic multi-domain layer.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import engine
-from .preservation import sync_all
+from .preservation import DomainStateMap, sync_all
 from .regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from .report import BudgetExceededError, enumeration_budget
 from .sm_core import StateMachineSpec
@@ -90,22 +89,35 @@ def initial_state_count(n_chains: int, n_assets: int) -> int:
     return ((2**n_chains - 1) * len(RegState)) ** n_assets
 
 
-def _state_key(gs: engine.GlobalState):
-    # Explicit-false and absent lock entries denote the same state; fold
-    # them together so revisits are recognized.
-    doc = engine.to_json_dict(gs)
-    doc["locks"] = {aid: True for aid, held in doc["locks"].items() if held}
-    return json.dumps(doc, sort_keys=True)
+def _state_key(gs: engine.GlobalState) -> tuple:
+    """Order-independent identity of a state: its sorted chain names, the
+    fields of every cell in (chain, asset) order, flattened into one tuple,
+    and the held locks. Explicit-false and absent lock entries denote the
+    same state, so revisits are recognized. The flat tuple is smaller than
+    a tuple per cell."""
+    names = tuple(sorted(gs.chains))
+    cells: list = []
+    for c in names:
+        table = gs.chains[c]
+        for aid in sorted(table):
+            rec = table[aid]
+            cells += (c, aid, rec.reg_state, rec.owner, rec.locked)
+    return names, tuple(cells), tuple(sorted(aid for aid, held in gs.locks.items() if held))
 
 
 def _check_edge(
     gs: engine.GlobalState,
+    valid: bool,
+    projection: DomainStateMap,
     step: SyncStep,
     result: engine.SyncResult,
     out: ModelCheckResult,
     origin: tuple[engine.GlobalState, tuple[SyncStep, ...]],
     spec: StateMachineSpec,
 ) -> None:
+    """Check one sync from ``gs``. ``valid`` and ``projection`` are
+    ``engine.valid_state(gs)`` and ``engine.to_domain_state_map(gs)``,
+    computed once per explored state by the caller."""
     initial, steps = origin
     trail = steps + (step,)
 
@@ -114,12 +126,8 @@ def _check_edge(
 
     current = engine.get_reg_state(gs, step.source, step.asset)
     expected = None if current is None else reg_transition(current, step.action)
-    premises = (
-        engine.valid_state(gs)
-        and current is not None
-        and expected is not None
-        and not engine.is_locked(gs, step.asset)
-    )
+    was_locked = engine.is_locked(gs, step.asset)
+    premises = valid and expected is not None and not was_locked
     if premises and not result.ok:
         report("combined_success", f"sync failed with {result.reason.value}")
         return
@@ -144,18 +152,12 @@ def _check_edge(
                 report("sync_isolation", f"cell ({c}, {aid}) appeared")
     if engine.is_locked(gs2, step.asset):
         report("lock_released")
-    if engine.valid_state(gs) and not engine.valid_state(gs2):
+    if valid and not engine.valid_state(gs2):
         report("valid_state_preservation")
 
     # Generic/concrete agreement on the multi-domain projection.
-    if not engine.is_locked(gs, step.asset):
-        generic = sync_all(
-            engine.to_domain_state_map(gs),
-            step.source,
-            step.action.value,
-            step.asset,
-            spec,
-        )
+    if not was_locked:
+        generic = sync_all(projection, step.source, step.action.value, step.asset, spec)
         if generic is None:
             report("generic_agreement", "generic sync_all failed where sync succeeded")
         elif dict(generic.table) != dict(engine.to_domain_state_map(gs2).table):
@@ -187,28 +189,30 @@ def run_modelcheck(
 
     spec = reg_machine_spec()
     out = ModelCheckResult()
-    visited: dict[str, None] = {}
+    visited: set[tuple] = set()
     frontier: list[tuple[engine.GlobalState, tuple[engine.GlobalState, tuple[SyncStep, ...]]]] = []
     for gs in enumerate_initial_states(n_chains, n_assets):
         key = _state_key(gs)
         if key not in visited:
-            visited[key] = None
+            visited.add(key)
             frontier.append((gs, (gs, ())))
     out.states_explored = len(frontier)
 
     for _ in range(depth):
         next_frontier = []
         for gs, origin in frontier:
+            valid = engine.valid_state(gs)
+            projection = engine.to_domain_state_map(gs)
             for step in triples:
                 out.syncs_checked += 1
                 if out.syncs_checked > budget:
                     raise BudgetExceededError(out.syncs_checked, budget)
                 result = sync_fn(step.source, step.action, step.asset, gs)
-                _check_edge(gs, step, result, out, origin, spec)
+                _check_edge(gs, valid, projection, step, result, out, origin, spec)
                 if result.ok:
                     key = _state_key(result.state)
                     if key not in visited:
-                        visited[key] = None
+                        visited.add(key)
                         initial, steps = origin
                         next_frontier.append(
                             (result.state, (initial, steps + (step,)))

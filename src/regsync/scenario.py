@@ -72,7 +72,8 @@ def _sim_to_json(cfg: SimConfig) -> dict:
 def _sim_from_json(doc: dict, location: str) -> SimConfig:
     try:
         nodes = tuple(
-            NodeInfo(int(n["id"]), bool(n["honest"])) for n in doc["nodes"]
+            NodeInfo(int(n["id"]), engine.json_bool(n["honest"], "honest"))
+            for n in doc["nodes"]
         )
         return SimConfig(
             nodes=nodes,

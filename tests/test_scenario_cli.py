@@ -8,6 +8,11 @@ from regsync.modelcheck import run_modelcheck
 from regsync.regulatory import RegAction
 from regsync.scenario import ScenarioError, canonical_dumps, parse_scenario, scenario_from_json
 
+from test_acceptance import (
+    _mutant_allow_seized_freeze,
+    _mutant_skip_release,
+    _mutant_skip_target,
+)
 from test_engine import reference_canonical_dumps
 
 
@@ -176,6 +181,23 @@ class TestSyncCommand:
         code, _, err = run_cli(capsys, "sync", str(path))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["state"].update(locks={"a1": "false"}),
+            lambda d: d["state"]["chains"]["c1"]["a1"].update(locked="false"),
+            lambda d: d["state"]["chains"]["c1"]["a1"].update(locked=0),
+        ],
+        ids=["lock-string", "locked-string", "locked-number"],
+    )
+    def test_non_boolean_flag_exits_2(self, capsys, tmp_path, edit):
+        doc = minimal_doc()
+        edit(doc)
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(capsys, "sync", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}/state:") and "must be true or false" in err
+
 
 class TestModelcheckCommand:
     def test_small_run_clean(self, capsys):
@@ -195,7 +217,8 @@ class TestModelcheckCommand:
         assert err == "error: REGSYNC_BUDGET must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize(
-        "flag, value", [("--depth", "-1"), ("--domains", "0"), ("--assets", "0"), ("--depth", "x")]
+        "flag, value",
+        [("--depth", "-1"), ("--depth", "0"), ("--domains", "0"), ("--assets", "0"), ("--depth", "x")],
     )
     def test_out_of_range_bound_exits_2(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "modelcheck", flag, value)
@@ -239,6 +262,74 @@ class TestModelcheckCommand:
         path = write(tmp_path, {"state": doc["state"], "sync": doc["sync"]})
         scenario = parse_scenario(path)  # replayable through the normal pipeline
         assert scenario.sync
+
+
+def reference_state_key(gs):
+    """The JSON state key the explorer used before its tuple key."""
+    doc = engine.to_json_dict(gs)
+    doc["locks"] = {aid: True for aid, held in doc["locks"].items() if held}
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestExplorer:
+    def test_state_key_identifies_what_the_reference_key_does(self):
+        states = []
+
+        def recording(mutant):
+            def sync_fn(source, action, aid, gs):
+                result = mutant(source, action, aid, gs)
+                states.append(gs)
+                if result.ok:
+                    states.append(result.state)
+                return result
+
+            return sync_fn
+
+        for mutant in (_mutant_skip_target, _mutant_skip_release, _mutant_allow_seized_freeze):
+            run_modelcheck(2, 1, 2, sync_fn=recording(mutant))
+        # States no sync reaches: empty chains, and locks on assets no
+        # chain holds, held, explicitly free and absent.
+        states += [
+            engine.GlobalState({"c1": {}}, {}),
+            engine.GlobalState({"c1": {}, "c2": {}}, {}),
+            engine.GlobalState({"c1": {}}, {"a1": True}),
+            engine.GlobalState({"c1": {}}, {"a1": False}),
+        ]
+        pairs = {(modelcheck._state_key(gs), reference_state_key(gs)) for gs in states}
+        # Two keys agree on every pair of states exactly when each key
+        # value of one pairs with a single key value of the other.
+        assert len({key for key, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
+        assert any(any(gs.locks.values()) for gs in states)
+        lock_maps: dict[str, set] = {}
+        for gs in states:
+            lock_maps.setdefault(reference_state_key(gs), set()).add(tuple(sorted(gs.locks.items())))
+        # Some state is reached both with no lock entry and an explicit false one.
+        assert any(len(maps) > 1 for maps in lock_maps.values())
+
+    @pytest.mark.parametrize(
+        "mutant, count",
+        [(_mutant_skip_target, 964), (_mutant_skip_release, 288), (_mutant_allow_seized_freeze, 36)],
+    )
+    def test_mutant_counterexample_counts(self, mutant, count):
+        assert len(run_modelcheck(3, 1, 2, sync_fn=mutant).counterexamples) == count
+
+    def test_valid_state_once_per_state_and_successful_sync(self, monkeypatch):
+        calls, successes, check = [], [], engine.valid_state
+
+        def counting_check(gs):
+            calls.append(None)
+            return check(gs)
+
+        def counting_sync(source, action, aid, gs):
+            result = engine.sync(source, action, aid, gs)
+            if result.ok:
+                successes.append(None)
+            return result
+
+        monkeypatch.setattr(engine, "valid_state", counting_check)
+        result = run_modelcheck(2, 1, 2, sync_fn=counting_sync)
+        assert result.ok
+        assert len(calls) <= result.states_explored + len(successes)
 
 
 def simulate_doc():
@@ -300,6 +391,15 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", str(write(tmp_path, doc)))
         assert code == 2 and out == ""
         assert err == "error: locks held at rest: a3\n"
+
+    @pytest.mark.parametrize("honest", ["false", 1])
+    def test_non_boolean_honest_exits_2(self, capsys, tmp_path, honest):
+        doc = simulate_doc()
+        doc["sim"]["nodes"][0]["honest"] = honest
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}/sim:") and "honest must be true or false" in err
 
     def test_invalid_bft_config_exits_2(self, capsys, tmp_path):
         doc = simulate_doc()
