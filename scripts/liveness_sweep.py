@@ -3,7 +3,11 @@
 
 Runs fair and adversarial schedules across many seeds and prints drain
 times against the pending0 * fairness_bound + timeout bound, with the mean
-wall-clock cost of one epoch of the drains.
+wall-clock cost of one epoch of the drains. ``--requests`` takes one or
+more request counts and prints a line per count and schedule, so one run
+gives the cost per epoch against the request count:
+
+    python3 scripts/liveness_sweep.py --requests 250 1000 4000 --seeds 1
 """
 
 import argparse
@@ -47,11 +51,17 @@ def main():
     parser.add_argument("--faults", type=int, default=1)
     parser.add_argument("--timeout", type=int, default=2)
     parser.add_argument("--fairness-bound", type=int, default=3)
-    parser.add_argument("--requests", type=int, default=5)
+    parser.add_argument("--requests", type=int, nargs="+", default=[5], metavar="N")
     parser.add_argument("--seeds", type=int, default=100)
     args = parser.parse_args()
+    for n_requests in args.requests:
+        sweep(args, n_requests)
 
-    bound = args.requests * args.fairness_bound + args.timeout
+
+def sweep(args, n_requests):
+    """Drain ``n_requests`` requests under both schedules for every seed and
+    print one line per schedule."""
+    bound = n_requests * args.fairness_bound + args.timeout
     for label, gen in (("fair", gen_fair_schedule), ("adversarial", gen_adversarial_schedule)):
         drains = []
         drain_s = 0.0
@@ -59,7 +69,7 @@ def main():
         for seed in range(args.seeds):
             cfg = build_config(args.nodes, args.faults, args.timeout, args.fairness_bound, seed)
             sched = gen(cfg, bound)
-            s0 = initial_state(args.requests)
+            s0 = initial_state(n_requests)
             start = time.perf_counter()
             trace = run_until_drained(s0, sched, cfg, bound)
             drain_s += time.perf_counter() - start
@@ -67,7 +77,8 @@ def main():
             starvation_ok &= check_starvation_bound(trace, cfg.fairness_bound).ok
             assert trace[-1].pending_after == 0, f"seed {seed} did not drain"
         print(
-            f"{label}: drained {args.seeds}/{args.seeds} within bound {bound}; "
+            f"requests={n_requests} {label}: "
+            f"drained {args.seeds}/{args.seeds} within bound {bound}; "
             f"epochs min={min(drains)} max={max(drains)} "
             f"mean={statistics.mean(drains):.1f}; {drain_s / sum(drains) * 1e6:.0f} us/epoch; "
             f"starvation windows ok={starvation_ok}"

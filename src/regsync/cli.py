@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--adversarial", action="store_true")
-    p.add_argument("--max-epochs", type=int, default=1000)
+    p.add_argument("--max-epochs", type=_int_at_least(1), default=1000)
     p.set_defaults(func=cmd_simulate)
 
     return parser

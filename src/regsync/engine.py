@@ -1,7 +1,9 @@
 """Global multi-chain state and the atomic lock-validate-update-unlock sync.
 
 Every operation is pure: it returns a fresh GlobalState and never mutates
-its input, so failed syncs leave no partial writes behind.
+its input, so failed syncs leave no partial writes behind. Fresh states
+share what did not change: acquiring or releasing a lock copies only the
+lock map, and an update copies only the asset tables of its target chains.
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ class AssetState:
     asset_id: AssetKey
     reg_state: RegState
     owner: str
-    locked: bool = False
 
 
 @dataclass(frozen=True)
 class GlobalState:
-    """Per-chain asset tables plus the authoritative per-asset lock map.
+    """Per-chain asset tables plus the per-asset lock map.
 
-    AssetState.locked is a maintained mirror of ``locks``; the lock map is
-    the source of truth.
+    ``locks`` is the only lock state; the cells carry none. A released lock
+    stays in the map as an explicit ``False`` entry. The JSON form derives
+    each cell's ``"locked"`` flag from the map (see to_json_dict).
     """
 
     chains: Mapping[ChainId, Mapping[AssetKey, AssetState]]
@@ -43,21 +45,21 @@ class GlobalState:
         chains: Mapping[ChainId, Mapping[AssetKey, AssetState]],
         locks: Optional[Mapping[AssetKey, bool]] = None,
     ) -> "GlobalState":
-        locks = dict(locks or {})
+        """A state over fresh copies of ``chains`` and ``locks``, with every
+        cell's asset_id set to its key."""
         fixed = {
-            c: {
-                aid: replace(rec, asset_id=aid, locked=locks.get(aid, False))
-                for aid, rec in table.items()
-            }
+            c: {aid: replace(rec, asset_id=aid) for aid, rec in table.items()}
             for c, table in chains.items()
         }
-        return GlobalState(fixed, locks)
+        return GlobalState(fixed, dict(locks or {}))
 
 
 class SyncFailure(enum.Enum):
     ASSET_NOT_FOUND = "AssetNotFound"
     INVALID_TRANSITION = "InvalidTransition"
     LOCKED = "Locked"
+
+    __hash__ = object.__hash__  # as in regulatory.RegState
 
 
 @dataclass(frozen=True)
@@ -102,17 +104,9 @@ def is_locked(gs: GlobalState, aid: AssetKey) -> bool:
 
 
 def _with_lock(gs: GlobalState, aid: AssetKey, flag: bool) -> GlobalState:
-    locks = dict(gs.locks)
-    locks[aid] = flag
-    chains = {}
-    for c, table in gs.chains.items():
-        rec = table.get(aid)
-        chains[c] = (
-            table
-            if rec is None
-            else {**table, aid: AssetState(rec.asset_id, rec.reg_state, rec.owner, flag)}
-        )
-    return GlobalState(chains, locks)
+    """``gs`` with ``aid``'s lock entry set to ``flag``; the chain tables are
+    shared, not copied."""
+    return GlobalState(gs.chains, {**gs.locks, aid: flag})
 
 
 def acquire_lock(gs: GlobalState, aid: AssetKey) -> Optional[GlobalState]:
@@ -136,7 +130,7 @@ def update_all_chains(
     for c, table in gs.chains.items():
         if c in targets:
             rec = table[aid]
-            table = {**table, aid: AssetState(rec.asset_id, new_state, rec.owner, rec.locked)}
+            table = {**table, aid: AssetState(rec.asset_id, new_state, rec.owner)}
         chains[c] = table
     return GlobalState(chains, gs.locks)
 
@@ -158,7 +152,7 @@ def sync(source: ChainId, action: RegAction, aid: AssetKey, gs: GlobalState) -> 
     if gs_locked is None:
         return SyncResult.failure(SyncFailure.LOCKED)
     # Targets are read from the pre-lock state, as in the protocol
-    # definition; acquire_lock leaves chain contents untouched so the two
+    # definition; acquire_lock shares the chain tables, so the two
     # readings coincide.
     targets = connected_chains(gs, aid)
     gs_updated = update_all_chains(gs_locked, aid, new_state, targets)
@@ -182,14 +176,6 @@ def no_lock_held(gs: GlobalState) -> bool:
 def valid_state(gs: GlobalState) -> bool:
     """Cross-chain agreement per asset plus no lock held at rest."""
     return consistent_state(gs) and no_lock_held(gs)
-
-
-def mirror_consistent(gs: GlobalState) -> bool:
-    for table in gs.chains.values():
-        for aid, rec in table.items():
-            if rec.asset_id != aid or rec.locked != is_locked(gs, aid):
-                return False
-    return True
 
 
 def check_combined(
@@ -228,13 +214,16 @@ def to_domain_state_map(gs: GlobalState) -> DomainStateMap:
 
 
 def to_json_dict(gs: GlobalState) -> dict:
+    """The JSON form of ``gs``; each cell's ``"locked"`` is read from the
+    lock map."""
+    locks = gs.locks
     return {
         "chains": {
             c: {
                 aid: {
                     "state": rec.reg_state.value,
                     "owner": rec.owner,
-                    "locked": rec.locked,
+                    "locked": locks.get(aid, False),
                 }
                 for aid, rec in table.items()
             }
@@ -260,7 +249,8 @@ def json_bool(value: object, what: str) -> bool:
 
 def from_json_dict(doc: dict) -> GlobalState:
     """Inverse of to_json_dict; raises KeyError, TypeError or ValueError
-    on a document that does not have its shape."""
+    on a document that does not have its shape. A cell's ``"locked"`` must
+    be a JSON boolean, but the state takes its locks from ``"locks"``."""
     doc = _json_object(doc, "state")
     chains = {}
     for c, table in _json_object(doc.get("chains", {}), "chains").items():
@@ -270,15 +260,11 @@ def from_json_dict(doc: dict) -> GlobalState:
             owner = cell.get("owner", "")
             if not isinstance(owner, str):
                 raise TypeError(f"owner of asset {aid!r} on chain {c!r} must be a string")
-            locked = json_bool(cell.get("locked", False), f"locked of asset {aid!r} on chain {c!r}")
-            chains[c][aid] = AssetState(
-                asset_id=aid,
-                reg_state=RegState(cell["state"]),
-                owner=owner,
-                locked=locked,
-            )
+            # Checked but not kept: ``locks`` is the lock state.
+            json_bool(cell.get("locked", False), f"locked of asset {aid!r} on chain {c!r}")
+            chains[c][aid] = AssetState(aid, RegState(cell["state"]), owner)
     locks = _json_object(doc.get("locks", {}), "locks")
-    return GlobalState.make(
+    return GlobalState(
         chains, {a: json_bool(b, f"lock of asset {a!r}") for a, b in locks.items()}
     )
 

@@ -92,16 +92,16 @@ def initial_state_count(n_chains: int, n_assets: int) -> int:
 def _state_key(gs: engine.GlobalState) -> tuple:
     """Order-independent identity of a state: its sorted chain names, the
     fields of every cell in (chain, asset) order, flattened into one tuple,
-    and the held locks. Explicit-false and absent lock entries denote the
-    same state, so revisits are recognized. The flat tuple is smaller than
-    a tuple per cell."""
+    and the held locks (the cells carry no lock flag). Explicit-false and
+    absent lock entries denote the same state, so revisits are recognized.
+    The flat tuple is smaller than a tuple per cell."""
     names = tuple(sorted(gs.chains))
     cells: list = []
     for c in names:
         table = gs.chains[c]
         for aid in sorted(table):
             rec = table[aid]
-            cells += (c, aid, rec.reg_state, rec.owner, rec.locked)
+            cells += (c, aid, rec.reg_state, rec.owner)
     return names, tuple(cells), tuple(sorted(aid for aid, held in gs.locks.items() if held))
 
 

@@ -19,6 +19,11 @@ class RegState(enum.Enum):
     CONFISCATED = "CONFISCATED"
     RESTRICTED = "RESTRICTED"
 
+    # Members are singletons and compare by identity, so the identity hash
+    # agrees with equality; it is a C slot, where Enum.__hash__ is a Python
+    # call on every dict lookup keyed by a member.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -31,6 +36,8 @@ class RegAction(enum.Enum):
     UNFREEZE = "UNFREEZE"
     UNRESTRICT = "UNRESTRICT"
     RELEASE = "RELEASE"
+
+    __hash__ = object.__hash__  # as in RegState
 
     def __str__(self) -> str:
         return self.value

@@ -11,6 +11,22 @@ from regsync.regulatory import RegAction, RegState, reg_machine_spec
 from conftest import make_state
 
 
+def snapshot_locked(gs, c, aid):
+    """The ``locked`` flag the JSON form shows for cell (c, aid)."""
+    return engine.to_json_dict(gs)["chains"][c][aid]["locked"]
+
+
+def snapshot_agrees_with_locks(gs):
+    """Every cell sits under its own asset id and its JSON ``locked`` flag
+    is is_locked of its asset."""
+    doc = engine.to_json_dict(gs)["chains"]
+    return all(
+        rec.asset_id == aid and doc[c][aid]["locked"] == engine.is_locked(gs, aid)
+        for c, table in gs.chains.items()
+        for aid, rec in table.items()
+    )
+
+
 class TestReads:
     def test_get_reg_state(self, two_chain_active):
         assert engine.get_reg_state(two_chain_active, "c1", "a1") is RegState.ACTIVE
@@ -35,13 +51,13 @@ class TestLocks:
     def test_acquire_then_release(self, two_chain_active):
         locked = engine.acquire_lock(two_chain_active, "a1")
         assert engine.is_locked(locked, "a1")
-        assert locked.chains["c1"]["a1"].locked
+        assert snapshot_locked(locked, "c1", "a1")
         # reg states untouched
         for c in ("c1", "c2"):
             assert locked.chains[c]["a1"].reg_state is RegState.ACTIVE
         released = engine.release_lock(locked, "a1")
         assert not engine.is_locked(released, "a1")
-        assert not released.chains["c1"]["a1"].locked
+        assert not snapshot_locked(released, "c1", "a1")
 
     def test_double_acquire_fails(self, two_chain_active):
         locked = engine.acquire_lock(two_chain_active, "a1")
@@ -60,8 +76,16 @@ class TestLocks:
 
     def test_mirror_consistency(self, two_chain_active):
         locked = engine.acquire_lock(two_chain_active, "a1")
-        assert engine.mirror_consistent(locked)
-        assert engine.mirror_consistent(engine.release_lock(locked, "a1"))
+        assert snapshot_agrees_with_locks(locked)
+        assert snapshot_agrees_with_locks(engine.release_lock(locked, "a1"))
+
+    def test_lock_steps_share_the_chain_tables(self, two_chain_active):
+        locked = engine.acquire_lock(two_chain_active, "a1")
+        assert locked.chains is two_chain_active.chains
+        released = engine.release_lock(locked, "a1")
+        assert released.chains is two_chain_active.chains
+        # A release keeps an explicit false entry, which snapshots print.
+        assert released.locks == {"a1": False}
 
 
 class TestUpdateAllChains:
@@ -88,8 +112,8 @@ class TestUpdateAllChains:
     def test_keeps_a_held_lock_mirrored(self, two_chain_active):
         locked = engine.acquire_lock(two_chain_active, "a1")
         updated = engine.update_all_chains(locked, "a1", RegState.FROZEN, frozenset({"c1"}))
-        assert updated.chains["c1"]["a1"].locked
-        assert engine.mirror_consistent(updated)
+        assert snapshot_locked(updated, "c1", "a1")
+        assert snapshot_agrees_with_locks(updated)
 
 
 class TestSync:
@@ -125,6 +149,20 @@ class TestSync:
     def test_owner_untouched(self, two_chain_active):
         result = engine.sync("c1", RegAction.SEIZE, "a1", two_chain_active)
         assert result.state.chains["c1"]["a1"].owner == "owner"
+
+    def test_chains_without_the_asset_keep_their_tables(self):
+        gs = make_state({
+            "c1": {"a1": RegState.ACTIVE, "a2": RegState.ACTIVE},
+            "c2": {"a1": RegState.ACTIVE},
+            "c3": {"a2": RegState.ACTIVE},
+            "c4": {},
+        })
+        result = engine.sync("c1", RegAction.FREEZE, "a2", gs)
+        assert result.ok
+        for c in ("c2", "c4"):
+            assert result.state.chains[c] is gs.chains[c]
+        for c in ("c1", "c3"):
+            assert result.state.chains[c] is not gs.chains[c]
 
 
 class TestValidState:
@@ -252,6 +290,13 @@ class TestCanonicalDumpsMatchesReference:
     @example(engine.GlobalState({"c1": {}, "c2": {}}, {"a1": False}))
     def test_byte_identical(self, gs):
         assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
+
+
+class TestSnapshotLockFlag:
+    @settings(max_examples=300, deadline=None)
+    @given(made_states() | stepped_states())
+    def test_cell_flag_is_is_locked(self, gs):
+        assert snapshot_agrees_with_locks(gs)
 
 
 class TestFromJsonDictRejects:

@@ -1,5 +1,6 @@
 import pytest
 
+from regsync.engine import SyncFailure
 from regsync.regulatory import (
     RegAction,
     RegState,
@@ -113,3 +114,13 @@ class TestMachineSpec:
                 expected = reg_transition(s, a)
                 got = sm.transitions.get((s.value, a.value))
                 assert got == (None if expected is None else expected.value)
+
+
+@pytest.mark.parametrize("enum_cls", [RegState, RegAction, SyncFailure])
+def test_members_hash_by_identity(enum_cls):
+    # Enum equality is identity, so the C identity hash is consistent with
+    # it and spares each dict lookup keyed by a member a Python-level call.
+    assert enum_cls.__hash__ is object.__hash__
+    for member in enum_cls:
+        assert hash(member) == object.__hash__(member)
+        assert member == enum_cls(member.value)

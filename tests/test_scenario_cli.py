@@ -175,6 +175,17 @@ class TestSyncCommand:
         assert code == 0
         assert out == "".join(expected)
 
+    def test_locks_map_decides_the_snapshot_flag(self, capsys, tmp_path):
+        doc = minimal_doc()
+        doc["state"]["chains"]["c1"]["a1"]["locked"] = True
+        # A failing step leaves the parsed state as it is, lock map included.
+        doc["sync"] = [{"source": "c1", "action": "UNFREEZE", "asset": "a1",
+                        "expect": "InvalidTransition"}]
+        code, out, _ = run_cli(capsys, "sync", str(write(tmp_path, doc)))
+        assert code == 0
+        assert out.count('"locked": false') == 2 and '"locked": true' not in out
+        assert '"locks": {}' in out
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -400,6 +411,13 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}/sim:") and "honest must be true or false" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_epochs_below_one_exits_2(self, capsys, tmp_path, value):
+        path = write(tmp_path, simulate_doc())
+        code, out, err = run_cli(capsys, "simulate", str(path), "--max-epochs", value)
+        assert code == 2 and out == ""
+        assert "argument --max-epochs:" in err
 
     def test_invalid_bft_config_exits_2(self, capsys, tmp_path):
         doc = simulate_doc()
