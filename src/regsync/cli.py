@@ -57,11 +57,7 @@ def cmd_transition(args) -> int:
 
 
 def cmd_sync(args) -> int:
-    try:
-        scenario = parse_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = parse_scenario(args.scenario)
     gs = scenario.state
     mismatched = False
     for i, cmd in enumerate(scenario.sync):
@@ -83,11 +79,7 @@ def cmd_modelcheck(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        result = run_modelcheck(args.domains, args.assets, args.depth, budget)
-    except BudgetExceededError as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = run_modelcheck(args.domains, args.assets, args.depth, budget)
     print(f"states explored: {result.states_explored}")
     print(f"syncs checked: {result.syncs_checked}")
     print(f"violations: {len(result.counterexamples)}")
@@ -98,18 +90,17 @@ def cmd_modelcheck(args) -> int:
     print("minimal counterexample:")
     print(json.dumps(doc, sort_keys=True, indent=2))
     if args.counterexample_out:
-        with open(args.counterexample_out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.counterexample_out, "w") as fh:
+                fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write counterexample: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_VIOLATION
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = parse_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = parse_scenario(args.scenario)
     if scenario.sim is None or not scenario.requests:
         print("error: scenario needs a 'sim' block and a 'requests' list", file=sys.stderr)
         return EXIT_USAGE
@@ -205,7 +196,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches our contract.
         return EXIT_USAGE if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ScenarioError, BudgetExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

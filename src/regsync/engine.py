@@ -15,7 +15,6 @@ from typing import Mapping, Optional
 
 from .preservation import DomainStateMap
 from .regulatory import RegAction, RegState, reg_transition
-from .report import ValidationReport
 
 ChainId = str
 AssetKey = str
@@ -176,31 +175,6 @@ def no_lock_held(gs: GlobalState) -> bool:
 def valid_state(gs: GlobalState) -> bool:
     """Cross-chain agreement per asset plus no lock held at rest."""
     return consistent_state(gs) and no_lock_held(gs)
-
-
-def check_combined(
-    gs: GlobalState, source: ChainId, action: RegAction, aid: AssetKey
-) -> ValidationReport:
-    """Check the combined guarantee: under its premises, sync succeeds and
-    the result is valid."""
-    report = ValidationReport()
-    current = get_reg_state(gs, source, aid)
-    premises = (
-        valid_state(gs)
-        and current is not None
-        and reg_transition(current, action) is not None
-        and not is_locked(gs, aid)
-    )
-    if not premises:
-        report.note("premises unmet")
-        return report
-    result = sync(source, action, aid, gs)
-    if not result.ok:
-        report.add("sync_success", (source, action.value, aid), f"failed: {result.reason.value}")
-        return report
-    if not valid_state(result.state):
-        report.add("valid_state_preservation", (source, action.value, aid))
-    return report
 
 
 def to_domain_state_map(gs: GlobalState) -> DomainStateMap:

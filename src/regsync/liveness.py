@@ -265,6 +265,7 @@ class EpochRecord:
     pending_after: int
     processed: Optional[str]
     lock_events: tuple[LockEvent, ...]
+    outcome: Optional[str] = None  # of the honest leader's sync: "ok" or the failure reason
 
     def to_json(self) -> dict:
         return {
@@ -275,6 +276,7 @@ class EpochRecord:
             "pending_after": self.pending_after,
             "processed": self.processed,
             "lock_events": [ev.to_json() for ev in self.lock_events],
+            "outcome": self.outcome,
         }
 
 
@@ -314,6 +316,7 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
     honest = cfg.is_honest(leader)
     pending = s.pending
     processed: Optional[str] = None
+    outcome: Optional[str] = None
     removed: Optional[str] = None
 
     if honest:
@@ -322,13 +325,17 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
         for i, chosen in enumerate(pending):
             if engine.is_locked(gs, chosen.asset):
                 continue
+            # A failed sync holds no lock: only a successful one logs events.
             source = _source_chain(gs, chosen.asset)
-            if source is not None:
-                events.append(LockEvent(chosen.asset, "acquire", s.epoch))
+            if source is None:
+                outcome = engine.SyncFailure.ASSET_NOT_FOUND.value
+            else:
                 result = engine.sync(source, chosen.action, chosen.asset, gs)
+                outcome = "ok" if result.ok else result.reason.value
                 if result.ok:
                     gs = result.state
-                events.append(LockEvent(chosen.asset, "release", s.epoch))
+                    events.append(LockEvent(chosen.asset, "acquire", s.epoch))
+                    events.append(LockEvent(chosen.asset, "release", s.epoch))
             pending = pending[:i] + pending[i + 1 :]
             processed = request_id(chosen)
             removed = chosen.asset
@@ -354,6 +361,7 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
         pending_after=len(pending),
         processed=processed,
         lock_events=tuple(events),
+        outcome=outcome,
     )
     next_state = SimState(s.epoch + 1, pending, gs, lock_times, rk)
     rk.advance(removed, next_state)

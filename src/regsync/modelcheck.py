@@ -12,39 +12,28 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import engine
-from .preservation import DomainStateMap, sync_all
+from .preservation import DomainStateMap, explore, sync_all
 from .regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from .report import BudgetExceededError, enumeration_budget
+from .scenario import Scenario, SyncCommand
 from .sm_core import StateMachineSpec
-
-
-@dataclass(frozen=True)
-class SyncStep:
-    source: str
-    action: RegAction
-    asset: str
-
-    def to_json(self) -> dict:
-        return {"source": self.source, "action": self.action.value, "asset": self.asset}
 
 
 @dataclass(frozen=True)
 class Counterexample:
     rule: str
     initial: engine.GlobalState
-    steps: tuple[SyncStep, ...]
+    steps: tuple[SyncCommand, ...]
     detail: str = ""
 
     def to_scenario(self) -> dict:
-        """Replayable scenario document reproducing the violation."""
-        return {
-            "state": engine.to_json_dict(self.initial),
-            "sync": [s.to_json() for s in self.steps],
-            "violation": {"rule": self.rule, "detail": self.detail},
-        }
+        """A scenario document replaying the violation, plus a ``"violation"`` block."""
+        doc = Scenario(self.initial, list(self.steps)).to_json_dict()
+        doc["violation"] = {"rule": self.rule, "detail": self.detail}
+        return doc
 
 
 @dataclass
@@ -89,6 +78,19 @@ def initial_state_count(n_chains: int, n_assets: int) -> int:
     return ((2**n_chains - 1) * len(RegState)) ** n_assets
 
 
+def _over_budget(n_chains: int, n_assets: int, budget: int) -> bool:
+    """Whether initial_state_count times the syncs per state exceeds
+    ``budget``, decided without computing numbers far above the budget."""
+    if n_chains > budget.bit_length():  # 2**n_chains - 1 > budget
+        return True
+    needed = n_chains * len(RegAction) * n_assets
+    for _ in range(n_assets):
+        if needed > budget:
+            return True
+        needed *= (2**n_chains - 1) * len(RegState)
+    return needed > budget
+
+
 def _state_key(gs: engine.GlobalState) -> tuple:
     """Order-independent identity of a state: its sorted chain names, the
     fields of every cell in (chain, asset) order, flattened into one tuple,
@@ -105,63 +107,54 @@ def _state_key(gs: engine.GlobalState) -> tuple:
     return names, tuple(cells), tuple(sorted(aid for aid, held in gs.locks.items() if held))
 
 
-def _check_edge(
+def _violations(
     gs: engine.GlobalState,
     valid: bool,
     projection: DomainStateMap,
-    step: SyncStep,
+    step: SyncCommand,
     result: engine.SyncResult,
-    out: ModelCheckResult,
-    origin: tuple[engine.GlobalState, tuple[SyncStep, ...]],
     spec: StateMachineSpec,
-) -> None:
-    """Check one sync from ``gs``. ``valid`` and ``projection`` are
-    ``engine.valid_state(gs)`` and ``engine.to_domain_state_map(gs)``,
-    computed once per explored state by the caller."""
-    initial, steps = origin
-    trail = steps + (step,)
-
-    def report(rule: str, detail: str = "") -> None:
-        out.counterexamples.append(Counterexample(rule, initial, trail, detail))
-
+) -> Iterator[tuple[str, str]]:
+    """The (rule, detail) of each guarantee that one sync from ``gs``
+    breaks. ``valid`` and ``projection`` are ``engine.valid_state(gs)`` and
+    ``engine.to_domain_state_map(gs)``, computed once per explored state."""
     current = engine.get_reg_state(gs, step.source, step.asset)
     expected = None if current is None else reg_transition(current, step.action)
     was_locked = engine.is_locked(gs, step.asset)
     premises = valid and expected is not None and not was_locked
-    if premises and not result.ok:
-        report("combined_success", f"sync failed with {result.reason.value}")
-        return
     if not result.ok:
+        if premises:
+            yield "combined_success", f"sync failed with {result.reason.value}"
         return
 
     gs2 = result.state
     for c in sorted(engine.connected_chains(gs, step.asset)):
         if engine.get_reg_state(gs2, c, step.asset) is not expected:
-            report("cross_domain_consistency", f"chain {c} disagrees")
+            yield "cross_domain_consistency", f"chain {c} disagrees"
     for c, table in gs.chains.items():
         for aid, rec in table.items():
             after = gs2.chains.get(c, {}).get(aid)
             if aid != step.asset:
                 if after != rec:
-                    report("sync_isolation", f"cell ({c}, {aid}) changed")
+                    yield "sync_isolation", f"cell ({c}, {aid}) changed"
             elif after is None or after.owner != rec.owner:
-                report("owner_untouched", f"cell ({c}, {aid})")
+                yield "owner_untouched", f"cell ({c}, {aid})"
     for c, table in gs2.chains.items():
         for aid in table:
             if aid not in gs.chains.get(c, {}):
-                report("sync_isolation", f"cell ({c}, {aid}) appeared")
+                yield "sync_isolation", f"cell ({c}, {aid}) appeared"
     if engine.is_locked(gs2, step.asset):
-        report("lock_released")
+        yield "lock_released", ""
     if valid and not engine.valid_state(gs2):
-        report("valid_state_preservation")
+        yield "valid_state_preservation", ""
 
     # Generic/concrete agreement on the multi-domain projection.
     if not was_locked:
         generic = sync_all(projection, step.source, step.action.value, step.asset, spec)
         if generic is None:
-            report("generic_agreement", "generic sync_all failed where sync succeeded")
+            yield "generic_agreement", "generic sync_all failed where sync succeeded"
         elif dict(generic.table) != dict(engine.to_domain_state_map(gs2).table):
-            report("generic_agreement", "projections differ")
+            yield "generic_agreement", "projections differ"
 
 
 def run_modelcheck(
@@ -177,47 +170,31 @@ def run_modelcheck(
     confirm the checker finds a counterexample.
     """
     budget = enumeration_budget() if budget is None else budget
-    triples = [
-        SyncStep(c, a, aid)
+    if _over_budget(n_chains, n_assets, budget):
+        raise BudgetExceededError(budget + 1, budget)
+    steps = [
+        SyncCommand(c, a, aid)
         for c in chain_names(n_chains)
         for a in RegAction
         for aid in asset_names(n_assets)
     ]
-    estimated = initial_state_count(n_chains, n_assets) * len(triples)
-    if estimated > budget:
-        raise BudgetExceededError(estimated, budget)
-
     spec = reg_machine_spec()
     out = ModelCheckResult()
-    visited: set[tuple] = set()
-    frontier: list[tuple[engine.GlobalState, tuple[engine.GlobalState, tuple[SyncStep, ...]]]] = []
-    for gs in enumerate_initial_states(n_chains, n_assets):
-        key = _state_key(gs)
-        if key not in visited:
-            visited.add(key)
-            frontier.append((gs, (gs, ())))
-    out.states_explored = len(frontier)
 
-    for _ in range(depth):
-        next_frontier = []
-        for gs, origin in frontier:
-            valid = engine.valid_state(gs)
-            projection = engine.to_domain_state_map(gs)
-            for step in triples:
-                out.syncs_checked += 1
-                if out.syncs_checked > budget:
-                    raise BudgetExceededError(out.syncs_checked, budget)
-                result = sync_fn(step.source, step.action, step.asset, gs)
-                _check_edge(gs, valid, projection, step, result, out, origin, spec)
-                if result.ok:
-                    key = _state_key(result.state)
-                    if key not in visited:
-                        visited.add(key)
-                        initial, steps = origin
-                        next_frontier.append(
-                            (result.state, (initial, steps + (step,)))
-                        )
-        frontier = next_frontier
-        out.states_explored = len(visited)
+    def visit(gs: engine.GlobalState, origin) -> Callable:
+        valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
+
+        def take(step: SyncCommand) -> Optional[engine.GlobalState]:
+            result = sync_fn(step.source, step.action, step.asset, gs)
+            for rule, detail in _violations(gs, valid, projection, step, result, spec):
+                trail = origin[1] + (step,)
+                out.counterexamples.append(Counterexample(rule, origin[0], trail, detail))
+            return result.state
+
+        return take
+
+    out.states_explored, out.syncs_checked = explore(
+        enumerate_initial_states(n_chains, n_assets), steps, depth, budget, _state_key, visit
+    )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))
     return out

@@ -1,4 +1,4 @@
-"""Structure-preserving maps between machines and N-domain synchronization.
+"""Machine morphisms, N-domain synchronization, and the breadth-first explorer.
 
 Naturality, roundtrip, and multi-domain consistency are checked by brute
 force over the (small, finite) machines instead of being assumed.
@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .report import BudgetExceededError, ValidationReport, enumeration_budget
 from .sm_core import ActionId, StateId, StateMachineSpec, apply_actions, transition_of
 
 DomainId = str
 AssetKey = str
+S = TypeVar("S")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,47 @@ def sync_all(
     return DomainStateMap(ds.domains, table)
 
 
+def explore(
+    initial: Iterable[S],
+    steps: Sequence[T],
+    depth: int,
+    budget: int,
+    key: Callable[[S], Hashable],
+    visit: Callable[[S, tuple[S, tuple[T, ...]]], Callable[[T], Optional[S]]],
+) -> tuple[int, int]:
+    """Breadth-first search to ``depth`` steps from the distinct ``initial``
+    states, deduplicated by ``key``. ``visit(state, origin)`` is called once
+    per frontier state, with the initial state and step trail that first
+    reached it, and returns the function that takes one step, checks it and
+    returns the successor (None if the step fails). Raises
+    BudgetExceededError after ``budget`` steps. Returns the number of
+    distinct states seen and of steps taken."""
+    visited: set = set()
+    frontier = []
+    for s in initial:
+        k = key(s)
+        if k not in visited:
+            visited.add(k)
+            frontier.append((s, (s, ())))
+    taken = 0
+    for _ in range(depth):
+        next_frontier = []
+        for s, origin in frontier:
+            take = visit(s, origin)
+            for step in steps:
+                taken += 1
+                if taken > budget:
+                    raise BudgetExceededError(taken, budget)
+                s2 = take(step)
+                if s2 is not None:
+                    k = key(s2)
+                    if k not in visited:
+                        visited.add(k)
+                        next_frontier.append((s2, (origin[0], origin[1] + (step,))))
+        frontier = next_frontier
+    return len(visited), taken
+
+
 def check_multi_domain(
     ds: DomainStateMap,
     sm: StateMachineSpec,
@@ -199,55 +242,37 @@ def check_multi_domain(
     holds.
     """
     budget = enumeration_budget() if budget is None else budget
-    report = ValidationReport()
-    init = check_consistent_init(ds)
-    if not init.ok:
-        report.merge(init)
+    report = check_consistent_init(ds)
+    if not report.ok:
         return report
-
     assets = sorted({aid for (_, aid) in ds.table})
-    domains = sorted(ds.domains)
-    actions = sorted(sm.actions)
-    triples = [(d, a, aid) for d in domains for a in actions for aid in assets]
+    steps = [(d, a, aid) for d in sorted(ds.domains) for a in sorted(sm.actions) for aid in assets]
 
-    def key(m: DomainStateMap) -> frozenset:
-        return frozenset(m.table.items())
+    def visit(current: DomainStateMap, _origin) -> Callable:
+        def take(triple: tuple[DomainId, ActionId, AssetKey]) -> Optional[DomainStateMap]:
+            source, action, aid = triple
+            result = sync_fn(current, source, action, aid, sm)
+            if result is None:
+                return None
+            expected = transition_of(sm, current.table[(source, aid)], action)
+            for d in sorted(connected_domains(current, aid)):
+                got = result.table.get((d, aid))
+                if got != expected:
+                    detail = f"expected {expected}, read {got}"
+                    report.add("cross_domain_consistency", (*triple, d), detail)
+            for (d, other), s in current.table.items():
+                if other != aid and result.table.get((d, other)) != s:
+                    report.add("sync_isolation", (*triple, d, other))
+            for (d, other) in result.table:
+                if other != aid and (d, other) not in current.table:
+                    report.add("sync_isolation", (*triple, d, other))
+            if result.domains != current.domains:
+                report.add("domain_set_changed", triple)
+            for v in check_consistent_init(result).violations:
+                report.add("consistent_init_closure", (*triple, v.witness))
+            return result
 
-    frontier = [ds]
-    visited = {key(ds)}
-    calls = 0
-    for _ in range(depth):
-        next_frontier = []
-        for current in frontier:
-            for source, action, aid in triples:
-                calls += 1
-                if calls > budget:
-                    raise BudgetExceededError(calls, budget)
-                result = sync_fn(current, source, action, aid, sm)
-                if result is None:
-                    continue
-                expected = transition_of(sm, current.table[(source, aid)], action)
-                for d in sorted(connected_domains(current, aid)):
-                    if result.table.get((d, aid)) != expected:
-                        report.add(
-                            "cross_domain_consistency",
-                            (source, action, aid, d),
-                            f"expected {expected}, read {result.table.get((d, aid))}",
-                        )
-                for (d, other), s in current.table.items():
-                    if other != aid and result.table.get((d, other)) != s:
-                        report.add("sync_isolation", (source, action, aid, d, other))
-                for (d, other) in result.table:
-                    if other != aid and (d, other) not in current.table:
-                        report.add("sync_isolation", (source, action, aid, d, other))
-                if result.domains != current.domains:
-                    report.add("domain_set_changed", (source, action, aid))
-                closure = check_consistent_init(result)
-                for v in closure.violations:
-                    report.add("consistent_init_closure", (source, action, aid, v.witness))
-                k = key(result)
-                if k not in visited:
-                    visited.add(k)
-                    next_frontier.append(result)
-        frontier = next_frontier
+        return take
+
+    explore([ds], steps, depth, budget, lambda m: frozenset(m.table.items()), visit)
     return report

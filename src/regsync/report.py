@@ -13,7 +13,7 @@ class BudgetExceededError(Exception):
     """Raised when an exhaustive enumeration would exceed the configured budget."""
 
     def __init__(self, needed: int, budget: int):
-        super().__init__(f"enumeration needs {needed} steps, budget is {budget}")
+        super().__init__(f"budget exceeded: needs at least {needed} steps, budget is {budget}")
         self.needed = needed
         self.budget = budget
 
@@ -49,14 +49,9 @@ class Violation:
 
 @dataclass
 class ValidationReport:
-    """Accumulates rule violations; empty report means all checks passed.
-
-    ``notes`` carries informational outcomes (e.g. vacuously satisfied
-    premises) that are not failures.
-    """
+    """Accumulates rule violations; empty report means all checks passed."""
 
     violations: list[Violation] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -65,17 +60,10 @@ class ValidationReport:
     def add(self, rule: str, witness: object = None, detail: str = "") -> None:
         self.violations.append(Violation(rule, witness, detail))
 
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
     def rules(self) -> set[str]:
         return {v.rule for v in self.violations}
 
-    def merge(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
-        self.notes.extend(other.notes)
-
     def __str__(self) -> str:
         if self.ok:
-            return "ok" + (f" ({'; '.join(self.notes)})" if self.notes else "")
+            return "ok"
         return "\n".join(str(v) for v in self.violations)

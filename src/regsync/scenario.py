@@ -155,12 +155,14 @@ def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
 
 def parse_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(str(path), "file not found")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except OSError as exc:
+        raise ScenarioError(str(path), exc.strerror or str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(str(path), f"not UTF-8: {exc}") from exc
     return scenario_from_json(doc, origin=str(path))
 
 

@@ -177,21 +177,6 @@ class TestValidState:
         assert not engine.valid_state(engine.acquire_lock(two_chain_active, "a1"))
 
 
-class TestCheckCombined:
-    def test_premises_met(self, two_chain_active):
-        report = engine.check_combined(two_chain_active, "c1", RegAction.FREEZE, "a1")
-        assert report.ok and not report.notes
-
-    def test_locked_is_vacuous(self, two_chain_active):
-        locked = engine.acquire_lock(two_chain_active, "a1")
-        report = engine.check_combined(locked, "c1", RegAction.FREEZE, "a1")
-        assert report.ok and "premises unmet" in report.notes
-
-    def test_undefined_transition_is_vacuous(self, two_chain_active):
-        report = engine.check_combined(two_chain_active, "c1", RegAction.UNFREEZE, "a1")
-        assert report.ok and "premises unmet" in report.notes
-
-
 class TestGenericBridge:
     def test_projection_is_consistent(self, two_chain_active):
         assert check_consistent_init(engine.to_domain_state_map(two_chain_active)).ok

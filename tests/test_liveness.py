@@ -180,12 +180,42 @@ class TestStepEpoch:
         for c in ("c1", "c2"):
             assert engine.get_reg_state(s1.global_state, c, "a1") is RegState.FROZEN
 
+    def test_successful_sync_logs_its_lock_and_outcome(self):
+        cfg = config()
+        _, record = step_epoch(sim_state(requests(1)), all_honest_schedule(cfg, 5), cfg)
+        assert record.outcome == "ok"
+        assert [(ev.asset, ev.event) for ev in record.lock_events] == [
+            ("a1", "acquire"),
+            ("a1", "release"),
+        ]
+        assert record.to_json()["outcome"] == "ok"
+
+    def test_failed_sync_logs_its_reason_and_no_lock(self):
+        cfg = config()
+        reqs = requests(2)
+        placement = {c: {"a1": RegState.FROZEN, "a2": RegState.ACTIVE} for c in ("c1", "c2")}
+        s0 = SimState(0, reqs, make_state(placement), {})
+        # FREEZE of a FROZEN asset is undefined: the sync fails at validation.
+        s1, record = step_epoch(s0, all_honest_schedule(cfg, 5), cfg)
+        assert record.processed.endswith("-a1")
+        assert record.outcome == "InvalidTransition"
+        assert record.lock_events == ()
+        assert record.pending_after == 1 and [r.asset for r in s1.pending] == ["a2"]
+        assert s1.global_state == s0.global_state
+
+    def test_request_on_an_asset_no_chain_holds(self):
+        cfg = config()
+        s0 = SimState(0, requests(1), make_state({"c1": {"b1": RegState.ACTIVE}}), {})
+        s1, record = step_epoch(s0, all_honest_schedule(cfg, 5), cfg)
+        assert record.outcome == "AssetNotFound" and record.lock_events == ()
+        assert record.pending_after == 0
+
     def test_byzantine_leader_makes_no_progress(self):
         cfg = config()
         s0 = sim_state(requests(3))
         s1, record = step_epoch(s0, all_byz_schedule(cfg, 5), cfg)
         assert record.pending_after == record.pending_before == 3
-        assert record.processed is None
+        assert record.processed is None and record.outcome is None
 
     def test_byzantine_lock_expires_after_timeout(self):
         cfg = config(timeout=2, seed=3)
@@ -266,13 +296,15 @@ class TestTraceCheckers:
         doc = record.to_json()
         assert set(doc) == {
             "epoch", "leader", "honest", "pending_before",
-            "pending_after", "processed", "lock_events",
+            "pending_after", "processed", "lock_events", "outcome",
         }
 
 
 def reference_step_epoch(s, sched, cfg):
     """The epoch before pending requests were ranked once per drain: filter
-    the candidates, select_highest among them, then list.remove."""
+    the candidates, select_highest among them, then list.remove. Its trace
+    follows the current rule: an honest leader's sync records its outcome,
+    and only a successful one logs lock events."""
     rng = random.Random(f"step:{cfg.seed}:{s.epoch}")
     events = []
     gs = s.global_state
@@ -285,18 +317,20 @@ def reference_step_epoch(s, sched, cfg):
     leader = sched.leader_at(s.epoch)
     honest = cfg.is_honest(leader)
     pending = list(s.pending)
-    processed = None
+    processed = outcome = None
     if honest and pending:
         candidates = [r for r in pending if not engine.is_locked(gs, r.asset)]
         if candidates:
             chosen = select_highest(candidates, cfg.priority_config())
             source = min(engine.connected_chains(gs, chosen.asset), default=None)
+            outcome = "AssetNotFound"
             if source is not None:
-                events.append(LockEvent(chosen.asset, "acquire", s.epoch))
                 result = engine.sync(source, chosen.action, chosen.asset, gs)
+                outcome = "ok" if result.ok else result.reason.value
                 if result.ok:
                     gs = result.state
-                events.append(LockEvent(chosen.asset, "release", s.epoch))
+                    events.append(LockEvent(chosen.asset, "acquire", s.epoch))
+                    events.append(LockEvent(chosen.asset, "release", s.epoch))
             pending.remove(chosen)
             processed = request_id(chosen)
     elif not honest and pending:
@@ -309,7 +343,7 @@ def reference_step_epoch(s, sched, cfg):
                 lock_times[target] = s.epoch
                 events.append(LockEvent(target, "acquire", s.epoch))
     record = EpochRecord(
-        s.epoch, leader, honest, len(s.pending), len(pending), processed, tuple(events)
+        s.epoch, leader, honest, len(s.pending), len(pending), processed, tuple(events), outcome
     )
     return SimState(s.epoch + 1, tuple(pending), gs, lock_times), record
 

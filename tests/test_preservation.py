@@ -6,6 +6,7 @@ from regsync.preservation import (
     SymmetricMorphism,
     check_consistent_init,
     check_multi_domain,
+    explore,
     check_naturality,
     check_roundtrip,
     check_sequential_preservation,
@@ -122,6 +123,22 @@ class TestSyncAll:
             sync_all(two_domain_map(), "nope", "FREEZE", "a1", REG)
 
 
+def _rewrite_other_assets(before, aid, after):
+    table = {k: "CONFISCATED" if k[1] != aid else v for k, v in after.table.items()}
+    return DomainStateMap(after.domains, table)
+
+
+def _add_domain(before, aid, after):
+    return DomainStateMap(after.domains | {"d9"}, after.table)
+
+
+def _copy_old_state_elsewhere(before, aid, after):
+    """The asset's old state appears on a domain that did not hold it."""
+    old = next(v for (d, a), v in before.table.items() if a == aid)
+    elsewhere = next(d for d in sorted(before.domains) if (d, aid) not in before.table)
+    return DomainStateMap(after.domains, {**after.table, (elsewhere, aid): old})
+
+
 class TestMultiDomainCheck:
     def test_two_domains_one_asset_depth_3(self):
         assert check_multi_domain(two_domain_map(), REG, depth=3).ok
@@ -154,6 +171,28 @@ class TestMultiDomainCheck:
         report = check_multi_domain(two_domain_map(), REG, depth=1, sync_fn=lossy_sync)
         assert "cross_domain_consistency" in report.rules()
 
+    @pytest.mark.parametrize(
+        "mutate, rule",
+        [
+            pytest.param(_rewrite_other_assets, "sync_isolation", id="sync_isolation"),
+            pytest.param(_add_domain, "domain_set_changed", id="domain_set_changed"),
+            pytest.param(_copy_old_state_elsewhere, "consistent_init_closure",
+                         id="consistent_init_closure"),
+        ],
+    )
+    def test_rule_fires(self, mutate, rule):
+        ds = DomainStateMap(
+            frozenset({"d1", "d2", "d3"}),
+            {("d1", "a1"): "ACTIVE", ("d2", "a1"): "ACTIVE", ("d3", "a2"): "RESTRICTED"},
+        )
+
+        def mutant(current, source, action, aid, sm):
+            result = sync_all(current, source, action, aid, sm)
+            return None if result is None else mutate(current, aid, result)
+
+        report = check_multi_domain(ds, REG, depth=1, sync_fn=mutant)
+        assert report.rules() == {rule}
+
     def test_inconsistent_init_reported(self):
         report = check_multi_domain(two_domain_map(("ACTIVE", "FROZEN")), REG, depth=1)
         assert "consistent_init" in report.rules()
@@ -161,6 +200,40 @@ class TestMultiDomainCheck:
     def test_budget_rejection(self):
         with pytest.raises(BudgetExceededError):
             check_multi_domain(two_domain_map(), REG, depth=3, budget=5)
+
+
+class TestExplore:
+    """The explorer on a small graph: states are residues mod 5, a step
+    adds 1 or 2. From 0, depth 3 reaches every residue with ten steps:
+    2 from {0}, 4 from {1, 2}, 4 from {3, 4}, whose successors are all
+    seen."""
+
+    def run(self, budget, depth=3):
+        origins = {}
+
+        def visit(state, origin):
+            origins[state] = origin
+            return lambda step: (state + step) % 5
+
+        counts = explore([0, 0], [1, 2], depth, budget, lambda s: s, visit)
+        return counts, origins
+
+    def test_counts_and_trails(self):
+        counts, origins = self.run(budget=10)
+        assert counts == (5, 10)
+        assert origins == {0: (0, ()), 1: (0, (1,)), 2: (0, (2,)), 3: (0, (1, 2)), 4: (0, (2, 2))}
+
+    def test_depth_bounds_the_frontier(self):
+        counts, origins = self.run(budget=10, depth=1)
+        assert counts == (3, 2) and set(origins) == {0}
+
+    def test_budget_is_the_last_step_allowed(self):
+        with pytest.raises(BudgetExceededError):
+            self.run(budget=9)
+
+    def test_failed_steps_lead_nowhere(self):
+        visited = explore([0], [1], 3, 10, lambda s: s, lambda s, o: lambda step: None)
+        assert visited == (1, 1)
 
 
 def test_connected_domains_includes_source():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,16 @@ class TestParseScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
             parse_scenario(tmp_path / "absent.json")
+
+    def test_directory_is_a_scenario_error(self, tmp_path):
+        with pytest.raises(ScenarioError, match="Is a directory"):
+            parse_scenario(tmp_path)
+
+    def test_non_utf8_file_is_a_scenario_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(minimal_doc()).replace("o", "\u00f6").encode("latin-1"))
+        with pytest.raises(ScenarioError, match="not UTF-8"):
+            parse_scenario(path)
 
     def test_undeclared_chain(self, tmp_path):
         doc = minimal_doc()
@@ -210,6 +222,19 @@ class TestSyncCommand:
         assert err.startswith(f"error: {path}/state:") and "must be true or false" in err
 
 
+@pytest.mark.parametrize("command", ["sync", "simulate"])
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+def test_unreadable_scenario_exits_2(capsys, tmp_path, command, unreadable):
+    if unreadable == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(simulate_doc()).replace("o", "\u00f6").encode("latin-1"))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 class TestModelcheckCommand:
     def test_small_run_clean(self, capsys):
         code, out, _ = run_cli(capsys, "modelcheck", "--domains", "2", "--assets", "1", "--depth", "2")
@@ -220,6 +245,14 @@ class TestModelcheckCommand:
         monkeypatch.setenv("REGSYNC_BUDGET", "10")
         code, _, err = run_cli(capsys, "modelcheck", "--domains", "3", "--assets", "2", "--depth", "2")
         assert code == 2 and "budget" in err
+
+    @pytest.mark.parametrize("domains, assets", [("3", "4000"), ("100000", "1")])
+    def test_huge_bounds_exit_2_at_once(self, capsys, domains, assets):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "modelcheck", "--domains", domains, "--assets", assets)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: budget exceeded: ")
 
     def test_non_integer_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REGSYNC_BUDGET", "abc")
@@ -275,6 +308,39 @@ class TestModelcheckCommand:
         assert scenario.sync
 
 
+SMALL_MODELCHECK = ("modelcheck", "--domains", "2", "--depth", "1")
+
+
+def violating_modelcheck(monkeypatch):
+    """Make ``regsync modelcheck`` check the skip-release mutant."""
+    monkeypatch.setattr(
+        cli, "run_modelcheck", lambda *args: run_modelcheck(*args, sync_fn=_mutant_skip_release)
+    )
+
+
+class TestCounterexampleOut:
+    def test_file_is_a_scenario_document_plus_a_violation(self, capsys, monkeypatch, tmp_path):
+        violating_modelcheck(monkeypatch)
+        path = tmp_path / "ce.json"
+        code, out, _ = run_cli(capsys, *SMALL_MODELCHECK, "--counterexample-out", str(path))
+        assert code == 1
+        doc = json.loads(path.read_text())
+        assert out.endswith(path.read_text())
+        assert doc.pop("violation") == {"rule": "lock_released", "detail": ""}
+        canonical = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert canonical_dumps(scenario_from_json(doc)) == canonical
+        code, out, _ = run_cli(capsys, "sync", str(path))
+        assert code == 0 and out.startswith("step 0: c1 FREEZE a1 -> ok")
+
+    def test_unwritable_path_exits_2(self, capsys, monkeypatch, tmp_path):
+        violating_modelcheck(monkeypatch)
+        path = tmp_path / "missing" / "ce.json"
+        code, out, err = run_cli(capsys, *SMALL_MODELCHECK, "--counterexample-out", str(path))
+        assert code == 2
+        assert "minimal counterexample:" in out
+        assert err.startswith("error: cannot write counterexample: ")
+
+
 def reference_state_key(gs):
     """The JSON state key the explorer used before its tuple key."""
     doc = engine.to_json_dict(gs)
@@ -323,6 +389,42 @@ class TestExplorer:
     )
     def test_mutant_counterexample_counts(self, mutant, count):
         assert len(run_modelcheck(3, 1, 2, sync_fn=mutant).counterexamples) == count
+
+    @pytest.mark.parametrize(
+        "mutant, rule, detail, c2_holds_a1, state",
+        [
+            (_mutant_skip_target, "cross_domain_consistency", "chain c2 disagrees", True, "ACTIVE"),
+            (_mutant_skip_release, "lock_released", "", False, "ACTIVE"),
+            (_mutant_allow_seized_freeze, "cross_domain_consistency", "chain c1 disagrees", False,
+             "SEIZED"),
+        ],
+    )
+    def test_first_counterexample_document(self, mutant, rule, detail, c2_holds_a1, state):
+        cell = {"locked": False, "owner": "owner", "state": state}
+        assert run_modelcheck(2, 1, 2, sync_fn=mutant).counterexamples[0].to_scenario() == {
+            "state": {"chains": {"c1": {"a1": cell}, "c2": {"a1": cell} if c2_holds_a1 else {}},
+                      "locks": {}},
+            "sync": [{"source": "c1", "action": "FREEZE", "asset": "a1"}],
+            "violation": {"rule": rule, "detail": detail},
+        }
+
+    @pytest.mark.parametrize(
+        "mutant, count, digest",
+        [
+            (_mutant_skip_target, 196,
+             "2e110543ed292b343f54f915947dea3411bc9b5b1bf160b425cdc5e9de5ca4c6"),
+            (_mutant_skip_release, 96,
+             "a752c213b61253c5112a6c71a509a1b525a6137a3e537035174f9640e89024f9"),
+            (_mutant_allow_seized_freeze, 10,
+             "1cf990bde2b0df4da1a56907601212bebffe8f553efd69065e5344cd6091bf7f"),
+        ],
+    )
+    def test_counterexample_lists_are_unchanged(self, mutant, count, digest):
+        # SHA-256 of the ordered to_scenario() list at (2, 1, 2), recorded
+        # before the model checker moved onto the shared explorer.
+        docs = [ce.to_scenario() for ce in run_modelcheck(2, 1, 2, sync_fn=mutant).counterexamples]
+        assert len(docs) == count
+        assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
 
     def test_valid_state_once_per_state_and_successful_sync(self, monkeypatch):
         calls, successes, check = [], [], engine.valid_state
