@@ -180,7 +180,7 @@ def valid_state(gs: GlobalState) -> bool:
 def to_domain_state_map(gs: GlobalState) -> DomainStateMap:
     """Project chains to the generic multi-domain layer (reg_state only)."""
     table = {
-        (c, aid): rec.reg_state.value
+        (c, aid): rec.reg_state._value_
         for c, chain in gs.chains.items()
         for aid, rec in chain.items()
     }
@@ -189,13 +189,17 @@ def to_domain_state_map(gs: GlobalState) -> DomainStateMap:
 
 def to_json_dict(gs: GlobalState) -> dict:
     """The JSON form of ``gs``; each cell's ``"locked"`` is read from the
-    lock map."""
+    lock map.
+
+    Each cell's ``"state"`` is the member's stored ``_value_``: it equals
+    ``.value``, which on Python 3.11 is a Python-level descriptor call,
+    and this runs once per cell of every snapshot."""
     locks = gs.locks
     return {
         "chains": {
             c: {
                 aid: {
-                    "state": rec.reg_state.value,
+                    "state": rec.reg_state._value_,
                     "owner": rec.owner,
                     "locked": locks.get(aid, False),
                 }
@@ -251,8 +255,10 @@ def canonical_dumps(gs: GlobalState) -> str:
     uses its pure-Python encoder whenever ``indent`` is set. The writer
     walks the to_json_dict tree, so the snapshot keeps the fields that
     function defines; strings go through the C escaper json.dumps uses.
+    A cell's ``"state"`` line comes from ``_STATE_LINES``, escaped once
+    at import, since only five strings can appear there.
     """
-    esc = encode_basestring_ascii
+    esc, state_lines = encode_basestring_ascii, _STATE_LINES
     doc = to_json_dict(gs)
     chains = []
     for c, table in sorted(doc["chains"].items()):
@@ -260,7 +266,7 @@ def canonical_dumps(gs: GlobalState) -> str:
             f'      {esc(aid)}: {{\n'
             f'        "locked": {"true" if cell["locked"] else "false"},\n'
             f'        "owner": {esc(cell["owner"])},\n'
-            f'        "state": {esc(cell["state"])}\n'
+            f'{state_lines[cell["state"]]}'
             f'      }}'
             for aid, cell in sorted(table.items())
         ]
@@ -270,6 +276,12 @@ def canonical_dumps(gs: GlobalState) -> str:
         for aid, held in sorted(doc["locks"].items())
     ]
     return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(locks, "  ")}\n}}\n'
+
+
+# The ``"state"`` line of a snapshot cell, by state name.
+_STATE_LINES = {
+    s._value_: f'        "state": {encode_basestring_ascii(s._value_)}\n' for s in RegState
+}
 
 
 def _block(items: list[str], indent: str) -> str:

@@ -71,7 +71,9 @@ def enumerate_initial_states(n_chains: int, n_assets: int):
         for aid, (subset, state) in zip(assets, assignment):
             for c in subset:
                 tables[c][aid] = engine.AssetState(aid, state, owner="owner")
-        yield engine.GlobalState.make(tables)
+        # The cells already carry their keys and no lock is held, so
+        # GlobalState.make would only copy every table again.
+        yield engine.GlobalState(tables, {})
 
 
 def initial_state_count(n_chains: int, n_assets: int) -> int:
@@ -150,7 +152,8 @@ def _violations(
 
     # Generic/concrete agreement on the multi-domain projection.
     if not was_locked:
-        generic = sync_all(projection, step.source, step.action.value, step.asset, spec)
+        # ``_value_`` equals ``.value`` without the Python-level descriptor call.
+        generic = sync_all(projection, step.source, step.action._value_, step.asset, spec)
         if generic is None:
             yield "generic_agreement", "generic sync_all failed where sync succeeded"
         elif dict(generic.table) != dict(engine.to_domain_state_map(gs2).table):

@@ -163,6 +163,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(str(path), exc.strerror or str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(str(path), f"not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(str(path), f"nested too deeply: {exc}") from exc
     return scenario_from_json(doc, origin=str(path))
 
 

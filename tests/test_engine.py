@@ -208,6 +208,35 @@ class TestCanonicalJson:
         assert text.endswith("\n")
 
 
+class TestStoredEnumValues:
+    """The hot paths read a member's stored ``_value_`` instead of going
+    through the ``.value`` descriptor; the two must never differ."""
+
+    @pytest.mark.parametrize("enum_type", [RegState, RegAction, SyncFailure])
+    def test_stored_value_is_the_public_value(self, enum_type):
+        for member in enum_type:
+            assert member._value_ == member.value
+
+    STATE_NAMES = ["ACTIVE", "FROZEN", "SEIZED", "CONFISCATED", "RESTRICTED"]
+
+    def test_json_form_and_projection_carry_the_state_names(self):
+        assert [s.value for s in RegState] == self.STATE_NAMES
+        table = {f"a{i}": engine.AssetState(f"a{i}", s, "o") for i, s in enumerate(RegState)}
+        gs = engine.GlobalState({"c1": table}, {})
+        cells = engine.to_json_dict(gs)["chains"]["c1"]
+        assert [cells[f"a{i}"]["state"] for i in range(5)] == self.STATE_NAMES
+        projection = engine.to_domain_state_map(gs).table
+        assert [projection[("c1", f"a{i}")] for i in range(5)] == self.STATE_NAMES
+
+    def test_state_line_table_is_the_json_dumps_form(self):
+        assert set(engine._STATE_LINES) == {s.value for s in RegState}
+        for s in RegState:
+            line = f'        "state": {json.dumps(s.value)}\n'
+            assert engine._STATE_LINES[s.value] == line
+            gs = engine.GlobalState({"c1": {"a1": engine.AssetState("a1", s, "o")}}, {})
+            assert line in reference_canonical_dumps(gs)
+
+
 def reference_canonical_dumps(gs):
     """The canonical form as first defined, through the stdlib encoder;
     engine.canonical_dumps must match it byte for byte."""

@@ -1,6 +1,7 @@
 """Each rule of the model checker can fire, and the budget is decided before
 anything is built."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from regsync import engine, modelcheck
 from regsync.engine import SyncFailure, SyncResult
 from regsync.modelcheck import initial_state_count, run_modelcheck
-from regsync.regulatory import RegAction
+from regsync.regulatory import RegAction, RegState
 from regsync.report import BudgetExceededError
 
 from test_acceptance import _mutant_skip_release
@@ -137,3 +138,34 @@ def test_budget_decision_matches_the_exact_count():
             needed = initial_state_count(d, a) * d * len(RegAction) * a
             for budget in (needed - 1, needed, needed + 1, 0, 10):
                 assert modelcheck._over_budget(d, a, budget) == (needed > budget), (d, a, budget)
+
+
+def _initial_states_through_make(n_chains, n_assets):
+    """The initial states as first enumerated: each one passed through
+    GlobalState.make, which copies every table and resets every asset_id."""
+    chains = modelcheck.chain_names(n_chains)
+    subsets = [
+        combo for size in range(1, n_chains + 1) for combo in itertools.combinations(chains, size)
+    ]
+    per_asset = [(subset, state) for subset in subsets for state in RegState]
+    for assignment in itertools.product(per_asset, repeat=n_assets):
+        tables = {c: {} for c in chains}
+        for aid, (subset, state) in zip(modelcheck.asset_names(n_assets), assignment):
+            for c in subset:
+                tables[c][aid] = engine.AssetState(aid, state, owner="owner")
+        yield engine.GlobalState.make(tables)
+
+
+@pytest.mark.parametrize("bounds", [(2, 2), (3, 1)])
+def test_initial_states_equal_the_make_built_ones(bounds):
+    built = list(modelcheck.enumerate_initial_states(*bounds))
+    reference = list(_initial_states_through_make(*bounds))
+    assert len(built) == initial_state_count(*bounds)
+    assert [modelcheck._state_key(gs) for gs in built] == [
+        modelcheck._state_key(gs) for gs in reference
+    ]
+    assert built == reference
+    assert all(
+        rec.asset_id == aid for gs in built for table in gs.chains.values()
+        for aid, rec in table.items()
+    )

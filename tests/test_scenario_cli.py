@@ -57,6 +57,12 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="not UTF-8"):
             parse_scenario(path)
 
+    def test_deep_nesting_is_a_scenario_error(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            parse_scenario(path)
+
     def test_undeclared_chain(self, tmp_path):
         doc = minimal_doc()
         doc["sync"][0]["source"] = "c9"
@@ -223,13 +229,16 @@ class TestSyncCommand:
 
 
 @pytest.mark.parametrize("command", ["sync", "simulate"])
-@pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1", "deeply-nested"])
 def test_unreadable_scenario_exits_2(capsys, tmp_path, command, unreadable):
     if unreadable == "directory":
         path = tmp_path
-    else:
+    elif unreadable == "latin-1":
         path = tmp_path / "latin1.json"
         path.write_bytes(json.dumps(simulate_doc()).replace("o", "\u00f6").encode("latin-1"))
+    else:
+        path = tmp_path / "nested.json"
+        path.write_text('{"state": ' + "[" * 100_000 + "]" * 100_000 + "}")
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ")

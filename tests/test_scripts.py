@@ -1,4 +1,5 @@
-"""Smoke test: the scripts under ``scripts/`` run on the current APIs."""
+"""Smoke test: the scripts under ``scripts/`` and ``python -m regsync`` run
+on the current APIs."""
 
 import os
 import subprocess
@@ -10,20 +11,34 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_python(*argv):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
         ("modelcheck_bounds.py", ["--max-domains", "1", "--max-assets", "1", "--depth", "1"]),
         ("liveness_sweep.py", ["--requests", "20", "--seeds", "1"]),
+        ("snapshot_cost.py", ["--assets", "2", "--number", "2", "--repeat", "1"]),
     ],
 )
 def test_script_runs(script, args):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_python(str(ROOT / "scripts" / script), *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = run_python("-m", "regsync", "transition", "--from", "ACTIVE", "--action", "FREEZE")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "FROZEN\n", "")
+    # The exit code of the command is the exit code of the process.
+    missing = tmp_path / "absent.json"
+    proc = run_python("-m", "regsync", "sync", str(missing))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {missing}: ")
