@@ -24,6 +24,11 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
+class UsageError(Exception):
+    """An input error found by a command. ``main`` writes each argument to
+    stderr after ``error: `` and exits 2; a message may span lines."""
+
+
 def _matrix_table() -> str:
     col = max(len(a.value) for a in RegAction) + 2
     head = " " * 12 + "".join(a.value.ljust(col) for a in RegAction)
@@ -39,8 +44,7 @@ def _matrix_table() -> str:
 
 def cmd_transition(args) -> int:
     if (args.from_state is None) != (args.action is None):
-        print("error: --from and --action must be given together", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--from and --action must be given together")
     if args.from_state is None:
         print(_matrix_table())
         return EXIT_OK
@@ -48,9 +52,8 @@ def cmd_transition(args) -> int:
         s = RegState(args.from_state)
         a = RegAction(args.action)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("usage: regsync transition [--from STATE --action ACTION]", file=sys.stderr)
-        return EXIT_USAGE
+        usage = "usage: regsync transition [--from STATE --action ACTION]"
+        raise UsageError(f"{exc}\n{usage}") from exc
     target = reg_transition(s, a)
     print("--" if target is None else target.value)
     return EXIT_OK
@@ -77,61 +80,52 @@ def cmd_modelcheck(args) -> int:
     try:
         budget = enumeration_budget()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
     result = run_modelcheck(args.domains, args.assets, args.depth, budget)
     print(f"states explored: {result.states_explored}")
     print(f"syncs checked: {result.syncs_checked}")
     print(f"violations: {len(result.counterexamples)}")
     if result.ok:
         return EXIT_OK
-    minimal = result.counterexamples[0]
-    doc = minimal.to_scenario()
+    text = json.dumps(result.counterexamples[0].to_scenario(), sort_keys=True, indent=2) + "\n"
     print("minimal counterexample:")
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(text, end="")
     if args.counterexample_out:
         try:
             with open(args.counterexample_out, "w") as fh:
-                fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+                fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write counterexample: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"cannot write counterexample: {exc}") from exc
     return EXIT_VIOLATION
 
 
 def cmd_simulate(args) -> int:
     scenario = parse_scenario(args.scenario)
     if scenario.sim is None or not scenario.requests:
-        print("error: scenario needs a 'sim' block and a 'requests' list", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("scenario needs a 'sim' block and a 'requests' list")
     held = sorted(aid for aid, flag in scenario.state.locks.items() if flag)
     if held:
         # A lock held at rest has no acquisition time, so it would never
         # expire and its requests could never drain.
-        print(f"error: locks held at rest: {', '.join(held)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"locks held at rest: {', '.join(held)}")
     cfg = scenario.sim
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     bft = liveness.validate_bft_config(cfg)
     if not bft.ok:
-        for v in bft.violations:
-            print(f"error: invalid BFT config: {v}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(*(f"invalid BFT config: {v}" for v in bft.violations))
 
     gen = liveness.gen_adversarial_schedule if args.adversarial else liveness.gen_fair_schedule
     try:
         sched = gen(cfg, args.max_epochs)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
 
     s0 = liveness.SimState(0, tuple(scenario.requests), scenario.state, {})
     try:
         s0 = liveness.ranked(s0, cfg)
     except (DuplicateKeyError, HorizonError) as exc:
-        print(f"error: requests cannot be ranked: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"requests cannot be ranked: {exc}") from exc
     trace = liveness.run_until_drained(s0, sched, cfg, args.max_epochs)
     for record in trace:
         print(json.dumps(record.to_json(), sort_keys=True))
@@ -198,8 +192,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ScenarioError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ScenarioError, BudgetExceededError) as exc:
+        for message in exc.args:
+            print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

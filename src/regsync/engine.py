@@ -225,6 +225,14 @@ def json_bool(value: object, what: str) -> bool:
     return value
 
 
+def json_int(value: object, what: str) -> int:
+    """``value`` itself if it is a JSON integer; a boolean, a float (``2.0``
+    included) or a string is a TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def from_json_dict(doc: dict) -> GlobalState:
     """Inverse of to_json_dict; raises KeyError, TypeError or ValueError
     on a document that does not have its shape. A cell's ``"locked"`` must

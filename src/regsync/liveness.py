@@ -84,17 +84,15 @@ def validate_bft_config(cfg: SimConfig) -> ValidationReport:
     return report
 
 
-def lock_effective(lock_time: int, current_time: int, timeout: int) -> bool:
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
-    return current_time < lock_time + timeout
-
-
 def expiry_time(lock_time: int, timeout: int) -> int:
     """Least time at which the lock is no longer effective."""
     if timeout <= 0:
         raise ValueError("timeout must be positive")
     return lock_time + timeout
+
+
+def lock_effective(lock_time: int, current_time: int, timeout: int) -> bool:
+    return current_time < expiry_time(lock_time, timeout)
 
 
 @dataclass(frozen=True)
@@ -124,35 +122,32 @@ def gen_fair_schedule(cfg: SimConfig, horizon: int) -> LeaderSchedule:
     """Seeded pseudorandom schedule with an honest leader forced at every
     position e with e % fairness_bound == fairness_bound - 1, which puts one
     honest epoch in every sliding window."""
-    honest = sorted(cfg.honest_nodes, key=lambda n: n.node_id)
-    if not honest:
-        raise ValueError("no honest nodes; fair_leader is unsatisfiable")
-    everyone = sorted(cfg.nodes, key=lambda n: n.node_id)
-    rng = random.Random(f"fair:{cfg.seed}")
-    k = cfg.fairness_bound
-    leaders = []
-    for e in range(horizon):
-        pool = honest if e % k == k - 1 else everyone
-        leaders.append(rng.choice(pool).node_id)
-    sched = LeaderSchedule(tuple(leaders))
-    assert check_fair_leader(sched, cfg).ok
-    return sched
+    return _gen_schedule(cfg, horizon, "fair", cfg.nodes)
 
 
 def gen_adversarial_schedule(cfg: SimConfig, horizon: int) -> LeaderSchedule:
     """Worst case allowed by fair_leader: Byzantine runs of exactly
     fairness_bound - 1 epochs between honest epochs."""
+    return _gen_schedule(cfg, horizon, "adv", cfg.byzantine_nodes)
+
+
+def _gen_schedule(
+    cfg: SimConfig, horizon: int, tag: str, others: tuple[NodeInfo, ...]
+) -> LeaderSchedule:
+    """Leaders drawn by ``random.Random(f"{tag}:{seed}")``: an honest node at
+    each e with e % fairness_bound == fairness_bound - 1, else one of ``others``."""
     honest = sorted(cfg.honest_nodes, key=lambda n: n.node_id)
-    byz = sorted(cfg.byzantine_nodes, key=lambda n: n.node_id)
+    others = sorted(others, key=lambda n: n.node_id)
     if not honest:
         raise ValueError("no honest nodes; fair_leader is unsatisfiable")
-    if not byz:
+    # With an honest node present, only the Byzantine pool can be empty.
+    if not others:
         raise ValueError("no Byzantine nodes available for an adversarial schedule")
-    rng = random.Random(f"adv:{cfg.seed}")
+    rng = random.Random(f"{tag}:{cfg.seed}")
     k = cfg.fairness_bound
     leaders = []
     for e in range(horizon):
-        pool = honest if e % k == k - 1 else byz
+        pool = honest if e % k == k - 1 else others
         leaders.append(rng.choice(pool).node_id)
     sched = LeaderSchedule(tuple(leaders))
     assert check_fair_leader(sched, cfg).ok
@@ -183,9 +178,9 @@ class SimState:
 class Ranking:
     """The pending requests of one state in descending priority order, each
     key computed once per drain, plus what an epoch needs to update them
-    without re-ranking: the pending count per asset, the sorted distinct
-    pending assets, and the pending assets locked with no ``lock_times``
-    entry, which no epoch ever releases.
+    without re-ranking: the pending count per asset and the sorted distinct
+    pending assets a Byzantine leader may lock. A lock held with no
+    ``lock_times`` entry never expires, so its asset is left out of those.
 
     An epoch updates the ranking in place and hands it to the next state;
     from then on it no longer matches the state it came from, which
@@ -197,9 +192,8 @@ class Ranking:
         ranked = rank_requests(copies, cfg.priority_config())
         self.pending = tuple(r for r in ranked for _ in range(copies[r]))
         self.counts = Counter(r.asset for r in self.pending)
-        self.assets = sorted(self.counts)
-        self.stuck = frozenset(
-            a for a in self.assets if engine.is_locked(s.global_state, a) and a not in s.lock_times
+        self.assets = sorted(
+            a for a in self.counts if a in s.lock_times or not engine.is_locked(s.global_state, a)
         )
         self.global_state, self.lock_times = s.global_state, s.lock_times
 
@@ -212,9 +206,7 @@ class Ranking:
 
     def unlocked_assets(self, gs: engine.GlobalState, lock_times: dict[str, int]) -> _Unlocked:
         """The sorted distinct pending assets that are not locked in ``gs``."""
-        held = sorted(
-            a for a in {*lock_times, *self.stuck} if a in self.counts and engine.is_locked(gs, a)
-        )
+        held = sorted(a for a in lock_times if a in self.counts and engine.is_locked(gs, a))
         return _Unlocked(self.assets, [bisect_left(self.assets, a) for a in held])
 
     def advance(self, removed: Optional[str], s: SimState) -> None:
@@ -283,11 +275,6 @@ class EpochRecord:
 EpochTrace = list[EpochRecord]
 
 
-def _source_chain(gs: engine.GlobalState, asset: str) -> Optional[str]:
-    connected = engine.connected_chains(gs, asset)
-    return min(connected) if connected else None
-
-
 def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimState, EpochRecord]:
     """One epoch of dynamics: expire stale locks, then let the leader act.
 
@@ -325,17 +312,15 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
         for i, chosen in enumerate(pending):
             if engine.is_locked(gs, chosen.asset):
                 continue
+            # With no chain holding the asset, any source fails AssetNotFound.
+            source = min(engine.connected_chains(gs, chosen.asset), default="")
+            result = engine.sync(source, chosen.action, chosen.asset, gs)
+            outcome = "ok" if result.ok else result.reason.value
             # A failed sync holds no lock: only a successful one logs events.
-            source = _source_chain(gs, chosen.asset)
-            if source is None:
-                outcome = engine.SyncFailure.ASSET_NOT_FOUND.value
-            else:
-                result = engine.sync(source, chosen.action, chosen.asset, gs)
-                outcome = "ok" if result.ok else result.reason.value
-                if result.ok:
-                    gs = result.state
-                    events.append(LockEvent(chosen.asset, "acquire", s.epoch))
-                    events.append(LockEvent(chosen.asset, "release", s.epoch))
+            if result.ok:
+                gs = result.state
+                events.append(LockEvent(chosen.asset, "acquire", s.epoch))
+                events.append(LockEvent(chosen.asset, "release", s.epoch))
             pending = pending[:i] + pending[i + 1 :]
             processed = request_id(chosen)
             removed = chosen.asset

@@ -198,9 +198,9 @@ def explore(
     states, deduplicated by ``key``. ``visit(state, origin)`` is called once
     per frontier state, with the initial state and step trail that first
     reached it, and returns the function that takes one step, checks it and
-    returns the successor (None if the step fails). Raises
-    BudgetExceededError after ``budget`` steps. Returns the number of
-    distinct states seen and of steps taken."""
+    returns the successor (None if the step fails). Stops early once a
+    level adds no new state. Raises BudgetExceededError after ``budget``
+    steps. Returns the number of distinct states seen and of steps taken."""
     visited: set = set()
     frontier = []
     for s in initial:
@@ -210,6 +210,8 @@ def explore(
             frontier.append((s, (s, ())))
     taken = 0
     for _ in range(depth):
+        if not frontier:
+            break
         next_frontier = []
         for s, origin in frontier:
             take = visit(s, origin)

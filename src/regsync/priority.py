@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .engine import json_int
 from .regulatory import RegAction
 from .report import ValidationReport
 
@@ -139,9 +140,9 @@ def request_id(r: RegRequest) -> str:
 
 def request_from_json(obj: dict) -> RegRequest:
     return RegRequest(
-        node_id=int(obj["node"]),
+        node_id=json_int(obj["node"], "node"),
         authority=AuthorityLevel(obj["authority"]),
-        timestamp=int(obj["timestamp"]),
+        timestamp=json_int(obj["timestamp"], "timestamp"),
         action=RegAction(obj["action"]),
         asset=str(obj["asset"]),
     )

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import engine
 from .liveness import NodeInfo, SimConfig
-from .priority import DEFAULT_HORIZON, RegRequest, request_from_json, request_to_json
+from .priority import RegRequest, request_from_json, request_to_json
 from .regulatory import RegAction
 
 
@@ -72,19 +72,14 @@ def _sim_to_json(cfg: SimConfig) -> dict:
 def _sim_from_json(doc: dict, location: str) -> SimConfig:
     try:
         nodes = tuple(
-            NodeInfo(int(n["id"]), engine.json_bool(n["honest"], "honest"))
+            NodeInfo(engine.json_int(n["id"], "id"), engine.json_bool(n["honest"], "honest"))
             for n in doc["nodes"]
         )
-        return SimConfig(
-            nodes=nodes,
-            f_max=int(doc["f_max"]),
-            lock_timeout=int(doc["lock_timeout"]),
-            fairness_bound=int(doc["fairness_bound"]),
-            t_max=int(doc.get("t_max", DEFAULT_HORIZON)),
-            n_max=int(doc.get("n_max", DEFAULT_HORIZON)),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # Only the optional fields given are passed: SimConfig states the defaults.
+        given = [k for k in ("t_max", "n_max", "seed") if k in doc]
+        ints = ("f_max", "lock_timeout", "fairness_bound", *given)
+        return SimConfig(nodes, **{k: engine.json_int(doc[k], k) for k in ints})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(location, f"bad sim block: {exc}") from exc
 
 
@@ -140,7 +135,7 @@ def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
             raise ScenarioError(loc, "request must be a JSON object")
         try:
             req = request_from_json(raw)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(loc, str(exc)) from exc
         if req.asset not in declared_assets:
             raise ScenarioError(loc, f"undeclared asset {req.asset!r}")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -428,3 +430,47 @@ def test_each_priority_key_is_computed_once_per_drain(monkeypatch):
     trace = run_until_drained(sim_state(reqs), gen_adversarial_schedule(cfg, horizon), cfg, horizon)
     assert trace[-1].pending_after == 0
     assert sum(calls.values()) == len(set(reqs)) == 150
+
+
+# SHA-256 of the JSON list of leaders, horizon 120, for seeds 0-4.
+PINNED_SCHEDULES = {
+    ("fair", 4, 1, 3): [
+        "7f6ed4a7b56d4dc6a6490be3ae568d4b98596b4c93c2a7a09195a9f052984dab",
+        "685047048ce3538e1f24d1bcb9bf803fdef07f06c1691913d668dcfeb0d0ca61",
+        "bb2fb5b54d02599ba19b41ca9e1604d7346eb826de4125832eb708838fd4bbe2",
+        "8468c07ea20c76e90448f0e55bf0871b1f576ff35dec55ef28402493bfe57bef",
+        "f4c559a1f632e5ab2c0b40dfe87446b3084db13ebda6abe4dbf2db05b38972d6",
+    ],
+    ("fair", 7, 2, 4): [
+        "fdd7fbeb743511bb06cf1d9389d6679b73b9665463d6e3c0d1a1fe10d63ecb0d",
+        "05b1dc3cafaf2df51b1ba97c9f40a6a81d1aca9d10932e8ef565bd003c6325a0",
+        "4099ece1c0dccdda49be49bdb22b580b3135876951bff77275e2282db24cd216",
+        "749688fe913ccda85712a6c31473c2da628ecf613fa88e8a4450b7be913e6c9d",
+        "580562ab001736d521ec4caa028636e8fb2d8458ddb6353049822414b424daa8",
+    ],
+    ("adversarial", 4, 1, 3): [
+        "1ab4c5b148ee1cb08159fb2cb3400028e2486f4da45dee3607def990ea14877d",
+        "215ce664e192ffb8888f0b4916d181cf68f9f9ffd63b82f4706573aab74b551f",
+        "f70e8f71d50dd1bf113dc640647106726fb7ad55d048cdfe8becb6e11a50450a",
+        "561b5fe94932330b1d4ff9bc2a0a99d6e25642eac9730793ac7bf586e0116012",
+        "717335f0369433015c5578f488896270dd7a456739deb873ce45cf61a39f945d",
+    ],
+    ("adversarial", 7, 2, 4): [
+        "aa9a1c32a8dbaf7ee06f74e1c8571907c301da6318f4301c4f15e655f5924553",
+        "c4037751015edd0ef06e4efa1494954b2d6ed60f0ff9b956de1b521001b29ed3",
+        "2dcbb9a57a903f2b7a5a4b60e8641788c10d73145b0b9cd79dff5a93da8300ca",
+        "9c33c365d15f5dfb2d5d044b75116478a40a11468c3a6fcfb03b118bb1f2a18b",
+        "a9fb52626034a4df4c4ed11d4cdcd78beffec37c2fc2175d296bdf92ba325bfe",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, n, f, k", sorted(PINNED_SCHEDULES))
+def test_schedules_are_pinned(kind, n, f, k):
+    gen = gen_fair_schedule if kind == "fair" else gen_adversarial_schedule
+    digests = [
+        hashlib.sha256(json.dumps(gen(config(n=n, f=f, k=k, seed=seed), 120).leaders).encode())
+        .hexdigest()
+        for seed in range(5)
+    ]
+    assert digests == PINNED_SCHEDULES[(kind, n, f, k)]

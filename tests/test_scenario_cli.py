@@ -523,6 +523,27 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}/sim:") and "honest must be true or false" in err
 
+    @pytest.mark.parametrize("value", [1.9, "3", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize(
+        "where",
+        [("requests", 0, "node"), ("requests", 0, "timestamp"), ("sim", "nodes", 1, "id"),
+         ("sim", "f_max"), ("sim", "lock_timeout"), ("sim", "fairness_bound"),
+         ("sim", "t_max"), ("sim", "n_max"), ("sim", "seed")],
+        ids=lambda where: "/".join(map(str, where)),
+    )
+    def test_non_integer_field_exits_2(self, capsys, tmp_path, where, value):
+        doc = simulate_doc()
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2 and out == ""
+        block = "requests[0]" if where[0] == "requests" else "sim"
+        assert err.startswith(f"error: {path}/{block}: ")
+        assert err.endswith(f"{where[-1]} must be an integer, got {type(value).__name__}\n")
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_epochs_below_one_exits_2(self, capsys, tmp_path, value):
         path = write(tmp_path, simulate_doc())
@@ -535,6 +556,30 @@ class TestSimulateCommand:
         doc["sim"]["nodes"] = doc["sim"]["nodes"][:3]
         code, _, err = run_cli(capsys, "simulate", str(write(tmp_path, doc)))
         assert code == 2 and "bft_threshold" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["transition", "--from", "BOGUS", "--action", "FREEZE"],
+         "error: 'BOGUS' is not a valid RegState\n"
+         "usage: regsync transition [--from STATE --action ACTION]\n"),
+        (["transition", "--action", "FREEZE"],
+         "error: --from and --action must be given together\n"),
+        (["simulate", "BFT"],
+         "error: invalid BFT config: bft_threshold: (2, 1): 2 < 3*1+1\n"
+         "error: invalid BFT config: timeout_positive: 0\n"
+         "error: invalid BFT config: fairness_positive: 0\n"),
+    ],
+    ids=["transition-usage", "transition-half", "bft-violations"],
+)
+def test_usage_error_lines(capsys, tmp_path, argv, err):
+    """One ``error:`` line per message, the transition usage line after its
+    error, and nothing on stdout."""
+    doc = simulate_doc()
+    doc["sim"].update(nodes=doc["sim"]["nodes"][:2], lock_timeout=0, fairness_bound=0)
+    argv = [str(write(tmp_path, doc)) if a == "BFT" else a for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", err)
 
 
 class TestDeterminism:

@@ -1,9 +1,10 @@
 """Smoke test: the scripts under ``scripts/`` and ``python -m regsync`` run
-on the current APIs."""
+on the current APIs, and a deep model check ends once nothing new is reached."""
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,17 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     proc = run_python("-m", "regsync", "sync", str(missing))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: {missing}: ")
+
+
+def test_modelcheck_stops_once_a_level_adds_no_state():
+    """At one chain and one asset every reachable state is an initial one,
+    so the search ends after one level however deep it may go."""
+    argv = ["-m", "regsync", "modelcheck", "--domains", "1", "--assets", "1", "--depth"]
+    shallow = run_python(*argv, "2")
+    start = time.perf_counter()
+    deep = run_python(*argv, "1000000000")
+    assert time.perf_counter() - start < 10
+    assert shallow.returncode == 0 and shallow.stdout.startswith("states explored: 5\n")
+    assert (deep.returncode, deep.stdout, deep.stderr) == (
+        shallow.returncode, shallow.stdout, shallow.stderr
+    )
