@@ -123,10 +123,10 @@ def cmd_simulate(args) -> int:
 
     s0 = liveness.SimState(0, tuple(scenario.requests), scenario.state, {})
     try:
-        s0 = liveness.ranked(s0, cfg)
+        # The first epoch ranks the requests, so this raises before any trace.
+        trace = liveness.run_until_drained(s0, sched, cfg, args.max_epochs)
     except (DuplicateKeyError, HorizonError) as exc:
         raise UsageError(f"requests cannot be ranked: {exc}") from exc
-    trace = liveness.run_until_drained(s0, sched, cfg, args.max_epochs)
     for record in trace:
         print(json.dumps(record.to_json(), sort_keys=True))
 

@@ -211,47 +211,39 @@ def to_json_dict(gs: GlobalState) -> dict:
     }
 
 
-def _json_object(value: object, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
+# What json_value says a value of each kind must be.
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", bool: "true or false",
+               int: "an integer", str: "a string"}
 
 
-def json_bool(value: object, what: str) -> bool:
-    """``value`` itself if it is a JSON boolean; anything else, the string
-    ``"false"`` included, is a TypeError."""
-    if not isinstance(value, bool):
-        raise TypeError(f"{what} must be true or false, got {type(value).__name__}")
-    return value
-
-
-def json_int(value: object, what: str) -> int:
-    """``value`` itself if it is a JSON integer; a boolean, a float (``2.0``
-    included) or a string is a TypeError."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
-    return value
+def json_value(value: object, kind: type, what: str):
+    """``value`` itself if it is a JSON value of ``kind`` (dict, list, bool,
+    int or str); anything else is a TypeError naming ``what``. Nothing is
+    coerced: the string ``"false"`` is not a bool, and a bool or a float
+    (``2.0`` included) is not an int."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
 
 
 def from_json_dict(doc: dict) -> GlobalState:
     """Inverse of to_json_dict; raises KeyError, TypeError or ValueError
     on a document that does not have its shape. A cell's ``"locked"`` must
     be a JSON boolean, but the state takes its locks from ``"locks"``."""
-    doc = _json_object(doc, "state")
+    doc = json_value(doc, dict, "state")
     chains = {}
-    for c, table in _json_object(doc.get("chains", {}), "chains").items():
+    for c, table in json_value(doc.get("chains", {}), dict, "chains").items():
         chains[c] = {}
-        for aid, cell in _json_object(table, f"chain {c!r}").items():
-            cell = _json_object(cell, f"asset {aid!r} on chain {c!r}")
-            owner = cell.get("owner", "")
-            if not isinstance(owner, str):
-                raise TypeError(f"owner of asset {aid!r} on chain {c!r} must be a string")
+        for aid, cell in json_value(table, dict, f"chain {c!r}").items():
+            where = f"asset {aid!r} on chain {c!r}"
+            cell = json_value(cell, dict, where)
+            owner = json_value(cell.get("owner", ""), str, f"owner of {where}")
             # Checked but not kept: ``locks`` is the lock state.
-            json_bool(cell.get("locked", False), f"locked of asset {aid!r} on chain {c!r}")
+            json_value(cell.get("locked", False), bool, f"locked of {where}")
             chains[c][aid] = AssetState(aid, RegState(cell["state"]), owner)
-    locks = _json_object(doc.get("locks", {}), "locks")
+    locks = json_value(doc.get("locks", {}), dict, "locks")
     return GlobalState(
-        chains, {a: json_bool(b, f"lock of asset {a!r}") for a, b in locks.items()}
+        chains, {a: json_value(b, bool, f"lock of asset {a!r}") for a, b in locks.items()}
     )
 
 

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .engine import json_int
+from .engine import json_value
 from .regulatory import RegAction
 from .report import ValidationReport
 
@@ -140,11 +140,11 @@ def request_id(r: RegRequest) -> str:
 
 def request_from_json(obj: dict) -> RegRequest:
     return RegRequest(
-        node_id=json_int(obj["node"], "node"),
+        node_id=json_value(obj["node"], int, "node"),
         authority=AuthorityLevel(obj["authority"]),
-        timestamp=json_int(obj["timestamp"], "timestamp"),
+        timestamp=json_value(obj["timestamp"], int, "timestamp"),
         action=RegAction(obj["action"]),
-        asset=str(obj["asset"]),
+        asset=json_value(obj["asset"], str, "asset"),
     )
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import engine
+from .engine import json_value
 from .liveness import NodeInfo, SimConfig
 from .priority import RegRequest, request_from_json, request_to_json
 from .regulatory import RegAction
@@ -69,83 +70,90 @@ def _sim_to_json(cfg: SimConfig) -> dict:
     }
 
 
-def _sim_from_json(doc: dict, location: str) -> SimConfig:
+def _sim_from_json(doc: dict) -> SimConfig:
+    doc = json_value(doc, dict, "sim")
+    nodes = [json_value(n, dict, "node") for n in json_value(doc["nodes"], list, "nodes")]
+    # Only the optional fields given are passed: SimConfig states the defaults.
+    given = [k for k in ("t_max", "n_max", "seed") if k in doc]
+    ints = ("f_max", "lock_timeout", "fairness_bound", *given)
+    return SimConfig(
+        tuple(NodeInfo(json_value(n["id"], int, "id"), json_value(n["honest"], bool, "honest"))
+              for n in nodes),
+        **{k: json_value(doc[k], int, k) for k in ints},
+    )
+
+
+# A tuple, not a set: ``in`` compares an unhashable value instead of raising.
+_EXPECT_TAGS = ("ok", *(f.value for f in engine.SyncFailure))
+_MALFORMED = (KeyError, TypeError, ValueError)
+
+
+def _error(location: str, exc: Exception, context: str = "") -> ScenarioError:
+    """The ScenarioError at ``location``, after ``context``, for ``exc`` raised
+    by reading a malformed part of a scenario; a KeyError names the field."""
+    message = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+    return ScenarioError(location, context + message)
+
+
+def _read(location: str, read, *args, context: str = ""):
+    """``read(*args)``; a KeyError, TypeError or ValueError becomes ``_error``."""
     try:
-        nodes = tuple(
-            NodeInfo(engine.json_int(n["id"], "id"), engine.json_bool(n["honest"], "honest"))
-            for n in doc["nodes"]
-        )
-        # Only the optional fields given are passed: SimConfig states the defaults.
-        given = [k for k in ("t_max", "n_max", "seed") if k in doc]
-        ints = ("f_max", "lock_timeout", "fairness_bound", *given)
-        return SimConfig(nodes, **{k: engine.json_int(doc[k], k) for k in ints})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(location, f"bad sim block: {exc}") from exc
+        return read(*args)
+    except _MALFORMED as exc:
+        raise _error(location, exc, context) from exc
 
 
-_EXPECT_TAGS = {"ok"} | {f.value for f in engine.SyncFailure}
-
-
-def _json_list(doc: dict, key: str, origin: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise ScenarioError(f"{origin}/{key}", f"must be a JSON list, got {type(value).__name__}")
-    return value
+def _read_list(doc: dict, key: str, origin: str, what: str, read) -> list:
+    """The ``key`` list of ``doc`` (empty if absent), each entry a JSON
+    object (``what``) passed through ``read``. An entry's location is built
+    only when it fails, which keeps the per-entry cost off long lists."""
+    entries = _read(f"{origin}/{key}", json_value, doc.get(key, []), list, key)
+    out = []
+    try:
+        for raw in entries:
+            out.append(read(json_value(raw, dict, what)))
+    except _MALFORMED as exc:
+        raise _error(f"{origin}/{key}[{len(out)}]", exc) from exc
+    return out
 
 
 def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
     if not isinstance(doc, dict) or "state" not in doc:
         raise ScenarioError(origin, "top-level object with a 'state' block required")
-    try:
-        state = engine.from_json_dict(doc["state"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{origin}/state", str(exc)) from exc
-
+    state = _read(f"{origin}/state", engine.from_json_dict, doc["state"])
     declared_chains = set(state.chains)
     declared_assets = {aid for table in state.chains.values() for aid in table}
 
-    sync_cmds = []
-    for i, raw in enumerate(_json_list(doc, "sync", origin)):
-        loc = f"{origin}/sync[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(loc, "sync step must be a JSON object")
-        try:
-            cmd = SyncCommand(
-                source=str(raw["source"]),
-                action=RegAction(raw["action"]),
-                asset=str(raw["asset"]),
-                expect=raw.get("expect"),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(loc, str(exc)) from exc
+    def check_asset(aid: str) -> None:
+        if aid not in declared_assets:
+            raise ValueError(f"undeclared asset {aid!r}")
+
+    def sync_step(raw: dict) -> SyncCommand:
+        cmd = SyncCommand(
+            source=json_value(raw["source"], str, "source"),
+            action=RegAction(raw["action"]),
+            asset=json_value(raw["asset"], str, "asset"),
+            expect=raw.get("expect"),
+        )
         if cmd.source not in declared_chains:
-            raise ScenarioError(loc, f"undeclared chain {cmd.source!r}")
-        if cmd.asset not in declared_assets:
-            raise ScenarioError(loc, f"undeclared asset {cmd.asset!r}")
-        if cmd.expect is not None and (
-            not isinstance(cmd.expect, str) or cmd.expect not in _EXPECT_TAGS
-        ):
-            raise ScenarioError(loc, f"unknown expectation {cmd.expect!r}")
-        sync_cmds.append(cmd)
+            raise ValueError(f"undeclared chain {cmd.source!r}")
+        check_asset(cmd.asset)
+        if cmd.expect is not None and cmd.expect not in _EXPECT_TAGS:
+            raise ValueError(f"unknown expectation {cmd.expect!r}")
+        return cmd
 
-    requests = []
-    for i, raw in enumerate(_json_list(doc, "requests", origin)):
-        loc = f"{origin}/requests[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(loc, "request must be a JSON object")
-        try:
-            req = request_from_json(raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(loc, str(exc)) from exc
-        if req.asset not in declared_assets:
-            raise ScenarioError(loc, f"undeclared asset {req.asset!r}")
-        requests.append(req)
+    def request(raw: dict) -> RegRequest:
+        req = request_from_json(raw)
+        check_asset(req.asset)
+        return req
 
-    sim = None
-    if "sim" in doc:
-        sim = _sim_from_json(doc["sim"], f"{origin}/sim")
-
-    return Scenario(state=state, sync=sync_cmds, requests=requests, sim=sim)
+    return Scenario(
+        state=state,
+        sync=_read_list(doc, "sync", origin, "sync step", sync_step),
+        requests=_read_list(doc, "requests", origin, "request", request),
+        sim=(_read(f"{origin}/sim", _sim_from_json, doc["sim"], context="bad sim block: ")
+             if "sim" in doc else None),
+    )
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -160,6 +168,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(str(path), f"not UTF-8: {exc}") from exc
     except RecursionError as exc:
         raise ScenarioError(str(path), f"nested too deeply: {exc}") from exc
+    except ValueError as exc:  # an integer literal past Python's int-string limit
+        raise ScenarioError(str(path), str(exc)) from exc
     return scenario_from_json(doc, origin=str(path))
 
 

@@ -205,6 +205,17 @@ class TestStepEpoch:
         assert record.pending_after == 1 and [r.asset for r in s1.pending] == ["a2"]
         assert s1.global_state == s0.global_state
 
+    def test_honest_leader_syncs_from_the_least_chain(self):
+        """With ``a1`` ACTIVE on c1 and FROZEN on c2, only a sync read from
+        c1, the least connected chain by name, can FREEZE it."""
+        cfg = config()
+        placement = {"c1": {"a1": RegState.ACTIVE}, "c2": {"a1": RegState.FROZEN}}
+        s0 = SimState(0, requests(1), make_state(placement), {})
+        s1, record = step_epoch(s0, all_honest_schedule(cfg, 5), cfg)
+        assert record.outcome == "ok"
+        for c in ("c1", "c2"):
+            assert engine.get_reg_state(s1.global_state, c, "a1") is RegState.FROZEN
+
     def test_request_on_an_asset_no_chain_holds(self):
         cfg = config()
         s0 = SimState(0, requests(1), make_state({"c1": {"b1": RegState.ACTIVE}}), {})

@@ -229,19 +229,70 @@ class TestSyncCommand:
 
 
 @pytest.mark.parametrize("command", ["sync", "simulate"])
-@pytest.mark.parametrize("unreadable", ["directory", "latin-1", "deeply-nested"])
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1", "deeply-nested", "huge-integer"])
 def test_unreadable_scenario_exits_2(capsys, tmp_path, command, unreadable):
     if unreadable == "directory":
         path = tmp_path
     elif unreadable == "latin-1":
         path = tmp_path / "latin1.json"
         path.write_bytes(json.dumps(simulate_doc()).replace("o", "\u00f6").encode("latin-1"))
+    elif unreadable == "huge-integer":
+        # Past Python's int-string limit, json.loads raises a plain ValueError.
+        path = tmp_path / "huge.json"
+        path.write_text('{"state": {"chains": {}, "locks": {}}, "x": ' + "9" * 5000 + "}")
     else:
         path = tmp_path / "nested.json"
         path.write_text('{"state": ' + "[" * 100_000 + "]" * 100_000 + "}")
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("command", ["sync", "simulate"])
+@pytest.mark.parametrize(
+    "edit, where, message",
+    [
+        (lambda d: d["state"]["chains"]["c1"]["a1"].pop("state"), "state",
+         "missing field 'state'"),
+        (lambda d: d["sync"][0].pop("source"), "sync[0]", "missing field 'source'"),
+        (lambda d: d["requests"][1].pop("timestamp"), "requests[1]",
+         "missing field 'timestamp'"),
+        (lambda d: d["sim"].pop("f_max"), "sim", "bad sim block: missing field 'f_max'"),
+        (lambda d: d["sim"]["nodes"][2].pop("honest"), "sim",
+         "bad sim block: missing field 'honest'"),
+    ],
+    ids=["state-cell", "sync-step", "request", "sim-block", "sim-node"],
+)
+def test_missing_field_is_named(capsys, tmp_path, command, edit, where, message):
+    doc = simulate_doc()
+    doc["sync"] = [{"source": "c1", "action": "FREEZE", "asset": "a1"}]
+    edit(doc)
+    path = write(tmp_path, doc)
+    assert run_cli(capsys, command, str(path)) == (2, "", f"error: {path}/{where}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["sync", "simulate"])
+@pytest.mark.parametrize(
+    "where, value",
+    [(("sync", 0, "source"), 1), (("sync", 0, "asset"), 7), (("requests", 0, "asset"), 7),
+     (("sync", 0, "source"), None)],
+    ids=["sync-source", "sync-asset", "request-asset", "sync-source-null"],
+)
+def test_non_string_name_exits_2(capsys, tmp_path, command, where, value):
+    """A chain or asset name is read as given, never through ``str()``: a
+    number exits 2 even when its decimal text names a declared chain or asset."""
+    doc = simulate_doc()
+    for table in doc["state"]["chains"].values():
+        table["7"] = {"state": "ACTIVE", "owner": "o", "locked": False}
+    doc["state"]["chains"]["1"] = doc["state"]["chains"].pop("c1")
+    doc["sync"] = [{"source": "1", "action": "FREEZE", "asset": "a1"}]
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = write(tmp_path, doc)
+    err = f"error: {path}/{where[0]}[0]: {where[-1]} must be a string, got {type(value).__name__}\n"
+    assert run_cli(capsys, command, str(path)) == (2, "", err)
 
 
 class TestModelcheckCommand:
