@@ -2,7 +2,7 @@
 """Seed sweep over the liveness simulator.
 
 Runs fair and adversarial schedules across many seeds and prints drain
-times against the pending0 * fairness_bound + timeout bound, with the mean
+times against the drain horizon (``liveness.drain_horizon``), with the mean
 wall-clock cost of one epoch of the drains. ``--requests`` takes one or
 more request counts and prints a line per count and schedule, so one run
 gives the cost per epoch against the request count:
@@ -19,6 +19,7 @@ from regsync.liveness import (
     SimConfig,
     SimState,
     check_starvation_bound,
+    drain_horizon,
     gen_adversarial_schedule,
     gen_fair_schedule,
     run_until_drained,
@@ -61,13 +62,13 @@ def main():
 def sweep(args, n_requests):
     """Drain ``n_requests`` requests under both schedules for every seed and
     print one line per schedule."""
-    bound = n_requests * args.fairness_bound + args.timeout
     for label, gen in (("fair", gen_fair_schedule), ("adversarial", gen_adversarial_schedule)):
         drains = []
         drain_s = 0.0
         starvation_ok = True
         for seed in range(args.seeds):
             cfg = build_config(args.nodes, args.faults, args.timeout, args.fairness_bound, seed)
+            bound = drain_horizon(n_requests, cfg)
             sched = gen(cfg, bound)
             s0 = initial_state(n_requests)
             start = time.perf_counter()

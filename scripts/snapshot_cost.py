@@ -21,7 +21,7 @@ def make_state(n_assets: int) -> engine.GlobalState:
         f"a{i+1}": engine.AssetState(f"a{i+1}", states[i % len(states)], f"o{i % 7}")
         for i in range(n_assets)
     }
-    return engine.GlobalState({c: dict(table) for c in CHAINS}, {})
+    return engine.GlobalState({c: dict(table) for c in CHAINS}, frozenset())
 
 
 def main():

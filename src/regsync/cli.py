@@ -103,7 +103,7 @@ def cmd_simulate(args) -> int:
     scenario = parse_scenario(args.scenario)
     if scenario.sim is None or not scenario.requests:
         raise UsageError("scenario needs a 'sim' block and a 'requests' list")
-    held = sorted(aid for aid, flag in scenario.state.locks.items() if flag)
+    held = sorted(scenario.state.locks)
     if held:
         # A lock held at rest has no acquisition time, so it would never
         # expire and its requests could never drain.
@@ -115,16 +115,18 @@ def cmd_simulate(args) -> int:
     if not bft.ok:
         raise UsageError(*(f"invalid BFT config: {v}" for v in bft.violations))
 
+    # The drain ends within drain_horizon, so no longer schedule is needed.
+    horizon = min(args.max_epochs, liveness.drain_horizon(len(scenario.requests), cfg))
     gen = liveness.gen_adversarial_schedule if args.adversarial else liveness.gen_fair_schedule
     try:
-        sched = gen(cfg, args.max_epochs)
+        sched = gen(cfg, horizon)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     s0 = liveness.SimState(0, tuple(scenario.requests), scenario.state, {})
     try:
         # The first epoch ranks the requests, so this raises before any trace.
-        trace = liveness.run_until_drained(s0, sched, cfg, args.max_epochs)
+        trace = liveness.run_until_drained(s0, sched, cfg, horizon)
     except (DuplicateKeyError, HorizonError) as exc:
         raise UsageError(f"requests cannot be ranked: {exc}") from exc
     for record in trace:

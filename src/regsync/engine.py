@@ -3,7 +3,7 @@
 Every operation is pure: it returns a fresh GlobalState and never mutates
 its input, so failed syncs leave no partial writes behind. Fresh states
 share what did not change: acquiring or releasing a lock copies only the
-lock map, and an update copies only the asset tables of its target chains.
+lock set, and an update copies only the asset tables of its target chains.
 """
 
 from __future__ import annotations
@@ -29,28 +29,27 @@ class AssetState:
 
 @dataclass(frozen=True)
 class GlobalState:
-    """Per-chain asset tables plus the per-asset lock map.
+    """Per-chain asset tables plus the set of assets whose lock is held.
 
-    ``locks`` is the only lock state; the cells carry none. A released lock
-    stays in the map as an explicit ``False`` entry. The JSON form derives
-    each cell's ``"locked"`` flag from the map (see to_json_dict).
+    ``locks`` is the only lock state; the cells carry none. The JSON form
+    derives each cell's ``"locked"`` flag from it (see to_json_dict).
     """
 
     chains: Mapping[ChainId, Mapping[AssetKey, AssetState]]
-    locks: Mapping[AssetKey, bool]
+    locks: frozenset[AssetKey]
 
     @staticmethod
     def make(
         chains: Mapping[ChainId, Mapping[AssetKey, AssetState]],
         locks: Optional[Mapping[AssetKey, bool]] = None,
     ) -> "GlobalState":
-        """A state over fresh copies of ``chains`` and ``locks``, with every
-        cell's asset_id set to its key."""
+        """A state over fresh copies of ``chains``, with every cell's asset_id
+        set to its key, holding the locks whose ``locks`` entry is true."""
         fixed = {
             c: {aid: replace(rec, asset_id=aid) for aid, rec in table.items()}
             for c, table in chains.items()
         }
-        return GlobalState(fixed, dict(locks or {}))
+        return GlobalState(fixed, frozenset(a for a, held in (locks or {}).items() if held))
 
 
 class SyncFailure(enum.Enum):
@@ -99,25 +98,19 @@ def connected_chains(gs: GlobalState, aid: AssetKey) -> frozenset[ChainId]:
 
 
 def is_locked(gs: GlobalState, aid: AssetKey) -> bool:
-    return gs.locks.get(aid, False)
-
-
-def _with_lock(gs: GlobalState, aid: AssetKey, flag: bool) -> GlobalState:
-    """``gs`` with ``aid``'s lock entry set to ``flag``; the chain tables are
-    shared, not copied."""
-    return GlobalState(gs.chains, {**gs.locks, aid: flag})
+    return aid in gs.locks
 
 
 def acquire_lock(gs: GlobalState, aid: AssetKey) -> Optional[GlobalState]:
     if is_locked(gs, aid):
         return None
-    return _with_lock(gs, aid, True)
+    return GlobalState(gs.chains, gs.locks | {aid})
 
 
 def release_lock(gs: GlobalState, aid: AssetKey) -> GlobalState:
     if not is_locked(gs, aid):
         return gs
-    return _with_lock(gs, aid, False)
+    return GlobalState(gs.chains, gs.locks - {aid})
 
 
 def update_all_chains(
@@ -168,13 +161,9 @@ def consistent_state(gs: GlobalState) -> bool:
     return True
 
 
-def no_lock_held(gs: GlobalState) -> bool:
-    return not any(gs.locks.values())
-
-
 def valid_state(gs: GlobalState) -> bool:
     """Cross-chain agreement per asset plus no lock held at rest."""
-    return consistent_state(gs) and no_lock_held(gs)
+    return consistent_state(gs) and not gs.locks
 
 
 def to_domain_state_map(gs: GlobalState) -> DomainStateMap:
@@ -189,7 +178,7 @@ def to_domain_state_map(gs: GlobalState) -> DomainStateMap:
 
 def to_json_dict(gs: GlobalState) -> dict:
     """The JSON form of ``gs``; each cell's ``"locked"`` is read from the
-    lock map.
+    lock set, and ``"locks"`` maps each held lock to true.
 
     Each cell's ``"state"`` is the member's stored ``_value_``: it equals
     ``.value``, which on Python 3.11 is a Python-level descriptor call,
@@ -201,13 +190,13 @@ def to_json_dict(gs: GlobalState) -> dict:
                 aid: {
                     "state": rec.reg_state._value_,
                     "owner": rec.owner,
-                    "locked": locks.get(aid, False),
+                    "locked": aid in locks,
                 }
                 for aid, rec in table.items()
             }
             for c, table in gs.chains.items()
         },
-        "locks": dict(gs.locks),
+        "locks": dict.fromkeys(locks, True),
     }
 
 
@@ -229,7 +218,8 @@ def json_value(value: object, kind: type, what: str):
 def from_json_dict(doc: dict) -> GlobalState:
     """Inverse of to_json_dict; raises KeyError, TypeError or ValueError
     on a document that does not have its shape. A cell's ``"locked"`` must
-    be a JSON boolean, but the state takes its locks from ``"locks"``."""
+    be a JSON boolean, but the state takes its locks from ``"locks"``,
+    whose ``false`` entries are checked and dropped."""
     doc = json_value(doc, dict, "state")
     chains = {}
     for c, table in json_value(doc.get("chains", {}), dict, "chains").items():
@@ -242,9 +232,8 @@ def from_json_dict(doc: dict) -> GlobalState:
             json_value(cell.get("locked", False), bool, f"locked of {where}")
             chains[c][aid] = AssetState(aid, RegState(cell["state"]), owner)
     locks = json_value(doc.get("locks", {}), dict, "locks")
-    return GlobalState(
-        chains, {a: json_value(b, bool, f"lock of asset {a!r}") for a, b in locks.items()}
-    )
+    held = frozenset(a for a, b in locks.items() if json_value(b, bool, f"lock of asset {a!r}"))
+    return GlobalState(chains, held)
 
 
 def canonical_dumps(gs: GlobalState) -> str:
@@ -271,10 +260,7 @@ def canonical_dumps(gs: GlobalState) -> str:
             for aid, cell in sorted(table.items())
         ]
         chains.append(f"    {esc(c)}: {_block(cells, '    ')}")
-    locks = [
-        f'    {esc(aid)}: {"true" if held else "false"}'
-        for aid, held in sorted(doc["locks"].items())
-    ]
+    locks = [f'    {esc(aid)}: true' for aid in sorted(doc["locks"])]
     return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(locks, "  ")}\n}}\n'
 
 

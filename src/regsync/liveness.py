@@ -201,10 +201,10 @@ class Ranking:
             and self.lock_times is s.lock_times
         )
 
-    def unlocked_assets(self, gs: engine.GlobalState, lock_times: dict[str, int]) -> _Unlocked:
-        """The sorted distinct pending assets that are not locked in ``gs``."""
+    def held_positions(self, gs: engine.GlobalState, lock_times: dict[str, int]) -> list[int]:
+        """The ascending positions in ``assets`` of those locked in ``gs``."""
         held = sorted(a for a in lock_times if a in self.counts and engine.is_locked(gs, a))
-        return _Unlocked(self.assets, [bisect_left(self.assets, a) for a in held])
+        return [bisect_left(self.assets, a) for a in held]
 
     def advance(self, removed: Optional[str], s: SimState) -> None:
         """Take one request on asset ``removed`` (if any) out of the counts,
@@ -215,24 +215,6 @@ class Ranking:
                 del self.counts[removed]
                 del self.assets[bisect_left(self.assets, removed)]
         self.pending, self.global_state, self.lock_times = s.pending, s.global_state, s.lock_times
-
-
-class _Unlocked:
-    """``assets`` without the entries at the sorted positions ``held``: the
-    list ``rng.choice`` draws from, without copying ``assets``."""
-
-    def __init__(self, assets: list[str], held: list[int]):
-        self.assets, self.held = assets, held
-
-    def __len__(self) -> int:
-        return len(self.assets) - len(self.held)
-
-    def __getitem__(self, i: int) -> str:
-        for p in self.held:
-            if p > i:
-                break
-            i += 1
-        return self.assets[i]
 
 
 @dataclass(frozen=True)
@@ -309,11 +291,19 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
             break
     elif pending:
         rng = random.Random(f"step:{cfg.seed}:{s.epoch}")
-        unlocked = rk.unlocked_assets(gs, lock_times)
+        held = rk.held_positions(gs, lock_times)
+        unlocked = len(rk.assets) - len(held)
         # Single-resource discipline plus the no-total-blockade bound on the
         # adversary: at least one pending asset must stay unlocked.
-        if len(unlocked) >= 2 and rng.random() < 0.5:
-            target = rng.choice(unlocked)
+        if unlocked >= 2 and rng.random() < 0.5:
+            # The i-th unlocked asset: step i past each held position at or
+            # before it. randrange(n) draws the index choice of n items would.
+            i = rng.randrange(unlocked)
+            for p in held:
+                if p > i:
+                    break
+                i += 1
+            target = rk.assets[i]
             locked = engine.acquire_lock(gs, target)
             if locked is not None:
                 gs = locked
@@ -346,6 +336,20 @@ def run_until_drained(
         trace.append(record)
         assert record.pending_after <= record.pending_before
     return trace
+
+
+def drain_horizon(n_requests: int, cfg: SimConfig) -> int:
+    """Epochs within which a drain of ``n_requests`` from a state with no
+    lock held ends, on a schedule that passes check_fair_leader.
+
+    An honest epoch takes a request unless every pending asset is locked.
+    The adversary never locks the last unlocked one, so that happens only
+    after an honest epoch took the last request on the unlocked assets, and
+    the locks then held expire within lock_timeout epochs. So each request
+    is taken within fairness_bound + lock_timeout epochs of the one before.
+    ``n_requests * fairness_bound + lock_timeout`` is not a bound: one drain
+    can wait for an expiry more than once."""
+    return n_requests * (cfg.fairness_bound + cfg.lock_timeout)
 
 
 def check_starvation_bound(trace: EpochTrace, k: int) -> ValidationReport:

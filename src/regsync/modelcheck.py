@@ -73,7 +73,7 @@ def enumerate_initial_states(n_chains: int, n_assets: int):
                 tables[c][aid] = engine.AssetState(aid, state, owner="owner")
         # The cells already carry their keys and no lock is held, so
         # GlobalState.make would only copy every table again.
-        yield engine.GlobalState(tables, {})
+        yield engine.GlobalState(tables, frozenset())
 
 
 def initial_state_count(n_chains: int, n_assets: int) -> int:
@@ -96,9 +96,8 @@ def _over_budget(n_chains: int, n_assets: int, budget: int) -> bool:
 def _state_key(gs: engine.GlobalState) -> tuple:
     """Order-independent identity of a state: its sorted chain names, the
     fields of every cell in (chain, asset) order, flattened into one tuple,
-    and the held locks (the cells carry no lock flag). Explicit-false and
-    absent lock entries denote the same state, so revisits are recognized.
-    The flat tuple is smaller than a tuple per cell."""
+    and the held locks (the cells carry no lock flag). The flat tuple is
+    smaller than a tuple per cell."""
     names = tuple(sorted(gs.chains))
     cells: list = []
     for c in names:
@@ -106,7 +105,7 @@ def _state_key(gs: engine.GlobalState) -> tuple:
         for aid in sorted(table):
             rec = table[aid]
             cells += (c, aid, rec.reg_state, rec.owner)
-    return names, tuple(cells), tuple(sorted(aid for aid, held in gs.locks.items() if held))
+    return names, tuple(cells), tuple(sorted(gs.locks))
 
 
 def _violations(

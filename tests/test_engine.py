@@ -84,8 +84,16 @@ class TestLocks:
         assert locked.chains is two_chain_active.chains
         released = engine.release_lock(locked, "a1")
         assert released.chains is two_chain_active.chains
-        # A release keeps an explicit false entry, which snapshots print.
-        assert released.locks == {"a1": False}
+        assert released.locks == frozenset()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_release_undoes_acquire(self, data):
+        gs = data.draw(made_states() | stepped_states())
+        free = sorted({aid for table in gs.chains.values() for aid in table} - gs.locks)
+        if free:
+            aid = data.draw(st.sampled_from(free))
+            assert engine.release_lock(engine.acquire_lock(gs, aid), aid) == gs
 
 
 class TestUpdateAllChains:
@@ -280,7 +288,7 @@ def stepped_states(draw):
             c: {aid: engine.AssetState(aid, reg, owner) for aid, (reg, owner) in table.items()}
             for c, table in chains.items()
         },
-        {},
+        frozenset(),
     )
     assets = sorted({aid for table in chains.values() for aid in table})
     if not assets:
@@ -301,7 +309,7 @@ class TestCanonicalDumpsMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(made_states() | stepped_states())
     @example(engine.GlobalState({}, {}))
-    @example(engine.GlobalState({"c1": {}, "c2": {}}, {"a1": False}))
+    @example(engine.GlobalState.make({"c1": {}, "c2": {}}, {"a1": False}))
     def test_byte_identical(self, gs):
         assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
 

@@ -17,6 +17,7 @@ from regsync.liveness import (
     check_eventual_completion,
     check_fair_leader,
     check_starvation_bound,
+    drain_horizon,
     expiry_time,
     gen_adversarial_schedule,
     gen_fair_schedule,
@@ -281,6 +282,31 @@ class TestRunUntilDrained:
         assert len(trace) <= horizon
         assert check_starvation_bound(trace, cfg.fairness_bound).ok
         assert check_eventual_completion(trace).ok
+
+    def test_a_drain_can_wait_for_more_than_one_lock_timeout(self):
+        cfg = config(timeout=9, k=3, seed=4)
+        horizon = drain_horizon(3, cfg)
+        trace = run_until_drained(
+            sim_state(requests(3)), gen_adversarial_schedule(cfg, horizon), cfg, horizon
+        )
+        assert trace[-1].pending_after == 0
+        assert len(trace) > 3 * cfg.fairness_bound + cfg.lock_timeout
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(1, 12), st.integers(0, 50), st.booleans(),
+        st.lists(st.sampled_from(["a1", "a2", "a3", "a4"]), min_size=1, max_size=8),
+    )
+    def test_every_drain_ends_within_the_drain_horizon(
+        self, k, timeout, seed, adversarial, assets
+    ):
+        cfg = config(timeout=timeout, k=k, seed=seed)
+        gen = gen_adversarial_schedule if adversarial else gen_fair_schedule
+        reqs = [RegRequest(i + 1, AuthorityLevel.NATIONAL, i, RegAction.FREEZE, aid)
+                for i, aid in enumerate(assets)]
+        horizon = drain_horizon(len(reqs), cfg)
+        trace = run_until_drained(sim_state(reqs), gen(cfg, horizon), cfg, horizon)
+        assert trace[-1].pending_after == 0
 
 
 def flat_record(epoch, pending):

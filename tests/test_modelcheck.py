@@ -50,7 +50,7 @@ def _rewrite_owners(gs, touch):
 _touch_neighbour = _succeeded(lambda aid, gs: _rewrite_owners(gs, lambda a: a != aid))
 _change_owner = _succeeded(lambda aid, gs: _rewrite_owners(gs, lambda a: a == aid))
 _lock_neighbour = _succeeded(
-    lambda aid, gs: engine.GlobalState(gs.chains, {**gs.locks, "a1" if aid == "a2" else "a2": True})
+    lambda aid, gs: engine.GlobalState(gs.chains, gs.locks | {"a1" if aid == "a2" else "a2"})
 )
 
 

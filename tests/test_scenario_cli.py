@@ -16,6 +16,7 @@ from test_acceptance import (
     _mutant_skip_target,
 )
 from test_engine import reference_canonical_dumps
+from test_scripts import run_python
 
 
 def minimal_doc():
@@ -203,6 +204,11 @@ class TestSyncCommand:
         assert code == 0
         assert out.count('"locked": false') == 2 and '"locked": true' not in out
         assert '"locks": {}' in out
+
+    def test_snapshot_lists_no_released_lock(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "sync", str(write(tmp_path, minimal_doc())))
+        assert code == 0 and "-> ok" in out
+        assert '"locks": {}' in out and '"a1": false' not in out
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -425,23 +431,24 @@ class TestExplorer:
         for mutant in (_mutant_skip_target, _mutant_skip_release, _mutant_allow_seized_freeze):
             run_modelcheck(2, 1, 2, sync_fn=recording(mutant))
         # States no sync reaches: empty chains, and locks on assets no
-        # chain holds, held, explicitly free and absent.
+        # chain holds, held and free.
         states += [
-            engine.GlobalState({"c1": {}}, {}),
-            engine.GlobalState({"c1": {}, "c2": {}}, {}),
-            engine.GlobalState({"c1": {}}, {"a1": True}),
-            engine.GlobalState({"c1": {}}, {"a1": False}),
+            engine.GlobalState({"c1": {}}, frozenset()),
+            engine.GlobalState({"c1": {}, "c2": {}}, frozenset()),
+            engine.GlobalState({"c1": {}}, frozenset({"a1"})),
         ]
         pairs = {(modelcheck._state_key(gs), reference_state_key(gs)) for gs in states}
         # Two keys agree on every pair of states exactly when each key
         # value of one pairs with a single key value of the other.
         assert len({key for key, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
-        assert any(any(gs.locks.values()) for gs in states)
-        lock_maps: dict[str, set] = {}
-        for gs in states:
-            lock_maps.setdefault(reference_state_key(gs), set()).add(tuple(sorted(gs.locks.items())))
-        # Some state is reached both with no lock entry and an explicit false one.
-        assert any(len(maps) > 1 for maps in lock_maps.values())
+        assert any(gs.locks for gs in states)
+
+    def test_false_lock_entries_do_not_make_a_new_state(self):
+        chains = {"c1": {"a1": {"state": "ACTIVE", "owner": "o", "locked": False}}}
+        absent = engine.from_json_dict({"chains": chains, "locks": {}})
+        false = engine.from_json_dict({"chains": chains, "locks": {"a1": False}})
+        assert false == absent
+        assert modelcheck._state_key(false) == modelcheck._state_key(absent)
 
     @pytest.mark.parametrize(
         "mutant, count",
@@ -541,6 +548,20 @@ class TestSimulateCommand:
         assert code == 0
         lines = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         assert len(lines) <= 5 * 3 + 2
+
+    def test_huge_max_epochs_costs_what_a_small_one_does(self, tmp_path):
+        # The schedule stops at the drain horizon, not at --max-epochs.
+        path = write(tmp_path, simulate_doc())
+        runs, seconds = [], []
+        for max_epochs in ("1000", "2000000"):
+            start = time.perf_counter()
+            runs.append(
+                run_python("-m", "regsync", "simulate", str(path), "--max-epochs", max_epochs)
+            )
+            seconds.append(time.perf_counter() - start)
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout and runs[0].stdout.count("\n") > 5
+        assert seconds[1] < seconds[0] + 1.0
 
     def test_clashing_priority_keys_exit_2_before_any_epoch(self, capsys, tmp_path):
         doc = simulate_doc()

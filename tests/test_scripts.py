@@ -27,6 +27,8 @@ def run_python(*argv):
         ("modelcheck_bounds.py", ["--max-domains", "1", "--max-assets", "1", "--depth", "1"]),
         ("liveness_sweep.py", ["--requests", "20", "--seeds", "1"]),
         ("snapshot_cost.py", ["--assets", "2", "--number", "2", "--repeat", "1"]),
+        # Seed 4 drains in 21 epochs, past requests * fairness_bound + timeout (18).
+        ("liveness_sweep.py", ["--timeout", "9", "--requests", "3", "--seeds", "5"]),
     ],
 )
 def test_script_runs(script, args):
