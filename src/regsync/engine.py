@@ -116,14 +116,12 @@ def release_lock(gs: GlobalState, aid: AssetKey) -> GlobalState:
 def update_all_chains(
     gs: GlobalState, aid: AssetKey, new_state: RegState, targets: frozenset[ChainId]
 ) -> GlobalState:
+    chains = dict(gs.chains)
     for c in targets:
-        assert aid in gs.chains.get(c, {}), f"target {c} does not hold {aid}"
-    chains = {}
-    for c, table in gs.chains.items():
-        if c in targets:
-            rec = table[aid]
-            table = {**table, aid: AssetState(rec.asset_id, new_state, rec.owner)}
-        chains[c] = table
+        table = chains.get(c, {})
+        assert aid in table, f"target {c} does not hold {aid}"
+        rec = table[aid]
+        chains[c] = {**table, aid: AssetState(rec.asset_id, new_state, rec.owner)}
     return GlobalState(chains, gs.locks)
 
 

@@ -6,6 +6,11 @@ revisited states), and checks each successful sync against the protocol's
 guarantees: cross-chain agreement, per-asset isolation, validity
 preservation, guaranteed success under the combined premises, and
 agreement with the generic multi-domain layer.
+
+Each sync is checked only for what its outcome can break: a failed sync
+can break only guaranteed success, whose premises are decided once per
+explored state, and a chain table shared by identity with the input counts
+as unchanged, which rests on the engine never mutating a table in place.
 """
 
 from __future__ import annotations
@@ -113,36 +118,33 @@ def _violations(
     valid: bool,
     projection: DomainStateMap,
     step: SyncCommand,
-    result: engine.SyncResult,
+    gs2: engine.GlobalState,
     spec: StateMachineSpec,
 ) -> Iterator[tuple[str, str]]:
-    """The (rule, detail) of each guarantee that one sync from ``gs``
-    breaks. ``valid`` and ``projection`` are ``engine.valid_state(gs)`` and
-    ``engine.to_domain_state_map(gs)``, computed once per explored state."""
+    """The (rule, detail) of each guarantee that one successful sync from
+    ``gs`` to ``gs2`` breaks. ``valid`` and ``projection`` are
+    ``engine.valid_state(gs)`` and ``engine.to_domain_state_map(gs)``,
+    computed once per explored state."""
     current = engine.get_reg_state(gs, step.source, step.asset)
     expected = None if current is None else reg_transition(current, step.action)
-    was_locked = engine.is_locked(gs, step.asset)
-    premises = valid and expected is not None and not was_locked
-    if not result.ok:
-        if premises:
-            yield "combined_success", f"sync failed with {result.reason.value}"
-        return
-
-    gs2 = result.state
     for c in sorted(engine.connected_chains(gs, step.asset)):
         if engine.get_reg_state(gs2, c, step.asset) is not expected:
             yield "cross_domain_consistency", f"chain {c} disagrees"
     for c, table in gs.chains.items():
+        table2 = gs2.chains.get(c, {})
+        if table2 is table:
+            continue
         for aid, rec in table.items():
-            after = gs2.chains.get(c, {}).get(aid)
+            after = table2.get(aid)
             if aid != step.asset:
                 if after != rec:
                     yield "sync_isolation", f"cell ({c}, {aid}) changed"
             elif after is None or after.owner != rec.owner:
                 yield "owner_untouched", f"cell ({c}, {aid})"
-    for c, table in gs2.chains.items():
-        for aid in table:
-            if aid not in gs.chains.get(c, {}):
+    for c, table2 in gs2.chains.items():
+        table = gs.chains.get(c, {})
+        for aid in table2 if table2 is not table else ():
+            if aid not in table:
                 yield "sync_isolation", f"cell ({c}, {aid}) appeared"
     if engine.is_locked(gs2, step.asset):
         yield "lock_released", ""
@@ -150,13 +152,47 @@ def _violations(
         yield "valid_state_preservation", ""
 
     # Generic/concrete agreement on the multi-domain projection.
-    if not was_locked:
+    if not engine.is_locked(gs, step.asset):
         # ``_value_`` equals ``.value`` without the Python-level descriptor call.
         generic = sync_all(projection, step.source, step.action._value_, step.asset, spec)
         if generic is None:
             yield "generic_agreement", "generic sync_all failed where sync succeeded"
-        elif dict(generic.table) != dict(engine.to_domain_state_map(gs2).table):
+        elif generic.table != engine.to_domain_state_map(gs2).table:
             yield "generic_agreement", "projections differ"
+
+
+def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult) -> Callable:
+    """The ``visit`` hook of run_modelcheck: per explored state, a ``take``
+    that runs one sync through ``sync_fn``, appends a Counterexample to
+    ``out`` for each guarantee it breaks and returns the successor."""
+    spec = reg_machine_spec()
+    moves = {s: [a for a in RegAction if reg_transition(s, a) is not None] for s in RegState}
+
+    def visit(gs: engine.GlobalState, origin) -> Callable:
+        valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
+        # Each (source, action, asset) whose combined premises hold: the state
+        # is valid, so it holds no lock, and the source cell's move is defined.
+        premised = {
+            (c, a, aid) for c, table in gs.chains.items() for aid, rec in table.items()
+            for a in moves.get(rec.reg_state, ())
+        } if valid else frozenset()
+
+        def take(step: SyncCommand) -> Optional[engine.GlobalState]:
+            result = sync_fn(step.source, step.action, step.asset, gs)
+            gs2 = result.state
+            if gs2 is not None:
+                broken = _violations(gs, valid, projection, step, gs2, spec)
+            elif (step.source, step.action, step.asset) in premised:
+                broken = [("combined_success", f"sync failed with {result.reason.value}")]
+            else:
+                return None
+            trail = origin[1] + (step,)
+            out.counterexamples += [Counterexample(r, origin[0], trail, d) for r, d in broken]
+            return gs2
+
+        return take
+
+    return visit
 
 
 def run_modelcheck(
@@ -166,11 +202,14 @@ def run_modelcheck(
     budget: Optional[int] = None,
     sync_fn: Callable[..., engine.SyncResult] = engine.sync,
 ) -> ModelCheckResult:
-    """Breadth-first exploration from every valid initial state.
+    """Breadth-first exploration from every valid initial state; a bound
+    below 1, which would check no sync, is a ValueError.
 
     ``sync_fn`` exists so mutation tests can swap in a broken engine and
     confirm the checker finds a counterexample.
     """
+    if min(n_chains, n_assets, depth) < 1:
+        raise ValueError(f"bounds must be at least 1, got {(n_chains, n_assets, depth)}")
     budget = enumeration_budget() if budget is None else budget
     if _over_budget(n_chains, n_assets, budget):
         raise BudgetExceededError(budget + 1, budget)
@@ -180,23 +219,10 @@ def run_modelcheck(
         for a in RegAction
         for aid in asset_names(n_assets)
     ]
-    spec = reg_machine_spec()
     out = ModelCheckResult()
-
-    def visit(gs: engine.GlobalState, origin) -> Callable:
-        valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
-
-        def take(step: SyncCommand) -> Optional[engine.GlobalState]:
-            result = sync_fn(step.source, step.action, step.asset, gs)
-            for rule, detail in _violations(gs, valid, projection, step, result, spec):
-                trail = origin[1] + (step,)
-                out.counterexamples.append(Counterexample(rule, origin[0], trail, detail))
-            return result.state
-
-        return take
-
     out.states_explored, out.syncs_checked = explore(
-        enumerate_initial_states(n_chains, n_assets), steps, depth, budget, _state_key, visit
+        enumerate_initial_states(n_chains, n_assets), steps, depth, budget, _state_key,
+        _visitor(sync_fn, out),
     )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))
     return out

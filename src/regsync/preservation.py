@@ -181,8 +181,9 @@ def sync_all(
     if new_state is None:
         return None
     table = dict(ds.table)
-    for d in connected_domains(ds, aid):
-        table[(d, aid)] = new_state
+    for d in ds.domains:
+        if (d, aid) in table:
+            table[(d, aid)] = new_state
     return DomainStateMap(ds.domains, table)
 
 

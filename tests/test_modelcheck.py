@@ -3,14 +3,19 @@ anything is built."""
 
 import itertools
 from dataclasses import replace
+from typing import Iterator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regsync import engine, modelcheck
 from regsync.engine import SyncFailure, SyncResult
 from regsync.modelcheck import initial_state_count, run_modelcheck
-from regsync.regulatory import RegAction, RegState
+from regsync.preservation import DomainStateMap, sync_all
+from regsync.regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from regsync.report import BudgetExceededError
+from regsync.scenario import SyncCommand
+from regsync.sm_core import StateMachineSpec
 
 from test_acceptance import _mutant_skip_release
 
@@ -54,6 +59,33 @@ _lock_neighbour = _succeeded(
 )
 
 
+def _with_cell(gs, c, rec):
+    """``gs`` with ``rec`` put on chain ``c``; every other table is shared."""
+    table = {**gs.chains.get(c, {}), rec.asset_id: rec}
+    return engine.GlobalState({**gs.chains, c: table}, gs.locks)
+
+
+def _appear(aid, gs):
+    """Copy the synced cell onto the first chain that does not hold it."""
+    bare = [c for c in sorted(gs.chains) if aid not in gs.chains[c]]
+    cell = next(table[aid] for table in gs.chains.values() if aid in table)
+    return _with_cell(gs, bare[0], cell) if bare else gs
+
+
+def _flip(aid, gs):
+    """Flip the state of another asset on the first chain that holds one."""
+    for c in sorted(gs.chains):
+        for other, rec in sorted(gs.chains[c].items()):
+            if other != aid:
+                flipped = RegState.FROZEN if rec.reg_state is RegState.ACTIVE else RegState.ACTIVE
+                return _with_cell(gs, c, replace(rec, reg_state=flipped))
+    return gs
+
+
+_appear_on_bare_chain = _succeeded(_appear)
+_flip_neighbour = _succeeded(_flip)
+
+
 def rules(result):
     return {ce.rule for ce in result.counterexamples}
 
@@ -76,10 +108,171 @@ def rules(result):
             id="generic_agreement",
         ),
         pytest.param(_change_owner, (2, 1, 1), {"owner_untouched"}, id="owner_untouched"),
+        # These two can change a table the engine would have shared with its
+        # input; the checker must still compare it.
+        pytest.param(
+            _appear_on_bare_chain, (2, 1, 1), {"sync_isolation", "generic_agreement"},
+            id="cell_appeared",
+        ),
+        pytest.param(
+            _flip_neighbour, (2, 2, 1),
+            {"sync_isolation", "generic_agreement", "valid_state_preservation"},
+            id="projections_differ",
+        ),
     ],
 )
 def test_rule_fires(sync_fn, bounds, fired):
     assert rules(run_modelcheck(*bounds, sync_fn=sync_fn)) == fired
+
+
+def reference_violations(
+    gs: engine.GlobalState,
+    valid: bool,
+    projection: DomainStateMap,
+    step: SyncCommand,
+    result: engine.SyncResult,
+    spec: StateMachineSpec,
+) -> Iterator[tuple[str, str]]:
+    """The (rule, detail) of each guarantee that one sync from ``gs``
+    breaks. ``valid`` and ``projection`` are ``engine.valid_state(gs)`` and
+    ``engine.to_domain_state_map(gs)``, computed once per explored state."""
+    current = engine.get_reg_state(gs, step.source, step.asset)
+    expected = None if current is None else reg_transition(current, step.action)
+    was_locked = engine.is_locked(gs, step.asset)
+    premises = valid and expected is not None and not was_locked
+    if not result.ok:
+        if premises:
+            yield "combined_success", f"sync failed with {result.reason.value}"
+        return
+
+    gs2 = result.state
+    for c in sorted(engine.connected_chains(gs, step.asset)):
+        if engine.get_reg_state(gs2, c, step.asset) is not expected:
+            yield "cross_domain_consistency", f"chain {c} disagrees"
+    for c, table in gs.chains.items():
+        for aid, rec in table.items():
+            after = gs2.chains.get(c, {}).get(aid)
+            if aid != step.asset:
+                if after != rec:
+                    yield "sync_isolation", f"cell ({c}, {aid}) changed"
+            elif after is None or after.owner != rec.owner:
+                yield "owner_untouched", f"cell ({c}, {aid})"
+    for c, table in gs2.chains.items():
+        for aid in table:
+            if aid not in gs.chains.get(c, {}):
+                yield "sync_isolation", f"cell ({c}, {aid}) appeared"
+    if engine.is_locked(gs2, step.asset):
+        yield "lock_released", ""
+    if valid and not engine.valid_state(gs2):
+        yield "valid_state_preservation", ""
+
+    # Generic/concrete agreement on the multi-domain projection.
+    if not was_locked:
+        # ``_value_`` equals ``.value`` without the Python-level descriptor call.
+        generic = sync_all(projection, step.source, step.action._value_, step.asset, spec)
+        if generic is None:
+            yield "generic_agreement", "generic sync_all failed where sync succeeded"
+        elif dict(generic.table) != dict(engine.to_domain_state_map(gs2).table):
+            yield "generic_agreement", "projections differ"
+
+
+CHAINS, ASSETS = ("c1", "c2", "c3"), ("a1", "a2", "a3")
+STATES = st.sampled_from(list(RegState))
+OWNERS = st.sampled_from(["o", "p"])
+
+
+@st.composite
+def checked_states(draw):
+    """States over few names: valid ones, and ones with held locks, cells
+    that disagree across chains, or empty chains."""
+    agreed = {aid: draw(STATES) for aid in ASSETS}
+    consistent = draw(st.booleans())
+    chains = {
+        c: {
+            aid: engine.AssetState(aid, agreed[aid] if consistent else draw(STATES), draw(OWNERS))
+            for aid in draw(st.lists(st.sampled_from(ASSETS), unique=True))
+        }
+        for c in draw(st.lists(st.sampled_from(CHAINS), unique=True))
+    }
+    locks = draw(st.just(frozenset()) | st.frozensets(st.sampled_from(ASSETS)))
+    return engine.GlobalState(chains, locks)
+
+
+# One edit of a successor: put, drop or lock a cell, or drop a chain.
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "remove", "lock", "unlock", "drop_chain"]),
+        st.sampled_from(CHAINS), st.sampled_from(ASSETS), STATES, OWNERS,
+    ),
+    max_size=3,
+)
+
+
+def _edited(gs, edits):
+    """``gs`` after ``edits``; each edit copies only the table it touches."""
+    chains, locks = dict(gs.chains), gs.locks
+    for kind, c, aid, state, owner in edits:
+        if kind == "put":
+            chains[c] = {**chains.get(c, {}), aid: engine.AssetState(aid, state, owner)}
+        elif kind == "remove" and aid in chains.get(c, {}):
+            chains[c] = {a: rec for a, rec in chains[c].items() if a != aid}
+        elif kind == "lock":
+            locks = locks | {aid}
+        elif kind == "unlock":
+            locks = locks - {aid}
+        elif kind == "drop_chain":
+            chains.pop(c, None)
+    return engine.GlobalState(chains, locks)
+
+
+def _results(gs, step, edits):
+    """What a sync_fn may return for ``step`` from ``gs``: the engine's
+    result, each failure, and hand-made successors of the engine's state
+    (of ``gs`` where the engine fails)."""
+    real = engine.sync(step.source, step.action, step.asset, gs)
+    base = real.state or gs
+    successors = [
+        engine.GlobalState(base.chains, base.locks),  # every table shared
+        engine.GlobalState({c: dict(t) for c, t in base.chains.items()}, base.locks),  # rebuilt
+        engine.GlobalState(base.chains, base.locks | {step.asset}),  # the lock left held
+        _edited(base, edits),
+    ]
+    return [real] + [SyncResult.failure(r) for r in SyncFailure] + [
+        SyncResult.success(s) for s in successors
+    ]
+
+
+def _verdicts(check, *args):
+    """The (rule, detail) list ``check(*args)`` gives, or the ValueError it
+    raises (sync_all refuses a source chain the state does not have)."""
+    try:
+        return list(check(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(checked_states(), EDITS)
+def test_checker_matches_the_reference(gs, edits):
+    """run_modelcheck's per-state checker reports, in order, exactly what
+    the full rule scan reports, for every step and every kind of result."""
+    spec = reg_machine_spec()
+    valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
+    out, pending = modelcheck.ModelCheckResult(), []
+    take = modelcheck._visitor(lambda *_: pending.pop(), out)(gs, (gs, ()))
+
+    def checked(step, result):
+        out.counterexamples.clear()
+        pending.append(result)
+        assert take(step) is result.state
+        assert all(ce.initial is gs and ce.steps == (step,) for ce in out.counterexamples)
+        return [(ce.rule, ce.detail) for ce in out.counterexamples]
+
+    for c, action, aid in itertools.product(CHAINS, RegAction, ASSETS):
+        step = SyncCommand(c, action, aid)
+        for result in _results(gs, step, edits):
+            expected = _verdicts(reference_violations, gs, valid, projection, step, result, spec)
+            assert _verdicts(checked, step, result) == expected, (step, result)
 
 
 class TestCombinedSuccess:
@@ -119,6 +312,13 @@ class TestCombinedSuccess:
 
         assert run_modelcheck(2, 1, 1, sync_fn=recording).ok
         assert SyncFailure.INVALID_TRANSITION in reasons
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 0), (1, 1, -3), (0, 1, 2), (1, 0, 2)])
+def test_bounds_below_one_are_refused(bounds):
+    # Each of these would check no sync and report ok.
+    with pytest.raises(ValueError, match="at least 1"):
+        run_modelcheck(*bounds)
 
 
 def test_budget_is_decided_before_anything_is_built(monkeypatch):

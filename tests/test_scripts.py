@@ -37,6 +37,24 @@ def test_script_runs(script, args):
     assert proc.stdout
 
 
+def test_modelcheck_bounds_splits_ops_by_outcome():
+    # One chain, one asset: 5 states x 7 actions, and 12 defined transitions.
+    proc = run_python(str(ROOT / "scripts" / "modelcheck_bounds.py"),
+                      "--max-domains", "1", "--max-assets", "1", "--depth", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "35 syncs (12 successful), 0 violations" in proc.stdout
+    assert "us after a failed sync" in proc.stdout and "us after a successful one" in proc.stdout
+
+
+@pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--max-domains", "0"),
+                                         ("--max-assets", "-3")])
+def test_modelcheck_bounds_refuses_a_bound_below_one(flag, value):
+    # Such a bound checks no sync, which would read as a pass.
+    proc = run_python(str(ROOT / "scripts" / "modelcheck_bounds.py"), flag, value)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"argument {flag}: must be at least 1, got {value}" in proc.stderr
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     proc = run_python("-m", "regsync", "transition", "--from", "ACTIVE", "--action", "FREEZE")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "FROZEN\n", "")
