@@ -14,6 +14,7 @@ import argparse
 import statistics
 import time
 
+from regsync.cli import _int_at_least
 from regsync.liveness import (
     NodeInfo,
     SimConfig,
@@ -23,6 +24,7 @@ from regsync.liveness import (
     gen_adversarial_schedule,
     gen_fair_schedule,
     run_until_drained,
+    validate_bft_config,
 )
 from regsync.priority import AuthorityLevel, RegRequest
 from regsync.regulatory import RegAction, RegState
@@ -52,9 +54,14 @@ def main():
     parser.add_argument("--faults", type=int, default=1)
     parser.add_argument("--timeout", type=int, default=2)
     parser.add_argument("--fairness-bound", type=int, default=3)
-    parser.add_argument("--requests", type=int, nargs="+", default=[5], metavar="N")
-    parser.add_argument("--seeds", type=int, default=100)
+    parser.add_argument("--requests", type=_int_at_least(1), nargs="+", default=[5], metavar="N")
+    parser.add_argument("--seeds", type=_int_at_least(1), default=100)
     args = parser.parse_args()
+    # The sweep's configs differ only in their seed, which no BFT rule reads.
+    cfg = build_config(args.nodes, args.faults, args.timeout, args.fairness_bound, 0)
+    bft = validate_bft_config(cfg)
+    if not bft.ok:
+        parser.error("invalid BFT config: " + "; ".join(str(v) for v in bft.violations))
     for n_requests in args.requests:
         sweep(args, n_requests)
 

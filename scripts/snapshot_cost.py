@@ -10,6 +10,7 @@ import time
 import timeit
 
 from regsync import engine
+from regsync.cli import _int_at_least
 from regsync.regulatory import RegAction, RegState
 
 CHAINS = ("c1", "c2", "c3", "c4")
@@ -26,9 +27,9 @@ def make_state(n_assets: int) -> engine.GlobalState:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--assets", type=int, nargs="+", default=[20, 200])
-    parser.add_argument("--number", type=int, default=200, help="calls per repeat")
-    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--assets", type=_int_at_least(1), nargs="+", default=[20, 200])
+    parser.add_argument("--number", type=_int_at_least(1), default=200, help="calls per repeat")
+    parser.add_argument("--repeat", type=_int_at_least(1), default=5)
     args = parser.parse_args()
 
     for n in args.assets:

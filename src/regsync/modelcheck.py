@@ -7,9 +7,14 @@ guarantees: cross-chain agreement, per-asset isolation, validity
 preservation, guaranteed success under the combined premises, and
 agreement with the generic multi-domain layer.
 
-Each sync is checked only for what its outcome can break: a failed sync
+Each sync is checked only for what its outcome can break. A failed sync
 can break only guaranteed success, whose premises are decided once per
-explored state, and a chain table shared by identity with the input counts
+explored state. A success equal on every cell field to the successor the
+rules prescribe (each holder's cell of the asset takes the target state,
+nothing else changes, the lock is not held; built once per move of an
+explored state, consulting the generic layer once) breaks no rule, as each
+rule reads only what that successor fixes. Other successes are diagnosed
+rule by rule, where a chain table shared by identity with the input counts
 as unchanged, which rests on the engine never mutating a table in place.
 """
 
@@ -161,28 +166,55 @@ def _violations(
             yield "generic_agreement", "projections differ"
 
 
+def _prescribed(
+    gs: engine.GlobalState, projection: DomainStateMap, step: SyncCommand, target: RegState,
+    spec: StateMachineSpec,
+) -> Optional[engine.GlobalState]:
+    """The successor the rules prescribe for ``step``, a move from ``gs`` to
+    ``target``; None if the asset is unlocked and ``sync_all`` disagrees."""
+    aid, chains, cells = step.asset, dict(gs.chains), {}
+    for c, table in gs.chains.items():
+        rec = table.get(aid)
+        if rec is not None:
+            chains[c] = {**table, aid: engine.AssetState(rec.asset_id, target, rec.owner)}
+            cells[(c, aid)] = target._value_
+    if aid not in gs.locks:
+        generic = sync_all(projection, step.source, step.action._value_, aid, spec)
+        if generic is None or generic.table != {**projection.table, **cells}:
+            return None
+    return engine.GlobalState(chains, gs.locks - {aid})
+
+
 def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult) -> Callable:
     """The ``visit`` hook of run_modelcheck: per explored state, a ``take``
     that runs one sync through ``sync_fn``, appends a Counterexample to
     ``out`` for each guarantee it breaks and returns the successor."""
     spec = reg_machine_spec()
-    moves = {s: [a for a in RegAction if reg_transition(s, a) is not None] for s in RegState}
+    moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
 
     def visit(gs: engine.GlobalState, origin) -> Callable:
         valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
-        # Each (source, action, asset) whose combined premises hold: the state
-        # is valid, so it holds no lock, and the source cell's move is defined.
-        premised = {
-            (c, a, aid) for c, table in gs.chains.items() for aid, rec in table.items()
-            for a in moves.get(rec.reg_state, ())
-        } if valid else frozenset()
+        # Each defined move: (source, action, asset) -> (source cell's state, target).
+        moves_at = {
+            (c, a, aid): (rec.reg_state, t) for c, table in gs.chains.items()
+            for aid, rec in table.items() for a, t in moves.get(rec.reg_state, ())
+        }
+        prescribed: dict = {}  # (source cell's state, action, asset) -> successor
 
         def take(step: SyncCommand) -> Optional[engine.GlobalState]:
             result = sync_fn(step.source, step.action, step.asset, gs)
             gs2 = result.state
             if gs2 is not None:
+                move = moves_at.get((step.source, step.action, step.asset))
+                if move is not None:
+                    key = (move[0], step.action, step.asset)
+                    if key not in prescribed:
+                        prescribed[key] = _prescribed(gs, projection, step, move[1], spec)
+                    pre = prescribed[key]
+                    if pre is not None and gs2.chains == pre.chains and gs2.locks == pre.locks:
+                        return gs2
                 broken = _violations(gs, valid, projection, step, gs2, spec)
-            elif (step.source, step.action, step.asset) in premised:
+            elif valid and (step.source, step.action, step.asset) in moves_at:
                 broken = [("combined_success", f"sync failed with {result.reason.value}")]
             else:
                 return None

@@ -21,15 +21,18 @@ class BudgetExceededError(Exception):
 def enumeration_budget() -> int:
     """Current enumeration budget; overridable via REGSYNC_BUDGET.
 
-    Raises ValueError naming the variable when it is not an integer.
+    Raises ValueError naming the variable unless it is a non-negative integer.
     """
     raw = os.environ.get("REGSYNC_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"REGSYNC_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"REGSYNC_BUDGET must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)

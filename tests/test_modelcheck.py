@@ -17,7 +17,7 @@ from regsync.report import BudgetExceededError
 from regsync.scenario import SyncCommand
 from regsync.sm_core import StateMachineSpec
 
-from test_acceptance import _mutant_skip_release
+from test_acceptance import _mutant_allow_seized_freeze, _mutant_skip_release, _mutant_skip_target
 
 
 def _succeeded(mutate):
@@ -123,6 +123,84 @@ def rules(result):
 )
 def test_rule_fires(sync_fn, bounds, fired):
     assert rules(run_modelcheck(*bounds, sync_fn=sync_fn)) == fired
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 1)])
+@pytest.mark.parametrize("sync_fn", [
+    engine.sync, _fail_freeze, _touch_neighbour, _mutant_skip_release, _lock_neighbour,
+    _accept_undefined, _change_owner, _appear_on_bare_chain, _flip_neighbour,
+    _mutant_skip_target, _mutant_allow_seized_freeze,
+])
+def test_prescribed_successor_changes_no_verdict(monkeypatch, sync_fn, bounds):
+    """With no prescribed successor every success is diagnosed rule by rule;
+    the counterexamples must be the same, in the same order."""
+    fast = run_modelcheck(*bounds, sync_fn=sync_fn)
+    monkeypatch.setattr(modelcheck, "_prescribed", lambda *_: None)
+    diagnosed = run_modelcheck(*bounds, sync_fn=sync_fn)
+    assert (fast.states_explored, fast.syncs_checked) == (
+        diagnosed.states_explored, diagnosed.syncs_checked
+    )
+    assert fast.counterexamples == diagnosed.counterexamples
+
+
+def _recording(sync_fn, successes):
+    """``sync_fn``, appending each successful result to ``successes``."""
+
+    def recording(source, action, aid, gs):
+        result = sync_fn(source, action, aid, gs)
+        if result.ok:
+            successes.append(result)
+        return result
+
+    return recording
+
+
+def test_a_generic_layer_fault_is_caught_on_every_success(monkeypatch):
+    """The generic layer is consulted once per move, but a fault in it is
+    still reported for each successful sync of that move."""
+
+    def flipped(*args):
+        result = sync_all(*args)
+        if result is None:
+            return None
+        cell = min(result.table)
+        state = "FROZEN" if result.table[cell] == "ACTIVE" else "ACTIVE"
+        return DomainStateMap(result.domains, {**result.table, cell: state})
+
+    monkeypatch.setattr(modelcheck, "sync_all", flipped)
+    successes = []
+    result = run_modelcheck(2, 1, 1, sync_fn=_recording(engine.sync, successes))
+    verdicts = [(ce.rule, ce.detail) for ce in result.counterexamples]
+    assert verdicts == [("generic_agreement", "projections differ")] * 48
+    assert len(successes) == 48
+
+
+def _rename_synced_cell(aid, gs):
+    """Give the synced asset's cell on every holder another asset_id."""
+    chains = {
+        c: {**t, aid: replace(t[aid], asset_id=aid + "'")} if aid in t else t
+        for c, t in gs.chains.items()
+    }
+    return engine.GlobalState(chains, gs.locks)
+
+
+@pytest.mark.parametrize("sync_fn, diagnosed_share", [
+    (engine.sync, 0), (_succeeded(_rename_synced_cell), 1),
+], ids=["engine", "asset_id_renamed"])
+def test_only_a_mismatch_is_diagnosed_and_it_is_no_verdict(monkeypatch, sync_fn, diagnosed_share):
+    """The engine's successes all match their prescribed successors. A
+    successor that differs only where no rule reads, the synced cell's
+    asset_id, never matches: each of its successes is diagnosed, and passes."""
+    diagnosed, violations = [], modelcheck._violations
+
+    def diagnosis(*args):
+        diagnosed.append(args)
+        return violations(*args)
+
+    monkeypatch.setattr(modelcheck, "_violations", diagnosis)
+    successes = []
+    assert run_modelcheck(2, 2, 1, sync_fn=_recording(sync_fn, successes)).ok
+    assert successes and len(diagnosed) == diagnosed_share * len(successes)
 
 
 def reference_violations(

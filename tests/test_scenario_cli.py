@@ -326,6 +326,19 @@ class TestModelcheckCommand:
         assert code == 2 and out == ""
         assert err == "error: REGSYNC_BUDGET must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("raw", ["-5", "-1"])
+    def test_negative_budget_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("REGSYNC_BUDGET", raw)
+        code, out, err = run_cli(capsys, "modelcheck", "--domains", "1", "--depth", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: REGSYNC_BUDGET must be a non-negative integer, got {raw!r}\n"
+
+    def test_zero_budget_is_a_budget_no_sync_fits(self, capsys, monkeypatch):
+        monkeypatch.setenv("REGSYNC_BUDGET", "0")
+        code, out, err = run_cli(capsys, "modelcheck", "--domains", "1", "--depth", "1")
+        assert code == 2 and out == ""
+        assert err == "error: budget exceeded: needs at least 1 steps, budget is 0\n"
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--depth", "-1"), ("--depth", "0"), ("--domains", "0"), ("--assets", "0"), ("--depth", "x")],

@@ -55,6 +55,31 @@ def test_modelcheck_bounds_refuses_a_bound_below_one(flag, value):
     assert f"argument {flag}: must be at least 1, got {value}" in proc.stderr
 
 
+@pytest.mark.parametrize("script, flag, value", [
+    ("snapshot_cost.py", "--number", "0"),
+    ("snapshot_cost.py", "--repeat", "0"),
+    ("snapshot_cost.py", "--assets", "0"),
+    ("liveness_sweep.py", "--requests", "0"),
+    ("liveness_sweep.py", "--seeds", "0"),
+])
+def test_scripts_refuse_a_count_below_one(script, flag, value):
+    # Each of these crashed, or timed a sync of an asset that does not exist.
+    proc = run_python(str(ROOT / "scripts" / script), flag, value)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"argument {flag}: must be at least 1, got {value}" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--timeout", "0", "timeout_positive"),
+    ("--fairness-bound", "0", "fairness_positive"),
+    ("--faults", "2", "bft_threshold"),
+])
+def test_liveness_sweep_refuses_an_invalid_bft_config(flag, value, rule):
+    proc = run_python(str(ROOT / "scripts" / "liveness_sweep.py"), flag, value, "--seeds", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"error: invalid BFT config: {rule}: " in proc.stderr
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     proc = run_python("-m", "regsync", "transition", "--from", "ACTIVE", "--action", "FREEZE")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "FROZEN\n", "")
