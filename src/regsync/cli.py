@@ -116,7 +116,8 @@ def cmd_simulate(args) -> int:
         raise UsageError(*(f"invalid BFT config: {v}" for v in bft.violations))
 
     # The drain ends within drain_horizon, so no longer schedule is needed.
-    horizon = min(args.max_epochs, liveness.drain_horizon(len(scenario.requests), cfg))
+    bound = liveness.drain_horizon(len(scenario.requests), cfg)
+    horizon = min(args.max_epochs, bound)
     gen = liveness.gen_adversarial_schedule if args.adversarial else liveness.gen_fair_schedule
     try:
         sched = gen(cfg, horizon)
@@ -134,8 +135,18 @@ def cmd_simulate(args) -> int:
 
     starvation = liveness.check_starvation_bound(trace, cfg.fairness_bound)
     completion = liveness.check_eventual_completion(trace)
-    print(f"starvation_bound: {starvation}")
-    print(f"eventual_completion: {completion}")
+    # A violation's line starts with its rule's name.
+    print("starvation_bound: ok" if starvation.ok else starvation)
+    if not completion.ok and horizon < bound:
+        # --max-epochs cut the drain short: it may still have completed.
+        print("eventual_completion: undecided")
+        if starvation.ok:
+            raise UsageError(
+                f"--max-epochs {args.max_epochs} stopped the run with {trace[-1].pending_after}"
+                f" requests pending, before the drain bound of {bound} epochs"
+            )
+        return EXIT_VIOLATION
+    print("eventual_completion: ok" if completion.ok else completion)
     return EXIT_OK if starvation.ok and completion.ok else EXIT_VIOLATION
 
 

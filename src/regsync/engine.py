@@ -4,6 +4,8 @@ Every operation is pure: it returns a fresh GlobalState and never mutates
 its input, so failed syncs leave no partial writes behind. Fresh states
 share what did not change: acquiring or releasing a lock copies only the
 lock set, and an update copies only the asset tables of its target chains.
+An update builds one record per new cell value, shared by the holder chains
+that shared the old one; the records are frozen dataclasses with slots.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ ChainId = str
 AssetKey = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssetState:
     asset_id: AssetKey
     reg_state: RegState
     owner: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalState:
     """Per-chain asset tables plus the set of assets whose lock is held.
 
@@ -60,7 +62,7 @@ class SyncFailure(enum.Enum):
     __hash__ = object.__hash__  # as in regulatory.RegState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyncResult:
     """Success carries the new GlobalState; failure carries a reason tag."""
 
@@ -85,7 +87,8 @@ _FAILURES = {reason: SyncResult(reason=reason) for reason in SyncFailure}
 
 
 def get_reg_state(gs: GlobalState, c: ChainId, aid: AssetKey) -> Optional[RegState]:
-    rec = gs.chains.get(c, {}).get(aid)
+    table = gs.chains.get(c)
+    rec = None if table is None else table.get(aid)
     return None if rec is None else rec.reg_state
 
 
@@ -94,7 +97,7 @@ def asset_exists(gs: GlobalState, c: ChainId, aid: AssetKey) -> bool:
 
 
 def connected_chains(gs: GlobalState, aid: AssetKey) -> frozenset[ChainId]:
-    return frozenset(c for c in gs.chains if aid in gs.chains[c])
+    return frozenset(c for c, table in gs.chains.items() if aid in table)
 
 
 def is_locked(gs: GlobalState, aid: AssetKey) -> bool:
@@ -116,12 +119,16 @@ def release_lock(gs: GlobalState, aid: AssetKey) -> GlobalState:
 def update_all_chains(
     gs: GlobalState, aid: AssetKey, new_state: RegState, targets: frozenset[ChainId]
 ) -> GlobalState:
-    chains = dict(gs.chains)
+    """``gs`` with every target's cell of ``aid`` in ``new_state``, built
+    once per distinct old record object."""
+    chains, built = dict(gs.chains), {}
     for c in targets:
-        table = chains.get(c, {})
-        assert aid in table, f"target {c} does not hold {aid}"
+        table = chains.get(c)
+        assert table is not None and aid in table, f"target {c} does not hold {aid}"
         rec = table[aid]
-        chains[c] = {**table, aid: AssetState(rec.asset_id, new_state, rec.owner)}
+        if id(rec) not in built:
+            built[id(rec)] = AssetState(rec.asset_id, new_state, rec.owner)
+        chains[c] = {**table, aid: built[id(rec)]}
     return GlobalState(chains, gs.locks)
 
 
@@ -134,19 +141,19 @@ def sync(source: ChainId, action: RegAction, aid: AssetKey, gs: GlobalState) -> 
     """
     current = get_reg_state(gs, source, aid)
     if current is None:
-        return SyncResult.failure(SyncFailure.ASSET_NOT_FOUND)
+        return _FAILURES[SyncFailure.ASSET_NOT_FOUND]
     new_state = reg_transition(current, action)
     if new_state is None:
-        return SyncResult.failure(SyncFailure.INVALID_TRANSITION)
+        return _FAILURES[SyncFailure.INVALID_TRANSITION]
     gs_locked = acquire_lock(gs, aid)
     if gs_locked is None:
-        return SyncResult.failure(SyncFailure.LOCKED)
+        return _FAILURES[SyncFailure.LOCKED]
     # Targets are read from the pre-lock state, as in the protocol
     # definition; acquire_lock shares the chain tables, so the two
     # readings coincide.
     targets = connected_chains(gs, aid)
     gs_updated = update_all_chains(gs_locked, aid, new_state, targets)
-    return SyncResult.success(release_lock(gs_updated, aid))
+    return SyncResult(release_lock(gs_updated, aid))
 
 
 def consistent_state(gs: GlobalState) -> bool:

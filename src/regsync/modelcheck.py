@@ -76,11 +76,14 @@ def enumerate_initial_states(n_chains: int, n_assets: int):
         for combo in itertools.combinations(chains, size)
     ]
     per_asset = [(subset, state) for subset in subsets for state in RegState]
+    # One record per (asset, state), shared by its holders in every initial state.
+    cells = {(aid, s): engine.AssetState(aid, s, "owner") for aid in assets for s in RegState}
     for assignment in itertools.product(per_asset, repeat=n_assets):
         tables: dict[str, dict[str, engine.AssetState]] = {c: {} for c in chains}
         for aid, (subset, state) in zip(assets, assignment):
+            cell = cells[aid, state]
             for c in subset:
-                tables[c][aid] = engine.AssetState(aid, state, owner="owner")
+                tables[c][aid] = cell
         # The cells already carry their keys and no lock is held, so
         # GlobalState.make would only copy every table again.
         yield engine.GlobalState(tables, frozenset())
@@ -172,11 +175,13 @@ def _prescribed(
 ) -> Optional[engine.GlobalState]:
     """The successor the rules prescribe for ``step``, a move from ``gs`` to
     ``target``; None if the asset is unlocked and ``sync_all`` disagrees."""
-    aid, chains, cells = step.asset, dict(gs.chains), {}
+    aid, chains, cells, built = step.asset, dict(gs.chains), {}, {}
     for c, table in gs.chains.items():
         rec = table.get(aid)
         if rec is not None:
-            chains[c] = {**table, aid: engine.AssetState(rec.asset_id, target, rec.owner)}
+            if id(rec) not in built:  # one cell per distinct record, as in the engine
+                built[id(rec)] = engine.AssetState(rec.asset_id, target, rec.owner)
+            chains[c] = {**table, aid: built[id(rec)]}
             cells[(c, aid)] = target._value_
     if aid not in gs.locks:
         generic = sync_all(projection, step.source, step.action._value_, aid, spec)

@@ -336,3 +336,75 @@ class TestFromJsonDictRejects:
     def test_wrong_shape_is_a_type_error(self, doc):
         with pytest.raises(TypeError):
             engine.from_json_dict(doc)
+
+
+def reference_update_all_chains(gs, aid, new_state, targets):
+    """update_all_chains with one new record per target, however the
+    targets share records; the engine's result must equal it."""
+    chains = dict(gs.chains)
+    for c in targets:
+        table = chains.get(c, {})
+        assert aid in table, f"target {c} does not hold {aid}"
+        rec = table[aid]
+        chains[c] = {**table, aid: engine.AssetState(rec.asset_id, new_state, rec.owner)}
+    return engine.GlobalState(chains, gs.locks)
+
+
+HOLDER_CHAINS = ["c1", "c2", "c3", "c4"]
+
+
+@st.composite
+def holder_states(draw):
+    """A state whose holders of ``"a"`` share one record, hold distinct
+    equal records, or hold records whose ``asset_id`` or owner differ per
+    chain, beside other assets and a chain without ``"a"``; and targets,
+    a subset of the holders."""
+    pool = draw(st.lists(
+        st.builds(engine.AssetState, st.sampled_from(["a", "b"]), REG_STATES,
+                  st.sampled_from(["o1", "o2"])),
+        min_size=1, max_size=3,
+    ))
+    holders = draw(st.lists(st.sampled_from(HOLDER_CHAINS), min_size=1, unique=True))
+    chains = {}
+    for c in HOLDER_CHAINS + ["c5"]:
+        others = draw(st.dictionaries(st.sampled_from(["b", "x"]), REG_STATES, max_size=2))
+        chains[c] = {aid: engine.AssetState(aid, reg, "o") for aid, reg in others.items()}
+    for c in holders:
+        rec = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            rec = engine.AssetState(rec.asset_id, rec.reg_state, rec.owner)  # equal, not shared
+        chains[c]["a"] = rec
+    locks = frozenset(draw(st.lists(st.sampled_from(["a", "b"]), unique=True)))
+    targets = frozenset(draw(st.lists(st.sampled_from(holders), unique=True)))
+    return engine.GlobalState(chains, locks), targets
+
+
+class TestUpdateAllChainsMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(holder_states(), REG_STATES)
+    def test_same_chains_and_each_target_keeps_its_record_fields(self, state, new_state):
+        gs, targets = state
+        updated = engine.update_all_chains(gs, "a", new_state, targets)
+        assert updated == reference_update_all_chains(gs, "a", new_state, targets)
+        for c, table in gs.chains.items():
+            new_table = updated.chains[c]
+            if c not in targets:
+                assert new_table is table
+                continue
+            old = table["a"]
+            assert new_table["a"] == engine.AssetState(old.asset_id, new_state, old.owner)
+            assert all(new_table[aid] is rec for aid, rec in table.items() if aid != "a")
+        # Holders that shared a record share its successor; the others do not.
+        for c1 in targets:
+            for c2 in targets:
+                assert (updated.chains[c1]["a"] is updated.chains[c2]["a"]) == (
+                    gs.chains[c1]["a"] is gs.chains[c2]["a"]
+                )
+
+    def test_sync_leaves_holders_of_one_record_holding_one_new_record(self):
+        rec = engine.AssetState("a1", RegState.ACTIVE, "owner")
+        gs = engine.GlobalState({c: {"a1": rec} for c in ("c1", "c2", "c3")}, frozenset())
+        result = engine.sync("c2", RegAction.FREEZE, "a1", gs)
+        cells = {id(table["a1"]) for table in result.state.chains.values()}
+        assert len(cells) == 1
+        assert result.state.chains["c1"]["a1"] == engine.AssetState("a1", RegState.FROZEN, "owner")

@@ -447,3 +447,24 @@ def test_initial_states_equal_the_make_built_ones(bounds):
         rec.asset_id == aid for gs in built for table in gs.chains.values()
         for aid, rec in table.items()
     )
+
+
+def test_initial_states_share_one_record_per_asset_and_state():
+    states = list(modelcheck.enumerate_initial_states(3, 2))
+    records = {id(rec) for gs in states for table in gs.chains.values() for rec in table.values()}
+    assert len(records) == 2 * len(RegState)
+
+
+def test_the_holders_of_a_prescribed_successor_share_one_cell():
+    gs = next(
+        gs for gs in modelcheck.enumerate_initial_states(3, 1)
+        if len(engine.connected_chains(gs, "a1")) == 3
+        and gs.chains["c1"]["a1"].reg_state is RegState.ACTIVE
+    )
+    step = SyncCommand("c2", RegAction.FREEZE, "a1")
+    successor = modelcheck._prescribed(
+        gs, engine.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec()
+    )
+    cells = [table["a1"] for table in successor.chains.values()]
+    assert len(cells) == 3 and all(cell is cells[0] for cell in cells)
+    assert cells[0] == engine.AssetState("a1", RegState.FROZEN, "owner")

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsync import cli, engine, modelcheck
+from regsync import cli, engine, liveness, modelcheck
 from regsync.modelcheck import run_modelcheck
 from regsync.regulatory import RegAction
 from regsync.scenario import ScenarioError, canonical_dumps, parse_scenario, scenario_from_json
@@ -641,6 +641,56 @@ class TestSimulateCommand:
         doc["sim"]["nodes"] = doc["sim"]["nodes"][:3]
         code, _, err = run_cli(capsys, "simulate", str(write(tmp_path, doc)))
         assert code == 2 and "bft_threshold" in err
+
+
+def simulate_requests_doc(n_requests, lock_timeout=2):
+    """simulate_doc with its first ``n_requests`` requests and that lock timeout."""
+    doc = simulate_doc()
+    doc["requests"] = doc["requests"][:n_requests]
+    doc["sim"]["lock_timeout"] = lock_timeout
+    return doc
+
+
+class TestSimulateVerdicts:
+    """A run cut short by --max-epochs has no completion verdict; a drain
+    that reaches its bound with requests pending has failed to complete."""
+
+    def test_run_cut_short_by_max_epochs_is_undecided(self, capsys, tmp_path):
+        # The first two leaders are Byzantine, so the request is still pending.
+        path = write(tmp_path, simulate_requests_doc(1))
+        code, out, err = run_cli(
+            capsys, "simulate", str(path), "--adversarial", "--max-epochs", "2"
+        )
+        assert code == 2
+        assert sum(line.startswith("{") for line in out.splitlines()) == 2
+        assert out.endswith("starvation_bound: ok\neventual_completion: undecided\n")
+        assert err == (
+            "error: --max-epochs 2 stopped the run with 1 requests pending,"
+            " before the drain bound of 5 epochs\n"
+        )
+
+    def test_pending_at_the_drain_bound_is_a_violation(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(liveness, "drain_horizon", lambda n_requests, cfg: 2)
+        path = write(tmp_path, simulate_requests_doc(1))
+        code, out, err = run_cli(capsys, "simulate", str(path), "--adversarial")
+        assert code == 1 and err == ""
+        assert out.endswith("starvation_bound: ok\neventual_completion: 1: 1 requests left\n")
+
+    @pytest.mark.parametrize("max_epochs, completion", [("6", "undecided"), ("1000", "ok")])
+    def test_a_starvation_window_is_a_violation_cut_short_or_not(
+        self, capsys, tmp_path, max_epochs, completion
+    ):
+        # A lock timeout above the fairness bound lets a withheld lock
+        # outlast a window of 3 epochs.
+        path = write(tmp_path, simulate_requests_doc(2, lock_timeout=8))
+        code, out, err = run_cli(
+            capsys, "simulate", str(path), "--adversarial", "--max-epochs", max_epochs
+        )
+        assert code == 1 and err == ""
+        verdicts = [line for line in out.splitlines() if not line.startswith("{")]
+        assert verdicts[0] == "starvation_bound: (3, 6): pending stuck at 1"
+        assert all(line.count("starvation_bound") == 1 for line in verdicts[:-1])
+        assert verdicts[-1] == f"eventual_completion: {completion}"
 
 
 @pytest.mark.parametrize(
