@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
 
     # The drain ends within drain_horizon, so no longer schedule is needed.
     bound = liveness.drain_horizon(len(scenario.requests), cfg)
-    horizon = min(args.max_epochs, bound)
+    horizon = bound if args.max_epochs is None else min(args.max_epochs, bound)
     gen = liveness.gen_adversarial_schedule if args.adversarial else liveness.gen_fair_schedule
     try:
         sched = gen(cfg, horizon)
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--adversarial", action="store_true")
-    p.add_argument("--max-epochs", type=_int_at_least(1), default=1000)
+    p.add_argument("--max-epochs", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_simulate)
 
     return parser

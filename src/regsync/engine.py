@@ -11,6 +11,7 @@ that shared the old one; the records are frozen dataclasses with slots.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
@@ -249,24 +250,40 @@ def canonical_dumps(gs: GlobalState) -> str:
     uses its pure-Python encoder whenever ``indent`` is set. The writer
     walks the to_json_dict tree, so the snapshot keeps the fields that
     function defines; strings go through the C escaper json.dumps uses.
-    A cell's ``"state"`` line comes from ``_STATE_LINES``, escaped once
-    at import, since only five strings can appear there.
+
+    Each cell's text comes from ``_cell_text``, a cache keyed by the
+    cell's four JSON fields ``(aid, locked, owner, state)`` as read from
+    that tree: a state renders only the cells no earlier snapshot in the
+    process rendered, which after a sync are the synced asset's cells.
+    The cache holds one entry per distinct cell rendered, so at most 10
+    (5 states x 2 lock flags) per asset and owner.
     """
-    esc, state_lines = encode_basestring_ascii, _STATE_LINES
+    esc, cell_text = encode_basestring_ascii, _cell_text
     doc = to_json_dict(gs)
     chains = []
     for c, table in sorted(doc["chains"].items()):
         cells = [
-            f'      {esc(aid)}: {{\n'
-            f'        "locked": {"true" if cell["locked"] else "false"},\n'
-            f'        "owner": {esc(cell["owner"])},\n'
-            f'{state_lines[cell["state"]]}'
-            f'      }}'
+            cell_text(aid, cell["locked"], cell["owner"], cell["state"])
             for aid, cell in sorted(table.items())
         ]
         chains.append(f"    {esc(c)}: {_block(cells, '    ')}")
     locks = [f'    {esc(aid)}: true' for aid in sorted(doc["locks"])]
     return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(locks, "  ")}\n}}\n'
+
+
+@functools.cache
+def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str) -> str:
+    """The snapshot text of one cell, from its key to its closing brace.
+    The ``"state"`` line comes from ``_STATE_LINES``, escaped once at
+    import, since only five strings can appear there."""
+    esc = encode_basestring_ascii
+    return (
+        f'      {esc(aid)}: {{\n'
+        f'        "locked": {"true" if locked else "false"},\n'
+        f'        "owner": {esc(owner)},\n'
+        f'{_STATE_LINES[state]}'
+        f'      }}'
+    )
 
 
 # The ``"state"`` line of a snapshot cell, by state name.

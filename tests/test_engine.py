@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from regsync import engine
 from regsync.engine import SyncFailure
 from regsync.preservation import check_consistent_init, sync_all
-from regsync.regulatory import RegAction, RegState, reg_machine_spec
+from regsync.regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 
 from conftest import make_state
 
@@ -312,6 +313,89 @@ class TestCanonicalDumpsMatchesReference:
     @example(engine.GlobalState.make({"c1": {}, "c2": {}}, {"a1": False}))
     def test_byte_identical(self, gs):
         assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
+
+
+# Asset ids and owners that JSON must escape, or that are non-ASCII or a
+# lone surrogate, beside plain ones.
+STREAM_ASSETS = ['"', "\\", "é", "\udc80"] + [f"a{i}" for i in range(32)]
+STREAM_OWNERS = ['o"', "o\\", "é", "\ud800", "o"]
+STREAM_CHAINS = ["c1", "c2", "c3", "c4"]
+STREAM_ACTIONS = [a for a in RegAction if a is not RegAction.CONFISCATE]
+
+
+def snapshot_stream(seed, steps=2000):
+    """The initial state and the state after each of ``steps`` seeded steps,
+    with the failure reason of each failed sync. Each asset sits on a random
+    non-empty subset of 4 chains, with an owner drawn per chain, and 4 locks
+    start held. Four steps in five are syncs, mostly from a holder and with
+    a defined action; the rest are lock acquires and releases. CONFISCATE,
+    which ends an asset's life, is drawn rarely."""
+    rng = random.Random(seed)
+    chains, holders = {c: {} for c in STREAM_CHAINS}, {}
+    for aid in STREAM_ASSETS:
+        reg = rng.choice(list(RegState))
+        holders[aid] = rng.sample(STREAM_CHAINS, rng.randint(1, len(STREAM_CHAINS)))
+        for c in holders[aid]:
+            chains[c][aid] = engine.AssetState(aid, reg, rng.choice(STREAM_OWNERS))
+    gs = engine.GlobalState(chains, frozenset(rng.sample(STREAM_ASSETS, 4)))
+    states, failures = [gs], []
+    for _ in range(steps):
+        aid, draw = rng.choice(STREAM_ASSETS), rng.random()
+        if draw < 0.8:
+            source = rng.choice(holders[aid] if rng.random() < 0.9 else STREAM_CHAINS)
+            reg = engine.get_reg_state(gs, source, aid)
+            defined = [a for a in STREAM_ACTIONS if reg and reg_transition(reg, a)]
+            action = rng.choice(defined if defined and rng.random() < 0.7 else STREAM_ACTIONS)
+            if rng.random() < 0.005:
+                action = RegAction.CONFISCATE
+            result = engine.sync(source, action, aid, gs)
+            if result.ok:
+                gs = result.state
+            else:
+                failures.append(result.reason)
+        elif draw < 0.87:
+            gs = engine.acquire_lock(gs, aid) or gs
+        else:
+            gs = engine.release_lock(gs, aid)
+        states.append(gs)
+    return states, failures
+
+
+def rendered_cells(gs):
+    """The ``(aid, locked, owner, state)`` of every cell of ``gs``'s JSON form."""
+    return {
+        (aid, cell["locked"], cell["owner"], cell["state"])
+        for table in engine.to_json_dict(gs)["chains"].values()
+        for aid, cell in table.items()
+    }
+
+
+class TestCellTextCache:
+    """canonical_dumps takes each cell's text from a cache; a warm cache
+    must render what a cold one does, and hold one entry per cell seen."""
+
+    def test_cold_and_warm_snapshots_match_the_reference(self):
+        states, failures = snapshot_stream(seed=7)
+        # The stream reaches every sync outcome and shows held locks.
+        assert set(failures) == set(SyncFailure)
+        assert any(locked for gs in states for _, locked, _, _ in rendered_cells(gs))
+        engine._cell_text.cache_clear()
+        expected = []
+        for gs in states:
+            expected.append(reference_canonical_dumps(gs))
+            assert engine.canonical_dumps(gs) == expected[-1]
+        misses = engine._cell_text.cache_info().misses
+        assert [engine.canonical_dumps(gs) for gs in states] == expected
+        # The second pass renders no cell anew.
+        assert engine._cell_text.cache_info().misses == misses
+
+    def test_cache_holds_one_entry_per_distinct_cell(self):
+        states, _ = snapshot_stream(seed=8)
+        engine._cell_text.cache_clear()
+        for gs in states:
+            engine.canonical_dumps(gs)
+        distinct = set().union(*map(rendered_cells, states))
+        assert engine._cell_text.cache_info().currsize == len(distinct)
 
 
 class TestSnapshotLockFlag:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -643,6 +644,32 @@ class TestSimulateCommand:
         assert code == 2 and "bft_threshold" in err
 
 
+def generated_simulate_doc(n_requests, n_assets, seed):
+    """A seeded scenario of ``n_requests`` random requests over ``n_assets``
+    assets, each on a random non-empty subset of 4 chains; node 0 of 4 is
+    Byzantine. Each node's timestamps increase, so priority keys differ."""
+    rng = random.Random(seed)
+    chains = {c: {} for c in ("c1", "c2", "c3", "c4")}
+    for i in range(n_assets):
+        cell = {"state": rng.choice(["ACTIVE", "FROZEN", "SEIZED", "RESTRICTED"]),
+                "owner": "o", "locked": False}
+        for c in rng.sample(sorted(chains), rng.randint(1, len(chains))):
+            chains[c][f"a{i}"] = cell
+    clock = [0] * 4
+    requests = []
+    for _ in range(n_requests):
+        node = rng.randrange(4)
+        clock[node] += rng.randint(1, 3)
+        requests.append({"node": node, "timestamp": clock[node],
+                         "authority": rng.choice(["Regional", "National", "International"]),
+                         "action": rng.choice([a.value for a in RegAction]),
+                         "asset": f"a{rng.randrange(n_assets)}"})
+    doc = simulate_doc()
+    doc["state"] = {"chains": chains, "locks": {}}
+    doc["requests"] = requests
+    return doc
+
+
 def simulate_requests_doc(n_requests, lock_timeout=2):
     """simulate_doc with its first ``n_requests`` requests and that lock timeout."""
     doc = simulate_doc()
@@ -675,6 +702,17 @@ class TestSimulateVerdicts:
         code, out, err = run_cli(capsys, "simulate", str(path), "--adversarial")
         assert code == 1 and err == ""
         assert out.endswith("starvation_bound: ok\neventual_completion: 1: 1 requests left\n")
+
+    @pytest.mark.parametrize("schedule", [[], ["--adversarial"]], ids=["fair", "adversarial"])
+    def test_default_run_of_many_requests_is_decided(self, capsys, tmp_path, schedule):
+        # 1,000 requests need more than 1,000 epochs on either schedule; with
+        # no --max-epochs the run goes to the drain bound and completes.
+        path = write(tmp_path, generated_simulate_doc(1000, 200, seed=1))
+        code, out, err = run_cli(capsys, "simulate", str(path), *schedule)
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+        assert len(records) > 1000 and records[-1]["pending_after"] == 0
+        assert out.endswith("starvation_bound: ok\neventual_completion: ok\n")
 
     @pytest.mark.parametrize("max_epochs, completion", [("6", "undecided"), ("1000", "ok")])
     def test_a_starvation_window_is_a_violation_cut_short_or_not(
