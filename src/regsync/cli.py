@@ -30,15 +30,11 @@ class UsageError(Exception):
 
 
 def _matrix_table() -> str:
-    col = max(len(a.value) for a in RegAction) + 2
-    head = " " * 12 + "".join(a.value.ljust(col) for a in RegAction)
-    lines = [head]
+    col = max(map(len, RegAction)) + 2
+    lines = [" " * 12 + "".join(a.ljust(col) for a in RegAction)]
     for s in RegState:
-        cells = []
-        for a in RegAction:
-            target = reg_transition(s, a)
-            cells.append(("--" if target is None else target.value).ljust(col))
-        lines.append(s.value.ljust(12) + "".join(cells))
+        targets = (reg_transition(s, a) or "--" for a in RegAction)
+        lines.append(s.ljust(12) + "".join(t.ljust(col) for t in targets))
     return "\n".join(lines)
 
 
@@ -54,8 +50,7 @@ def cmd_transition(args) -> int:
     except ValueError as exc:
         usage = "usage: regsync transition [--from STATE --action ACTION]"
         raise UsageError(f"{exc}\n{usage}") from exc
-    target = reg_transition(s, a)
-    print("--" if target is None else target.value)
+    print(reg_transition(s, a) or "--")
     return EXIT_OK
 
 
@@ -65,8 +60,8 @@ def cmd_sync(args) -> int:
     mismatched = False
     for i, cmd in enumerate(scenario.sync):
         result = engine.sync(cmd.source, cmd.action, cmd.asset, gs)
-        tag = "ok" if result.ok else result.reason.value
-        print(f"step {i}: {cmd.source} {cmd.action.value} {cmd.asset} -> {tag}")
+        tag = "ok" if result.ok else result.reason
+        print(f"step {i}: {cmd.source} {cmd.action} {cmd.asset} -> {tag}")
         if result.ok:
             gs = result.state
         print(engine.canonical_dumps(gs), end="")

@@ -10,14 +10,13 @@ that shared the old one; the records are frozen dataclasses with slots.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
 
 from .preservation import DomainStateMap
-from .regulatory import RegAction, RegState, reg_transition
+from .regulatory import RegAction, RegState, TextEnum, reg_transition
 
 ChainId = str
 AssetKey = str
@@ -55,12 +54,10 @@ class GlobalState:
         return GlobalState(fixed, frozenset(a for a, held in (locks or {}).items() if held))
 
 
-class SyncFailure(enum.Enum):
+class SyncFailure(TextEnum):
     ASSET_NOT_FOUND = "AssetNotFound"
     INVALID_TRANSITION = "InvalidTransition"
     LOCKED = "Locked"
-
-    __hash__ = object.__hash__  # as in regulatory.RegState
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +172,7 @@ def valid_state(gs: GlobalState) -> bool:
 def to_domain_state_map(gs: GlobalState) -> DomainStateMap:
     """Project chains to the generic multi-domain layer (reg_state only)."""
     table = {
-        (c, aid): rec.reg_state._value_
+        (c, aid): rec.reg_state
         for c, chain in gs.chains.items()
         for aid, rec in chain.items()
     }
@@ -184,17 +181,14 @@ def to_domain_state_map(gs: GlobalState) -> DomainStateMap:
 
 def to_json_dict(gs: GlobalState) -> dict:
     """The JSON form of ``gs``; each cell's ``"locked"`` is read from the
-    lock set, and ``"locks"`` maps each held lock to true.
-
-    Each cell's ``"state"`` is the member's stored ``_value_``: it equals
-    ``.value``, which on Python 3.11 is a Python-level descriptor call,
-    and this runs once per cell of every snapshot."""
+    lock set, and ``"locks"`` maps each held lock to true. Each cell's
+    ``"state"`` is the RegState member, which json writes as its name."""
     locks = gs.locks
     return {
         "chains": {
             c: {
                 aid: {
-                    "state": rec.reg_state._value_,
+                    "state": rec.reg_state,
                     "owner": rec.owner,
                     "locked": aid in locks,
                 }
@@ -286,10 +280,8 @@ def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str) -> str:
     )
 
 
-# The ``"state"`` line of a snapshot cell, by state name.
-_STATE_LINES = {
-    s._value_: f'        "state": {encode_basestring_ascii(s._value_)}\n' for s in RegState
-}
+# The ``"state"`` line of a snapshot cell, by state.
+_STATE_LINES = {s: f'        "state": {encode_basestring_ascii(s)}\n' for s in RegState}
 
 
 def _block(items: list[str], indent: str) -> str:

@@ -8,12 +8,13 @@ pending asset until the timeout forces release.
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import engine
 from .priority import (
@@ -95,26 +96,52 @@ def lock_effective(lock_time: int, current_time: int, timeout: int) -> bool:
     return current_time < expiry_time(lock_time, timeout)
 
 
-@dataclass(frozen=True)
 class LeaderSchedule:
-    leaders: tuple[int, ...]
+    """The leader of each epoch below ``horizon``: ``leaders`` itself, or,
+    with ``horizon`` given, the first ``horizon`` that the iterator
+    ``leaders`` yields, each drawn when its epoch is first asked for. So a
+    drain costs the epochs it steps, not the horizon. Equal schedules have
+    equal leaders."""
 
-    @property
-    def horizon(self) -> int:
-        return len(self.leaders)
+    def __init__(self, leaders: Iterable[int], horizon: Optional[int] = None):
+        self._drawn = [] if horizon is not None else list(leaders)
+        self._draws = iter(leaders)
+        self.horizon = len(self._drawn) if horizon is None else max(horizon, 0)
 
     def leader_at(self, epoch: int) -> int:
-        return self.leaders[epoch]
+        drawn = self._drawn
+        while len(drawn) <= epoch < self.horizon:
+            drawn.append(next(self._draws))
+        return drawn[epoch]
+
+    @property
+    def leaders(self) -> tuple[int, ...]:
+        return tuple(map(self.leader_at, range(self.horizon)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LeaderSchedule) and self.leaders == other.leaders
+
+
+def _windows_without(hits: Iterable[bool], k: int) -> Iterator[int]:
+    """The start of every run of ``k`` consecutive entries of ``hits`` with
+    no true entry, ascending, in one pass: the run ending at ``end`` has
+    none iff the last true entry is ``k`` or more places back."""
+    if k < 1:
+        raise ValueError(f"window length must be at least 1, got {k}")
+    last = -1
+    for end, hit in enumerate(hits):
+        if hit:
+            last = end
+        elif end - last >= k:
+            yield end - k + 1
 
 
 def check_fair_leader(sched: LeaderSchedule, cfg: SimConfig) -> ValidationReport:
     """Every fairness_bound-length window must contain an honest leader."""
     report = ValidationReport()
-    k = cfg.fairness_bound
-    for start in range(0, max(sched.horizon - k + 1, 0)):
-        window = sched.leaders[start : start + k]
-        if not any(cfg.is_honest(n) for n in window):
-            report.add("fair_leader", (start, start + k), f"window {window}")
+    k, leaders = cfg.fairness_bound, sched.leaders
+    for start in _windows_without(map(cfg.is_honest, leaders), k):
+        report.add("fair_leader", (start, start + k), f"window {leaders[start : start + k]}")
     return report
 
 
@@ -134,24 +161,19 @@ def gen_adversarial_schedule(cfg: SimConfig, horizon: int) -> LeaderSchedule:
 def _gen_schedule(
     cfg: SimConfig, horizon: int, tag: str, others: tuple[NodeInfo, ...]
 ) -> LeaderSchedule:
-    """Leaders drawn by ``random.Random(f"{tag}:{seed}")``: an honest node at
-    each e with e % fairness_bound == fairness_bound - 1, else one of ``others``."""
-    honest = sorted(cfg.honest_nodes, key=lambda n: n.node_id)
-    others = sorted(others, key=lambda n: n.node_id)
+    """Leaders drawn by ``random.Random(f"{tag}:{seed}")`` as the epochs are
+    reached: an honest node at each e with e % fairness_bound ==
+    fairness_bound - 1, else one of ``others``."""
+    honest = sorted(n.node_id for n in cfg.honest_nodes)
+    others = sorted(n.node_id for n in others)
     if not honest:
         raise ValueError("no honest nodes; fair_leader is unsatisfiable")
     # With an honest node present, only the Byzantine pool can be empty.
     if not others:
         raise ValueError("no Byzantine nodes available for an adversarial schedule")
-    rng = random.Random(f"{tag}:{cfg.seed}")
-    k = cfg.fairness_bound
-    leaders = []
-    for e in range(horizon):
-        pool = honest if e % k == k - 1 else others
-        leaders.append(rng.choice(pool).node_id)
-    sched = LeaderSchedule(tuple(leaders))
-    assert check_fair_leader(sched, cfg).ok
-    return sched
+    rng, k = random.Random(f"{tag}:{cfg.seed}"), cfg.fairness_bound
+    draws = (rng.choice(honest if e % k == k - 1 else others) for e in itertools.count())
+    return LeaderSchedule(draws, horizon)
 
 
 @dataclass(frozen=True)
@@ -279,7 +301,7 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
             # With no chain holding the asset, any source fails AssetNotFound.
             source = min(engine.connected_chains(gs, chosen.asset), default="")
             result = engine.sync(source, chosen.action, chosen.asset, gs)
-            outcome = "ok" if result.ok else result.reason.value
+            outcome = "ok" if result.ok else result.reason
             # A failed sync holds no lock: only a successful one logs events.
             if result.ok:
                 gs = result.state
@@ -356,16 +378,12 @@ def check_starvation_bound(trace: EpochTrace, k: int) -> ValidationReport:
     """Every full k-window starting at positive pending must contain a
     strict decrease."""
     report = ValidationReport()
-    for i, record in enumerate(trace):
-        if record.pending_before == 0 or i + k > len(trace):
-            continue
-        window = trace[i : i + k]
-        if not any(r.pending_after < r.pending_before for r in window):
-            report.add(
-                "starvation_bound",
-                (window[0].epoch, window[-1].epoch + 1),
-                f"pending stuck at {record.pending_before}",
-            )
+    progress = (r.pending_after < r.pending_before for r in trace)
+    for start in _windows_without(progress, k):
+        first, last = trace[start], trace[start + k - 1]
+        if first.pending_before != 0:
+            detail = f"pending stuck at {first.pending_before}"
+            report.add("starvation_bound", (first.epoch, last.epoch + 1), detail)
     return report
 
 

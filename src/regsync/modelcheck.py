@@ -161,8 +161,7 @@ def _violations(
 
     # Generic/concrete agreement on the multi-domain projection.
     if not engine.is_locked(gs, step.asset):
-        # ``_value_`` equals ``.value`` without the Python-level descriptor call.
-        generic = sync_all(projection, step.source, step.action._value_, step.asset, spec)
+        generic = sync_all(projection, step.source, step.action, step.asset, spec)
         if generic is None:
             yield "generic_agreement", "generic sync_all failed where sync succeeded"
         elif generic.table != engine.to_domain_state_map(gs2).table:
@@ -182,9 +181,9 @@ def _prescribed(
             if id(rec) not in built:  # one cell per distinct record, as in the engine
                 built[id(rec)] = engine.AssetState(rec.asset_id, target, rec.owner)
             chains[c] = {**table, aid: built[id(rec)]}
-            cells[(c, aid)] = target._value_
+            cells[(c, aid)] = target
     if aid not in gs.locks:
-        generic = sync_all(projection, step.source, step.action._value_, aid, spec)
+        generic = sync_all(projection, step.source, step.action, aid, spec)
         if generic is None or generic.table != {**projection.table, **cells}:
             return None
     return engine.GlobalState(chains, gs.locks - {aid})
@@ -220,7 +219,7 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult) -
                         return gs2
                 broken = _violations(gs, valid, projection, step, gs2, spec)
             elif valid and (step.source, step.action, step.asset) in moves_at:
-                broken = [("combined_success", f"sync failed with {result.reason.value}")]
+                broken = [("combined_success", f"sync failed with {result.reason}")]
             else:
                 return None
             trail = origin[1] + (step,)

@@ -8,16 +8,15 @@ subtraction stays total.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .engine import json_value
-from .regulatory import RegAction
+from .regulatory import RegAction, TextEnum
 from .report import ValidationReport
 
 
-class AuthorityLevel(enum.Enum):
+class AuthorityLevel(TextEnum):
     REGIONAL = "Regional"
     NATIONAL = "National"
     INTERNATIONAL = "International"
@@ -135,7 +134,7 @@ def check_injectivity(rs, cfg: PriorityConfig = PriorityConfig()) -> ValidationR
 
 
 def request_id(r: RegRequest) -> str:
-    return f"n{r.node_id}-t{r.timestamp}-{r.action.value}-{r.asset}"
+    return f"n{r.node_id}-t{r.timestamp}-{r.action}-{r.asset}"
 
 
 def request_from_json(obj: dict) -> RegRequest:
@@ -151,8 +150,8 @@ def request_from_json(obj: dict) -> RegRequest:
 def request_to_json(r: RegRequest) -> dict:
     return {
         "node": r.node_id,
-        "authority": r.authority.value,
+        "authority": r.authority,
         "timestamp": r.timestamp,
-        "action": r.action.value,
+        "action": r.action,
         "asset": r.asset,
     }

@@ -1,7 +1,8 @@
 """The concrete regulatory machine: five states, seven actions, 12 transitions.
 
-The transition matrix is literal data so the cell-by-cell checks in the
-test suite compare against exactly what ships.
+One generic StateMachineSpec over string-valued members is the only table:
+``reg_transition`` and the generic layer read it alike. The matrix is
+literal data so the cell-by-cell tests compare against exactly what ships.
 """
 
 from __future__ import annotations
@@ -12,23 +13,24 @@ from typing import Optional
 from .sm_core import StateMachineSpec
 
 
-class RegState(enum.Enum):
+class TextEnum(str, enum.Enum):
+    """A string-valued enumeration: a member is a str equal to its value,
+    hashes like it (in C), and writes out as it under ``str``, f-strings and
+    ``json`` on every Python version. ``Class(text)`` rejects other text."""
+
+    __str__ = str.__str__
+    __format__ = str.__format__  # Enum's gives the same text from Python code
+
+
+class RegState(TextEnum):
     ACTIVE = "ACTIVE"
     FROZEN = "FROZEN"
     SEIZED = "SEIZED"
     CONFISCATED = "CONFISCATED"
     RESTRICTED = "RESTRICTED"
 
-    # Members are singletons and compare by identity, so the identity hash
-    # agrees with equality; it is a C slot, where Enum.__hash__ is a Python
-    # call on every dict lookup keyed by a member.
-    __hash__ = object.__hash__
 
-    def __str__(self) -> str:
-        return self.value
-
-
-class RegAction(enum.Enum):
+class RegAction(TextEnum):
     FREEZE = "FREEZE"
     SEIZE = "SEIZE"
     CONFISCATE = "CONFISCATE"
@@ -37,29 +39,28 @@ class RegAction(enum.Enum):
     UNRESTRICT = "UNRESTRICT"
     RELEASE = "RELEASE"
 
-    __hash__ = object.__hash__  # as in RegState
-
-    def __str__(self) -> str:
-        return self.value
-
 
 # The full matrix: 12 defined cells, the other 23 of the 35 are undefined.
-REG_TRANSITIONS: dict[tuple[RegState, RegAction], RegState] = {
-    (RegState.ACTIVE, RegAction.FREEZE): RegState.FROZEN,
-    (RegState.ACTIVE, RegAction.SEIZE): RegState.SEIZED,
-    (RegState.ACTIVE, RegAction.CONFISCATE): RegState.CONFISCATED,
-    (RegState.ACTIVE, RegAction.RESTRICT): RegState.RESTRICTED,
-    (RegState.FROZEN, RegAction.SEIZE): RegState.SEIZED,
-    (RegState.FROZEN, RegAction.CONFISCATE): RegState.CONFISCATED,
-    (RegState.FROZEN, RegAction.UNFREEZE): RegState.ACTIVE,
-    (RegState.SEIZED, RegAction.CONFISCATE): RegState.CONFISCATED,
-    (RegState.SEIZED, RegAction.RELEASE): RegState.ACTIVE,
-    (RegState.RESTRICTED, RegAction.FREEZE): RegState.FROZEN,
-    (RegState.RESTRICTED, RegAction.CONFISCATE): RegState.CONFISCATED,
-    (RegState.RESTRICTED, RegAction.UNRESTRICT): RegState.ACTIVE,
-}
-
-TERMINAL_STATE = RegState.CONFISCATED
+REG_MACHINE = StateMachineSpec.make(
+    RegState,
+    RegAction,
+    {
+        (RegState.ACTIVE, RegAction.FREEZE): RegState.FROZEN,
+        (RegState.ACTIVE, RegAction.SEIZE): RegState.SEIZED,
+        (RegState.ACTIVE, RegAction.CONFISCATE): RegState.CONFISCATED,
+        (RegState.ACTIVE, RegAction.RESTRICT): RegState.RESTRICTED,
+        (RegState.FROZEN, RegAction.SEIZE): RegState.SEIZED,
+        (RegState.FROZEN, RegAction.CONFISCATE): RegState.CONFISCATED,
+        (RegState.FROZEN, RegAction.UNFREEZE): RegState.ACTIVE,
+        (RegState.SEIZED, RegAction.CONFISCATE): RegState.CONFISCATED,
+        (RegState.SEIZED, RegAction.RELEASE): RegState.ACTIVE,
+        (RegState.RESTRICTED, RegAction.FREEZE): RegState.FROZEN,
+        (RegState.RESTRICTED, RegAction.CONFISCATE): RegState.CONFISCATED,
+        (RegState.RESTRICTED, RegAction.UNRESTRICT): RegState.ACTIVE,
+    },
+    (RegState.CONFISCATED,),
+)
+REG_TRANSITIONS = REG_MACHINE.transitions
 
 
 def reg_transition(s: RegState, a: RegAction) -> Optional[RegState]:
@@ -67,7 +68,7 @@ def reg_transition(s: RegState, a: RegAction) -> Optional[RegState]:
 
 
 def is_terminal(s: RegState) -> bool:
-    return s is TERMINAL_STATE
+    return s in REG_MACHINE.terminal
 
 
 def valid_actions(s: RegState) -> set[RegAction]:
@@ -75,10 +76,5 @@ def valid_actions(s: RegState) -> set[RegAction]:
 
 
 def reg_machine_spec() -> StateMachineSpec:
-    """The regulatory machine as a generic StateMachineSpec over name strings."""
-    return StateMachineSpec.make(
-        (s.value for s in RegState),
-        (a.value for a in RegAction),
-        {(s.value, a.value): s2.value for (s, a), s2 in REG_TRANSITIONS.items()},
-        (TERMINAL_STATE.value,),
-    )
+    """The regulatory machine: the one spec whose table ``reg_transition`` reads."""
+    return REG_MACHINE

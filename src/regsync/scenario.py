@@ -34,10 +34,7 @@ class SyncCommand:
     expect: Optional[str] = None  # "ok" or a failure reason name
 
     def to_json(self) -> dict:
-        doc = {"source": self.source, "action": self.action.value, "asset": self.asset}
-        if self.expect is not None:
-            doc["expect"] = self.expect
-        return doc
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass
@@ -84,7 +81,7 @@ def _sim_from_json(doc: dict) -> SimConfig:
 
 
 # A tuple, not a set: ``in`` compares an unhashable value instead of raising.
-_EXPECT_TAGS = ("ok", *(f.value for f in engine.SyncFailure))
+_EXPECT_TAGS = ("ok", *engine.SyncFailure)
 _MALFORMED = (KeyError, TypeError, ValueError)
 
 

@@ -1,8 +1,10 @@
 """Finite deterministic partial state machines with terminal states.
 
-States and actions are opaque string identifiers at this layer; concrete
-enumerations (like the regulatory machine) live in instance modules.
-Undefined transitions are represented by ``None``, never by exceptions.
+States and actions are string identifiers at this layer. An instance
+module may name them with the members of a string-valued enumeration, as
+the regulatory machine does: each member is a str, so this layer reads it
+as the identifier it equals. Undefined transitions are represented by
+``None``, never by exceptions.
 """
 
 from __future__ import annotations

@@ -218,8 +218,8 @@ class TestCanonicalJson:
 
 
 class TestStoredEnumValues:
-    """The hot paths read a member's stored ``_value_`` instead of going
-    through the ``.value`` descriptor; the two must never differ."""
+    """A member's stored ``_value_``, its public ``.value`` and the text the
+    JSON form and the generic projection carry must never differ."""
 
     @pytest.mark.parametrize("enum_type", [RegState, RegAction, SyncFailure])
     def test_stored_value_is_the_public_value(self, enum_type):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -28,6 +29,7 @@ from regsync.liveness import (
 )
 from regsync.priority import AuthorityLevel, RegRequest, request_id, select_highest
 from regsync.regulatory import RegAction, RegState
+from regsync.report import ValidationReport
 
 from conftest import make_state
 
@@ -511,3 +513,110 @@ def test_schedules_are_pinned(kind, n, f, k):
         for seed in range(5)
     ]
     assert digests == PINNED_SCHEDULES[(kind, n, f, k)]
+
+
+class TestLazySchedule:
+    def test_leaders_are_drawn_only_as_far_as_asked(self):
+        cfg = config(seed=3)
+        sched = gen_adversarial_schedule(cfg, 10**12)
+        first = [sched.leader_at(e) for e in range(50)]
+        assert sched.horizon == 10**12 and first == list(gen_adversarial_schedule(cfg, 50).leaders)
+
+    def test_same_draws_in_any_order_of_asking(self):
+        cfg = config(n=7, f=2, k=4, seed=5)
+        asked = gen_fair_schedule(cfg, 60)
+        late = [asked.leader_at(e) for e in (59, 3, 40, 0)]
+        full = gen_fair_schedule(cfg, 60).leaders
+        assert late == [full[59], full[3], full[40], full[0]]
+        assert asked.leaders == full and asked == gen_fair_schedule(cfg, 60) == LeaderSchedule(full)
+
+    def test_no_leader_at_or_past_the_horizon(self):
+        for sched in (gen_fair_schedule(config(), 5), LeaderSchedule((1, 2, 3, 1, 2))):
+            assert sched.horizon == len(sched.leaders) == 5
+            with pytest.raises(IndexError):
+                sched.leader_at(5)
+
+    def test_schedules_of_other_lengths_differ(self):
+        cfg = config()
+        assert gen_fair_schedule(cfg, 10) != gen_fair_schedule(cfg, 11)
+        assert gen_fair_schedule(cfg, 0).leaders == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 13), st.integers(1, 8), st.integers(0, 2**32),
+           st.integers(0, 150))
+    def test_both_generators_are_fair(self, data, n, k, seed, horizon):
+        f = data.draw(st.integers(0, (n - 1) // 3), label="f")
+        byz = data.draw(st.integers(1 if f else 0, f), label="byz")
+        cfg = config(n=n, f=f, byz=byz, k=k, seed=seed)
+        assert check_fair_leader(gen_fair_schedule(cfg, horizon), cfg).ok
+        if byz:
+            assert check_fair_leader(gen_adversarial_schedule(cfg, horizon), cfg).ok
+
+
+def reference_check_fair_leader(sched, cfg):
+    """check_fair_leader as first written: a slice per window start."""
+    report = ValidationReport()
+    k = cfg.fairness_bound
+    for start in range(0, max(sched.horizon - k + 1, 0)):
+        window = sched.leaders[start : start + k]
+        if not any(cfg.is_honest(n) for n in window):
+            report.add("fair_leader", (start, start + k), f"window {window}")
+    return report
+
+
+def reference_check_starvation_bound(trace, k):
+    """check_starvation_bound as first written: a slice per window start."""
+    report = ValidationReport()
+    for i, record in enumerate(trace):
+        if record.pending_before == 0 or i + k > len(trace):
+            continue
+        window = trace[i : i + k]
+        if not any(r.pending_after < r.pending_before for r in window):
+            report.add(
+                "starvation_bound",
+                (window[0].epoch, window[-1].epoch + 1),
+                f"pending stuck at {record.pending_before}",
+            )
+    return report
+
+
+class TestWindowScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 6), st.integers(1, 9),
+           st.lists(st.integers(0, 6), max_size=60))
+    def test_fair_leader_matches_the_reference(self, n, byz, k, leaders):
+        cfg = SimConfig(tuple(NodeInfo(i, i >= byz) for i in range(n)), 0, 1, k)
+        sched = LeaderSchedule(tuple(leaders))
+        assert check_fair_leader(sched, cfg) == reference_check_fair_leader(sched, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.integers(-5, 5),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2)),
+                    max_size=60))
+    def test_starvation_bound_matches_the_reference(self, k, first_epoch, cells):
+        trace, epoch = [], first_epoch
+        for before, after, gap in cells:
+            trace.append(EpochRecord(epoch, 0, False, before, after, None, ()))
+            epoch += gap
+        assert check_starvation_bound(trace, k) == reference_check_starvation_bound(trace, k)
+
+    def test_a_window_shorter_than_one_epoch_is_refused(self):
+        with pytest.raises(ValueError):
+            check_starvation_bound([flat_record(0, 1)], 0)
+
+    def test_windows_of_a_thousand_epochs_cost_one_pass(self):
+        # 100 requests at fairness_bound 1000: the adversarial schedule of
+        # the drain bound has 100,200 leaders, and a drain ~100,000 epochs.
+        cfg = config(k=1000)
+        sched = gen_adversarial_schedule(cfg, drain_horizon(100, cfg))
+        # A request is taken in each epoch e with e % 1000 == 999, except 999.
+        trace, pending = [], 100
+        for e in range(100_000):
+            taken = e % 1000 == 999 and e != 999
+            trace.append(EpochRecord(e, 0, taken, pending, pending - taken, None, ()))
+            pending -= taken
+        start = time.perf_counter()
+        fair, starvation = check_fair_leader(sched, cfg), check_starvation_bound(trace, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert fair.ok and len(sched.leaders) == 100_200
+        assert [v.witness for v in starvation.violations] == [(s, s + 1000) for s in range(1000)]

@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
+from regsync import regulatory
 from regsync.engine import SyncFailure
+from regsync.priority import AuthorityLevel
 from regsync.regulatory import (
     RegAction,
     RegState,
@@ -116,11 +120,51 @@ class TestMachineSpec:
                 assert got == (None if expected is None else expected.value)
 
 
-@pytest.mark.parametrize("enum_cls", [RegState, RegAction, SyncFailure])
+ENUMS = [RegState, RegAction, SyncFailure, AuthorityLevel]
+
+
+@pytest.mark.parametrize("enum_cls", ENUMS)
 def test_members_hash_by_identity(enum_cls):
-    # Enum equality is identity, so the C identity hash is consistent with
-    # it and spares each dict lookup keyed by a member a Python-level call.
-    assert enum_cls.__hash__ is object.__hash__
+    # A member is a str equal to its value, so str's C-level hash is
+    # consistent with equality and spares each dict lookup keyed by a member
+    # a Python-level call.
+    assert enum_cls.__hash__ is str.__hash__
     for member in enum_cls:
-        assert hash(member) == object.__hash__(member)
+        assert hash(member) == hash(member.value)
         assert member == enum_cls(member.value)
+
+
+@pytest.mark.parametrize("enum_cls", ENUMS)
+def test_members_are_their_values(enum_cls):
+    for member in enum_cls:
+        value = member.value
+        assert type(value) is str
+        assert member == value and value == member and hash(member) == hash(value)
+        assert {value: 1}[member] == 1 and {member: 1}[value] == 1
+        assert str(member) == f"{member}" == f"{member:}" == "%s" % member == value
+        assert f"{member:>20}" == f"{value:>20}"
+        assert json.dumps(member) == json.dumps(value)
+        doc = {member: [member], "k": {"v": member}}
+        text = {value: [value], "k": {"v": value}}
+        assert json.dumps(doc, sort_keys=True) == json.dumps(text, sort_keys=True)
+        assert json.dumps(doc, sort_keys=True, indent=2) == json.dumps(text, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("enum_cls", ENUMS)
+def test_unknown_text_is_still_rejected(enum_cls):
+    with pytest.raises(ValueError):
+        enum_cls("not a member")
+    with pytest.raises(ValueError):
+        enum_cls(next(iter(enum_cls)).value.lower())
+
+
+def test_one_machine_object_at_run_time():
+    sm = reg_machine_spec()
+    assert sm is reg_machine_spec()
+    assert sm.transitions is regulatory.REG_TRANSITIONS
+    assert sm.states == set(RegState) and sm.actions == set(RegAction)
+    # Every cell of the spec is a member, not a plain string equal to one.
+    assert all(type(x) is RegState for x in sm.states | sm.terminal)
+    assert all(type(a) is RegAction for a in sm.actions)
+    for (s, a), s2 in sm.transitions.items():
+        assert type(s) is RegState and type(a) is RegAction and reg_transition(s, a) is s2

@@ -714,6 +714,20 @@ class TestSimulateVerdicts:
         assert len(records) > 1000 and records[-1]["pending_after"] == 0
         assert out.endswith("starvation_bound: ok\neventual_completion: ok\n")
 
+    @pytest.mark.parametrize("field", ["lock_timeout", "fairness_bound"])
+    def test_a_huge_drain_bound_costs_only_the_epochs_stepped(self, capsys, tmp_path, field):
+        # Both requests are on one asset, so no Byzantine lock is taken and
+        # the drain ends within a few epochs of a 2 * 10**9 epoch bound.
+        doc = simulate_requests_doc(2)
+        doc["requests"][1]["asset"] = "a1"
+        doc["sim"][field] = 10**9
+        path = write(tmp_path, doc)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out.endswith("starvation_bound: ok\neventual_completion: ok\n")
+
     @pytest.mark.parametrize("max_epochs, completion", [("6", "undecided"), ("1000", "ok")])
     def test_a_starvation_window_is_a_violation_cut_short_or_not(
         self, capsys, tmp_path, max_epochs, completion
