@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
 """Time the layers of one ``regsync sync`` step on a generated state: the
-sync itself, ``to_json_dict`` and ``canonical_dumps`` (which includes one
-``to_json_dict``). Every asset sits on all 4 chains, in the five states in
-turn; the sync freezes the first asset, which is ACTIVE. Each figure is the
-minimum CPU time per call over the repeats.
+sync itself, ``to_json_dict`` and ``canonical_dumps``. Every asset sits on
+all 4 chains, in the five states in turn; the sync freezes the first
+asset, which is ACTIVE. Each figure is the minimum CPU time per call over
+the repeats.
 
-``canonical_dumps`` is timed warm, with every cell's text already in the
-engine's cell cache (a replay after its first steps), and cold, with the
-cache cleared before each call (outside the timing), so that the call
-renders each distinct cell once: here one per asset, shared by the 4
-chains."""
+``canonical_dumps`` memoises each chain's text and caches each cell's
+text, and is timed in the three cases a replay meets:
+
+- ``unchanged``: the state last rendered, as after a failed sync; every
+  chain hits the memo and no ``to_json_dict`` call is made.
+- ``after sync``: the state after the sync, with the memo holding the
+  state before it (rendered before each call, outside the timing). The
+  synced asset's holder chains miss, here all 4, and are rendered from
+  one ``to_json_dict`` call with every cell's text already cached.
+- ``cold``: the chain memo and the cell cache cleared before each call
+  (outside the timing), so that the call renders each distinct cell once:
+  here one per asset, shared by the 4 chains."""
 
 import argparse
 import time
@@ -31,16 +38,21 @@ def make_state(n_assets: int) -> engine.GlobalState:
     return engine.GlobalState({c: dict(table) for c in CHAINS}, frozenset())
 
 
-def cold_seconds(gs: engine.GlobalState, number: int) -> float:
-    """CPU seconds of ``number`` canonical_dumps calls, each made after
-    clearing the cell cache."""
+def prepared_seconds(call, prepare, number: int) -> float:
+    """CPU seconds of ``number`` calls of ``call``, each made after
+    ``prepare()``, whose time is not counted."""
     total = 0.0
     for _ in range(number):
-        engine._cell_text.cache_clear()
+        prepare()
         start = time.process_time()
-        engine.canonical_dumps(gs)
+        call()
         total += time.process_time() - start
     return total
+
+
+def clear_snapshot_caches():
+    engine._CHAIN_TEXT.clear()
+    engine._cell_text.cache_clear()
 
 
 def main():
@@ -52,20 +64,29 @@ def main():
 
     for n in args.assets:
         gs = make_state(n)
-        calls = {
-            "sync": lambda: engine.sync("c1", RegAction.FREEZE, "a1", gs),
-            "to_json_dict": lambda: engine.to_json_dict(gs),
-            "canonical_dumps warm": lambda: engine.canonical_dumps(gs),
+        after = engine.sync("c1", RegAction.FREEZE, "a1", gs).state
+        engine.canonical_dumps(after)  # every cell of either state is cached from here on
+        dumps = engine.canonical_dumps
+        # name -> (call, setup run once per repeat)
+        repeated = {
+            "sync": (lambda: engine.sync("c1", RegAction.FREEZE, "a1", gs), "pass"),
+            "to_json_dict": (lambda: engine.to_json_dict(gs), "pass"),
+            "canonical_dumps unchanged": (lambda: dumps(gs), lambda: dumps(gs)),
+        }
+        # name -> (call, preparation run before each call)
+        prepared = {
+            "canonical_dumps after sync": (lambda: dumps(after), lambda: dumps(gs)),
+            "canonical_dumps cold": (lambda: dumps(gs), clear_snapshot_caches),
         }
         timings = []
-        for name, call in calls.items():
-            best = min(
-                timeit.Timer(call, timer=time.process_time).repeat(args.repeat, args.number)
-            )
-            timings.append(f"{name} {best / args.number * 1e6:.1f} us")
-        best = min(cold_seconds(gs, args.number) for _ in range(args.repeat))
-        timings.append(f"canonical_dumps cold {best / args.number * 1e6:.1f} us")
-        print(f"assets={n} chains={len(CHAINS)} cells={n * len(CHAINS)}: " + ", ".join(timings))
+        for name, (call, setup) in repeated.items():
+            timer = timeit.Timer(call, setup, timer=time.process_time)
+            timings.append((name, min(timer.repeat(args.repeat, args.number))))
+        for name, (call, prepare) in prepared.items():
+            timings.append((name, min(prepared_seconds(call, prepare, args.number)
+                                      for _ in range(args.repeat))))
+        print(f"assets={n} chains={len(CHAINS)} cells={n * len(CHAINS)}: "
+              + ", ".join(f"{name} {best / args.number * 1e6:.1f} us" for name, best in timings))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,12 @@ share what did not change: acquiring or releasing a lock copies only the
 lock set, and an update copies only the asset tables of its target chains.
 An update builds one record per new cell value, shared by the holder chains
 that shared the old one; the records are frozen dataclasses with slots.
+
+canonical_dumps relies on that purity: no chain table is mutated in place
+after it has been rendered. It memoises each chain's text, one entry per
+chain name, keyed by the table object and the locks held on its assets,
+so a snapshot re-renders only the chains whose table or held locks
+changed.
 """
 
 from __future__ import annotations
@@ -245,24 +251,49 @@ def canonical_dumps(gs: GlobalState) -> str:
     walks the to_json_dict tree, so the snapshot keeps the fields that
     function defines; strings go through the C escaper json.dumps uses.
 
+    Each chain's text is memoised in ``_CHAIN_TEXT``, one entry per chain
+    name: ``(table, held, text)``, where ``held`` is the set of locks held
+    on the table's assets. An entry is reused only while the chain's table
+    *is* the memoised object and its held locks are equal; the entry keeps
+    the table alive, so its ``id`` cannot be reused meanwhile. This relies
+    on the engine's purity premise: no chain table is mutated in place
+    after it has been rendered. A failed sync then re-renders no chain,
+    and a successful one only the synced asset's holder chains. The
+    chains that miss are rendered together, from one to_json_dict call on
+    the state restricted to them; a state whose chains all hit makes no
+    such call.
+
     Each cell's text comes from ``_cell_text``, a cache keyed by the
     cell's four JSON fields ``(aid, locked, owner, state)`` as read from
-    that tree: a state renders only the cells no earlier snapshot in the
-    process rendered, which after a sync are the synced asset's cells.
-    The cache holds one entry per distinct cell rendered, so at most 10
-    (5 states x 2 lock flags) per asset and owner.
+    that tree. It holds one entry per distinct cell rendered, so at most
+    10 (5 states x 2 lock flags) per asset and owner.
     """
-    esc, cell_text = encode_basestring_ascii, _cell_text
-    doc = to_json_dict(gs)
-    chains = []
-    for c, table in sorted(doc["chains"].items()):
-        cells = [
-            cell_text(aid, cell["locked"], cell["owner"], cell["state"])
-            for aid, cell in sorted(table.items())
-        ]
-        chains.append(f"    {esc(c)}: {_block(cells, '    ')}")
-    locks = [f'    {esc(aid)}: true' for aid in sorted(doc["locks"])]
-    return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(locks, "  ")}\n}}\n'
+    esc, memo, locks = encode_basestring_ascii, _CHAIN_TEXT, gs.locks
+    texts, missed = {}, {}
+    for c, table in gs.chains.items():
+        held = frozenset(a for a in locks if a in table) if locks else frozenset()
+        entry = memo.get(c)
+        if entry is not None and entry[0] is table and entry[1] == held:
+            texts[c] = entry[2]
+        else:
+            missed[c] = (table, held)
+    if missed:
+        cell_text = _cell_text
+        doc = to_json_dict(GlobalState({c: t for c, (t, _) in missed.items()}, locks))
+        for c, table in doc["chains"].items():
+            cells = [
+                cell_text(aid, cell["locked"], cell["owner"], cell["state"])
+                for aid, cell in sorted(table.items())
+            ]
+            texts[c] = f"    {esc(c)}: {_block(cells, '    ')}"
+            memo[c] = (*missed[c], texts[c])
+    chains = [texts[c] for c in sorted(texts)]
+    held_locks = [f'    {esc(aid)}: true' for aid in sorted(locks)]
+    return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(held_locks, "  ")}\n}}\n'
+
+
+# canonical_dumps' chain memo: chain name -> (table, held locks, text).
+_CHAIN_TEXT: dict[ChainId, tuple[Mapping[AssetKey, AssetState], frozenset[AssetKey], str]] = {}
 
 
 @functools.cache

@@ -398,6 +398,118 @@ class TestCellTextCache:
         assert engine._cell_text.cache_info().currsize == len(distinct)
 
 
+@pytest.fixture
+def renders(monkeypatch):
+    """The set of chain names of each engine.to_json_dict call, in order;
+    canonical_dumps makes one call for the chains its memo missed."""
+    calls, to_json_dict = [], engine.to_json_dict
+
+    def recording(gs):
+        calls.append(set(gs.chains))
+        return to_json_dict(gs)
+
+    monkeypatch.setattr(engine, "to_json_dict", recording)
+    return calls
+
+
+class TestChainTextMemo:
+    """canonical_dumps memoises each chain's text by table object and the
+    locks held on it; a hit must render what a miss does, and the memo
+    must hold one entry per chain name."""
+
+    def test_states_in_random_order_match_the_reference(self):
+        states, _ = snapshot_stream(seed=9, steps=1000)
+        random.Random(9).shuffle(states)
+        for gs in states:
+            assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
+
+    def test_interleaved_streams_match_the_reference(self):
+        first, _ = snapshot_stream(seed=10, steps=1000)
+        second, _ = snapshot_stream(seed=11, steps=1000)
+        for pair in zip(first, second):
+            for gs in pair:
+                assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
+
+    def test_a_lock_step_misses_on_the_held_locks(self, renders):
+        gs = snapshot_stream(seed=12, steps=0)[0][0]
+        aid = next(a for a in STREAM_ASSETS if a not in gs.locks)
+        holders = engine.connected_chains(gs, aid)
+        locked = engine.acquire_lock(gs, aid)
+        released = engine.release_lock(locked, aid)
+        # Lock steps share every chain table.
+        assert all(locked.chains[c] is gs.chains[c] is released.chains[c] for c in gs.chains)
+        expected = [reference_canonical_dumps(s) for s in (gs, locked, released)]
+        renders.clear()
+        assert engine.canonical_dumps(gs) == expected[0]
+        assert engine.canonical_dumps(locked) == expected[1]
+        assert engine.canonical_dumps(released) == expected[2]
+        assert renders == [set(gs.chains), holders, holders]
+        assert expected[1] != expected[0] == expected[2]
+
+    def test_a_lock_on_no_chain_re_renders_no_chain(self, renders):
+        gs = snapshot_stream(seed=12, steps=0)[0][0]
+        locked = engine.acquire_lock(gs, "held by no chain")
+        expected = reference_canonical_dumps(locked)
+        engine.canonical_dumps(gs)
+        renders.clear()
+        assert engine.canonical_dumps(locked) == expected
+        assert renders == []
+
+    def test_a_changed_chain_set_matches_the_reference(self, renders):
+        gs = snapshot_stream(seed=13, steps=0)[0][0]
+        c1, c2, c3, c4 = (gs.chains[c] for c in STREAM_CHAINS)
+        states = [
+            engine.GlobalState({"c1": c1, "c2": c2}, gs.locks),
+            engine.GlobalState({"c1": c1, "c2": c2, "c3": c3}, gs.locks),  # c3 added
+            engine.GlobalState({"c1": c1}, gs.locks),  # c2 absent
+            engine.GlobalState({"c1": c1, "c2": c4}, gs.locks),  # c2 another table
+            engine.GlobalState({}, gs.locks),
+            engine.GlobalState({"c2": c4, "c1": c1}, gs.locks),  # reordered
+        ]
+        expected = [reference_canonical_dumps(s) for s in states]
+        engine._CHAIN_TEXT.clear()
+        renders.clear()
+        assert [engine.canonical_dumps(s) for s in states] == expected
+        assert renders == [{"c1", "c2"}, {"c3"}, {"c2"}]
+
+    def test_memo_holds_one_entry_per_chain_name(self):
+        states, _ = snapshot_stream(seed=14, steps=500)
+        renamed = [
+            engine.GlobalState({f"{c}/{i % 3}": t for c, t in gs.chains.items()}, gs.locks)
+            for i, gs in enumerate(states)
+        ]
+        engine._CHAIN_TEXT.clear()
+        names = set()
+        for gs in states + renamed:
+            engine.canonical_dumps(gs)
+            names |= set(gs.chains)
+            assert set(engine._CHAIN_TEXT) == names
+        assert len(names) == 4 * len(STREAM_CHAINS)
+
+    def test_a_snapshot_re_renders_only_what_its_sync_changed(self, renders):
+        rng = random.Random(15)
+        gs = snapshot_stream(seed=15, steps=0)[0][0]
+        engine.canonical_dumps(gs)
+        outcomes = set()
+        for _ in range(400):
+            aid = rng.choice(STREAM_ASSETS + ["held by no chain"])
+            action = rng.choice(list(RegAction))
+            result = engine.sync(rng.choice(STREAM_CHAINS), action, aid, gs)
+            after = result.state or gs
+            expected = reference_canonical_dumps(after)
+            cells, renders[:] = engine._cell_text.cache_info(), []
+            assert engine.canonical_dumps(after) == expected
+            if result.ok:
+                assert renders == [set(engine.connected_chains(gs, aid))]
+            else:
+                # The state is the one just rendered: no chain and no cell.
+                assert after is gs
+                assert renders == [] and engine._cell_text.cache_info() == cells
+            outcomes.add(result.reason or "ok")
+            gs = after
+        assert outcomes == {"ok", *SyncFailure}
+
+
 class TestSnapshotLockFlag:
     @settings(max_examples=300, deadline=None)
     @given(made_states() | stepped_states())
