@@ -5,18 +5,22 @@ all 4 chains, in the five states in turn; the sync freezes the first
 asset, which is ACTIVE. Each figure is the minimum CPU time per call over
 the repeats.
 
-``canonical_dumps`` memoises each chain's text and caches each cell's
-text, and is timed in the three cases a replay meets:
+``canonical_dumps`` memoises each chain's text and the texts of its
+cells, and is timed in the four cases a replay meets:
 
 - ``unchanged``: the state last rendered, as after a failed sync; every
   chain hits the memo and no ``to_json_dict`` call is made.
 - ``after sync``: the state after the sync, with the memo holding the
   state before it (rendered before each call, outside the timing). The
-  synced asset's holder chains miss, here all 4, and are rendered from
-  one ``to_json_dict`` call with every cell's text already cached.
-- ``cold``: the chain memo and the cell cache cleared before each call
-  (outside the timing), so that the call renders each distinct cell once:
-  here one per asset, shared by the 4 chains."""
+  synced asset's holder chains miss, here all 4; each renders only the
+  synced cell, from one ``to_json_dict`` call, and splices it into its
+  memoised cell texts.
+- ``after lock``: the state with the first asset's lock taken, with the
+  memo holding the state before it, as for ``after sync``. Every chain
+  keeps its table, but the lock flag of the asset's cell on each of its
+  4 holder chains changed, so those cells are rendered and spliced.
+- ``cold``: the chain memo cleared before each call (outside the
+  timing), so that the call renders every cell of every chain."""
 
 import argparse
 import time
@@ -50,11 +54,6 @@ def prepared_seconds(call, prepare, number: int) -> float:
     return total
 
 
-def clear_snapshot_caches():
-    engine._CHAIN_TEXT.clear()
-    engine._cell_text.cache_clear()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--assets", type=_int_at_least(1), nargs="+", default=[20, 200])
@@ -65,7 +64,7 @@ def main():
     for n in args.assets:
         gs = make_state(n)
         after = engine.sync("c1", RegAction.FREEZE, "a1", gs).state
-        engine.canonical_dumps(after)  # every cell of either state is cached from here on
+        locked = engine.acquire_lock(gs, "a1")
         dumps = engine.canonical_dumps
         # name -> (call, setup run once per repeat)
         repeated = {
@@ -76,7 +75,8 @@ def main():
         # name -> (call, preparation run before each call)
         prepared = {
             "canonical_dumps after sync": (lambda: dumps(after), lambda: dumps(gs)),
-            "canonical_dumps cold": (lambda: dumps(gs), clear_snapshot_caches),
+            "canonical_dumps after lock": (lambda: dumps(locked), lambda: dumps(gs)),
+            "canonical_dumps cold": (lambda: dumps(gs), engine._CHAIN_TEXT.clear),
         }
         timings = []
         for name, (call, setup) in repeated.items():

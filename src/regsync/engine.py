@@ -9,14 +9,15 @@ that shared the old one; the records are frozen dataclasses with slots.
 
 canonical_dumps relies on that purity: no chain table is mutated in place
 after it has been rendered. It memoises each chain's text, one entry per
-chain name, keyed by the table object and the locks held on its assets,
-so a snapshot re-renders only the chains whose table or held locks
-changed.
+chain name: the table, the locks held on its assets, the text, each
+asset's sorted position and each cell's text. A chain whose table or held
+locks changed but whose key set did not re-renders only its dirty cells
+(a record that is not the memoised object, or a changed lock flag) and
+splices them into its memoised cell texts.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
@@ -252,21 +253,21 @@ def canonical_dumps(gs: GlobalState) -> str:
     function defines; strings go through the C escaper json.dumps uses.
 
     Each chain's text is memoised in ``_CHAIN_TEXT``, one entry per chain
-    name: ``(table, held, text)``, where ``held`` is the set of locks held
-    on the table's assets. An entry is reused only while the chain's table
-    *is* the memoised object and its held locks are equal; the entry keeps
-    the table alive, so its ``id`` cannot be reused meanwhile. This relies
-    on the engine's purity premise: no chain table is mutated in place
-    after it has been rendered. A failed sync then re-renders no chain,
-    and a successful one only the synced asset's holder chains. The
-    chains that miss are rendered together, from one to_json_dict call on
-    the state restricted to them; a state whose chains all hit makes no
-    such call.
-
-    Each cell's text comes from ``_cell_text``, a cache keyed by the
-    cell's four JSON fields ``(aid, locked, owner, state)`` as read from
-    that tree. It holds one entry per distinct cell rendered, so at most
-    10 (5 states x 2 lock flags) per asset and owner.
+    name: ``(table, held, text, positions, cell_texts)``, where ``held`` is
+    the set of locks held on the table's assets, ``positions`` maps each
+    asset id to its index in sorted order and ``cell_texts`` lists the
+    cells' texts in that order. An entry is reused whole only while the
+    chain's table *is* the memoised object and its held locks are equal;
+    the entry keeps the table alive, so its ``id`` cannot be reused
+    meanwhile. This relies on the engine's purity premise: no chain table
+    is mutated in place after it has been rendered. A chain that misses
+    but keeps its key set re-renders only its dirty cells, those whose
+    record is not the memoised object or whose lock flag changed, and
+    splices them into a copy of ``cell_texts``; any other miss renders
+    every cell. So a failed sync re-renders no cell, and a successful one
+    one cell per holder chain. The dirty cells of all missed chains come
+    from one to_json_dict call on the state restricted to them; a state
+    whose chains all hit makes no such call.
     """
     esc, memo, locks = encode_basestring_ascii, _CHAIN_TEXT, gs.locks
     texts, missed = {}, {}
@@ -275,28 +276,35 @@ def canonical_dumps(gs: GlobalState) -> str:
         entry = memo.get(c)
         if entry is not None and entry[0] is table and entry[1] == held:
             texts[c] = entry[2]
+        elif entry is not None and entry[0].keys() == table.keys():
+            old = entry[0]
+            dirty = {a: rec for a, rec in table.items() if old[a] is not rec}
+            dirty.update((a, table[a]) for a in held ^ entry[1])
+            missed[c] = (table, held, entry[3], list(entry[4]), dirty)
         else:
-            missed[c] = (table, held)
+            positions = {a: i for i, a in enumerate(sorted(table))}
+            missed[c] = (table, held, positions, [""] * len(table), table)
     if missed:
         cell_text = _cell_text
-        doc = to_json_dict(GlobalState({c: t for c, (t, _) in missed.items()}, locks))
-        for c, table in doc["chains"].items():
-            cells = [
-                cell_text(aid, cell["locked"], cell["owner"], cell["state"])
-                for aid, cell in sorted(table.items())
-            ]
-            texts[c] = f"    {esc(c)}: {_block(cells, '    ')}"
-            memo[c] = (*missed[c], texts[c])
+        doc = to_json_dict(GlobalState({c: m[4] for c, m in missed.items()}, locks))
+        for c, cells in doc["chains"].items():
+            table, held, positions, cell_texts, _ = missed[c]
+            for aid, cell in cells.items():
+                cell_texts[positions[aid]] = cell_text(
+                    aid, cell["locked"], cell["owner"], cell["state"])
+            texts[c] = f"    {esc(c)}: {_block(cell_texts, '    ')}"
+            memo[c] = (table, held, texts[c], positions, cell_texts)
     chains = [texts[c] for c in sorted(texts)]
     held_locks = [f'    {esc(aid)}: true' for aid in sorted(locks)]
     return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(held_locks, "  ")}\n}}\n'
 
 
-# canonical_dumps' chain memo: chain name -> (table, held locks, text).
-_CHAIN_TEXT: dict[ChainId, tuple[Mapping[AssetKey, AssetState], frozenset[AssetKey], str]] = {}
+# canonical_dumps' chain memo: chain name ->
+# (table, held locks, text, sorted position of each asset, cell texts).
+_CHAIN_TEXT: dict[ChainId, tuple[Mapping[AssetKey, AssetState], frozenset[AssetKey], str,
+                                 dict[AssetKey, int], list[str]]] = {}
 
 
-@functools.cache
 def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str) -> str:
     """The snapshot text of one cell, from its key to its closing brace.
     The ``"state"`` line comes from ``_STATE_LINES``, escaped once at

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -370,32 +371,54 @@ def rendered_cells(gs):
     }
 
 
-class TestCellTextCache:
-    """canonical_dumps takes each cell's text from a cache; a warm cache
-    must render what a cold one does, and hold one entry per cell seen."""
+@pytest.fixture
+def cell_renders(monkeypatch):
+    """The arguments of each engine._cell_text call, in order: one call per
+    cell text canonical_dumps renders."""
+    calls, cell_text = [], engine._cell_text
 
-    def test_cold_and_warm_snapshots_match_the_reference(self):
+    def recording(*args):
+        calls.append(args)
+        return cell_text(*args)
+
+    monkeypatch.setattr(engine, "_cell_text", recording)
+    return calls
+
+
+class TestCellTextCache:
+    """canonical_dumps renders a cell's text only when the cell changed; a
+    warm memo must render what a cold one does, and render each distinct
+    cell seen."""
+
+    def test_cold_and_warm_snapshots_match_the_reference(self, cell_renders):
         states, failures = snapshot_stream(seed=7)
         # The stream reaches every sync outcome and shows held locks.
         assert set(failures) == set(SyncFailure)
         assert any(locked for gs in states for _, locked, _, _ in rendered_cells(gs))
-        engine._cell_text.cache_clear()
-        expected = []
+        engine._CHAIN_TEXT.clear()
+        expected, cold = [], []
         for gs in states:
             expected.append(reference_canonical_dumps(gs))
+            cell_renders.clear()
             assert engine.canonical_dumps(gs) == expected[-1]
-        misses = engine._cell_text.cache_info().misses
-        assert [engine.canonical_dumps(gs) for gs in states] == expected
-        # The second pass renders no cell anew.
-        assert engine._cell_text.cache_info().misses == misses
+            cold.append(len(cell_renders))
+        warm = []
+        for gs, text in zip(states, expected):
+            cell_renders.clear()
+            assert engine.canonical_dumps(gs) == text
+            warm.append(len(cell_renders))
+        # The cold pass renders every cell of the first state; from the
+        # second state on, both passes render the same cells anew.
+        assert cold[0] == sum(map(len, states[0].chains.values()))
+        assert warm[1:] == cold[1:]
 
-    def test_cache_holds_one_entry_per_distinct_cell(self):
+    def test_cache_holds_one_entry_per_distinct_cell(self, cell_renders):
         states, _ = snapshot_stream(seed=8)
-        engine._cell_text.cache_clear()
+        engine._CHAIN_TEXT.clear()
         for gs in states:
             engine.canonical_dumps(gs)
         distinct = set().union(*map(rendered_cells, states))
-        assert engine._cell_text.cache_info().currsize == len(distinct)
+        assert set(cell_renders) == distinct
 
 
 @pytest.fixture
@@ -486,7 +509,7 @@ class TestChainTextMemo:
             assert set(engine._CHAIN_TEXT) == names
         assert len(names) == 4 * len(STREAM_CHAINS)
 
-    def test_a_snapshot_re_renders_only_what_its_sync_changed(self, renders):
+    def test_a_snapshot_re_renders_only_what_its_sync_changed(self, renders, cell_renders):
         rng = random.Random(15)
         gs = snapshot_stream(seed=15, steps=0)[0][0]
         engine.canonical_dumps(gs)
@@ -497,17 +520,136 @@ class TestChainTextMemo:
             result = engine.sync(rng.choice(STREAM_CHAINS), action, aid, gs)
             after = result.state or gs
             expected = reference_canonical_dumps(after)
-            cells, renders[:] = engine._cell_text.cache_info(), []
+            renders[:], cell_renders[:] = [], []
             assert engine.canonical_dumps(after) == expected
             if result.ok:
                 assert renders == [set(engine.connected_chains(gs, aid))]
             else:
                 # The state is the one just rendered: no chain and no cell.
                 assert after is gs
-                assert renders == [] and engine._cell_text.cache_info() == cells
+                assert renders == [] and cell_renders == []
             outcomes.add(result.reason or "ok")
             gs = after
         assert outcomes == {"ok", *SyncFailure}
+
+
+@pytest.fixture
+def cell_sets(monkeypatch):
+    """The ``(chain, aid)`` cells of each engine.to_json_dict call, in order;
+    canonical_dumps makes one call for the dirty cells of the chains its
+    memo missed."""
+    calls, to_json_dict = [], engine.to_json_dict
+
+    def recording(gs):
+        calls.append({(c, aid) for c, table in gs.chains.items() for aid in table})
+        return to_json_dict(gs)
+
+    monkeypatch.setattr(engine, "to_json_dict", recording)
+    return calls
+
+
+class TestCellSplice:
+    """A chain that misses the memo but keeps its key set re-renders only
+    its dirty cells and splices them into its memoised text; any other miss
+    renders the chain in full."""
+
+    def test_a_success_renders_one_cell_per_holder(self, cell_sets):
+        rng = random.Random(16)
+        gs = snapshot_stream(seed=16, steps=0)[0][0]
+        engine.canonical_dumps(gs)
+        outcomes = []
+        for _ in range(400):
+            aid, source = rng.choice(STREAM_ASSETS), rng.choice(STREAM_CHAINS)
+            reg = engine.get_reg_state(gs, source, aid)
+            defined = [a for a in STREAM_ACTIONS if reg and reg_transition(reg, a)]
+            result = engine.sync(source, rng.choice(defined or STREAM_ACTIONS), aid, gs)
+            after = result.state or gs
+            expected, cell_sets[:] = reference_canonical_dumps(after), []
+            assert engine.canonical_dumps(after) == expected
+            if result.ok:
+                assert cell_sets == [{(c, aid) for c in engine.connected_chains(gs, aid)}]
+            else:
+                assert cell_sets == []
+            outcomes.append(result.ok)
+            gs = after
+        assert outcomes.count(True) >= 100
+
+    def test_a_lock_step_renders_its_holder_cells(self, cell_sets):
+        gs = snapshot_stream(seed=17, steps=0)[0][0]
+        engine.canonical_dumps(gs)
+        # Every asset is released if held and acquired if not, then back.
+        for aid in STREAM_ASSETS + STREAM_ASSETS:
+            step = engine.release_lock if engine.is_locked(gs, aid) else engine.acquire_lock
+            after = step(gs, aid)
+            expected, cell_sets[:] = reference_canonical_dumps(after), []
+            assert engine.canonical_dumps(after) == expected
+            assert cell_sets == [{(c, aid) for c in engine.connected_chains(gs, aid)}]
+            gs = after
+
+    @pytest.mark.parametrize("change", ["gain", "lose", "swap"])
+    def test_a_changed_key_set_renders_the_chain_in_full(self, cell_sets, change):
+        gs = snapshot_stream(seed=18, steps=0)[0][0]
+        engine.canonical_dumps(gs)
+        table = dict(gs.chains["c1"])
+        present = min(table)
+        absent = next(a for a in STREAM_ASSETS if a not in table)
+        if change != "gain":
+            del table[present]
+        if change != "lose":
+            table[absent] = engine.AssetState(absent, RegState.ACTIVE, "o")
+        after = engine.GlobalState({**gs.chains, "c1": table}, gs.locks)
+        expected, cell_sets[:] = reference_canonical_dumps(after), []
+        assert engine.canonical_dumps(after) == expected
+        assert cell_sets == [{("c1", aid) for aid in table}]
+
+    WALK_STEPS = st.tuples(
+        st.sampled_from(["sync", "lock", "put", "drop", "copy"]),
+        st.sampled_from(STREAM_ASSETS),
+        st.sampled_from(STREAM_CHAINS),
+        st.sampled_from(STREAM_CHAINS),
+        st.sampled_from(list(RegAction)),
+        st.sampled_from(STREAM_OWNERS),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.lists(WALK_STEPS, max_size=40))
+    def test_a_warm_walk_matches_the_reference(self, seed, steps):
+        """Syncs, lock steps, a cell put or dropped, and a chain given
+        another chain's table, each rendered on a warm memo."""
+        gs = snapshot_stream(seed=seed, steps=0)[0][0]
+        engine.canonical_dumps(gs)
+        for op, aid, c, other, action, owner in steps:
+            if op == "sync":
+                gs = engine.sync(c, action, aid, gs).state or gs
+            elif op == "lock":
+                step = engine.release_lock if engine.is_locked(gs, aid) else engine.acquire_lock
+                gs = step(gs, aid)
+            else:
+                table = dict(gs.chains[other] if op == "copy" else gs.chains[c])
+                if op == "put":
+                    table[aid] = engine.AssetState(aid, RegState.ACTIVE, owner)
+                elif op == "drop":
+                    table.pop(aid, None)
+                gs = engine.GlobalState({**gs.chains, c: table}, gs.locks)
+            assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
+
+    def test_distinct_owners_leave_no_cache_behind(self):
+        def one_cell(i):
+            cell = engine.AssetState("a1", RegState.ACTIVE, f"owner {i}")
+            return engine.GlobalState({"c1": {"a1": cell}}, frozenset())
+
+        engine._CHAIN_TEXT.clear()
+        engine.canonical_dumps(one_cell(-1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(5000):
+                engine.canonical_dumps(one_cell(i))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(engine._CHAIN_TEXT) == 1
+        assert grown < 256 * 1024
 
 
 class TestSnapshotLockFlag:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import random
 import time
@@ -17,7 +18,7 @@ from test_acceptance import (
     _mutant_skip_target,
 )
 from test_engine import reference_canonical_dumps
-from test_scripts import run_python
+from test_scripts import ROOT, run_python
 
 
 def minimal_doc():
@@ -194,6 +195,31 @@ class TestSyncCommand:
         code, out, _ = run_cli(capsys, "sync", str(path))
         assert code == 0
         assert out == "".join(expected)
+
+    def test_bench_replay_stdout_matches_reference_snapshots(self, capsys, tmp_path):
+        """The bench's seed-1 replay scenario, as its generator writes it:
+        every snapshot ``regsync sync`` prints equals the json.dumps form."""
+        spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        path = tmp_path / "replay-1.json"
+        gen.write_scenario(gen.replay_scenario(1)[0], path)
+        scenario = parse_scenario(path)
+        gs, expected = scenario.state, []
+        for i, cmd in enumerate(scenario.sync):
+            result = engine.sync(cmd.source, cmd.action, cmd.asset, gs)
+            tag = "ok" if result.ok else result.reason.value
+            expected.append(f"step {i}: {cmd.source} {cmd.action} {cmd.asset} -> {tag}\n")
+            gs = result.state if result.ok else gs
+            expected.append(reference_canonical_dumps(gs))
+        code, out, _ = run_cli(capsys, "sync", str(path))
+        assert code == 0
+        # Step by step, so that a wrong snapshot fails with its own diff.
+        pos = 0
+        for i, chunk in enumerate(expected):
+            assert out[pos:pos + len(chunk)] == chunk, f"step {i // 2}"
+            pos += len(chunk)
+        assert pos == len(out)
 
     def test_locks_map_decides_the_snapshot_flag(self, capsys, tmp_path):
         doc = minimal_doc()
