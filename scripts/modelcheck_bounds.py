@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Model-check the sync engine at increasing bounds and report timings,
-including the wall time per checked sync and, split by the sync's outcome,
-the mean time of one op: a sync plus the checks of its outcome."""
+"""Model-check the sync engine at increasing bounds and report timings:
+the wall time of the run and per checked sync; the engine-only time, the
+same syncs from the same initial states with no checking, and so the
+checker's share of the run; and, split by the sync's outcome, the mean
+time of one op: a sync plus the checks of its outcome (timed in a second
+run, through a wrapping ``sync_fn``)."""
 
 import argparse
 import time
 
 from regsync import engine
 from regsync.cli import _int_at_least
-from regsync.modelcheck import initial_state_count, run_modelcheck
+from regsync.modelcheck import (
+    asset_names, chain_names, enumerate_initial_states, initial_state_count, run_modelcheck,
+)
+from regsync.regulatory import RegAction
 
 
 class OpSplit:
@@ -39,6 +45,22 @@ class OpSplit:
         return self.ns[ok] / self.ops[ok] / 1e3
 
 
+def engine_only_seconds(n_chains: int, n_assets: int) -> float:
+    """Wall seconds of every sync run_modelcheck makes at these bounds, with
+    nothing else: each step from each initial state. The lock-free
+    consistent states are closed under sync, so these are the states every
+    depth explores. The states are enumerated before the clock starts."""
+    states = list(enumerate_initial_states(n_chains, n_assets))
+    steps = [(c, a, aid) for c in chain_names(n_chains) for a in RegAction
+             for aid in asset_names(n_assets)]
+    sync = engine.sync
+    start = time.perf_counter()
+    for gs in states:
+        for c, a, aid in steps:
+            sync(c, a, aid, gs)
+    return time.perf_counter() - start
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-domains", type=_int_at_least(1), default=3)
@@ -48,18 +70,21 @@ def main():
 
     for d in range(1, args.max_domains + 1):
         for a in range(1, args.max_assets + 1):
-            split = OpSplit()
             start = time.perf_counter()
-            result = run_modelcheck(d, a, args.depth, sync_fn=split)
-            split.tick()
+            result = run_modelcheck(d, a, args.depth)
             elapsed = time.perf_counter() - start
+            alone = engine_only_seconds(d, a)
+            split = OpSplit()
+            run_modelcheck(d, a, args.depth, sync_fn=split)
+            split.tick()
             print(
                 f"D={d} A={a} depth={args.depth}: "
                 f"{initial_state_count(d, a)} initial states, "
                 f"{result.states_explored} reachable, "
                 f"{result.syncs_checked} syncs ({split.ops[True]} successful), "
                 f"{len(result.counterexamples)} violations, {elapsed:.2f}s, "
-                f"{elapsed / result.syncs_checked * 1e6:.1f} us/sync; per op "
+                f"{elapsed / result.syncs_checked * 1e6:.1f} us/sync; "
+                f"engine only {alone:.2f}s, checker {1 - alone / elapsed:.0%} of the run; per op "
                 f"{split.mean_us(False):.2f} us after a failed sync, "
                 f"{split.mean_us(True):.2f} us after a successful one"
             )

@@ -8,19 +8,17 @@ An update builds one record per new cell value, shared by the holder chains
 that shared the old one; the records are frozen dataclasses with slots.
 
 canonical_dumps relies on that purity: no chain table is mutated in place
-after it has been rendered. It memoises each chain's text, one entry per
-chain name: the table, the locks held on its assets, the text, each
-asset's sorted position and each cell's text. A chain whose table or held
-locks changed but whose key set did not re-renders only its dirty cells
-(a record that is not the memoised object, or a changed lock flag) and
-splices them into its memoised cell texts.
+after it has been rendered, so it memoises each chain's text and re-renders
+only the cells a step changed (see its docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Optional
+from operator import is_not
+from typing import Iterable, Mapping, Optional
 
 from .preservation import DomainStateMap
 from .regulatory import RegAction, RegState, TextEnum, reg_transition
@@ -110,19 +108,19 @@ def is_locked(gs: GlobalState, aid: AssetKey) -> bool:
 
 
 def acquire_lock(gs: GlobalState, aid: AssetKey) -> Optional[GlobalState]:
-    if is_locked(gs, aid):
+    if aid in gs.locks:
         return None
     return GlobalState(gs.chains, gs.locks | {aid})
 
 
 def release_lock(gs: GlobalState, aid: AssetKey) -> GlobalState:
-    if not is_locked(gs, aid):
+    if aid not in gs.locks:
         return gs
     return GlobalState(gs.chains, gs.locks - {aid})
 
 
 def update_all_chains(
-    gs: GlobalState, aid: AssetKey, new_state: RegState, targets: frozenset[ChainId]
+    gs: GlobalState, aid: AssetKey, new_state: RegState, targets: Iterable[ChainId]
 ) -> GlobalState:
     """``gs`` with every target's cell of ``aid`` in ``new_state``, built
     once per distinct old record object."""
@@ -144,10 +142,11 @@ def sync(source: ChainId, action: RegAction, aid: AssetKey, gs: GlobalState) -> 
     acquire the per-asset lock, update every connected chain, release the
     lock. Any failure aborts with no partial state.
     """
-    current = get_reg_state(gs, source, aid)
-    if current is None:
+    table = gs.chains.get(source)
+    rec = None if table is None else table.get(aid)
+    if rec is None:
         return _FAILURES[SyncFailure.ASSET_NOT_FOUND]
-    new_state = reg_transition(current, action)
+    new_state = reg_transition(rec.reg_state, action)
     if new_state is None:
         return _FAILURES[SyncFailure.INVALID_TRANSITION]
     gs_locked = acquire_lock(gs, aid)
@@ -156,7 +155,7 @@ def sync(source: ChainId, action: RegAction, aid: AssetKey, gs: GlobalState) -> 
     # Targets are read from the pre-lock state, as in the protocol
     # definition; acquire_lock shares the chain tables, so the two
     # readings coincide.
-    targets = connected_chains(gs, aid)
+    targets = [c for c, t in gs.chains.items() if aid in t]
     gs_updated = update_all_chains(gs_locked, aid, new_state, targets)
     return SyncResult(release_lock(gs_updated, aid))
 
@@ -274,16 +273,23 @@ def canonical_dumps(gs: GlobalState) -> str:
     for c, table in gs.chains.items():
         held = frozenset(a for a in locks if a in table) if locks else frozenset()
         entry = memo.get(c)
-        if entry is not None and entry[0] is table and entry[1] == held:
+        old = None if entry is None else entry[0]
+        if old is table and entry[1] == held:
             texts[c] = entry[2]
-        elif entry is not None and entry[0].keys() == table.keys():
-            old = entry[0]
+            continue
+        if old is table:
+            dirty = {}
+        elif old is not None and list(old) == list(table):  # scanned by identity in C
+            dirty = dict(compress(table.items(), map(is_not, table.values(), old.values())))
+        elif old is not None and old.keys() == table.keys():
             dirty = {a: rec for a, rec in table.items() if old[a] is not rec}
-            dirty.update((a, table[a]) for a in held ^ entry[1])
-            missed[c] = (table, held, entry[3], list(entry[4]), dirty)
         else:
             positions = {a: i for i, a in enumerate(sorted(table))}
             missed[c] = (table, held, positions, [""] * len(table), table)
+            continue
+        if held or entry[1]:
+            dirty.update((a, table[a]) for a in held ^ entry[1])
+        missed[c] = (table, held, entry[3], list(entry[4]), dirty)
     if missed:
         cell_text = _cell_text
         doc = to_json_dict(GlobalState({c: m[4] for c, m in missed.items()}, locks))
@@ -299,8 +305,6 @@ def canonical_dumps(gs: GlobalState) -> str:
     return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(held_locks, "  ")}\n}}\n'
 
 
-# canonical_dumps' chain memo: chain name ->
-# (table, held locks, text, sorted position of each asset, cell texts).
 _CHAIN_TEXT: dict[ChainId, tuple[Mapping[AssetKey, AssetState], frozenset[AssetKey], str,
                                  dict[AssetKey, int], list[str]]] = {}
 

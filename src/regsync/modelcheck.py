@@ -118,7 +118,7 @@ def _state_key(gs: engine.GlobalState) -> tuple:
         for aid in sorted(table):
             rec = table[aid]
             cells += (c, aid, rec.reg_state, rec.owner)
-    return names, tuple(cells), tuple(sorted(gs.locks))
+    return names, tuple(cells), tuple(sorted(gs.locks)) if gs.locks else ()
 
 
 def _violations(
@@ -174,51 +174,58 @@ def _prescribed(
 ) -> Optional[engine.GlobalState]:
     """The successor the rules prescribe for ``step``, a move from ``gs`` to
     ``target``; None if the asset is unlocked and ``sync_all`` disagrees."""
-    aid, chains, cells, built = step.asset, dict(gs.chains), {}, {}
+    aid, chains, built, expected = step.asset, dict(gs.chains), {}, dict(projection.table)
     for c, table in gs.chains.items():
         rec = table.get(aid)
         if rec is not None:
             if id(rec) not in built:  # one cell per distinct record, as in the engine
                 built[id(rec)] = engine.AssetState(rec.asset_id, target, rec.owner)
             chains[c] = {**table, aid: built[id(rec)]}
-            cells[(c, aid)] = target
-    if aid not in gs.locks:
-        generic = sync_all(projection, step.source, step.action, aid, spec)
-        if generic is None or generic.table != {**projection.table, **cells}:
-            return None
-    return engine.GlobalState(chains, gs.locks - {aid})
+            expected[c, aid] = target
+    if aid in gs.locks:
+        return engine.GlobalState(chains, gs.locks - {aid})
+    generic = sync_all(projection, step.source, step.action, aid, spec)
+    if generic is None or generic.table != expected:
+        return None
+    return engine.GlobalState(chains, gs.locks)
 
 
 def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult) -> Callable:
     """The ``visit`` hook of run_modelcheck: per explored state, a ``take``
     that runs one sync through ``sync_fn``, appends a Counterexample to
-    ``out`` for each guarantee it breaks and returns the successor."""
+    ``out`` for each guarantee it breaks and returns the successor to
+    enqueue: None for a prescribed successor it already returned from this
+    state, which explore has keyed (an equal state has an equal key)."""
     spec = reg_machine_spec()
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
 
     def visit(gs: engine.GlobalState, origin) -> Callable:
         valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
-        # Each defined move: (source, action, asset) -> (source cell's state, target).
+        # Each defined move: (source, action, asset) -> (source's state, action, asset, target).
         moves_at = {
-            (c, a, aid): (rec.reg_state, t) for c, table in gs.chains.items()
+            (c, a, aid): (rec.reg_state, a, aid, t) for c, table in gs.chains.items()
             for aid, rec in table.items() for a, t in moves.get(rec.reg_state, ())
         }
-        prescribed: dict = {}  # (source cell's state, action, asset) -> successor
+        prescribed: dict = {}  # move -> its prescribed successor, or None
+        handed: set = set()  # (asset, target) of each prescribed successor returned
 
         def take(step: SyncCommand) -> Optional[engine.GlobalState]:
-            result = sync_fn(step.source, step.action, step.asset, gs)
+            source, action, aid = step.source, step.action, step.asset
+            result = sync_fn(source, action, aid, gs)
             gs2 = result.state
             if gs2 is not None:
-                move = moves_at.get((step.source, step.action, step.asset))
+                move = moves_at.get((source, action, aid))
                 if move is not None:
-                    key = (move[0], step.action, step.asset)
-                    if key not in prescribed:
-                        prescribed[key] = _prescribed(gs, projection, step, move[1], spec)
-                    pre = prescribed[key]
+                    pre = prescribed.get(move, False)  # None: the move has no successor
+                    if pre is False:
+                        pre = prescribed[move] = _prescribed(gs, projection, step, move[3], spec)
                     if pre is not None and gs2.chains == pre.chains and gs2.locks == pre.locks:
+                        if (aid, move[3]) in handed:
+                            return None
+                        handed.add((aid, move[3]))
                         return gs2
                 broken = _violations(gs, valid, projection, step, gs2, spec)
-            elif valid and (step.source, step.action, step.asset) in moves_at:
+            elif valid and (source, action, aid) in moves_at:
                 broken = [("combined_success", f"sync failed with {result.reason}")]
             else:
                 return None

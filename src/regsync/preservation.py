@@ -199,9 +199,11 @@ def explore(
     states, deduplicated by ``key``. ``visit(state, origin)`` is called once
     per frontier state, with the initial state and step trail that first
     reached it, and returns the function that takes one step, checks it and
-    returns the successor (None if the step fails). Stops early once a
-    level adds no new state. Raises BudgetExceededError after ``budget``
-    steps. Returns the number of distinct states seen and of steps taken."""
+    returns the successor to enqueue, or None when there is nothing new (the
+    step failed, or the function knows its successor is already keyed).
+    Stops early once a level adds no new state. Raises BudgetExceededError
+    after ``budget`` steps. Returns the number of distinct states seen and
+    of steps taken."""
     visited: set = set()
     frontier = []
     for s in initial:

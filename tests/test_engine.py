@@ -307,6 +307,58 @@ def stepped_states(draw):
     return gs
 
 
+def reference_sync(source, action, aid, gs):
+    """engine.sync composed from the public steps, one call per step."""
+    current = engine.get_reg_state(gs, source, aid)
+    if current is None:
+        return engine.SyncResult.failure(SyncFailure.ASSET_NOT_FOUND)
+    new_state = reg_transition(current, action)
+    if new_state is None:
+        return engine.SyncResult.failure(SyncFailure.INVALID_TRANSITION)
+    locked = engine.acquire_lock(gs, aid)
+    if locked is None:
+        return engine.SyncResult.failure(SyncFailure.LOCKED)
+    updated = engine.update_all_chains(locked, aid, new_state, engine.connected_chains(gs, aid))
+    return engine.SyncResult.success(engine.release_lock(updated, aid))
+
+
+@st.composite
+def sync_calls(draw):
+    """A state, held locks and empty tables included, and a sync on it whose
+    source and asset may be absent from it."""
+    gs = draw(made_states() | stepped_states())
+    assets = {aid for table in gs.chains.values() for aid in table} | gs.locks
+    source = draw(st.sampled_from(sorted(gs.chains) + ["no such chain"]))
+    aid = draw(st.sampled_from(sorted(assets) + ["no such asset"]))
+    return source, draw(st.sampled_from(list(RegAction))), aid, gs
+
+
+def _cells(state, *holders):
+    return {c: {"a1": engine.AssetState("a1", state, "o")} for c in holders}
+
+
+class TestSyncMatchesTheStepComposition:
+    @settings(max_examples=400, deadline=None)
+    @given(sync_calls())
+    # One call per outcome: ok with a chain that does not hold the asset,
+    # Locked, InvalidTransition, and AssetNotFound on an empty state.
+    @example(("c1", RegAction.FREEZE, "a1",
+              engine.GlobalState({**_cells(RegState.ACTIVE, "c1", "c2"), "c3": {}}, frozenset())))
+    @example(("c2", RegAction.FREEZE, "a1",
+              engine.GlobalState(_cells(RegState.ACTIVE, "c1", "c2"), frozenset({"a1"}))))
+    @example(("c1", RegAction.UNFREEZE, "a1",
+              engine.GlobalState(_cells(RegState.ACTIVE, "c1"), frozenset())))
+    @example(("c1", RegAction.FREEZE, "a1", engine.GlobalState({}, frozenset())))
+    def test_same_outcome_and_unchanged_tables_shared(self, call):
+        source, action, aid, gs = call
+        got, expected = engine.sync(*call), reference_sync(*call)
+        assert (got.state, got.reason) == (expected.state, expected.reason)
+        if got.ok:
+            for c, table in gs.chains.items():
+                if aid not in table:
+                    assert got.state.chains[c] is table
+
+
 class TestCanonicalDumpsMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(made_states() | stepped_states())
@@ -601,6 +653,18 @@ class TestCellSplice:
         expected, cell_sets[:] = reference_canonical_dumps(after), []
         assert engine.canonical_dumps(after) == expected
         assert cell_sets == [{("c1", aid) for aid in table}]
+
+    def test_the_same_keys_in_another_order_render_only_the_changed_cell(self, cell_sets):
+        gs = snapshot_stream(seed=19, steps=0)[0][0]
+        engine.canonical_dumps(gs)
+        c = max(STREAM_CHAINS, key=lambda c: len(gs.chains[c]))
+        table = dict(reversed(gs.chains[c].items()))
+        aid = min(table)
+        table[aid] = engine.AssetState(aid, RegState.CONFISCATED, "another owner")
+        after = engine.GlobalState({**gs.chains, c: table}, gs.locks)
+        expected, cell_sets[:] = reference_canonical_dumps(after), []
+        assert engine.canonical_dumps(after) == expected
+        assert len(table) > 1 and cell_sets == [{(c, aid)}]
 
     WALK_STEPS = st.tuples(
         st.sampled_from(["sync", "lock", "put", "drop", "copy"]),

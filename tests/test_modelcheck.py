@@ -143,6 +143,22 @@ def test_prescribed_successor_changes_no_verdict(monkeypatch, sync_fn, bounds):
     assert fast.counterexamples == diagnosed.counterexamples
 
 
+def test_each_distinct_successor_is_keyed_once(monkeypatch):
+    """The state key runs once per initial state and once per distinct
+    prescribed successor of each explored state (5,880 moves at D=3/A=2),
+    not once per successful sync (10,080)."""
+    keyed, state_key = [], modelcheck._state_key
+
+    def counting(gs):
+        keyed.append(gs)
+        return state_key(gs)
+
+    monkeypatch.setattr(modelcheck, "_state_key", counting)
+    result = run_modelcheck(3, 2, 2)
+    assert (result.states_explored, result.syncs_checked, result.ok) == (1225, 51450, True)
+    assert len(keyed) <= 1225 + 5880
+
+
 def _recording(sync_fn, successes):
     """``sync_fn``, appending each successful result to ``successes``."""
 
@@ -333,16 +349,26 @@ def _verdicts(check, *args):
 @given(checked_states(), EDITS)
 def test_checker_matches_the_reference(gs, edits):
     """run_modelcheck's per-state checker reports, in order, exactly what
-    the full rule scan reports, for every step and every kind of result."""
+    the full rule scan reports, for every step and every kind of result.
+    It returns each successor, except one equal to the step's prescribed
+    successor (the engine's result from ``gs`` with the asset's lock
+    released) that it has already returned from ``gs``: that is None."""
     spec = reg_machine_spec()
     valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
-    out, pending = modelcheck.ModelCheckResult(), []
+    out, pending, handed = modelcheck.ModelCheckResult(), [], []
     take = modelcheck._visitor(lambda *_: pending.pop(), out)(gs, (gs, ()))
 
     def checked(step, result):
         out.counterexamples.clear()
         pending.append(result)
-        assert take(step) is result.state
+        prescribed = engine.sync(step.source, step.action, step.asset,
+                                 engine.GlobalState(gs.chains, gs.locks - {step.asset})).state
+        got, gs2 = take(step), result.state
+        if gs2 is not None and gs2 == prescribed:
+            assert got is (None if gs2 in handed else gs2)
+            handed.append(gs2)
+        else:
+            assert got is gs2
         assert all(ce.initial is gs and ce.steps == (step,) for ce in out.counterexamples)
         return [(ce.rule, ce.detail) for ce in out.counterexamples]
 

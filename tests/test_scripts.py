@@ -2,6 +2,7 @@
 on the current APIs, and a deep model check ends once nothing new is reached."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -44,6 +45,8 @@ def test_modelcheck_bounds_splits_ops_by_outcome():
     assert proc.returncode == 0, proc.stderr
     assert "35 syncs (12 successful), 0 violations" in proc.stdout
     assert "us after a failed sync" in proc.stdout and "us after a successful one" in proc.stdout
+    # The engine-only time of the same syncs, and the checker's share of the run.
+    assert re.search(r"engine only \d+\.\d\ds, checker -?\d+% of the run;", proc.stdout)
 
 
 @pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--max-domains", "0"),
