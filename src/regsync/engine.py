@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import is_not
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .preservation import DomainStateMap
 from .regulatory import RegAction, RegState, TextEnum, reg_transition
@@ -120,7 +120,7 @@ def release_lock(gs: GlobalState, aid: AssetKey) -> GlobalState:
 
 
 def update_all_chains(
-    gs: GlobalState, aid: AssetKey, new_state: RegState, targets: Iterable[ChainId]
+    gs: GlobalState, aid: AssetKey, new_state: RegState, targets: frozenset[ChainId]
 ) -> GlobalState:
     """``gs`` with every target's cell of ``aid`` in ``new_state``, built
     once per distinct old record object."""
@@ -142,6 +142,7 @@ def sync(source: ChainId, action: RegAction, aid: AssetKey, gs: GlobalState) -> 
     acquire the per-asset lock, update every connected chain, release the
     lock. Any failure aborts with no partial state.
     """
+    # get_reg_state, inlined: the model checker's syncs are ~80% failures.
     table = gs.chains.get(source)
     rec = None if table is None else table.get(aid)
     if rec is None:
@@ -155,7 +156,7 @@ def sync(source: ChainId, action: RegAction, aid: AssetKey, gs: GlobalState) -> 
     # Targets are read from the pre-lock state, as in the protocol
     # definition; acquire_lock shares the chain tables, so the two
     # readings coincide.
-    targets = [c for c, t in gs.chains.items() if aid in t]
+    targets = connected_chains(gs, aid)
     gs_updated = update_all_chains(gs_locked, aid, new_state, targets)
     return SyncResult(release_lock(gs_updated, aid))
 
@@ -260,13 +261,14 @@ def canonical_dumps(gs: GlobalState) -> str:
     the entry keeps the table alive, so its ``id`` cannot be reused
     meanwhile. This relies on the engine's purity premise: no chain table
     is mutated in place after it has been rendered. A chain that misses
-    but keeps its key set re-renders only its dirty cells, those whose
-    record is not the memoised object or whose lock flag changed, and
-    splices them into a copy of ``cell_texts``; any other miss renders
-    every cell. So a failed sync re-renders no cell, and a successful one
-    one cell per holder chain. The dirty cells of all missed chains come
-    from one to_json_dict call on the state restricted to them; a state
-    whose chains all hit makes no such call.
+    but keeps its keys in the memoised order (as every engine step does)
+    re-renders only its dirty cells, those whose record is not the
+    memoised object or whose lock flag changed, and splices them into a
+    copy of ``cell_texts``; any other miss renders every cell. So a failed
+    sync re-renders no cell, and a successful one one cell per holder
+    chain. The dirty cells of all missed chains come from one to_json_dict
+    call on the state restricted to them; a state whose chains all hit
+    makes no such call.
     """
     esc, memo, locks = encode_basestring_ascii, _CHAIN_TEXT, gs.locks
     texts, missed = {}, {}
@@ -281,8 +283,6 @@ def canonical_dumps(gs: GlobalState) -> str:
             dirty = {}
         elif old is not None and list(old) == list(table):  # scanned by identity in C
             dirty = dict(compress(table.items(), map(is_not, table.values(), old.values())))
-        elif old is not None and old.keys() == table.keys():
-            dirty = {a: rec for a, rec in table.items() if old[a] is not rec}
         else:
             positions = {a: i for i, a in enumerate(sorted(table))}
             missed[c] = (table, held, positions, [""] * len(table), table)

