@@ -3,9 +3,11 @@
 
 Runs fair and adversarial schedules across many seeds and prints drain
 times against the drain horizon (``liveness.drain_horizon``), with the mean
-wall-clock cost of one epoch of the drains. ``--requests`` takes one or
-more request counts and prints a line per count and schedule, so one run
-gives the cost per epoch against the request count:
+wall-clock cost of one epoch of the drains, over all epochs and apart for
+honest and Byzantine leaders: a Byzantine epoch that may lock an asset pays
+for its seeded draw, an honest one for its sync. ``--requests`` takes one
+or more request counts and prints a line per count and schedule, so one
+run gives the cost per epoch against the request count:
 
     python3 scripts/liveness_sweep.py --requests 250 1000 4000 --seeds 1
 """
@@ -23,7 +25,7 @@ from regsync.liveness import (
     drain_horizon,
     gen_adversarial_schedule,
     gen_fair_schedule,
-    run_until_drained,
+    step_epoch,
     validate_bft_config,
 )
 from regsync.priority import AuthorityLevel, RegRequest
@@ -66,21 +68,40 @@ def main():
         sweep(args, n_requests)
 
 
+def timed_drain(s0, sched, cfg, max_epochs):
+    """The trace run_until_drained gives, and the seconds its honest
+    (``True``) and Byzantine (``False``) epochs took."""
+    trace, seconds, state = [], {True: 0.0, False: 0.0}, s0
+    while state.pending and state.epoch < min(max_epochs, sched.horizon):
+        start = time.perf_counter()
+        state, record = step_epoch(state, sched, cfg)
+        seconds[record.honest] += time.perf_counter() - start
+        trace.append(record)
+    return trace, seconds
+
+
+def us_per_epoch(seconds, epochs):
+    return f"{seconds / epochs * 1e6:.0f} us" if epochs else "-"
+
+
 def sweep(args, n_requests):
     """Drain ``n_requests`` requests under both schedules for every seed and
-    print one line per schedule."""
-    for label, gen in (("fair", gen_fair_schedule), ("adversarial", gen_adversarial_schedule)):
+    print one line per schedule. With no faulty node there is no Byzantine
+    leader for an adversarial schedule, so only the fair one runs."""
+    schedules = (("fair", gen_fair_schedule), ("adversarial", gen_adversarial_schedule))
+    for label, gen in schedules[: 2 if args.faults else 1]:
         drains = []
-        drain_s = 0.0
+        seconds, epochs = {True: 0.0, False: 0.0}, {True: 0, False: 0}
         starvation_ok = True
         for seed in range(args.seeds):
             cfg = build_config(args.nodes, args.faults, args.timeout, args.fairness_bound, seed)
             bound = drain_horizon(n_requests, cfg)
             sched = gen(cfg, bound)
             s0 = initial_state(n_requests)
-            start = time.perf_counter()
-            trace = run_until_drained(s0, sched, cfg, bound)
-            drain_s += time.perf_counter() - start
+            trace, drain_s = timed_drain(s0, sched, cfg, bound)
+            for honest in (True, False):
+                seconds[honest] += drain_s[honest]
+                epochs[honest] += sum(r.honest is honest for r in trace)
             drains.append(len(trace))
             starvation_ok &= check_starvation_bound(trace, cfg.fairness_bound).ok
             assert trace[-1].pending_after == 0, f"seed {seed} did not drain"
@@ -88,7 +109,10 @@ def sweep(args, n_requests):
             f"requests={n_requests} {label}: "
             f"drained {args.seeds}/{args.seeds} within bound {bound}; "
             f"epochs min={min(drains)} max={max(drains)} "
-            f"mean={statistics.mean(drains):.1f}; {drain_s / sum(drains) * 1e6:.0f} us/epoch; "
+            f"mean={statistics.mean(drains):.1f}; "
+            f"{us_per_epoch(sum(seconds.values()), sum(drains))}/epoch "
+            f"({us_per_epoch(seconds[True], epochs[True])} honest, "
+            f"{us_per_epoch(seconds[False], epochs[False])} Byzantine); "
             f"starvation windows ok={starvation_ok}"
         )
 

@@ -5,7 +5,8 @@ its input, so failed syncs leave no partial writes behind. Fresh states
 share what did not change: acquiring or releasing a lock copies only the
 lock set, and an update copies only the asset tables of its target chains.
 An update builds one record per new cell value, shared by the holder chains
-that shared the old one; the records are frozen dataclasses with slots.
+that shared the old one; the records are frozen dataclasses with slots,
+built through their slot descriptors (see records.frozen_record).
 
 canonical_dumps relies on that purity: no chain table is mutated in place
 after it has been rendered, so it memoises each chain's text and re-renders
@@ -14,27 +15,28 @@ only the cells a step changed (see its docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import is_not
 from typing import Mapping, Optional
 
 from .preservation import DomainStateMap
+from .records import frozen_record
 from .regulatory import RegAction, RegState, TextEnum, reg_transition
 
 ChainId = str
 AssetKey = str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class AssetState:
     asset_id: AssetKey
     reg_state: RegState
     owner: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class GlobalState:
     """Per-chain asset tables plus the set of assets whose lock is held.
 
@@ -65,7 +67,7 @@ class SyncFailure(TextEnum):
     LOCKED = "Locked"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SyncResult:
     """Success carries the new GlobalState; failure carries a reason tag."""
 
@@ -78,7 +80,7 @@ class SyncResult:
 
     @staticmethod
     def success(gs: GlobalState) -> "SyncResult":
-        return SyncResult(state=gs)
+        return SyncResult(gs)
 
     @staticmethod
     def failure(reason: SyncFailure) -> "SyncResult":

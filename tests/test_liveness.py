@@ -219,6 +219,16 @@ class TestStepEpoch:
         for c in ("c1", "c2"):
             assert engine.get_reg_state(s1.global_state, c, "a1") is RegState.FROZEN
 
+    def test_the_least_source_chain_does_not_depend_on_chain_order(self):
+        cfg = config()
+        placement = {"c3": {"a1": RegState.FROZEN}, "c1": {"a1": RegState.ACTIVE},
+                     "c2": {"a1": RegState.FROZEN}, "c0": {"b1": RegState.ACTIVE}}
+        s1, record = step_epoch(SimState(0, requests(1), make_state(placement), {}),
+                                all_honest_schedule(cfg, 5), cfg)
+        assert record.outcome == "ok"
+        assert {engine.get_reg_state(s1.global_state, c, "a1") for c in ("c1", "c2", "c3")} == {
+            RegState.FROZEN}
+
     def test_request_on_an_asset_no_chain_holds(self):
         cfg = config()
         s0 = SimState(0, requests(1), make_state({"c1": {"b1": RegState.ACTIVE}}), {})
@@ -451,6 +461,56 @@ class TestRankedEpochMatchesReference:
         second = step_epoch(s1, sched, cfg)
         assert first == second
         assert step_epoch(first[0], sched, cfg) == step_epoch(second[0], sched, cfg)
+
+    def test_stepping_epochs_out_of_order_gives_the_fresh_drains_epochs(self):
+        """Each state of a drain, stepped again in shuffled order and for a
+        few epochs on, gives the drain's own epochs, and no state's
+        lock_times is changed by it: an epoch's draw depends on (seed,
+        epoch) alone."""
+        cfg = config(seed=4)
+        sched = gen_adversarial_schedule(cfg, 60)
+        states, records = drain_states(sim_state(requests(12)), sched, cfg)
+        assert any(ev.event == "expire" for r in records for ev in r.lock_events)
+        lock_times = [dict(s.lock_times) for s in states]
+        order = list(range(len(records)))
+        random.Random(1).shuffle(order)
+        for e in order:
+            s = states[e]
+            for later in range(e, min(e + 3, len(records))):
+                s, record = step_epoch(s, sched, cfg)
+                assert (s, record) == (states[later + 1], records[later])
+        assert [s.lock_times for s in states] == lock_times
+        # Each state stepped twice in a row: after an epoch that changed
+        # nothing, the ranking it advanced still fits the state stepped again.
+        s = states[0]
+        for e, record in enumerate(records):
+            again = step_epoch(s, sched, cfg)
+            s, rec = step_epoch(s, sched, cfg)
+            assert again == (s, rec) == (states[e + 1], record)
+
+    def test_interleaved_drains_of_two_seeds_give_their_fresh_records(self):
+        cfgs = [config(seed=4), config(seed=5)]
+        scheds = [gen_adversarial_schedule(cfg, 60) for cfg in cfgs]
+        fresh = [drain_states(sim_state(requests(12)), sched, cfg)[1]
+                 for sched, cfg in zip(scheds, cfgs)]
+        assert fresh[0] != fresh[1]
+        states, records = [sim_state(requests(12))] * 2, [[], []]
+        while any(s.pending and s.epoch < sched.horizon for s, sched in zip(states, scheds)):
+            for i, (sched, cfg) in enumerate(zip(scheds, cfgs)):
+                if states[i].pending and states[i].epoch < sched.horizon:
+                    states[i], record = step_epoch(states[i], sched, cfg)
+                    records[i].append(record)
+        assert records == fresh
+
+
+def drain_states(s0, sched, cfg):
+    """Every state of a drain from ``s0``, and its records."""
+    states, records = [s0], []
+    while states[-1].pending and states[-1].epoch < sched.horizon:
+        state, record = step_epoch(states[-1], sched, cfg)
+        states.append(state)
+        records.append(record)
+    return states, records
 
 
 def test_each_priority_key_is_computed_once_per_drain(monkeypatch):

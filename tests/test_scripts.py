@@ -38,6 +38,21 @@ def test_script_runs(script, args):
     assert proc.stdout
 
 
+@pytest.mark.parametrize("faults, schedules, byzantine", [
+    ("1", ["fair", "adversarial"], r"\d+ us"),
+    # With no faulty node only the fair schedule runs, and it has no Byzantine epoch.
+    ("0", ["fair"], "-"),
+])
+def test_liveness_sweep_splits_epoch_cost_by_leader(faults, schedules, byzantine):
+    proc = run_python(str(ROOT / "scripts" / "liveness_sweep.py"),
+                      "--faults", faults, "--requests", "20", "--seeds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"requests=20 {s}" for s in schedules]
+    for line in lines:
+        assert re.search(rf"; \d+ us/epoch \(\d+ us honest, {byzantine} Byzantine\); ", line), line
+
+
 def test_modelcheck_bounds_splits_ops_by_outcome():
     # One chain, one asset: 5 states x 7 actions, and 12 defined transitions.
     proc = run_python(str(ROOT / "scripts" / "modelcheck_bounds.py"),
