@@ -16,13 +16,16 @@ explored state, consulting the generic layer once) breaks no rule, as each
 rule reads only what that successor fixes. Other successes are diagnosed
 rule by rule, where a chain table shared by identity with the input counts
 as unchanged, which rests on the engine never mutating a table in place.
+A state's key is its exact index in the scope (see _key), and a prescribed
+successor's is its parent's plus the synced asset's change of digit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Hashable, Iterator, Optional
 
 from . import engine
 from .preservation import DomainStateMap, explore, sync_all
@@ -68,25 +71,35 @@ def asset_names(n: int) -> list[str]:
 def enumerate_initial_states(n_chains: int, n_assets: int):
     """All valid initial states: each asset sits on a non-empty chain subset
     in one of the five states, consistently, with no lock held."""
+    return (gs for gs, _ in _keyed_initial_states(n_chains, n_assets))
+
+
+def _keyed_initial_states(n_chains: int, n_assets: int):
+    """Each initial state with its index, a sum of per-asset digits."""
     chains = chain_names(n_chains)
     assets = asset_names(n_assets)
+    bits, weights = _index_space(n_chains, n_assets)
     subsets = [
         combo
         for size in range(1, n_chains + 1)
         for combo in itertools.combinations(chains, size)
     ]
-    per_asset = [(subset, state) for subset in subsets for state in RegState]
+    per_asset = [  # (subset, state, the digit of an unlocked asset there)
+        (s, t, ((sum(map(bits.get, s)) - 1) * 5 + _RANK[t]) * 2) for s in subsets for t in RegState
+    ]
     # One record per (asset, state), shared by its holders in every initial state.
     cells = {(aid, s): engine.AssetState(aid, s, "owner") for aid in assets for s in RegState}
     for assignment in itertools.product(per_asset, repeat=n_assets):
         tables: dict[str, dict[str, engine.AssetState]] = {c: {} for c in chains}
-        for aid, (subset, state) in zip(assets, assignment):
+        index = 0
+        for aid, (subset, state, digit) in zip(assets, assignment):
             cell = cells[aid, state]
             for c in subset:
                 tables[c][aid] = cell
+            index += digit * weights[aid]
         # The cells already carry their keys and no lock is held, so
         # GlobalState.make would only copy every table again.
-        yield engine.GlobalState(tables, frozenset())
+        yield engine.GlobalState(tables, frozenset()), index
 
 
 def initial_state_count(n_chains: int, n_assets: int) -> int:
@@ -119,6 +132,33 @@ def _state_key(gs: engine.GlobalState) -> tuple:
             rec = table[aid]
             cells += (c, aid, rec.reg_state, rec.owner)
     return names, tuple(cells), tuple(sorted(gs.locks))
+
+
+_RANK = {s: i for i, s in enumerate(RegState)}
+
+
+def _index_space(n_chains: int, n_assets: int) -> tuple[dict, dict]:
+    """Each chain's holder bit and each asset's weight B**i, B = 10 * (2**n_chains - 1)."""
+    base = 10 * (2**n_chains - 1)
+    bits = {c: 1 << i for i, c in enumerate(chain_names(n_chains))}
+    return bits, {aid: base**i for i, aid in enumerate(asset_names(n_assets))}
+
+
+def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
+    """The visited-set key of ``gs``: the sum of each asset's weight times
+    its digit ``((holder mask - 1) * 5 + state rank) * 2 + locked``, or, if
+    ``gs`` is outside that index space, _state_key(gs). Whether it is
+    outside is read from what _state_key reads, compared with ``==``."""
+    masks, ranks, locks = {}, {}, gs.locks
+    for c, table in gs.chains.items():
+        for aid, rec in table.items():
+            rank = _RANK.get(rec.reg_state)
+            if rank is None or rec.owner != "owner" or ranks.setdefault(aid, rank) != rank:
+                return _state_key(gs)
+            masks[aid] = masks.get(aid, 0) | bits.get(c, 0)
+    if masks.keys() != weights.keys() or gs.chains.keys() != bits.keys() or locks - weights.keys():
+        return _state_key(gs)
+    return sum((((masks[a] - 1) * 5 + ranks[a]) * 2 + (a in locks)) * w for a, w in weights.items())
 
 
 def _violations(
@@ -190,16 +230,16 @@ def _prescribed(
     return engine.GlobalState(chains, gs.locks)
 
 
-def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult) -> Callable:
-    """The ``visit`` hook of run_modelcheck: per explored state, a ``take``
-    that runs one sync through ``sync_fn``, appends a Counterexample to
-    ``out`` for each guarantee it breaks and returns the successor to
-    enqueue: None for a prescribed successor it already returned from this
-    state, which explore has keyed (an equal state has an equal key)."""
+def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, space) -> Callable:
+    """The ``visit`` hook of run_modelcheck over (state, _key) pairs: per
+    explored state, a ``take`` that runs one sync through ``sync_fn``,
+    appends a Counterexample to ``out`` for each guarantee it breaks and
+    returns the successor with its key, or None if the sync failed."""
     spec = reg_machine_spec()
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
 
-    def visit(gs: engine.GlobalState, origin) -> Callable:
+    def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Callable:
+        gs, key = node
         valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
         # Each defined move: (source, action, asset) -> (source's state, action, asset, target).
         moves_at = {
@@ -207,9 +247,8 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult) -
             for aid, rec in table.items() for a, t in moves.get(rec.reg_state, ())
         }
         prescribed: dict = {}  # move -> its prescribed successor, or None
-        handed: set = set()  # (asset, target) of each prescribed successor returned
 
-        def take(step: SyncCommand) -> Optional[engine.GlobalState]:
+        def take(step: SyncCommand) -> Optional[tuple[engine.GlobalState, Hashable]]:
             source, action, aid = step.source, step.action, step.asset
             result = sync_fn(source, action, aid, gs)
             gs2 = result.state
@@ -220,18 +259,18 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult) -
                     if pre is False:
                         pre = prescribed[move] = _prescribed(gs, projection, step, move[3], spec)
                     if pre is not None and gs2.chains == pre.chains and gs2.locks == pre.locks:
-                        if (aid, move[3]) in handed:
-                            return None
-                        handed.add((aid, move[3]))
-                        return gs2
+                        if type(key) is not int:
+                            return gs2, _key(gs2, *space)
+                        change = (_RANK[move[3]] - _RANK[move[0]]) * 2 - (aid in gs.locks)
+                        return gs2, key + change * space[1][aid]
                 broken = _violations(gs, valid, projection, step, gs2, spec)
             elif valid and (source, action, aid) in moves_at:
                 broken = [("combined_success", f"sync failed with {result.reason}")]
             else:
                 return None
             trail = origin[1] + (step,)
-            out.counterexamples += [Counterexample(r, origin[0], trail, d) for r, d in broken]
-            return gs2
+            out.counterexamples += [Counterexample(r, origin[0][0], trail, d) for r, d in broken]
+            return None if gs2 is None else (gs2, _key(gs2, *space))
 
         return take
 
@@ -264,8 +303,8 @@ def run_modelcheck(
     ]
     out = ModelCheckResult()
     out.states_explored, out.syncs_checked = explore(
-        enumerate_initial_states(n_chains, n_assets), steps, depth, budget, _state_key,
-        _visitor(sync_fn, out),
+        _keyed_initial_states(n_chains, n_assets), steps, depth, budget, itemgetter(1),
+        _visitor(sync_fn, out, _index_space(n_chains, n_assets)),
     )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))
     return out

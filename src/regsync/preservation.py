@@ -203,7 +203,8 @@ def explore(
     step failed, or the function knows its successor is already keyed).
     Stops early once a level adds no new state. Raises BudgetExceededError
     after ``budget`` steps. Returns the number of distinct states seen and
-    of steps taken."""
+    of steps taken. A caller that keys each successor from its parent makes
+    states (state, key) pairs, ``key`` itemgetter(1): ``take`` returns both."""
     visited: set = set()
     frontier = []
     for s in initial:

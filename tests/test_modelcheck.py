@@ -2,6 +2,7 @@
 anything is built."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 from typing import Iterator
 
@@ -125,12 +126,16 @@ def test_rule_fires(sync_fn, bounds, fired):
     assert rules(run_modelcheck(*bounds, sync_fn=sync_fn)) == fired
 
 
-@pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 1)])
-@pytest.mark.parametrize("sync_fn", [
+SMALL_BOUNDS = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 1)]
+SYNC_FNS = [
     engine.sync, _fail_freeze, _touch_neighbour, _mutant_skip_release, _lock_neighbour,
     _accept_undefined, _change_owner, _appear_on_bare_chain, _flip_neighbour,
     _mutant_skip_target, _mutant_allow_seized_freeze,
-])
+]
+
+
+@pytest.mark.parametrize("bounds", SMALL_BOUNDS)
+@pytest.mark.parametrize("sync_fn", SYNC_FNS)
 def test_prescribed_successor_changes_no_verdict(monkeypatch, sync_fn, bounds):
     """With no prescribed successor every success is diagnosed rule by rule;
     the counterexamples must be the same, in the same order."""
@@ -143,20 +148,128 @@ def test_prescribed_successor_changes_no_verdict(monkeypatch, sync_fn, bounds):
     assert fast.counterexamples == diagnosed.counterexamples
 
 
-def test_each_distinct_successor_is_keyed_once(monkeypatch):
-    """The state key runs once per initial state and once per distinct
-    prescribed successor of each explored state (5,880 moves at D=3/A=2),
-    not once per successful sync (10,080)."""
-    keyed, state_key = [], modelcheck._state_key
+@pytest.mark.parametrize("bounds", SMALL_BOUNDS)
+@pytest.mark.parametrize("sync_fn", SYNC_FNS)
+def test_state_index_changes_no_verdict(monkeypatch, sync_fn, bounds):
+    """Keying by the index or by _state_key alone explores the same states
+    and finds the same counterexamples, in the same order."""
+    indexed = run_modelcheck(*bounds, sync_fn=sync_fn)
+    # The in-space test always falls back, and the initial states, which
+    # the enumeration indexes without it, are keyed by _state_key too.
+    keyed = modelcheck._keyed_initial_states
+    monkeypatch.setattr(modelcheck, "_key", lambda gs, *_: modelcheck._state_key(gs))
+    monkeypatch.setattr(
+        modelcheck, "_keyed_initial_states",
+        lambda *bounds: ((gs, modelcheck._state_key(gs)) for gs, _ in keyed(*bounds)),
+    )
+    fallback = run_modelcheck(*bounds, sync_fn=sync_fn)
+    assert (indexed.states_explored, indexed.syncs_checked) == (
+        fallback.states_explored, fallback.syncs_checked
+    )
+    assert indexed.counterexamples == fallback.counterexamples
 
-    def counting(gs):
-        keyed.append(gs)
-        return state_key(gs)
 
-    monkeypatch.setattr(modelcheck, "_state_key", counting)
+def _recording_explore(monkeypatch, handed):
+    """Make run_modelcheck's explorer append to ``handed`` each (state, key)
+    pair it is given: the initial ones and each one a ``take`` returns."""
+    explore = modelcheck.explore
+
+    def recording(initial, steps, depth, budget, key, visit):
+        def recording_visit(node, origin):
+            take = visit(node, origin)
+
+            def recording_take(step):
+                got = take(step)
+                if got is not None:
+                    handed.append(got)
+                return got
+
+            return recording_take
+
+        initial = list(initial)
+        handed.extend(initial)
+        return explore(initial, steps, depth, budget, key, recording_visit)
+
+    monkeypatch.setattr(modelcheck, "explore", recording)
+
+
+def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
+    """Every state of the engine's run at D=3/A=2 is in the index space:
+    each initial index comes from the enumeration and each successor's
+    (10,080, one per successful sync) from its parent's, so no state is
+    walked and _state_key never runs. A mutant that leaves holders
+    disagreeing leaves the index space, and its states are keyed by
+    _state_key."""
+    keyed, walked, handed = [], [], []
+    state_key, key = modelcheck._state_key, modelcheck._key
+    monkeypatch.setattr(modelcheck, "_state_key", lambda gs: keyed.append(gs) or state_key(gs))
+    monkeypatch.setattr(modelcheck, "_key", lambda gs, *space: walked.append(gs) or key(gs, *space))
+    _recording_explore(monkeypatch, handed)
     result = run_modelcheck(3, 2, 2)
     assert (result.states_explored, result.syncs_checked, result.ok) == (1225, 51450, True)
-    assert len(keyed) <= 1225 + 5880
+    assert (len(keyed), len(walked), len(handed)) == (0, 0, 1225 + 10080)
+    assert all(type(k) is int for _, k in handed)
+    assert len({k for _, k in handed}) == 1225
+    run_modelcheck(3, 2, 2, sync_fn=_mutant_skip_target)
+    assert keyed
+
+
+def test_keys_identify_what_the_state_key_does(monkeypatch):
+    """Two states have equal checker keys, index or fallback, exactly when
+    they have equal _state_keys: over the (state, key) pairs explore is
+    given on runs whose successors leave the index space (disagreeing
+    holders, held locks, changed owners, added cells), and over hand-built
+    states."""
+    handed = []
+    _recording_explore(monkeypatch, handed)
+    for mutant in (_mutant_skip_target, _mutant_skip_release, _change_owner, _appear_on_bare_chain):
+        run_modelcheck(2, 2, 2, sync_fn=mutant)
+    table = {
+        "a1": engine.AssetState("a1", RegState.ACTIVE, "owner"),
+        "a2": engine.AssetState("a2", RegState.FROZEN, "owner"),
+    }
+    text = {**table, "a1": engine.AssetState("a1", "ACTIVE", "owner")}
+    hand_built = [
+        engine.GlobalState({"c1": table, "c2": table}, frozenset()),
+        engine.GlobalState({"c1": text, "c2": text}, frozenset()),  # a str-valued state
+        engine.GlobalState({"c1": table, "c2": table, "c3": table}, frozenset()),  # an extra chain
+        engine.GlobalState({"c1": table, "c2": {}}, frozenset()),  # an empty chain
+        engine.GlobalState({"c1": table}, frozenset()),  # a missing chain
+        engine.GlobalState({"c1": table, "c2": {}}, frozenset({"a3"})),  # a lock on no held asset
+        engine.GlobalState({"c1": {"a1": table["a1"]}, "c2": {}}, frozenset({"a2"})),  # a2 unheld
+    ]
+    space = modelcheck._index_space(2, 2)
+    keys = [modelcheck._key(gs, *space) for gs in hand_built]
+    assert keys[0] == keys[1] and type(keys[1]) is int  # "ACTIVE" == RegState.ACTIVE
+    assert type(keys[3]) is int and all(type(k) is tuple for k in keys[2:3] + keys[4:])
+    pairs = {(k, modelcheck._state_key(gs)) for gs, k in handed + list(zip(hand_built, keys))}
+    # Two keys agree on every pair of states exactly when each key value of
+    # one pairs with a single key value of the other.
+    assert len({k for k, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
+    assert {type(k) for k, _ in pairs} == {int, tuple}
+    assert any(gs.locks for gs, _ in handed)
+
+
+@pytest.mark.parametrize("bounds, outcomes", [
+    ((3, 2, 2), {"ok": 10_080, "InvalidTransition": 19_320, "AssetNotFound": 22_050, "Locked": 0}),
+    ((2, 2, 3), {"ok": 1_440, "InvalidTransition": 2_760, "AssetNotFound": 2_100, "Locked": 0}),
+])
+def test_sync_outcomes_of_the_lock_free_run(bounds, outcomes):
+    """The outcome of every sync the checker runs on the engine. None fails
+    with Locked: every initial state is lock-free and every success releases
+    its lock, so the lock premise of guaranteed success always holds and is
+    never tested (vacuous). ROADMAP items 3 and 14 close this with a second,
+    held-lock initial set."""
+    seen = Counter()
+
+    def recording(source, action, aid, gs):
+        result = engine.sync(source, action, aid, gs)
+        seen["ok" if result.ok else result.reason.value] += 1
+        return result
+
+    assert run_modelcheck(*bounds, sync_fn=recording).ok
+    assert {outcome: seen[outcome] for outcome in outcomes} == outcomes
+    assert sum(seen.values()) == sum(outcomes.values())
 
 
 def _recording(sync_fn, successes):
@@ -292,6 +405,23 @@ def checked_states(draw):
     return engine.GlobalState(chains, locks)
 
 
+# The checker's index over CHAINS and ASSETS.
+SPACE = modelcheck._index_space(len(CHAINS), len(ASSETS))
+
+
+@st.composite
+def indexed_states(draw):
+    """States in the index space over CHAINS and ASSETS: each asset on a
+    non-empty set of chains, in one state, owned by "owner", its lock held
+    or free."""
+    chains = {c: {} for c in CHAINS}
+    for aid in ASSETS:
+        cell = engine.AssetState(aid, draw(STATES), "owner")
+        for c in draw(st.lists(st.sampled_from(CHAINS), min_size=1, unique=True)):
+            chains[c][aid] = cell
+    return engine.GlobalState(chains, draw(st.frozensets(st.sampled_from(ASSETS))))
+
+
 # One edit of a successor: put, drop or lock a cell, or drop a chain.
 EDITS = st.lists(
     st.tuples(
@@ -321,9 +451,11 @@ def _edited(gs, edits):
 
 def _results(gs, step, edits):
     """What a sync_fn may return for ``step`` from ``gs``: the engine's
-    result, each failure, and hand-made successors of the engine's state
-    (of ``gs`` where the engine fails)."""
+    result, its result with the asset's lock ignored, each failure, and
+    hand-made successors of the engine's state (of ``gs`` where the engine
+    fails)."""
     real = engine.sync(step.source, step.action, step.asset, gs)
+    unlocked = engine.GlobalState(gs.chains, gs.locks - {step.asset})
     base = real.state or gs
     successors = [
         engine.GlobalState(base.chains, base.locks),  # every table shared
@@ -331,9 +463,9 @@ def _results(gs, step, edits):
         engine.GlobalState(base.chains, base.locks | {step.asset}),  # the lock left held
         _edited(base, edits),
     ]
-    return [real] + [SyncResult.failure(r) for r in SyncFailure] + [
-        SyncResult.success(s) for s in successors
-    ]
+    return [real, engine.sync(step.source, step.action, step.asset, unlocked)] + [
+        SyncResult.failure(r) for r in SyncFailure
+    ] + [SyncResult.success(s) for s in successors]
 
 
 def _verdicts(check, *args):
@@ -346,29 +478,26 @@ def _verdicts(check, *args):
 
 
 @settings(max_examples=150, deadline=None)
-@given(checked_states(), EDITS)
+@given(checked_states() | indexed_states(), EDITS)
 def test_checker_matches_the_reference(gs, edits):
     """run_modelcheck's per-state checker reports, in order, exactly what
     the full rule scan reports, for every step and every kind of result.
-    It returns each successor, except one equal to the step's prescribed
-    successor (the engine's result from ``gs`` with the asset's lock
-    released) that it has already returned from ``gs``: that is None."""
+    It returns each successor with the key _key gives it, whether the key
+    comes from the parent's index or from a walk."""
     spec = reg_machine_spec()
     valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
-    out, pending, handed = modelcheck.ModelCheckResult(), [], []
-    take = modelcheck._visitor(lambda *_: pending.pop(), out)(gs, (gs, ()))
+    out, pending = modelcheck.ModelCheckResult(), []
+    node = (gs, modelcheck._key(gs, *SPACE))
+    take = modelcheck._visitor(lambda *_: pending.pop(), out, SPACE)(node, (node, ()))
 
     def checked(step, result):
         out.counterexamples.clear()
         pending.append(result)
-        prescribed = engine.sync(step.source, step.action, step.asset,
-                                 engine.GlobalState(gs.chains, gs.locks - {step.asset})).state
         got, gs2 = take(step), result.state
-        if gs2 is not None and gs2 == prescribed:
-            assert got is (None if gs2 in handed else gs2)
-            handed.append(gs2)
+        if gs2 is None:
+            assert got is None
         else:
-            assert got is gs2
+            assert got[0] is gs2 and got[1] == modelcheck._key(gs2, *SPACE)
         assert all(ce.initial is gs and ce.steps == (step,) for ce in out.counterexamples)
         return [(ce.rule, ce.detail) for ce in out.counterexamples]
 
