@@ -5,6 +5,13 @@ all 4 chains, in the five states in turn; the sync freezes the first
 asset, which is ACTIVE. Each figure is the minimum CPU time per call over
 the repeats.
 
+With ``--scenario FILE`` the script instead replays that scenario's
+``sync`` steps as ``regsync sync`` does, from a cleared chain memo, and
+prints the mean wall-clock time per step of the sync and of the snapshot
+that follows it, the minimum over ``--repeat`` replays. That is the layer
+split of the bench ``replay`` workload; ``--assets`` and ``--number`` are
+then unused.
+
 ``canonical_dumps`` memoises each chain's text and the texts of its
 cells, and is timed in the four cases a replay meets:
 
@@ -13,14 +20,15 @@ cells, and is timed in the four cases a replay meets:
 - ``after sync``: the state after the sync, with the memo holding the
   state before it (rendered before each call, outside the timing). The
   synced asset's holder chains miss, here all 4; each renders only the
-  synced cell, from one ``to_json_dict`` call, and splices it into its
-  memoised cell texts.
+  synced cell, from its record, and splices it into its memoised cell
+  texts, with no ``to_json_dict`` call.
 - ``after lock``: the state with the first asset's lock taken, with the
   memo holding the state before it, as for ``after sync``. Every chain
   keeps its table, but the lock flag of the asset's cell on each of its
   4 holder chains changed, so those cells are rendered and spliced.
 - ``cold``: the chain memo cleared before each call (outside the
-  timing), so that the call renders every cell of every chain."""
+  timing), so that the call renders every cell of every chain, from one
+  ``to_json_dict`` call."""
 
 import argparse
 import time
@@ -29,6 +37,7 @@ import timeit
 from regsync import engine
 from regsync.cli import _int_at_least
 from regsync.regulatory import RegAction, RegState
+from regsync.scenario import ScenarioError, parse_scenario
 
 CHAINS = ("c1", "c2", "c3", "c4")
 
@@ -54,12 +63,45 @@ def prepared_seconds(call, prepare, number: int) -> float:
     return total
 
 
+def replay_split(path: str, repeat: int) -> str:
+    """The layer split of replaying the scenario at ``path``: mean wall-clock
+    us per step of the sync and of the snapshot, the minimum over
+    ``repeat`` replays."""
+    sc = parse_scenario(path)
+    steps = [(cmd.source, cmd.action, cmd.asset) for cmd in sc.sync]
+    sync, dumps, clock = engine.sync, engine.canonical_dumps, time.perf_counter
+    best_sync = best_snapshot = float("inf")
+    for _ in range(repeat):
+        engine._CHAIN_TEXT.clear()
+        gs, sync_s, snapshot_s, ok = sc.state, 0.0, 0.0, 0
+        for source, action, aid in steps:
+            start = clock()
+            result = sync(source, action, aid, gs)
+            synced = clock()
+            if result.ok:
+                gs, ok = result.state, ok + 1
+            dumps(gs)
+            sync_s, snapshot_s = sync_s + synced - start, snapshot_s + clock() - synced
+        best_sync, best_snapshot = min(best_sync, sync_s), min(best_snapshot, snapshot_s)
+    n = max(len(steps), 1)
+    return (f"scenario={path} steps={len(steps)} ok={ok}: sync {best_sync / n * 1e6:.1f} us, "
+            f"snapshot {best_snapshot / n * 1e6:.1f} us per step")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--assets", type=_int_at_least(1), nargs="+", default=[20, 200])
     parser.add_argument("--number", type=_int_at_least(1), default=200, help="calls per repeat")
     parser.add_argument("--repeat", type=_int_at_least(1), default=5)
+    parser.add_argument("--scenario", metavar="FILE",
+                        help="replay this scenario's sync steps instead")
     args = parser.parse_args()
+    if args.scenario is not None:
+        try:
+            print(replay_split(args.scenario, args.repeat))
+        except ScenarioError as exc:
+            parser.error(str(exc))
+        return
 
     for n in args.assets:
         gs = make_state(n)

@@ -10,7 +10,9 @@ built through their slot descriptors (see records.frozen_record).
 
 canonical_dumps relies on that purity: no chain table is mutated in place
 after it has been rendered, so it memoises each chain's text and re-renders
-only the cells a step changed (see its docstring).
+only the cells a step changed, straight from their records. A chain it has
+not seen, or whose keys changed or moved, is rendered in full through
+to_json_dict, which defines a snapshot's fields (see its docstring).
 """
 
 from __future__ import annotations
@@ -250,65 +252,77 @@ def canonical_dumps(gs: GlobalState) -> str:
 
     The bytes equal ``json.dumps(to_json_dict(gs), sort_keys=True,
     indent=2) + "\n"``. They are written here directly because json.dumps
-    uses its pure-Python encoder whenever ``indent`` is set. The writer
-    walks the to_json_dict tree, so the snapshot keeps the fields that
-    function defines; strings go through the C escaper json.dumps uses.
+    uses its pure-Python encoder whenever ``indent`` is set; strings go
+    through the C escaper json.dumps uses.
 
     Each chain's text is memoised in ``_CHAIN_TEXT``, one entry per chain
-    name: ``(table, held, text, positions, cell_texts)``, where ``held`` is
-    the set of locks held on the table's assets, ``positions`` maps each
-    asset id to its index in sorted order and ``cell_texts`` lists the
-    cells' texts in that order. An entry is reused whole only while the
-    chain's table *is* the memoised object and its held locks are equal;
-    the entry keeps the table alive, so its ``id`` cannot be reused
-    meanwhile. This relies on the engine's purity premise: no chain table
-    is mutated in place after it has been rendered. A chain that misses
-    but keeps its keys in the memoised order (as every engine step does)
-    re-renders only its dirty cells, those whose record is not the
-    memoised object or whose lock flag changed, and splices them into a
-    copy of ``cell_texts``; any other miss renders every cell. So a failed
-    sync re-renders no cell, and a successful one one cell per holder
-    chain. The dirty cells of all missed chains come from one to_json_dict
-    call on the state restricted to them; a state whose chains all hit
-    makes no such call.
+    name: ``(table, held, text, keys, positions, cell_texts)``, where
+    ``held`` is the set of locks held on the table's assets, ``keys`` lists
+    the table's keys in its order, ``positions`` maps each asset id to its
+    index in sorted order and ``cell_texts`` lists the cells' texts in that
+    order. An entry is reused whole only while the chain's table *is* the
+    memoised object and its held locks are equal; the entry keeps the
+    table alive, so its ``id`` cannot be reused meanwhile. This relies on
+    the engine's purity premise: no chain table is mutated in place after
+    it has been rendered.
+
+    A chain that misses but keeps its keys in the memoised order (as every
+    engine step does) re-renders only its dirty cells: those whose record
+    is not the memoised object, found by a scan in C, or whose lock flag
+    changed. Each is rendered from its record and spliced into a copy of
+    ``cell_texts``. So a failed sync re-renders no cell, and a successful
+    one one cell per holder chain. Any other miss (no entry, or keys
+    changed or reordered) renders every cell of its chain from one
+    to_json_dict call on the state restricted to those chains. That call
+    keeps to_json_dict the definition of a snapshot's fields, which the
+    full-render tests check and whose span the bench tracer records.
     """
-    esc, memo, locks = encode_basestring_ascii, _CHAIN_TEXT, gs.locks
-    texts, missed = {}, {}
+    esc, memo, locks, cell_text = encode_basestring_ascii, _CHAIN_TEXT, gs.locks, _cell_text
+    texts, full = {}, {}
     for c, table in gs.chains.items():
-        held = frozenset(a for a in locks if a in table) if locks else frozenset()
+        held = frozenset(filter(table.__contains__, locks)) if locks else _NO_LOCKS
         entry = memo.get(c)
-        old = None if entry is None else entry[0]
-        if old is table and entry[1] == held:
-            texts[c] = entry[2]
+        if entry is None:
+            full[c] = table, held, list(table)
             continue
+        old, old_held, text, keys, positions, cell_texts = entry
         if old is table:
-            dirty = {}
-        elif old is not None and list(old) == list(table):  # scanned by identity in C
-            dirty = dict(compress(table.items(), map(is_not, table.values(), old.values())))
+            if old_held == held:
+                texts[c] = text
+                continue
+            dirty = []
         else:
-            positions = {a: i for i, a in enumerate(sorted(table))}
-            missed[c] = (table, held, positions, [""] * len(table), table)
-            continue
-        if held or entry[1]:
-            dirty.update((a, table[a]) for a in held ^ entry[1])
-        missed[c] = (table, held, entry[3], list(entry[4]), dirty)
-    if missed:
-        cell_text = _cell_text
-        doc = to_json_dict(GlobalState({c: m[4] for c, m in missed.items()}, locks))
+            new_keys = list(table)
+            if new_keys != keys:
+                full[c] = table, held, new_keys
+                continue
+            dirty = list(compress(keys, map(is_not, table.values(), old.values())))
+        if held or old_held:
+            dirty += held ^ old_held
+        cell_texts = cell_texts.copy()
+        for aid in dirty:
+            rec = table[aid]
+            cell_texts[positions[aid]] = cell_text(aid, aid in locks, rec.owner, rec.reg_state)
+        texts[c] = f"    {esc(c)}: {_block(cell_texts, '    ')}"
+        memo[c] = (table, held, texts[c], keys, positions, cell_texts)
+    if full:
+        doc = to_json_dict(GlobalState({c: f[0] for c, f in full.items()}, locks))
         for c, cells in doc["chains"].items():
-            table, held, positions, cell_texts, _ = missed[c]
+            table, held, keys = full[c]
+            positions, cell_texts = {a: i for i, a in enumerate(sorted(cells))}, [""] * len(cells)
             for aid, cell in cells.items():
                 cell_texts[positions[aid]] = cell_text(
                     aid, cell["locked"], cell["owner"], cell["state"])
             texts[c] = f"    {esc(c)}: {_block(cell_texts, '    ')}"
-            memo[c] = (table, held, texts[c], positions, cell_texts)
+            memo[c] = (table, held, texts[c], keys, positions, cell_texts)
     chains = [texts[c] for c in sorted(texts)]
     held_locks = [f'    {esc(aid)}: true' for aid in sorted(locks)]
     return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(held_locks, "  ")}\n}}\n'
 
 
 _CHAIN_TEXT: dict[ChainId, tuple[Mapping[AssetKey, AssetState], frozenset[AssetKey], str,
-                                 dict[AssetKey, int], list[str]]] = {}
+                                 list[AssetKey], dict[AssetKey, int], list[str]]] = {}
+_NO_LOCKS: frozenset[AssetKey] = frozenset()
 
 
 def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str) -> str:

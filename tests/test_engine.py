@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -474,9 +475,27 @@ class TestCellTextCache:
 
 
 @pytest.fixture
+def rendered(monkeypatch):
+    """The ``(chain, aid)`` of each cell text canonical_dumps renders, in
+    order, by either path: spliced from the cell's record or read from a
+    to_json_dict call. The chain is canonical_dumps' loop variable ``c``
+    at the engine._cell_text call."""
+    calls, cell_text = [], engine._cell_text
+
+    def recording(aid, *fields):
+        calls.append((sys._getframe(1).f_locals["c"], aid))
+        return cell_text(aid, *fields)
+
+    monkeypatch.setattr(engine, "_cell_text", recording)
+    return calls
+
+
+@pytest.fixture
 def renders(monkeypatch):
     """The set of chain names of each engine.to_json_dict call, in order;
-    canonical_dumps makes one call for the chains its memo missed."""
+    canonical_dumps makes one call for the chains it renders in full (those
+    with no memo entry, a changed key set or a reordered table), and
+    splices every other chain's dirty cells from their records."""
     calls, to_json_dict = [], engine.to_json_dict
 
     def recording(gs):
@@ -505,20 +524,22 @@ class TestChainTextMemo:
             for gs in pair:
                 assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
 
-    def test_a_lock_step_misses_on_the_held_locks(self, renders):
+    def test_a_lock_step_misses_on_the_held_locks(self, rendered):
         gs = snapshot_stream(seed=12, steps=0)[0][0]
         aid = next(a for a in STREAM_ASSETS if a not in gs.locks)
-        holders = engine.connected_chains(gs, aid)
+        holder_cells = sorted((c, aid) for c in engine.connected_chains(gs, aid))
         locked = engine.acquire_lock(gs, aid)
         released = engine.release_lock(locked, aid)
         # Lock steps share every chain table.
         assert all(locked.chains[c] is gs.chains[c] is released.chains[c] for c in gs.chains)
         expected = [reference_canonical_dumps(s) for s in (gs, locked, released)]
-        renders.clear()
-        assert engine.canonical_dumps(gs) == expected[0]
-        assert engine.canonical_dumps(locked) == expected[1]
-        assert engine.canonical_dumps(released) == expected[2]
-        assert renders == [set(gs.chains), holders, holders]
+        cells = []
+        for s, text in zip((gs, locked, released), expected):
+            rendered.clear()
+            assert engine.canonical_dumps(s) == text
+            cells.append(sorted(rendered))
+        every_cell = sorted((c, a) for c, table in gs.chains.items() for a in table)
+        assert cells == [every_cell, holder_cells, holder_cells]
         assert expected[1] != expected[0] == expected[2]
 
     def test_a_lock_on_no_chain_re_renders_no_chain(self, renders):
@@ -561,7 +582,7 @@ class TestChainTextMemo:
             assert set(engine._CHAIN_TEXT) == names
         assert len(names) == 4 * len(STREAM_CHAINS)
 
-    def test_a_snapshot_re_renders_only_what_its_sync_changed(self, renders, cell_renders):
+    def test_a_snapshot_re_renders_only_what_its_sync_changed(self, rendered):
         rng = random.Random(15)
         gs = snapshot_stream(seed=15, steps=0)[0][0]
         engine.canonical_dumps(gs)
@@ -572,14 +593,14 @@ class TestChainTextMemo:
             result = engine.sync(rng.choice(STREAM_CHAINS), action, aid, gs)
             after = result.state or gs
             expected = reference_canonical_dumps(after)
-            renders[:], cell_renders[:] = [], []
+            rendered.clear()
             assert engine.canonical_dumps(after) == expected
             if result.ok:
-                assert renders == [set(engine.connected_chains(gs, aid))]
+                assert {c for c, _ in rendered} == engine.connected_chains(gs, aid)
             else:
                 # The state is the one just rendered: no chain and no cell.
                 assert after is gs
-                assert renders == [] and cell_renders == []
+                assert rendered == []
             outcomes.add(result.reason or "ok")
             gs = after
         assert outcomes == {"ok", *SyncFailure}
@@ -588,8 +609,8 @@ class TestChainTextMemo:
 @pytest.fixture
 def cell_sets(monkeypatch):
     """The ``(chain, aid)`` cells of each engine.to_json_dict call, in order;
-    canonical_dumps makes one call for the dirty cells of the chains its
-    memo missed."""
+    canonical_dumps makes one call for every cell of the chains it renders
+    in full, and none for the dirty cells it splices (see ``rendered``)."""
     calls, to_json_dict = [], engine.to_json_dict
 
     def recording(gs):
@@ -601,11 +622,12 @@ def cell_sets(monkeypatch):
 
 
 class TestCellSplice:
-    """A chain that misses the memo but keeps its key set re-renders only
-    its dirty cells and splices them into its memoised text; any other miss
-    renders the chain in full."""
+    """A chain that misses the memo but keeps its keys in their order
+    re-renders only its dirty cells, from their records, and splices them
+    into its memoised text; any other miss renders the chain in full,
+    through to_json_dict."""
 
-    def test_a_success_renders_one_cell_per_holder(self, cell_sets):
+    def test_a_success_renders_one_cell_per_holder(self, rendered):
         rng = random.Random(16)
         gs = snapshot_stream(seed=16, steps=0)[0][0]
         engine.canonical_dumps(gs)
@@ -616,26 +638,26 @@ class TestCellSplice:
             defined = [a for a in STREAM_ACTIONS if reg and reg_transition(reg, a)]
             result = engine.sync(source, rng.choice(defined or STREAM_ACTIONS), aid, gs)
             after = result.state or gs
-            expected, cell_sets[:] = reference_canonical_dumps(after), []
+            expected, rendered[:] = reference_canonical_dumps(after), []
             assert engine.canonical_dumps(after) == expected
             if result.ok:
-                assert cell_sets == [{(c, aid) for c in engine.connected_chains(gs, aid)}]
+                assert sorted(rendered) == sorted((c, aid) for c in engine.connected_chains(gs, aid))
             else:
-                assert cell_sets == []
+                assert rendered == []
             outcomes.append(result.ok)
             gs = after
         assert outcomes.count(True) >= 100
 
-    def test_a_lock_step_renders_its_holder_cells(self, cell_sets):
+    def test_a_lock_step_renders_its_holder_cells(self, rendered):
         gs = snapshot_stream(seed=17, steps=0)[0][0]
         engine.canonical_dumps(gs)
         # Every asset is released if held and acquired if not, then back.
         for aid in STREAM_ASSETS + STREAM_ASSETS:
             step = engine.release_lock if engine.is_locked(gs, aid) else engine.acquire_lock
             after = step(gs, aid)
-            expected, cell_sets[:] = reference_canonical_dumps(after), []
+            expected, rendered[:] = reference_canonical_dumps(after), []
             assert engine.canonical_dumps(after) == expected
-            assert cell_sets == [{(c, aid) for c in engine.connected_chains(gs, aid)}]
+            assert sorted(rendered) == sorted((c, aid) for c in engine.connected_chains(gs, aid))
             gs = after
 
     @pytest.mark.parametrize("change", ["gain", "lose", "swap"])
@@ -670,6 +692,60 @@ class TestCellSplice:
         expected, cell_sets[:] = reference_canonical_dumps(after), []
         assert engine.canonical_dumps(after) == expected
         assert len(table) > 1 and cell_sets == [{(c, a) for a in table}]
+
+    @pytest.mark.parametrize("second", ["changed", "equal copy"])
+    def test_the_splice_trusts_no_hint(self, rendered, renders, second):
+        """A successor that, on one holder chain, changes a second asset's
+        cell besides the synced one, or swaps in an equal record object for
+        it, as a misbehaving sync_fn could: every changed cell is rendered,
+        from its record, and the bytes are the reference's."""
+        gs = snapshot_stream(seed=20, steps=0)[0][0]
+        aid = next(a for a in STREAM_ASSETS if a not in gs.locks
+                   and len(engine.connected_chains(gs, a)) > 1)
+        c = min(engine.connected_chains(gs, aid))
+        other = next(a for a in gs.chains[c] if a != aid)
+        reg = engine.get_reg_state(gs, c, aid)
+        action = next(a for a in STREAM_ACTIONS if reg_transition(reg, a))
+        synced = engine.sync(c, action, aid, gs).state
+        table = dict(synced.chains[c])
+        rec = table[other]
+        state = rec.reg_state
+        if second == "changed":
+            state = next(s for s in RegState if s is not state)
+        table[other] = engine.AssetState(other, state, rec.owner)
+        assert list(table) == list(gs.chains[c])
+        after = engine.GlobalState({**synced.chains, c: table}, synced.locks)
+        engine.canonical_dumps(gs)
+        expected, rendered[:], renders[:] = reference_canonical_dumps(after), [], []
+        assert engine.canonical_dumps(after) == expected
+        holder_cells = [(h, aid) for h in engine.connected_chains(gs, aid)]
+        assert sorted(rendered) == sorted(holder_cells + [(c, other)])
+        assert renders == []
+        if second == "equal copy":
+            assert expected == reference_canonical_dumps(synced)
+
+    @settings(max_examples=300, deadline=None)
+    @given(made_states() | stepped_states())
+    @example(snapshot_stream(seed=21, steps=0)[0][0])
+    def test_the_two_renderers_agree_on_every_cell(self, gs):
+        """Every record swapped for an equal fresh one, keys kept in their
+        order: every cell is spliced from its record, none goes through
+        to_json_dict, and the bytes are the reference's, warm and cold."""
+        fresh = engine.GlobalState(
+            {c: {a: engine.AssetState(rec.asset_id, rec.reg_state, rec.owner)
+                 for a, rec in table.items()}
+             for c, table in gs.chains.items()},
+            gs.locks,
+        )
+        expected = reference_canonical_dumps(fresh)
+        engine.canonical_dumps(gs)
+        calls, to_json_dict = [], engine.to_json_dict
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "to_json_dict", lambda s: calls.append(s) or to_json_dict(s))
+            assert engine.canonical_dumps(fresh) == expected
+        assert calls == []
+        engine._CHAIN_TEXT.clear()
+        assert engine.canonical_dumps(fresh) == expected
 
     WALK_STEPS = st.tuples(
         st.sampled_from(["sync", "lock", "put", "drop", "copy"]),

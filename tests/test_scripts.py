@@ -1,6 +1,7 @@
 """Smoke test: the scripts under ``scripts/`` and ``python -m regsync`` run
 on the current APIs, and a deep model check ends once nothing new is reached."""
 
+import json
 import os
 import re
 import subprocess
@@ -62,6 +63,25 @@ def test_modelcheck_bounds_splits_ops_by_outcome():
     assert "us after a failed sync" in proc.stdout and "us after a successful one" in proc.stdout
     # The engine-only time of the same syncs, and the checker's share of the run.
     assert re.search(r"engine only \d+\.\d\ds, checker -?\d+% of the run;", proc.stdout)
+
+
+def test_snapshot_cost_splits_a_scenario_replay_by_layer(tmp_path):
+    path = tmp_path / "replay.json"
+    cell = {"state": "ACTIVE", "owner": "o", "locked": False}
+    path.write_text(json.dumps({
+        "state": {"chains": {"c1": {"a1": cell}, "c2": {"a1": cell}}},
+        "sync": [{"source": "c1", "action": "FREEZE", "asset": "a1"},
+                 {"source": "c2", "action": "FREEZE", "asset": "a1"}],
+    }))
+    script = str(ROOT / "scripts" / "snapshot_cost.py")
+    proc = run_python(script, "--scenario", str(path), "--repeat", "2")
+    assert proc.returncode == 0, proc.stderr
+    # The second FREEZE fails: the asset is FROZEN by then.
+    assert re.fullmatch(rf"scenario={re.escape(str(path))} steps=2 ok=1: "
+                        r"sync \d+\.\d us, snapshot \d+\.\d us per step\n", proc.stdout)
+    proc = run_python(script, "--scenario", str(tmp_path / "absent.json"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "absent.json: No such file or directory" in proc.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--max-domains", "0"),
