@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Model-check the sync engine at increasing bounds and report timings:
-the wall time of the run and per checked sync; the engine-only time, the
-same syncs from the same initial states with no checking, and so the
-checker's share of the run; and, split by the sync's outcome, the mean
-time of one op: a sync plus the checks of its outcome (timed in a second
-run, through a wrapping ``sync_fn``)."""
+the wall time of the run and per checked sync; the process's peak RSS in
+MiB (``ru_maxrss``), read right after the run and before the engine-only
+pass, which holds every initial state at once on purpose; it is the
+process's peak so far, which an earlier bound may have set; the
+engine-only time, the same syncs from the same initial states with no
+checking, and so the checker's share of the run; and, split by the
+sync's outcome, the mean time of one op: a sync plus the checks of its
+outcome (timed in a second run, through a wrapping ``sync_fn``)."""
 
 import argparse
+import resource
 import time
 
 from regsync import engine
@@ -73,6 +77,7 @@ def main():
             start = time.perf_counter()
             result = run_modelcheck(d, a, args.depth)
             elapsed = time.perf_counter() - start
+            peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
             alone = engine_only_seconds(d, a)
             split = OpSplit()
             run_modelcheck(d, a, args.depth, sync_fn=split)
@@ -83,7 +88,8 @@ def main():
                 f"{result.states_explored} reachable, "
                 f"{result.syncs_checked} syncs ({split.ops[True]} successful), "
                 f"{len(result.counterexamples)} violations, {elapsed:.2f}s, "
-                f"{elapsed / result.syncs_checked * 1e6:.1f} us/sync; "
+                f"{elapsed / result.syncs_checked * 1e6:.1f} us/sync, "
+                f"peak RSS so far {peak_mib:.1f} MiB; "
                 f"engine only {alone:.2f}s, checker {1 - alone / elapsed:.0%} of the run; per op "
                 f"{split.mean_us(False):.2f} us after a failed sync, "
                 f"{split.mean_us(True):.2f} us after a successful one"

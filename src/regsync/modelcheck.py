@@ -79,27 +79,36 @@ def _keyed_initial_states(n_chains: int, n_assets: int):
     chains = chain_names(n_chains)
     assets = asset_names(n_assets)
     bits, weights = _index_space(n_chains, n_assets)
-    subsets = [
-        combo
-        for size in range(1, n_chains + 1)
-        for combo in itertools.combinations(chains, size)
-    ]
-    per_asset = [  # (subset, state, the digit of an unlocked asset there)
-        (s, t, ((sum(map(bits.get, s)) - 1) * 5 + _RANK[t]) * 2) for s in subsets for t in RegState
-    ]
+    subsets = [combo for size in range(1, n_chains + 1)
+               for combo in itertools.combinations(chains, size)]
     # One record per (asset, state), shared by its holders in every initial state.
     cells = {(aid, s): engine.AssetState(aid, s, "owner") for aid in assets for s in RegState}
-    for assignment in itertools.product(per_asset, repeat=n_assets):
+    options = [  # per asset: (asset, subset, its record there, its digit there times its weight)
+        [(aid, s, cells[aid, t], ((sum(map(bits.get, s)) - 1) * 5 + _RANK[t]) * 2 * weights[aid])
+         for s in subsets for t in RegState]
+        for aid in assets
+    ]
+    for assignment in itertools.product(*options):
         tables: dict[str, dict[str, engine.AssetState]] = {c: {} for c in chains}
         index = 0
-        for aid, (subset, state, digit) in zip(assets, assignment):
-            cell = cells[aid, state]
+        for aid, subset, cell, value in assignment:
             for c in subset:
                 tables[c][aid] = cell
-            index += digit * weights[aid]
+            index += value
         # The cells already carry their keys and no lock is held, so
         # GlobalState.make would only copy every table again.
         yield engine.GlobalState(tables, frozenset()), index
+
+
+class _InitialStates:
+    """_keyed_initial_states(*bounds), enumerated afresh on each iteration,
+    so that explore can stream the initial level."""
+
+    def __init__(self, *bounds: int) -> None:
+        self.bounds = bounds
+
+    def __iter__(self):
+        return _keyed_initial_states(*self.bounds)
 
 
 def initial_state_count(n_chains: int, n_assets: int) -> int:
@@ -213,21 +222,25 @@ def _prescribed(
     spec: StateMachineSpec,
 ) -> Optional[engine.GlobalState]:
     """The successor the rules prescribe for ``step``, a move from ``gs`` to
-    ``target``; None if the asset is unlocked and ``sync_all`` disagrees."""
-    aid, chains, built, expected = step.asset, dict(gs.chains), {}, dict(projection.table)
+    ``target``; None, decided before it is built, if the asset is unlocked
+    and ``sync_all`` disagrees."""
+    aid, expected, holders = step.asset, dict(projection.table), []
     for c, table in gs.chains.items():
-        rec = table.get(aid)
-        if rec is not None:
-            if id(rec) not in built:  # one cell per distinct record, as in the engine
-                built[id(rec)] = engine.AssetState(rec.asset_id, target, rec.owner)
-            chains[c] = {**table, aid: built[id(rec)]}
+        if aid in table:
+            holders.append(c)
             expected[c, aid] = target
-    if aid in gs.locks:
-        return engine.GlobalState(chains, gs.locks - {aid})
-    generic = sync_all(projection, step.source, step.action, aid, spec)
-    if generic is None or generic.table != expected:
-        return None
-    return engine.GlobalState(chains, gs.locks)
+    if aid not in gs.locks:
+        generic = sync_all(projection, step.source, step.action, aid, spec)
+        if generic is None or generic.table != expected:
+            return None
+    chains, built = dict(gs.chains), {}
+    for c in holders:
+        chains[c] = table = chains[c].copy()
+        rec = table[aid]
+        if id(rec) not in built:  # one cell per distinct record, as in the engine
+            built[id(rec)] = engine.AssetState(rec.asset_id, target, rec.owner)
+        table[aid] = built[id(rec)]
+    return engine.GlobalState(chains, gs.locks - {aid} if aid in gs.locks else gs.locks)
 
 
 def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, space) -> Callable:
@@ -235,18 +248,21 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, s
     explored state, a ``take`` that runs one sync through ``sync_fn``,
     appends a Counterexample to ``out`` for each guarantee it breaks and
     returns the successor with its key, or None if the sync failed."""
-    spec = reg_machine_spec()
+    spec, weights = reg_machine_spec(), space[1]
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
+    by_cell: dict = {}  # (chain, asset, state) -> that cell's moves_at items
 
     def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Callable:
         gs, key = node
         valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
-        # Each defined move: (source, action, asset) -> (source's state, action, asset, target).
-        moves_at = {
-            (c, a, aid): (rec.reg_state, a, aid, t) for c, table in gs.chains.items()
-            for aid, rec in table.items() for a, t in moves.get(rec.reg_state, ())
-        }
-        prescribed: dict = {}  # move -> its prescribed successor, or None
+        # Each defined move: (source, action, asset) -> (source's state, action, asset, target),
+        # read off the projection's cells; a cell's items are built once per run.
+        moves_at: dict = {}
+        for (c, aid), s in projection.table.items():
+            if (c, aid, s) not in by_cell:
+                by_cell[c, aid, s] = [((c, a, aid), (s, a, aid, t)) for a, t in moves.get(s, ())]
+            moves_at.update(by_cell[c, aid, s])
+        prescribed: dict = {}  # move -> (its prescribed successor's chains, locks, key), or None
 
         def take(step: SyncCommand) -> Optional[tuple[engine.GlobalState, Hashable]]:
             source, action, aid = step.source, step.action, step.asset
@@ -258,11 +274,13 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, s
                     pre = prescribed.get(move, False)  # None: the move has no successor
                     if pre is False:
                         pre = prescribed[move] = _prescribed(gs, projection, step, move[3], spec)
-                    if pre is not None and gs2.chains == pre.chains and gs2.locks == pre.locks:
-                        if type(key) is not int:
-                            return gs2, _key(gs2, *space)
-                        change = (_RANK[move[3]] - _RANK[move[0]]) * 2 - (aid in gs.locks)
-                        return gs2, key + change * space[1][aid]
+                        if pre is not None:  # keyed by the parent's index plus aid's change
+                            delta = (_RANK[move[3]] - _RANK[move[0]]) * 2 - (aid in gs.locks)
+                            k = (key + delta * weights[aid] if type(key) is int
+                                 else _key(pre, *space))
+                            pre = prescribed[move] = pre.chains, pre.locks, k
+                    if pre is not None and gs2.chains == pre[0] and gs2.locks == pre[1]:
+                        return gs2, pre[2]
                 broken = _violations(gs, valid, projection, step, gs2, spec)
             elif valid and (source, action, aid) in moves_at:
                 broken = [("combined_success", f"sync failed with {result.reason}")]
@@ -303,7 +321,7 @@ def run_modelcheck(
     ]
     out = ModelCheckResult()
     out.states_explored, out.syncs_checked = explore(
-        _keyed_initial_states(n_chains, n_assets), steps, depth, budget, itemgetter(1),
+        _InitialStates(n_chains, n_assets), steps, depth, budget, itemgetter(1),
         _visitor(sync_fn, out, _index_space(n_chains, n_assets)),
     )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))

@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
+from .records import frozen_record
 from .report import BudgetExceededError, ValidationReport, enumeration_budget
 from .sm_core import ActionId, StateId, StateMachineSpec, apply_actions, transition_of
 
@@ -136,7 +137,7 @@ def check_roundtrip(sm: SymmetricMorphism) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DomainStateMap:
     """Per-domain, per-asset state table; an absent cell means not present."""
 
@@ -196,26 +197,27 @@ def explore(
     visit: Callable[[S, tuple[S, tuple[T, ...]]], Callable[[T], Optional[S]]],
 ) -> tuple[int, int]:
     """Breadth-first search to ``depth`` steps from the distinct ``initial``
-    states, deduplicated by ``key``. ``visit(state, origin)`` is called once
-    per frontier state, with the initial state and step trail that first
-    reached it, and returns the function that takes one step, checks it and
-    returns the successor to enqueue, or None when there is nothing new (the
-    step failed, or the function knows its successor is already keyed).
-    Stops early once a level adds no new state. Raises BudgetExceededError
-    after ``budget`` steps. Returns the number of distinct states seen and
-    of steps taken. A caller that keys each successor from its parent makes
-    states (state, key) pairs, ``key`` itemgetter(1): ``take`` returns both."""
-    visited: set = set()
-    frontier = []
-    for s in initial:
-        k = key(s)
-        if k not in visited:
-            visited.add(k)
-            frontier.append((s, (s, ())))
+    states, deduplicated by ``key``. ``initial`` is iterated twice, so it
+    must be re-iterable (an iterator is a TypeError): once to key every
+    initial state, and once to visit each first occurrence as it is drawn,
+    so the initial states are never all held at once. ``visit(state,
+    origin)`` is called once per frontier state, with the initial state and
+    step trail that first reached it, and returns the function that takes
+    one step, checks it and returns the successor to enqueue, or None when
+    there is nothing new (the step failed, or the function knows its
+    successor is already keyed). Stops early once a level adds no new state.
+    Raises BudgetExceededError after ``budget`` steps. Returns the number of
+    distinct states seen and of steps taken. A caller that keys each
+    successor from its parent makes states (state, key) pairs, ``key``
+    itemgetter(1): ``take`` returns both."""
+    if iter(initial) is initial:
+        raise TypeError("explore iterates initial twice; pass a re-iterable, not an iterator")
+    visited = set(map(key, initial))
+    unvisited = visited.copy()  # remove() returns None: only a key's first occurrence passes
+    frontier: Iterable = ((s, (s, ())) for s in initial
+                          if (k := key(s)) in unvisited and not unvisited.remove(k))
     taken = 0
     for _ in range(depth):
-        if not frontier:
-            break
         next_frontier = []
         for s, origin in frontier:
             take = visit(s, origin)
@@ -229,6 +231,8 @@ def explore(
                     if k not in visited:
                         visited.add(k)
                         next_frontier.append((s2, (origin[0], origin[1] + (step,))))
+        if not next_frontier:
+            break
         frontier = next_frontier
     return len(visited), taken
 

@@ -153,6 +153,21 @@ class TestSync:
         assert result.reason is SyncFailure.LOCKED
         assert engine.is_locked(locked, "a1")  # input untouched
 
+    @pytest.mark.parametrize("source, action, aid, lock, reason", [
+        ("c2", RegAction.FREEZE, "a2", False, SyncFailure.ASSET_NOT_FOUND),
+        ("c1", RegAction.UNFREEZE, "a1", False, SyncFailure.INVALID_TRANSITION),
+        ("c1", RegAction.FREEZE, "a1", True, SyncFailure.LOCKED),
+    ])
+    def test_a_failure_is_the_shared_result_of_its_reason(
+        self, two_chain_active, source, action, aid, lock, reason
+    ):
+        """sync returns its failures from module globals; each must be the
+        one result SyncResult.failure gives for its reason."""
+        gs = engine.acquire_lock(two_chain_active, aid) if lock else two_chain_active
+        result = engine.sync(source, action, aid, gs)
+        assert result is engine.SyncResult.failure(reason)
+        assert result.reason is reason and result.state is None
+
     def test_other_assets_bit_identical(self, two_chain_active):
         result = engine.sync("c1", RegAction.SEIZE, "a1", two_chain_active)
         assert result.state.chains["c1"]["a2"] == two_chain_active.chains["c1"]["a2"]

@@ -214,6 +214,28 @@ def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
     assert keyed
 
 
+def test_the_initial_level_is_streamed(monkeypatch):
+    """run_modelcheck hands explore a re-iterable: one pass keys the initial
+    states, and the second draws each only after the syncs of the one
+    before, so the initial states are never all held at once."""
+    log, keyed = [], modelcheck._keyed_initial_states
+
+    def drawn(*bounds):
+        for pair in keyed(*bounds):
+            log.append("draw")
+            yield pair
+
+    def sync_fn(*args):
+        log.append("sync")
+        return engine.sync(*args)
+
+    monkeypatch.setattr(modelcheck, "_keyed_initial_states", drawn)
+    result = run_modelcheck(2, 1, 2, sync_fn=sync_fn)
+    n, per_state = initial_state_count(2, 1), 2 * len(RegAction)
+    assert (result.states_explored, result.syncs_checked, result.ok) == (n, n * per_state, True)
+    assert log == ["draw"] * n + (["draw"] + ["sync"] * per_state) * n
+
+
 def test_keys_identify_what_the_state_key_does(monkeypatch):
     """Two states have equal checker keys, index or fallback, exactly when
     they have equal _state_keys: over the (state, key) pairs explore is

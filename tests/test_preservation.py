@@ -236,6 +236,67 @@ class TestExplore:
         assert visited == (1, 1)
 
 
+class Drawn:
+    """A re-iterable over ``states`` that logs each state it hands out, with
+    the number of the pass that drew it."""
+
+    def __init__(self, states, log):
+        self.states, self.log, self.passes = states, log, 0
+
+    def __iter__(self):
+        self.passes += 1
+        for s in self.states:
+            self.log.append(("draw", self.passes, s))
+            yield s
+
+
+class TestStreamedFirstLevel:
+    """explore keys the initial level in one pass and visits it in a second,
+    drawing each initial state only once the one before it was visited.
+    The graph is TestExplore's; 0 is given twice and 1, a successor of 0,
+    comes after it."""
+
+    INITIAL = [0, 3, 0, 1]
+
+    def run(self, initial, log):
+        def visit(state, origin):
+            log.append(("visit", state, origin))
+
+            def take(step):
+                log.append(("take", state, step))
+                return (state + step) % 5
+
+            return take
+
+        return explore(initial, [1, 2], 2, 100, lambda s: s, visit)
+
+    def test_each_state_is_drawn_after_the_one_before_was_visited(self):
+        log = []
+        counts = self.run(Drawn(self.INITIAL, log), log)
+        assert log == [("draw", 1, s) for s in self.INITIAL] + [
+            ("draw", 2, 0), ("visit", 0, (0, ())), ("take", 0, 1), ("take", 0, 2),
+            ("draw", 2, 3), ("visit", 3, (3, ())), ("take", 3, 1), ("take", 3, 2),
+            ("draw", 2, 0),  # the second 0 is drawn but not visited again
+            ("draw", 2, 1), ("visit", 1, (1, ())), ("take", 1, 1), ("take", 1, 2),
+            # 1 was keyed in the first pass, so 0 does not re-reach it: the
+            # second level is 2 (from 0) and 4 (from 3).
+            ("visit", 2, (0, (2,))), ("take", 2, 1), ("take", 2, 2),
+            ("visit", 4, (3, (1,))), ("take", 4, 1), ("take", 4, 2),
+        ]
+        assert counts == (5, 10)
+
+    def test_the_list_form_gives_the_same_counts_and_order(self):
+        streamed, listed = [], []
+        counts = self.run(Drawn(self.INITIAL, streamed), streamed)
+        assert self.run(list(self.INITIAL), listed) == counts
+        assert [e for e in streamed if e[0] != "draw"] == listed
+
+    @pytest.mark.parametrize("one_shot", [iter, lambda xs: (x for x in xs)])
+    def test_an_iterator_is_refused(self, one_shot):
+        with pytest.raises(TypeError, match="re-iterable"):
+            self.run(one_shot(self.INITIAL), [])
+
+
 def test_connected_domains_includes_source():
     ds = two_domain_map()
     assert connected_domains(ds, "a1") == frozenset({"d1", "d2"})

@@ -1,5 +1,6 @@
 """The value-record contract of engine.AssetState, GlobalState and
-SyncResult and of liveness.LockEvent, EpochRecord and SimState: frozen,
+SyncResult, of liveness.LockEvent, EpochRecord and SimState and of
+preservation.DomainStateMap: frozen,
 equal (and equally hashed, where hashable) when their fields are equal,
 usable with dataclasses.replace and fields, and with the repr a frozen
 dataclass of the same fields has."""
@@ -19,6 +20,7 @@ from regsync.liveness import (
     gen_adversarial_schedule,
     run_until_drained,
 )
+from regsync.preservation import DomainStateMap
 from regsync.priority import AuthorityLevel, RegRequest
 from regsync.regulatory import RegAction, RegState
 
@@ -51,6 +53,12 @@ CASES = {
         lambda: engine.SyncResult(reason=engine.SyncFailure.LOCKED), True,
         {"reason": engine.SyncFailure.INVALID_TRANSITION},
         "SyncResult(state=None, reason=<SyncFailure.LOCKED: 'Locked'>)",
+    ),
+    "DomainStateMap": (
+        lambda: DomainStateMap(frozenset({"d1"}), {("d1", "a1"): RegState.ACTIVE}), False,
+        {"table": {}},
+        "DomainStateMap(domains=frozenset({'d1'}), "
+        "table={('d1', 'a1'): <RegState.ACTIVE: 'ACTIVE'>})",
     ),
     "LockEvent": (
         lambda: LockEvent("a1", "acquire", 3), True, {"event": "expire"},

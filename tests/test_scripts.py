@@ -63,6 +63,8 @@ def test_modelcheck_bounds_splits_ops_by_outcome():
     assert "us after a failed sync" in proc.stdout and "us after a successful one" in proc.stdout
     # The engine-only time of the same syncs, and the checker's share of the run.
     assert re.search(r"engine only \d+\.\d\ds, checker -?\d+% of the run;", proc.stdout)
+    # The peak RSS so far, read before the engine-only pass.
+    assert re.search(r" us/sync, peak RSS so far \d+\.\d MiB; engine only ", proc.stdout)
 
 
 def test_snapshot_cost_splits_a_scenario_replay_by_layer(tmp_path):
