@@ -6,28 +6,30 @@ asset, which is ACTIVE. Each figure is the minimum CPU time per call over
 the repeats.
 
 With ``--scenario FILE`` the script instead replays that scenario's
-``sync`` steps as ``regsync sync`` does, from a cleared chain memo, and
+``sync`` steps as ``regsync sync`` does, from an empty snapshot memo, and
 prints the mean wall-clock time per step of the sync and of the snapshot
 that follows it, the minimum over ``--repeat`` replays. That is the layer
 split of the bench ``replay`` workload; ``--assets`` and ``--number`` are
 then unused.
 
-``canonical_dumps`` memoises each chain's text and the texts of its
-cells, and is timed in the four cases a replay meets:
+``canonical_dumps`` memoises the last document it wrote as a flat list
+of pieces, and is timed in the four cases a replay meets:
 
-- ``unchanged``: the state last rendered, as after a failed sync; every
-  chain hits the memo and no ``to_json_dict`` call is made.
+- ``unchanged``: the state last rendered, as after a failed sync; a memo
+  hit on the state object, which returns the memoised text and renders
+  nothing.
 - ``after sync``: the state after the sync, with the memo holding the
   state before it (rendered before each call, outside the timing). The
-  synced asset's holder chains miss, here all 4; each renders only the
-  synced cell, from its record, and splices it into its memoised cell
-  texts, with no ``to_json_dict`` call.
+  synced asset's holder chains changed their tables, here all 4; the
+  synced cell of each is rendered from its record into the pieces, with
+  no ``to_json_dict`` call, and the pieces are joined once.
 - ``after lock``: the state with the first asset's lock taken, with the
   memo holding the state before it, as for ``after sync``. Every chain
   keeps its table, but the lock flag of the asset's cell on each of its
-  4 holder chains changed, so those cells are rendered and spliced.
-- ``cold``: the chain memo cleared before each call (outside the
-  timing), so that the call renders every cell of every chain, from one
+  4 holder chains changed, so those cells and the locks object are
+  rendered into the pieces.
+- ``cold``: the memo emptied before each call (outside the timing), so
+  that the call renders every cell of every chain, from one
   ``to_json_dict`` call."""
 
 import argparse
@@ -72,7 +74,7 @@ def replay_split(path: str, repeat: int) -> str:
     sync, dumps, clock = engine.sync, engine.canonical_dumps, time.perf_counter
     best_sync = best_snapshot = float("inf")
     for _ in range(repeat):
-        engine._CHAIN_TEXT.clear()
+        engine._LAST_SNAPSHOT.clear()
         gs, sync_s, snapshot_s, ok = sc.state, 0.0, 0.0, 0
         for source, action, aid in steps:
             start = clock()
@@ -118,7 +120,7 @@ def main():
         prepared = {
             "canonical_dumps after sync": (lambda: dumps(after), lambda: dumps(gs)),
             "canonical_dumps after lock": (lambda: dumps(locked), lambda: dumps(gs)),
-            "canonical_dumps cold": (lambda: dumps(gs), engine._CHAIN_TEXT.clear),
+            "canonical_dumps cold": (lambda: dumps(gs), engine._LAST_SNAPSHOT.clear),
         }
         timings = []
         for name, (call, setup) in repeated.items():

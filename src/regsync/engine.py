@@ -8,11 +8,13 @@ An update builds one record per new cell value, shared by the holder chains
 that shared the old one; the records are frozen dataclasses with slots,
 built through their slot descriptors (see records.frozen_record).
 
-canonical_dumps relies on that purity: no chain table is mutated in place
-after it has been rendered, so it memoises each chain's text and re-renders
-only the cells a step changed, straight from their records. A chain it has
-not seen, or whose keys changed or moved, is rendered in full through
-to_json_dict, which defines a snapshot's fields (see its docstring).
+canonical_dumps relies on that purity: no chain table and no chains mapping
+is mutated in place after it has been rendered, so it memoises the last
+document as one flat list of pieces, re-renders only the cells a step
+changed, straight from their records, and joins the list once. A state
+whose chain names changed, or one of whose tables changed or moved its
+keys, is rendered in full through to_json_dict, which defines a snapshot's
+fields (see its docstring).
 """
 
 from __future__ import annotations
@@ -258,74 +260,72 @@ def canonical_dumps(gs: GlobalState) -> str:
     uses its pure-Python encoder whenever ``indent`` is set; strings go
     through the C escaper json.dumps uses.
 
-    Each chain's text is memoised in ``_CHAIN_TEXT``, one entry per chain
-    name: ``(table, held, text, keys, positions, cell_texts)``, where
-    ``held`` is the set of locks held on the table's assets, ``keys`` lists
-    the table's keys in its order, ``positions`` maps each asset id to its
-    index in sorted order and ``cell_texts`` lists the cells' texts in that
-    order. An entry is reused whole only while the chain's table *is* the
-    memoised object and its held locks are equal; the entry keeps the
-    table alive, so its ``id`` cannot be reused meanwhile. This relies on
-    the engine's purity premise: no chain table is mutated in place after
-    it has been rendered.
+    The last document written is memoised in ``_LAST_SNAPSHOT`` as one
+    entry ``(gs, keys, positions, pieces, text)``: ``keys`` lists each
+    chain's keys in its table's order, ``pieces`` is the document as one
+    flat list of strings whose join is ``text``, with the locks object at
+    ``pieces[-2]``, and ``positions`` maps each chain to the index in
+    ``pieces`` of each of its cells. The entry keeps ``gs`` alive, and the
+    identity tests on it and its tables rely on the purity premise: no
+    chain table and no ``chains`` mapping is mutated after it is rendered.
 
-    A chain that misses but keeps its keys in the memoised order (as every
-    engine step does) re-renders only its dirty cells: those whose record
-    is not the memoised object, found by a scan in C, or whose lock flag
-    changed. Each is rendered from its record and spliced into a copy of
-    ``cell_texts``. So a failed sync re-renders no cell, and a successful
-    one one cell per holder chain. Any other miss (no entry, or keys
-    changed or reordered) renders every cell of its chain from one
-    to_json_dict call on the state restricted to those chains. That call
-    keeps to_json_dict the definition of a snapshot's fields, which the
-    full-render tests check and whose span the bench tracer records.
+    ``gs`` itself, as after a failed sync, returns ``text``. A state with
+    the memoised chain names whose every table is the memoised one or
+    keeps its keys in the memoised order (as every engine step does) is
+    spliced: each dirty cell, one whose record is not the memoised object
+    (found by a scan in C) or whose lock flipped, is written into
+    ``pieces`` from its record, and the list is joined once. Any other
+    state is rendered in full from one to_json_dict call, which keeps
+    to_json_dict the definition of a snapshot's fields. The entry is out
+    of the memo meanwhile, so an exception leaves the memo empty, and a
+    splice abandoned for a full render leaves no half-written pieces.
     """
-    esc, memo, locks, cell_text = encode_basestring_ascii, _CHAIN_TEXT, gs.locks, _cell_text
-    texts, full = {}, {}
-    for c, table in gs.chains.items():
-        held = frozenset(filter(table.__contains__, locks)) if locks else _NO_LOCKS
-        entry = memo.get(c)
-        if entry is None:
-            full[c] = table, held, list(table)
-            continue
-        old, old_held, text, keys, positions, cell_texts = entry
-        if old is table:
-            if old_held == held:
-                texts[c] = text
-                continue
-            dirty = []
+    memo, chains, locks, cell_text = _LAST_SNAPSHOT, gs.chains, gs.locks, _cell_text
+    if memo and memo[0][0] is gs:
+        return memo[0][4]
+    entry = memo.pop() if memo else None
+    if entry is not None and chains.keys() == entry[0].chains.keys():
+        last, keys, positions, pieces, _ = entry
+        old = last.chains
+        for c, table in chains.items():
+            was = old[c]
+            if table is not was:
+                if list(table) != keys[c]:
+                    break  # render in full, below
+                at = positions[c]
+                for aid in compress(keys[c], map(is_not, table.values(), was.values())):
+                    rec = table[aid]
+                    pieces[at[aid]] = cell_text(aid, aid in locks, rec.owner, rec.reg_state)
         else:
-            new_keys = list(table)
-            if new_keys != keys:
-                full[c] = table, held, new_keys
-                continue
-            dirty = list(compress(keys, map(is_not, table.values(), old.values())))
-        if held or old_held:
-            dirty += held ^ old_held
-        cell_texts = cell_texts.copy()
-        for aid in dirty:
-            rec = table[aid]
-            cell_texts[positions[aid]] = cell_text(aid, aid in locks, rec.owner, rec.reg_state)
-        texts[c] = f"    {esc(c)}: {_block(cell_texts, '    ')}"
-        memo[c] = (table, held, texts[c], keys, positions, cell_texts)
-    if full:
-        doc = to_json_dict(GlobalState({c: f[0] for c, f in full.items()}, locks))
-        for c, cells in doc["chains"].items():
-            table, held, keys = full[c]
-            positions, cell_texts = {a: i for i, a in enumerate(sorted(cells))}, [""] * len(cells)
-            for aid, cell in cells.items():
-                cell_texts[positions[aid]] = cell_text(
-                    aid, cell["locked"], cell["owner"], cell["state"])
-            texts[c] = f"    {esc(c)}: {_block(cell_texts, '    ')}"
-            memo[c] = (table, held, texts[c], keys, positions, cell_texts)
-    chains = [texts[c] for c in sorted(texts)]
-    held_locks = [f'    {esc(aid)}: true' for aid in sorted(locks)]
-    return f'{{\n  "chains": {_block(chains, "  ")},\n  "locks": {_block(held_locks, "  ")}\n}}\n'
+            flipped = locks ^ last.locks
+            if flipped:
+                pieces[-2] = _locks_text(locks)
+                for c, aid in [(c, a) for a in flipped for c in chains if a in chains[c]]:
+                    rec, at = chains[c][aid], positions[c]
+                    pieces[at[aid]] = cell_text(aid, aid in locks, rec.owner, rec.reg_state)
+            memo.append((gs, keys, positions, pieces, "".join(pieces)))
+            return memo[0][4]
+    doc, esc = to_json_dict(gs), encode_basestring_ascii
+    pieces, keys, positions = ['{\n  "chains": {'], {}, {}
+    for i, c in enumerate(sorted(doc["chains"])):
+        cells = doc["chains"][c]
+        keys[c], at = list(cells), {}
+        pieces.append(f"{',' if i else ''}\n    {esc(c)}: {{" + ("\n" if cells else "}"))
+        for aid in sorted(cells):
+            cell = cells[aid]
+            at[aid] = len(pieces)
+            pieces += cell_text(aid, cell["locked"], cell["owner"], cell["state"]), ",\n"
+        if cells:
+            pieces[-1] = "\n    }"
+        positions[c] = at
+    pieces += "\n  }" if keys else "}", ',\n  "locks": ', _locks_text(locks), "\n}\n"
+    memo.append((gs, keys, positions, pieces, "".join(pieces)))
+    return memo[0][4]
 
 
-_CHAIN_TEXT: dict[ChainId, tuple[Mapping[AssetKey, AssetState], frozenset[AssetKey], str,
-                                 list[AssetKey], dict[AssetKey, int], list[str]]] = {}
-_NO_LOCKS: frozenset[AssetKey] = frozenset()
+# The one memo entry of canonical_dumps, or none.
+_LAST_SNAPSHOT: list[tuple[GlobalState, dict[ChainId, list[AssetKey]],
+                           dict[ChainId, dict[AssetKey, int]], list[str], str]] = []
 
 
 def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str) -> str:
@@ -346,9 +346,7 @@ def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str) -> str:
 _STATE_LINES = {s: f'        "state": {encode_basestring_ascii(s)}\n' for s in RegState}
 
 
-def _block(items: list[str], indent: str) -> str:
-    """A JSON object from already-indented members; ``indent`` is the
-    indentation of its closing brace."""
-    if not items:
-        return "{}"
-    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+def _locks_text(locks: frozenset[AssetKey]) -> str:
+    """The snapshot text of the ``"locks"`` object."""
+    held = ",\n".join(f"    {encode_basestring_ascii(aid)}: true" for aid in sorted(locks))
+    return f"{{\n{held}\n  }}" if held else "{}"

@@ -463,7 +463,7 @@ class TestCellTextCache:
         # The stream reaches every sync outcome and shows held locks.
         assert set(failures) == set(SyncFailure)
         assert any(locked for gs in states for _, locked, _, _ in rendered_cells(gs))
-        engine._CHAIN_TEXT.clear()
+        engine._LAST_SNAPSHOT.clear()
         expected, cold = [], []
         for gs in states:
             expected.append(reference_canonical_dumps(gs))
@@ -482,7 +482,7 @@ class TestCellTextCache:
 
     def test_cache_holds_one_entry_per_distinct_cell(self, cell_renders):
         states, _ = snapshot_stream(seed=8)
-        engine._CHAIN_TEXT.clear()
+        engine._LAST_SNAPSHOT.clear()
         for gs in states:
             engine.canonical_dumps(gs)
         distinct = set().union(*map(rendered_cells, states))
@@ -508,9 +508,10 @@ def rendered(monkeypatch):
 @pytest.fixture
 def renders(monkeypatch):
     """The set of chain names of each engine.to_json_dict call, in order;
-    canonical_dumps makes one call for the chains it renders in full (those
-    with no memo entry, a changed key set or a reordered table), and
-    splices every other chain's dirty cells from their records."""
+    canonical_dumps makes one call, on the whole state, when it renders in
+    full (no memo entry, changed chain names, or a table whose key set
+    changed or was reordered), and none when it splices dirty cells from
+    their records."""
     calls, to_json_dict = [], engine.to_json_dict
 
     def recording(gs):
@@ -522,9 +523,9 @@ def renders(monkeypatch):
 
 
 class TestChainTextMemo:
-    """canonical_dumps memoises each chain's text by table object and the
-    locks held on it; a hit must render what a miss does, and the memo
-    must hold one entry per chain name."""
+    """canonical_dumps memoises the last document it wrote; a hit or a
+    splice must render what a full render does, and the memo must hold
+    exactly one entry: the last state rendered."""
 
     def test_states_in_random_order_match_the_reference(self):
         states, _ = snapshot_stream(seed=9, steps=1000)
@@ -574,28 +575,29 @@ class TestChainTextMemo:
             engine.GlobalState({"c1": c1, "c2": c2, "c3": c3}, gs.locks),  # c3 added
             engine.GlobalState({"c1": c1}, gs.locks),  # c2 absent
             engine.GlobalState({"c1": c1, "c2": c4}, gs.locks),  # c2 another table
-            engine.GlobalState({}, gs.locks),
             engine.GlobalState({"c2": c4, "c1": c1}, gs.locks),  # reordered
+            engine.GlobalState({}, gs.locks),
         ]
         expected = [reference_canonical_dumps(s) for s in states]
-        engine._CHAIN_TEXT.clear()
+        engine._LAST_SNAPSHOT.clear()
         renders.clear()
         assert [engine.canonical_dumps(s) for s in states] == expected
-        assert renders == [{"c1", "c2"}, {"c3"}, {"c2"}]
+        # A changed chain-name set renders the whole state from one call;
+        # the reordered mapping keeps the names and tables, so it renders
+        # nothing.
+        assert renders == [{"c1", "c2"}, {"c1", "c2", "c3"}, {"c1"}, {"c1", "c2"}, set()]
 
-    def test_memo_holds_one_entry_per_chain_name(self):
+    def test_memo_holds_the_last_state_rendered(self):
         states, _ = snapshot_stream(seed=14, steps=500)
         renamed = [
             engine.GlobalState({f"{c}/{i % 3}": t for c, t in gs.chains.items()}, gs.locks)
             for i, gs in enumerate(states)
         ]
-        engine._CHAIN_TEXT.clear()
-        names = set()
+        engine._LAST_SNAPSHOT.clear()
         for gs in states + renamed:
-            engine.canonical_dumps(gs)
-            names |= set(gs.chains)
-            assert set(engine._CHAIN_TEXT) == names
-        assert len(names) == 4 * len(STREAM_CHAINS)
+            text = engine.canonical_dumps(gs)
+            [(last, *_, last_text)] = engine._LAST_SNAPSHOT
+            assert last is gs and last_text is text
 
     def test_a_snapshot_re_renders_only_what_its_sync_changed(self, rendered):
         rng = random.Random(15)
@@ -624,8 +626,9 @@ class TestChainTextMemo:
 @pytest.fixture
 def cell_sets(monkeypatch):
     """The ``(chain, aid)`` cells of each engine.to_json_dict call, in order;
-    canonical_dumps makes one call for every cell of the chains it renders
-    in full, and none for the dirty cells it splices (see ``rendered``)."""
+    canonical_dumps makes one call for every cell of the state when it
+    renders in full, and none for the dirty cells it splices (see
+    ``rendered``)."""
     calls, to_json_dict = [], engine.to_json_dict
 
     def recording(gs):
@@ -637,10 +640,10 @@ def cell_sets(monkeypatch):
 
 
 class TestCellSplice:
-    """A chain that misses the memo but keeps its keys in their order
-    re-renders only its dirty cells, from their records, and splices them
-    into its memoised text; any other miss renders the chain in full,
-    through to_json_dict."""
+    """A state whose tables are the memoised ones or keep their keys in
+    their order re-renders only its dirty cells, from their records, and
+    splices them into the memoised pieces; any other miss renders the whole
+    document in full, through to_json_dict."""
 
     def test_a_success_renders_one_cell_per_holder(self, rendered):
         rng = random.Random(16)
@@ -689,12 +692,14 @@ class TestCellSplice:
         after = engine.GlobalState({**gs.chains, "c1": table}, gs.locks)
         expected, cell_sets[:] = reference_canonical_dumps(after), []
         assert engine.canonical_dumps(after) == expected
-        assert cell_sets == [{("c1", aid) for aid in table}]
+        # The whole document, the other chains' cells too.
+        assert cell_sets == [{(c, aid) for c, t in after.chains.items() for aid in t}]
 
     def test_the_same_keys_in_another_order_render_the_chain_in_full(self, cell_sets):
         """The dirty-cell scan pairs records by position, so a reordered
-        table renders like a changed key set. Here the first two assets
-        trade records and places, so every position keeps its record."""
+        table renders the whole document, like a changed key set. Here the
+        first two assets trade records and places, so every position keeps
+        its record."""
         gs = snapshot_stream(seed=19, steps=0)[0][0]
         engine.canonical_dumps(gs)
         c = max(STREAM_CHAINS, key=lambda c: len(gs.chains[c]))
@@ -706,7 +711,8 @@ class TestCellSplice:
         assert reference_canonical_dumps(after) != reference_canonical_dumps(gs)
         expected, cell_sets[:] = reference_canonical_dumps(after), []
         assert engine.canonical_dumps(after) == expected
-        assert len(table) > 1 and cell_sets == [{(c, a) for a in table}]
+        every_cell = {(name, a) for name, t in after.chains.items() for a in t}
+        assert len(table) > 1 and cell_sets == [every_cell]
 
     @pytest.mark.parametrize("second", ["changed", "equal copy"])
     def test_the_splice_trusts_no_hint(self, rendered, renders, second):
@@ -759,7 +765,7 @@ class TestCellSplice:
             mp.setattr(engine, "to_json_dict", lambda s: calls.append(s) or to_json_dict(s))
             assert engine.canonical_dumps(fresh) == expected
         assert calls == []
-        engine._CHAIN_TEXT.clear()
+        engine._LAST_SNAPSHOT.clear()
         assert engine.canonical_dumps(fresh) == expected
 
     WALK_STEPS = st.tuples(
@@ -793,12 +799,45 @@ class TestCellSplice:
                 gs = engine.GlobalState({**gs.chains, c: table}, gs.locks)
             assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
 
+    def test_an_exception_leaves_no_stale_memo(self, monkeypatch):
+        """A splice that raises midway, after writing one cell, leaves the
+        memo empty: the next snapshots of the state it was writing and of
+        the state before are the reference's."""
+        gs = snapshot_stream(seed=22, steps=0)[0][0]
+        aid = next(a for a in STREAM_ASSETS if a not in gs.locks
+                   and len(engine.connected_chains(gs, a)) > 1)
+        c = min(engine.connected_chains(gs, aid))
+        reg = engine.get_reg_state(gs, c, aid)
+        after = engine.sync(c, next(a for a in STREAM_ACTIONS if reg_transition(reg, a)),
+                            aid, gs).state
+        cell_text, to_json_dict, calls = engine._cell_text, engine.to_json_dict, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("second cell")
+            return cell_text(*args)
+
+        engine.canonical_dumps(gs)
+        monkeypatch.setattr(engine, "_cell_text", failing)
+        with pytest.raises(RuntimeError, match="second cell"):
+            engine.canonical_dumps(after)
+        assert len(calls) == 2 and engine._LAST_SNAPSHOT == []
+        monkeypatch.setattr(engine, "_cell_text", lambda *a: calls.append(a) or cell_text(*a))
+        monkeypatch.setattr(engine, "to_json_dict", lambda s: calls.append(s) or to_json_dict(s))
+        for s in (after, gs):
+            assert engine.canonical_dumps(s) == reference_canonical_dumps(s)
+        # The state last rendered is a memo hit: no cell and no to_json_dict.
+        expected, calls[:] = reference_canonical_dumps(gs), []
+        assert engine.canonical_dumps(gs) == expected
+        assert calls == []
+
     def test_distinct_owners_leave_no_cache_behind(self):
         def one_cell(i):
             cell = engine.AssetState("a1", RegState.ACTIVE, f"owner {i}")
             return engine.GlobalState({"c1": {"a1": cell}}, frozenset())
 
-        engine._CHAIN_TEXT.clear()
+        engine._LAST_SNAPSHOT.clear()
         engine.canonical_dumps(one_cell(-1))
         tracemalloc.start()
         try:
@@ -808,7 +847,7 @@ class TestCellSplice:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(engine._CHAIN_TEXT) == 1
+        assert len(engine._LAST_SNAPSHOT) == 1
         assert grown < 256 * 1024
 
 
