@@ -17,7 +17,7 @@ from .modelcheck import run_modelcheck
 from .priority import DuplicateKeyError, HorizonError
 from .regulatory import RegAction, RegState, reg_transition
 from .report import BudgetExceededError, enumeration_budget
-from .scenario import ScenarioError, parse_scenario
+from .scenario import ScenarioError, canonical_json, parse_scenario
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -82,7 +82,7 @@ def cmd_modelcheck(args) -> int:
     print(f"violations: {len(result.counterexamples)}")
     if result.ok:
         return EXIT_OK
-    text = json.dumps(result.counterexamples[0].to_scenario(), sort_keys=True, indent=2) + "\n"
+    text = canonical_json(result.counterexamples[0].to_scenario())
     print("minimal counterexample:")
     print(text, end="")
     if args.counterexample_out:

@@ -190,57 +190,42 @@ class SimState:
     pending: tuple[RegRequest, ...]
     global_state: engine.GlobalState
     lock_times: dict[str, int] = field(default_factory=dict)
-    # Derived from the fields above by step_epoch and trusted only while
-    # they are the very objects it was made for; not part of the value.
+    # The ranking step_epoch carries forward; trusted only while its
+    # ``pending`` is this state's very tuple. Not part of the value.
     ranking: Optional[Ranking] = field(default=None, compare=False, repr=False)
 
 
 class Ranking:
-    """The pending requests of one state in descending priority order, each
-    key computed once per drain, plus what an epoch needs to update them
-    without re-ranking: the pending count per asset and the sorted distinct
-    pending assets a Byzantine leader may lock. A lock held with no
-    ``lock_times`` entry never expires, so its asset is left out of those.
-    ``rng`` is the drain's one generator, seeded afresh for each draw.
+    """One pending tuple in descending priority order, each key computed
+    once per drain, plus what an epoch needs to update it without
+    re-ranking: the pending count per asset and the sorted distinct pending
+    assets. ``rng`` is the drain's one generator, seeded afresh for each
+    draw.
 
-    An epoch updates the ranking in place and hands it to the next state.
-    The state it came from still matches it only if that epoch changed none
-    of the three fields ``fits`` compares, which then rank alike; any other
+    A ranking depends on its ``pending`` tuple alone, so it fits any state
+    whose ``pending`` is that very tuple, whatever its locks. An epoch
+    updates the ranking in place and hands it to the next state; the state
+    it came from still fits it if the epoch took no request, and any other
     earlier state ranks afresh if it is stepped again.
     """
 
-    def __init__(self, s: SimState, cfg: SimConfig):
-        copies = Counter(s.pending)
+    def __init__(self, pending: tuple[RegRequest, ...], cfg: SimConfig):
+        copies = Counter(pending)
         ranked = rank_requests(copies, cfg.priority_config())
         self.pending = tuple(r for r in ranked for _ in range(copies[r]))
         self.counts = Counter(r.asset for r in self.pending)
-        self.assets = sorted(
-            a for a in self.counts if a in s.lock_times or not engine.is_locked(s.global_state, a)
-        )
-        self.global_state, self.lock_times = s.global_state, s.lock_times
+        self.assets = sorted(self.counts)
         self.rng = random.Random(0)
 
-    def fits(self, s: SimState) -> bool:
-        return (
-            self.pending is s.pending
-            and self.global_state is s.global_state
-            and self.lock_times is s.lock_times
-        )
-
-    def held_positions(self, gs: engine.GlobalState, lock_times: dict[str, int]) -> list[int]:
-        """The ascending positions in ``assets`` of those locked in ``gs``."""
-        held = sorted(a for a in lock_times if a in self.counts and a in gs.locks)
-        return [bisect_left(self.assets, a) for a in held]
-
-    def advance(self, removed: Optional[str], s: SimState) -> None:
+    def advance(self, removed: Optional[str], pending: tuple[RegRequest, ...]) -> None:
         """Take one request on asset ``removed`` (if any) out of the counts,
-        and make this the ranking of ``s``."""
+        and make this the ranking of ``pending``."""
         if removed is not None:
             self.counts[removed] -= 1
             if not self.counts[removed]:
                 del self.counts[removed]
                 del self.assets[bisect_left(self.assets, removed)]
-        self.pending, self.global_state, self.lock_times = s.pending, s.global_state, s.lock_times
+        self.pending = pending
 
 
 @frozen_record
@@ -270,16 +255,18 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
     The Byzantine withholding attack never locks the last unlocked pending
     asset; honest leaders therefore always find work while requests remain,
     which is exactly the honest-progress premise the liveness theorems
-    assume.
+    assume. Every lock decision reads ``global_state.locks``; ``lock_times``
+    only dates the locks that expire, so a lock held with no entry there
+    stays held and is skipped like any other.
 
     The first epoch of a drain ranks the pending requests, and raises
-    DuplicateKeyError or HorizonError if some cannot be ranked; later epochs
-    reuse that ranking and never re-key, re-sort or scan the pending requests.
+    DuplicateKeyError or HorizonError if some cannot be ranked. A state
+    whose ``ranking`` has its very ``pending`` tuple reuses it, so later
+    epochs never re-key, re-sort or scan the pending requests.
     """
     rk = s.ranking
-    if rk is None or not rk.fits(s):
-        rk = Ranking(s, cfg)
-        s = SimState(s.epoch, rk.pending, s.global_state, s.lock_times, rk)
+    if rk is None or rk.pending is not s.pending:
+        rk = Ranking(s.pending, cfg)
     epoch, gs, lock_times = s.epoch, s.global_state, s.lock_times
     events: list[LockEvent] = []
     # lock_times is shared with the next state unless a lock expires or is
@@ -294,7 +281,7 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
 
     leader = sched.leader_at(epoch)
     honest = cfg.is_honest(leader)
-    pending = s.pending
+    pending = rk.pending
     processed = outcome = removed = None  # the request id, sync outcome and asset taken
 
     if honest:
@@ -306,11 +293,8 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
             if aid in locks:
                 continue
             # The least chain holding aid; with none, any source fails AssetNotFound.
-            source = None
-            for c, table in gs.chains.items():
-                if aid in table and (source is None or c < source):
-                    source = c
-            result = engine.sync(source or "", chosen.action, aid, gs)
+            source = min(engine.connected_chains(gs, aid), default="")
+            result = engine.sync(source, chosen.action, aid, gs)
             # A failed sync holds no lock: only a successful one logs events.
             if result.state is None:
                 outcome = result.reason
@@ -322,7 +306,8 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
             removed = aid
             break
     elif pending:
-        held = rk.held_positions(gs, lock_times) if lock_times else ()
+        # The ascending positions in rk.assets of the pending assets held.
+        held = [bisect_left(rk.assets, a) for a in sorted(gs.locks) if a in rk.counts]
         unlocked = len(rk.assets) - len(held)
         # Single-resource discipline plus the no-total-blockade bound on the
         # adversary: at least one pending asset must stay unlocked. Seeding
@@ -340,18 +325,15 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
                         break
                     i += 1
                 target = rk.assets[i]
-                locked = engine.acquire_lock(gs, target)
-                if locked is not None:
-                    gs = locked
-                    lock_times = {**lock_times, target: epoch}
-                    events.append(LockEvent(target, "acquire", epoch))
+                gs = engine.acquire_lock(gs, target)
+                lock_times = {**lock_times, target: epoch}
+                events.append(LockEvent(target, "acquire", epoch))
 
     record = EpochRecord(
-        epoch, leader, honest, len(s.pending), len(pending), processed, tuple(events), outcome
+        epoch, leader, honest, len(rk.pending), len(pending), processed, tuple(events), outcome
     )
-    next_state = SimState(epoch + 1, pending, gs, lock_times, rk)
-    rk.advance(removed, next_state)
-    return next_state, record
+    rk.advance(removed, pending)
+    return SimState(epoch + 1, pending, gs, lock_times, rk), record
 
 
 def run_until_drained(

@@ -171,4 +171,10 @@ def parse_scenario(path: str | Path) -> Scenario:
 
 
 def canonical_dumps(scenario: Scenario) -> str:
-    return json.dumps(scenario.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return canonical_json(scenario.to_json_dict())
+
+
+def canonical_json(doc: dict) -> str:
+    """A scenario document, such as a model-check counterexample, in
+    canonical form: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

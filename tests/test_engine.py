@@ -1,6 +1,5 @@
 import json
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -493,15 +492,45 @@ class TestCellTextCache:
 def rendered(monkeypatch):
     """The ``(chain, aid)`` of each cell text canonical_dumps renders, in
     order, by either path: spliced from the cell's record or read from a
-    to_json_dict call. The chain is canonical_dumps' loop variable ``c``
-    at the engine._cell_text call."""
-    calls, cell_text = [], engine._cell_text
+    to_json_dict call. Each text is traced to the index of the piece it
+    fills, which the memo entry's ``positions`` map to its cell. A splice
+    writes into the memoised piece list, swapped before each call for one
+    that notes the cell at each index written; a full render leaves its
+    texts in the new entry's pieces."""
+    calls, texts, spliced = [], [], {}
+    cell_text, dumps = engine._cell_text, engine.canonical_dumps
+
+    def cells(positions):
+        return {i: (c, aid) for c, at in positions.items() for aid, i in at.items()}
+
+    class Pieces(list):
+        def __init__(self, pieces, positions):
+            super().__init__(pieces)
+            self.cells = cells(positions)
+
+        def __setitem__(self, i, piece):
+            spliced[id(piece)] = self.cells.get(i)
+            super().__setitem__(i, piece)
 
     def recording(aid, *fields):
-        calls.append((sys._getframe(1).f_locals["c"], aid))
-        return cell_text(aid, *fields)
+        texts.append(cell_text(aid, *fields))
+        return texts[-1]
+
+    def tracing(gs):
+        memo = engine._LAST_SNAPSHOT
+        if memo:
+            last, keys, positions, pieces, text = memo[0]
+            memo[0] = (last, keys, positions, Pieces(pieces, positions), text)
+        texts.clear()
+        spliced.clear()
+        out = dumps(gs)
+        _, _, positions, pieces, _ = memo[0]
+        written, at = cells(positions), {id(p): i for i, p in enumerate(pieces)}
+        calls.extend(spliced[id(t)] if id(t) in spliced else written[at[id(t)]] for t in texts)
+        return out
 
     monkeypatch.setattr(engine, "_cell_text", recording)
+    monkeypatch.setattr(engine, "canonical_dumps", tracing)
     return calls
 
 

@@ -462,6 +462,31 @@ class TestRankedEpochMatchesReference:
         assert first == second
         assert step_epoch(first[0], sched, cfg) == step_epoch(second[0], sched, cfg)
 
+    def test_a_state_stepped_again_after_a_lock_is_taken_re_keys_nothing(self, monkeypatch):
+        """A ranking depends on its pending tuple alone. A Byzantine epoch
+        that takes a lock leaves that tuple as it was, so the state it
+        came from is stepped again on the same ranking: no priority key
+        is computed, and the epoch is the same."""
+        cfg = config(seed=4)
+        sched = gen_adversarial_schedule(cfg, 60)
+        reqs = tuple(RegRequest(r.node_id, r.authority, r.timestamp, r.action, f"a{i % 6 + 1}")
+                     for i, r in enumerate(requests(12)))
+        s, _ = step_epoch(sim_state(reqs), sched, cfg)
+        after, record = step_epoch(s, sched, cfg)
+        while record.honest or not record.lock_events:
+            s, (after, record) = after, step_epoch(after, sched, cfg)
+        assert [ev.event for ev in record.lock_events] == ["acquire"]
+        calls = Counter()
+        original = priority.priority_key
+
+        def counted(r, cfg=priority.PriorityConfig()):
+            calls[r] += 1
+            return original(r, cfg)
+
+        monkeypatch.setattr(priority, "priority_key", counted)
+        assert step_epoch(s, sched, cfg) == (after, record)
+        assert calls == Counter()
+
     def test_stepping_epochs_out_of_order_gives_the_fresh_drains_epochs(self):
         """Each state of a drain, stepped again in shuffled order and for a
         few epochs on, gives the drain's own epochs, and no state's
