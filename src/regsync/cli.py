@@ -1,7 +1,8 @@
 """The regsync command line harness.
 
 Exit codes: 0 = all checks pass, 1 = property violation (with
-counterexample), 2 = input or configuration error.
+counterexample), 2 = input or configuration error, 3 = internal error
+(an unexpected exception, so that a crash never reads as a violation).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from typing import Optional
 
 from . import engine, liveness
@@ -22,6 +24,7 @@ from .scenario import ScenarioError, canonical_json, parse_scenario
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -204,6 +207,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         for message in exc.args:
             print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ rules prescribe (each holder's cell of the asset takes the target state,
 nothing else changes, the lock is not held; built once per move of an
 explored state, consulting the generic layer once) breaks no rule, as each
 rule reads only what that successor fixes. Other successes are diagnosed
-rule by rule, where a chain table shared by identity with the input counts
-as unchanged, which rests on the engine never mutating a table in place.
-A state's key is its exact index in the scope (see _key), and a prescribed
-successor's is its parent's plus the synced asset's change of digit.
+rule by rule. A state's key is its exact index in the scope (see _key),
+and a prescribed successor's is its parent's plus the synced asset's
+change of digit.
 """
 
 from __future__ import annotations
@@ -100,17 +99,6 @@ def _keyed_initial_states(n_chains: int, n_assets: int):
         yield engine.GlobalState(tables, frozenset()), index
 
 
-class _InitialStates:
-    """_keyed_initial_states(*bounds), enumerated afresh on each iteration,
-    so that explore can stream the initial level."""
-
-    def __init__(self, *bounds: int) -> None:
-        self.bounds = bounds
-
-    def __iter__(self):
-        return _keyed_initial_states(*self.bounds)
-
-
 def initial_state_count(n_chains: int, n_assets: int) -> int:
     return ((2**n_chains - 1) * len(RegState)) ** n_assets
 
@@ -129,18 +117,11 @@ def _over_budget(n_chains: int, n_assets: int, budget: int) -> bool:
 
 
 def _state_key(gs: engine.GlobalState) -> tuple:
-    """Order-independent identity of a state: its sorted chain names, the
-    fields of every cell in (chain, asset) order, flattened into one tuple,
-    and the held locks (the cells carry no lock flag). The flat tuple is
-    smaller than a tuple per cell."""
-    names = tuple(sorted(gs.chains))
-    cells: list = []
-    for c in names:
-        table = gs.chains[c]
-        for aid in sorted(table):
-            rec = table[aid]
-            cells += (c, aid, rec.reg_state, rec.owner)
-    return names, tuple(cells), tuple(sorted(gs.locks))
+    """Order-independent identity of a state: its chain names, the fields of
+    every cell and the held locks (the cells carry no lock flag)."""
+    cells = frozenset((c, aid, rec.reg_state, rec.owner)
+                      for c, table in gs.chains.items() for aid, rec in table.items())
+    return frozenset(gs.chains), cells, gs.locks
 
 
 _RANK = {s: i for i, s in enumerate(RegState)}
@@ -189,8 +170,6 @@ def _violations(
             yield "cross_domain_consistency", f"chain {c} disagrees"
     for c, table in gs.chains.items():
         table2 = gs2.chains.get(c, {})
-        if table2 is table:
-            continue
         for aid, rec in table.items():
             after = table2.get(aid)
             if aid != step.asset:
@@ -200,7 +179,7 @@ def _violations(
                 yield "owner_untouched", f"cell ({c}, {aid})"
     for c, table2 in gs2.chains.items():
         table = gs.chains.get(c, {})
-        for aid in table2 if table2 is not table else ():
+        for aid in table2:
             if aid not in table:
                 yield "sync_isolation", f"cell ({c}, {aid}) appeared"
     if engine.is_locked(gs2, step.asset):
@@ -321,7 +300,7 @@ def run_modelcheck(
     ]
     out = ModelCheckResult()
     out.states_explored, out.syncs_checked = explore(
-        _InitialStates(n_chains, n_assets), steps, depth, budget, itemgetter(1),
+        lambda: _keyed_initial_states(n_chains, n_assets), steps, depth, budget, itemgetter(1),
         _visitor(sync_fn, out, _index_space(n_chains, n_assets)),
     )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))

@@ -189,32 +189,29 @@ def sync_all(
 
 
 def explore(
-    initial: Iterable[S],
+    initial: Callable[[], Iterable[S]],
     steps: Sequence[T],
     depth: int,
     budget: int,
     key: Callable[[S], Hashable],
     visit: Callable[[S, tuple[S, tuple[T, ...]]], Callable[[T], Optional[S]]],
 ) -> tuple[int, int]:
-    """Breadth-first search to ``depth`` steps from the distinct ``initial``
-    states, deduplicated by ``key``. ``initial`` is iterated twice, so it
-    must be re-iterable (an iterator is a TypeError): once to key every
-    initial state, and once to visit each first occurrence as it is drawn,
-    so the initial states are never all held at once. ``visit(state,
-    origin)`` is called once per frontier state, with the initial state and
-    step trail that first reached it, and returns the function that takes
-    one step, checks it and returns the successor to enqueue, or None when
-    there is nothing new (the step failed, or the function knows its
-    successor is already keyed). Stops early once a level adds no new state.
-    Raises BudgetExceededError after ``budget`` steps. Returns the number of
-    distinct states seen and of steps taken. A caller that keys each
-    successor from its parent makes states (state, key) pairs, ``key``
-    itemgetter(1): ``take`` returns both."""
-    if iter(initial) is initial:
-        raise TypeError("explore iterates initial twice; pass a re-iterable, not an iterator")
-    visited = set(map(key, initial))
+    """Breadth-first search to ``depth`` steps from the distinct initial
+    states, deduplicated by ``key``. ``initial()`` gives the initial states
+    and is called twice: once to key them all, and once to visit each first
+    occurrence as it is drawn, so they are never all held at once.
+    ``visit(state, origin)`` is called once per frontier state, with the
+    initial state and step trail that first reached it, and returns the
+    function that takes one step, checks it and returns the successor to
+    enqueue, or None when there is nothing new (the step failed, or the
+    function knows its successor is already keyed). Stops early once a
+    level adds no new state. Raises BudgetExceededError after ``budget``
+    steps. Returns the number of distinct states seen and of steps taken.
+    A caller that keys each successor from its parent makes states (state,
+    key) pairs, ``key`` itemgetter(1): ``take`` returns both."""
+    visited = set(map(key, initial()))
     unvisited = visited.copy()  # remove() returns None: only a key's first occurrence passes
-    frontier: Iterable = ((s, (s, ())) for s in initial
+    frontier: Iterable = ((s, (s, ())) for s in initial()
                           if (k := key(s)) in unvisited and not unvisited.remove(k))
     taken = 0
     for _ in range(depth):
@@ -284,5 +281,5 @@ def check_multi_domain(
 
         return take
 
-    explore([ds], steps, depth, budget, lambda m: frozenset(m.table.items()), visit)
+    explore(lambda: [ds], steps, depth, budget, lambda m: frozenset(m.table.items()), visit)
     return report

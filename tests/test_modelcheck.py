@@ -186,9 +186,9 @@ def _recording_explore(monkeypatch, handed):
 
             return recording_take
 
-        initial = list(initial)
-        handed.extend(initial)
-        return explore(initial, steps, depth, budget, key, recording_visit)
+        pairs = list(initial())
+        handed.extend(pairs)
+        return explore(lambda: pairs, steps, depth, budget, key, recording_visit)
 
     monkeypatch.setattr(modelcheck, "explore", recording)
 

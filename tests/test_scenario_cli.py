@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from regsync import cli, engine, liveness, modelcheck
 from regsync.modelcheck import run_modelcheck
-from regsync.regulatory import RegAction
-from regsync.scenario import ScenarioError, canonical_dumps, parse_scenario, scenario_from_json
+from regsync.regulatory import RegAction, RegState
+from regsync.scenario import (
+    ScenarioError, canonical_dumps, canonical_json, parse_scenario, scenario_from_json,
+)
 
 from test_acceptance import (
     _mutant_allow_seized_freeze,
@@ -31,6 +34,28 @@ def minimal_doc():
             "locks": {},
         },
         "sync": [{"source": "c1", "action": "FREEZE", "asset": "a1", "expect": "ok"}],
+    }
+
+
+def full_doc():
+    """minimal_doc() with requests and a sim block that gives every field."""
+    return {
+        **minimal_doc(),
+        "requests": [
+            {"node": 2, "authority": "International", "timestamp": 5,
+             "action": "SEIZE", "asset": "a1"},
+            {"node": 1, "authority": "Regional", "timestamp": 3,
+             "action": "FREEZE", "asset": "a1"},
+        ],
+        "sim": {
+            "nodes": [{"id": 0, "honest": False}] + [{"id": i, "honest": True} for i in (1, 2, 3)],
+            "f_max": 1,
+            "lock_timeout": 4,
+            "fairness_bound": 2,
+            "t_max": 500,
+            "n_max": 50,
+            "seed": 9,
+        },
     }
 
 
@@ -109,11 +134,25 @@ class TestParseScenario:
             parse_scenario(path)
         assert info.value.location == f"{path}{where}"
 
-    def test_canonical_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("make_doc", [minimal_doc, full_doc], ids=["minimal", "full"])
+    def test_canonical_round_trip(self, tmp_path, make_doc):
         path = tmp_path / "canon.json"
-        path.write_text(canonical_dumps(parse_scenario(write(tmp_path, minimal_doc()))))
+        path.write_text(canonical_dumps(parse_scenario(write(tmp_path, make_doc()))))
         reparsed = parse_scenario(path)
         assert canonical_dumps(reparsed) == path.read_text()
+        assert path.read_text() == canonical_json(make_doc())
+
+    def test_sim_defaults_are_written_out(self, tmp_path):
+        doc = full_doc()
+        optional = ("t_max", "n_max", "seed")
+        for k in optional:
+            del doc["sim"][k]
+        text = canonical_dumps(parse_scenario(write(tmp_path, doc)))
+        defaults = {f.name: f.default for f in dataclasses.fields(liveness.SimConfig)}
+        assert json.loads(text)["sim"] == {**doc["sim"], **{k: defaults[k] for k in optional}}
+        path = tmp_path / "canon.json"
+        path.write_text(text)
+        assert canonical_dumps(parse_scenario(path)) == text
 
 
 def run_cli(capsys, *argv):
@@ -375,6 +414,18 @@ class TestModelcheckCommand:
         assert code == 2 and out == ""
         assert f"argument {flag}:" in err
 
+    def test_a_crash_exits_3(self, capsys, monkeypatch):
+        """An exception no command expects is an internal error, not a violation."""
+
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_modelcheck", crash)
+        code, out, err = run_cli(capsys, "modelcheck", "--domains", "2", "--depth", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: boom\nTraceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: boom\n")
+
     def test_spec_built_once_per_run(self, monkeypatch):
         calls, build = [], modelcheck.reg_machine_spec
 
@@ -476,6 +527,19 @@ class TestExplorer:
             engine.GlobalState({"c1": {}}, frozenset()),
             engine.GlobalState({"c1": {}, "c2": {}}, frozenset()),
             engine.GlobalState({"c1": {}}, frozenset({"a1"})),
+        ]
+        # Twins of one state, which the reference key cannot tell apart:
+        # chains inserted in reverse, a table in reverse, and a cell whose
+        # state is the plain string "ACTIVE" rather than RegState.ACTIVE.
+        a1 = engine.AssetState("a1", RegState.ACTIVE, "owner")
+        a2 = engine.AssetState("a2", RegState.FROZEN, "owner")
+        text_a1 = engine.AssetState("a1", "ACTIVE", "owner")
+        states += [
+            engine.GlobalState({"c1": {"a1": a1, "a2": a2}, "c2": {"a1": a1}}, frozenset({"a2"})),
+            engine.GlobalState({"c2": {"a1": a1}, "c1": {"a1": a1, "a2": a2}}, frozenset({"a2"})),
+            engine.GlobalState({"c1": {"a2": a2, "a1": a1}, "c2": {"a1": a1}}, frozenset({"a2"})),
+            engine.GlobalState({"c1": {"a1": text_a1, "a2": a2}, "c2": {"a1": text_a1}},
+                               frozenset({"a2"})),
         ]
         pairs = {(modelcheck._state_key(gs), reference_state_key(gs)) for gs in states}
         # Two keys agree on every pair of states exactly when each key

@@ -130,6 +130,19 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.stderr.startswith(f"error: {missing}: ")
 
 
+def test_a_crash_exits_3_not_the_violation_code():
+    """A command that raises an exception it does not expect exits 3 with
+    the traceback on stderr, where Python's own exit code would be 1."""
+    proc = run_python("-c", (
+        "import sys; from regsync import cli; "
+        "cli.reg_transition = lambda s, a: s.missing; "
+        "sys.exit(cli.main(['transition', '--from', 'ACTIVE', '--action', 'FREEZE']))"
+    ))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("internal error: ")
+    assert "Traceback" in proc.stderr and "AttributeError" in proc.stderr
+
+
 def test_modelcheck_stops_once_a_level_adds_no_state():
     """At one chain and one asset every reachable state is an initial one,
     so the search ends after one level however deep it may go."""
