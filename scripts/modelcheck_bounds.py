@@ -6,8 +6,9 @@ pass, which holds every initial state at once on purpose; it is the
 process's peak so far, which an earlier bound may have set; the
 engine-only time, the same syncs from the same initial states with no
 checking, and so the checker's share of the run; and, split by the
-sync's outcome, the mean time of one op: a sync plus the checks of its
-outcome (timed in a second run, through a wrapping ``sync_fn``)."""
+sync's outcome, the mean engine-only time of one sync and the mean time
+of one op: a sync plus the checks of its outcome (timed in a second run,
+through a wrapping ``sync_fn``)."""
 
 import argparse
 import resource
@@ -49,20 +50,32 @@ class OpSplit:
         return self.ns[ok] / self.ops[ok] / 1e3
 
 
-def engine_only_seconds(n_chains: int, n_assets: int) -> float:
-    """Wall seconds of every sync run_modelcheck makes at these bounds, with
-    nothing else: each step from each initial state. The lock-free
+def engine_only_times(n_chains: int, n_assets: int) -> dict[bool, tuple[int, float]]:
+    """Every sync run_modelcheck makes at these bounds, with nothing else:
+    each step from each initial state, split by outcome. The lock-free
     consistent states are closed under sync, so these are the states every
-    depth explores. The states are enumerated before the clock starts."""
+    depth explores. An untimed pass sorts each state's steps by outcome
+    before the clock starts; the successful syncs are then timed apart
+    from the failed ones. Returns, per outcome (True for a success), the
+    number of syncs and their wall seconds."""
     states = list(enumerate_initial_states(n_chains, n_assets))
     steps = [(c, a, aid) for c in chain_names(n_chains) for a in RegAction
              for aid in asset_names(n_assets)]
-    sync = engine.sync
-    start = time.perf_counter()
+    sync, batches = engine.sync, {True: [], False: []}  # outcome -> [(state, its steps)]
     for gs in states:
+        by_outcome = {True: [], False: []}
         for c, a, aid in steps:
-            sync(c, a, aid, gs)
-    return time.perf_counter() - start
+            by_outcome[sync(c, a, aid, gs).ok].append((c, a, aid))
+        for ok, batch in by_outcome.items():
+            batches[ok].append((gs, batch))
+    timed = {}
+    for ok, pairs in batches.items():
+        start = time.perf_counter()
+        for gs, batch in pairs:
+            for c, a, aid in batch:
+                sync(c, a, aid, gs)
+        timed[ok] = sum(len(batch) for _, batch in pairs), time.perf_counter() - start
+    return timed
 
 
 def main():
@@ -78,7 +91,9 @@ def main():
             result = run_modelcheck(d, a, args.depth)
             elapsed = time.perf_counter() - start
             peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-            alone = engine_only_seconds(d, a)
+            timed = engine_only_times(d, a)
+            alone = timed[True][1] + timed[False][1]
+            per_sync = {ok: seconds / n * 1e6 for ok, (n, seconds) in timed.items()}
             split = OpSplit()
             run_modelcheck(d, a, args.depth, sync_fn=split)
             split.tick()
@@ -90,7 +105,9 @@ def main():
                 f"{len(result.counterexamples)} violations, {elapsed:.2f}s, "
                 f"{elapsed / result.syncs_checked * 1e6:.1f} us/sync, "
                 f"peak RSS so far {peak_mib:.1f} MiB; "
-                f"engine only {alone:.2f}s, checker {1 - alone / elapsed:.0%} of the run; per op "
+                f"engine only {alone:.2f}s, checker {1 - alone / elapsed:.0%} of the run; "
+                f"engine only per sync: {per_sync[False]:.2f} us failed, "
+                f"{per_sync[True]:.2f} us successful; per op "
                 f"{split.mean_us(False):.2f} us after a failed sync, "
                 f"{split.mean_us(True):.2f} us after a successful one"
             )

@@ -12,11 +12,11 @@ can break only guaranteed success, whose premises are decided once per
 explored state. A success equal on every cell field to the successor the
 rules prescribe (each holder's cell of the asset takes the target state,
 nothing else changes, the lock is not held; built once per move of an
-explored state, consulting the generic layer once) breaks no rule, as each
-rule reads only what that successor fixes. Other successes are diagnosed
-rule by rule. A state's key is its exact index in the scope (see _key),
-and a prescribed successor's is its parent's plus the synced asset's
-change of digit.
+explored state from cells built once per run, consulting the generic
+layer once) breaks no rule, as each rule reads only what that successor
+fixes. Other successes are diagnosed rule by rule. A state's key is its
+exact index in the scope (see _key), and a prescribed successor's is its
+parent's plus the synced asset's change of digit.
 """
 
 from __future__ import annotations
@@ -198,12 +198,14 @@ def _violations(
 
 def _prescribed(
     gs: engine.GlobalState, projection: DomainStateMap, step: SyncCommand, target: RegState,
-    spec: StateMachineSpec,
-) -> Optional[engine.GlobalState]:
-    """The successor the rules prescribe for ``step``, a move from ``gs`` to
-    ``target``; None, decided before it is built, if the asset is unlocked
-    and ``sync_all`` disagrees."""
-    aid, expected, holders = step.asset, dict(projection.table), []
+    spec: StateMachineSpec, cells: dict,
+) -> Optional[tuple[dict, frozenset]]:
+    """The chains and locks of the successor the rules prescribe for
+    ``step``, a move from ``gs`` to ``target``; None, decided before it is
+    built, if the asset is unlocked and ``sync_all`` disagrees. Each new
+    cell is the one record in ``cells``, keyed by (asset_id, target, owner),
+    so the holders share it, as in the engine."""
+    aid, expected, holders = step.asset, projection.table.copy(), []
     for c, table in gs.chains.items():
         if aid in table:
             holders.append(c)
@@ -212,14 +214,16 @@ def _prescribed(
         generic = sync_all(projection, step.source, step.action, aid, spec)
         if generic is None or generic.table != expected:
             return None
-    chains, built = dict(gs.chains), {}
+    chains = dict(gs.chains)
     for c in holders:
         chains[c] = table = chains[c].copy()
         rec = table[aid]
-        if id(rec) not in built:  # one cell per distinct record, as in the engine
-            built[id(rec)] = engine.AssetState(rec.asset_id, target, rec.owner)
-        table[aid] = built[id(rec)]
-    return engine.GlobalState(chains, gs.locks - {aid} if aid in gs.locks else gs.locks)
+        key = rec.asset_id, target, rec.owner
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = engine.AssetState(*key)
+        table[aid] = cell
+    return chains, gs.locks - {aid} if aid in gs.locks else gs.locks
 
 
 def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, space) -> Callable:
@@ -230,6 +234,7 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, s
     spec, weights = reg_machine_spec(), space[1]
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
     by_cell: dict = {}  # (chain, asset, state) -> that cell's moves_at items
+    cells: dict = {}  # (asset_id, target, owner) -> the one prescribed record of that value
 
     def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Callable:
         gs, key = node
@@ -252,12 +257,13 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, s
                 if move is not None:
                     pre = prescribed.get(move, False)  # None: the move has no successor
                     if pre is False:
-                        pre = prescribed[move] = _prescribed(gs, projection, step, move[3], spec)
+                        pre = prescribed[move] = _prescribed(
+                            gs, projection, step, move[3], spec, cells)
                         if pre is not None:  # keyed by the parent's index plus aid's change
                             delta = (_RANK[move[3]] - _RANK[move[0]]) * 2 - (aid in gs.locks)
                             k = (key + delta * weights[aid] if type(key) is int
-                                 else _key(pre, *space))
-                            pre = prescribed[move] = pre.chains, pre.locks, k
+                                 else _key(engine.GlobalState(*pre), *space))
+                            pre = prescribed[move] = *pre, k
                     if pre is not None and gs2.chains == pre[0] and gs2.locks == pre[1]:
                         return gs2, pre[2]
                 broken = _violations(gs, valid, projection, step, gs2, spec)

@@ -167,6 +167,31 @@ class TestSync:
         assert result is engine.SyncResult.failure(reason)
         assert result.reason is reason and result.state is None
 
+    @pytest.mark.parametrize("source, action, aid, lock, reason, steps", [
+        ("c1", RegAction.FREEZE, "a1", False, None,
+         ["reg_transition", "acquire_lock", "update_all_chains", "release_lock"]),
+        ("c2", RegAction.FREEZE, "a2", False, SyncFailure.ASSET_NOT_FOUND, []),
+        ("c1", RegAction.UNFREEZE, "a1", False, SyncFailure.INVALID_TRANSITION,
+         ["reg_transition"]),
+        ("c1", RegAction.FREEZE, "a1", True, SyncFailure.LOCKED,
+         ["reg_transition", "acquire_lock"]),
+    ])
+    def test_sync_calls_each_step_it_takes_once(
+        self, monkeypatch, two_chain_active, source, action, aid, lock, reason, steps
+    ):
+        """sync reaches its steps through the engine module's attributes, one
+        call per step taken, so a tracer that patches them sees each step."""
+        gs = engine.acquire_lock(two_chain_active, aid) if lock else two_chain_active
+        expected, calls = engine.sync(source, action, aid, gs), []
+        for name in ("reg_transition", "acquire_lock", "update_all_chains", "release_lock"):
+            def counted(*args, name=name, step=getattr(engine, name)):
+                calls.append(name)
+                return step(*args)
+            monkeypatch.setattr(engine, name, counted)
+        result = engine.sync(source, action, aid, gs)
+        assert result == expected and result.reason is reason
+        assert calls == steps
+
     def test_other_assets_bit_identical(self, two_chain_active):
         result = engine.sync("c1", RegAction.SEIZE, "a1", two_chain_active)
         assert result.state.chains["c1"]["a2"] == two_chain_active.chains["c1"]["a2"]

@@ -215,9 +215,10 @@ def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
 
 
 def test_the_initial_level_is_streamed(monkeypatch):
-    """run_modelcheck hands explore a re-iterable: one pass keys the initial
-    states, and the second draws each only after the syncs of the one
-    before, so the initial states are never all held at once."""
+    """run_modelcheck hands explore a zero-argument function, which it calls
+    twice: the first pass keys the initial states, and the second draws
+    each only after the syncs of the one before, so the initial states are
+    never all held at once."""
     log, keyed = [], modelcheck._keyed_initial_states
 
     def drawn(*bounds):
@@ -639,9 +640,22 @@ def test_the_holders_of_a_prescribed_successor_share_one_cell():
         and gs.chains["c1"]["a1"].reg_state is RegState.ACTIVE
     )
     step = SyncCommand("c2", RegAction.FREEZE, "a1")
-    successor = modelcheck._prescribed(
-        gs, engine.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec()
+    chains, _ = modelcheck._prescribed(
+        gs, engine.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec(), {}
     )
-    cells = [table["a1"] for table in successor.chains.values()]
+    cells = [table["a1"] for table in chains.values()]
     assert len(cells) == 3 and all(cell is cells[0] for cell in cells)
     assert cells[0] == engine.AssetState("a1", RegState.FROZEN, "owner")
+
+
+def test_prescribed_cells_are_built_once_per_value():
+    """The table a run passes to _prescribed gives every successor whose new
+    cell has one (asset_id, state, owner) the same record."""
+    active = [gs for gs in modelcheck.enumerate_initial_states(2, 1)
+              if engine.get_reg_state(gs, "c1", "a1") is RegState.ACTIVE]
+    step, spec, cells = SyncCommand("c1", RegAction.FREEZE, "a1"), reg_machine_spec(), {}
+    made = [modelcheck._prescribed(gs, engine.to_domain_state_map(gs), step,
+                                   RegState.FROZEN, spec, cells)[0]["c1"]["a1"]
+            for gs in active]
+    assert len(made) == 2 and made[0] is made[1]
+    assert cells == {("a1", RegState.FROZEN, "owner"): made[0]}

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import shutil
 import time
 
 import pytest
@@ -652,6 +653,23 @@ class TestSimulateCommand:
         assert code == 0
         lines = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         assert len(lines) <= 5 * 3 + 2
+
+    def test_a_crashing_drain_exits_3_not_the_violation_code(self, tmp_path):
+        """A copy of the package whose step_epoch negates its test of a failed
+        sync keeps no state after one; simulate, in a fresh process, must
+        report that as an internal error, not as a property violation."""
+        shutil.copytree(ROOT / "src", tmp_path / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = tmp_path / "src" / "regsync" / "liveness.py"
+        source = path.read_text()
+        assert source.count("if result.state is None:") == 1
+        path.write_text(source.replace("if result.state is None:", "if result.state is not None:"))
+        doc = simulate_doc()
+        doc["requests"][0]["action"] = "UNFREEZE"  # fails InvalidTransition on ACTIVE
+        proc = run_python("-m", "regsync", "simulate", str(write(tmp_path, doc)),
+                          src=tmp_path / "src")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("internal error: ")
 
     def test_huge_max_epochs_costs_what_a_small_one_does(self, tmp_path):
         # The schedule stops at the drain horizon, not at --max-epochs.

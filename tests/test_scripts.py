@@ -14,8 +14,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*argv):
-    src = str(ROOT / "src")
+def run_python(*argv, src=ROOT / "src"):
+    """Run ``python *argv`` in a fresh process that imports regsync from ``src``."""
+    src = str(src)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
     return subprocess.run(
@@ -63,6 +64,9 @@ def test_modelcheck_bounds_splits_ops_by_outcome():
     assert "us after a failed sync" in proc.stdout and "us after a successful one" in proc.stdout
     # The engine-only time of the same syncs, and the checker's share of the run.
     assert re.search(r"engine only \d+\.\d\ds, checker -?\d+% of the run;", proc.stdout)
+    # The engine-only time split by outcome: the mean of one failed and one successful sync.
+    assert re.search(r" of the run; engine only per sync: \d+\.\d\d us failed, "
+                     r"\d+\.\d\d us successful; per op ", proc.stdout)
     # The peak RSS so far, read before the engine-only pass.
     assert re.search(r" us/sync, peak RSS so far \d+\.\d MiB; engine only ", proc.stdout)
 
