@@ -8,7 +8,8 @@ engine-only time, the same syncs from the same initial states with no
 checking, and so the checker's share of the run; and, split by the
 sync's outcome, the mean engine-only time of one sync and the mean time
 of one op: a sync plus the checks of its outcome (timed in a second run,
-through a wrapping ``sync_fn``)."""
+through a wrapping ``sync_fn``). Each timed pass runs ``REPEATS`` times,
+and each figure is its best (least) time over the repeats."""
 
 import argparse
 import resource
@@ -20,6 +21,10 @@ from regsync.modelcheck import (
     asset_names, chain_names, enumerate_initial_states, initial_state_count, run_modelcheck,
 )
 from regsync.regulatory import RegAction
+
+# Runs of each timed pass; the figures on a shared VM swing by up to 2x
+# between single runs, and the best of a few is steadier.
+REPEATS = 3
 
 
 class OpSplit:
@@ -56,8 +61,8 @@ def engine_only_times(n_chains: int, n_assets: int) -> dict[bool, tuple[int, flo
     consistent states are closed under sync, so these are the states every
     depth explores. An untimed pass sorts each state's steps by outcome
     before the clock starts; the successful syncs are then timed apart
-    from the failed ones. Returns, per outcome (True for a success), the
-    number of syncs and their wall seconds."""
+    from the failed ones, ``REPEATS`` times. Returns, per outcome (True
+    for a success), the number of syncs and their least wall seconds."""
     states = list(enumerate_initial_states(n_chains, n_assets))
     steps = [(c, a, aid) for c in chain_names(n_chains) for a in RegAction
              for aid in asset_names(n_assets)]
@@ -68,14 +73,15 @@ def engine_only_times(n_chains: int, n_assets: int) -> dict[bool, tuple[int, flo
             by_outcome[sync(c, a, aid, gs).ok].append((c, a, aid))
         for ok, batch in by_outcome.items():
             batches[ok].append((gs, batch))
-    timed = {}
-    for ok, pairs in batches.items():
-        start = time.perf_counter()
-        for gs, batch in pairs:
-            for c, a, aid in batch:
-                sync(c, a, aid, gs)
-        timed[ok] = sum(len(batch) for _, batch in pairs), time.perf_counter() - start
-    return timed
+    best = dict.fromkeys(batches, float("inf"))
+    for _ in range(REPEATS):
+        for ok, pairs in batches.items():
+            start = time.perf_counter()
+            for gs, batch in pairs:
+                for c, a, aid in batch:
+                    sync(c, a, aid, gs)
+            best[ok] = min(best[ok], time.perf_counter() - start)
+    return {ok: (sum(len(batch) for _, batch in pairs), best[ok]) for ok, pairs in batches.items()}
 
 
 def main():
@@ -87,16 +93,20 @@ def main():
 
     for d in range(1, args.max_domains + 1):
         for a in range(1, args.max_assets + 1):
-            start = time.perf_counter()
-            result = run_modelcheck(d, a, args.depth)
-            elapsed = time.perf_counter() - start
+            elapsed = float("inf")
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                result = run_modelcheck(d, a, args.depth)
+                elapsed = min(elapsed, time.perf_counter() - start)
             peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
             timed = engine_only_times(d, a)
             alone = timed[True][1] + timed[False][1]
             per_sync = {ok: seconds / n * 1e6 for ok, (n, seconds) in timed.items()}
-            split = OpSplit()
-            run_modelcheck(d, a, args.depth, sync_fn=split)
-            split.tick()
+            splits = [OpSplit() for _ in range(REPEATS)]
+            for split in splits:
+                run_modelcheck(d, a, args.depth, sync_fn=split)
+                split.tick()
+            per_op = {ok: min(split.mean_us(ok) for split in splits) for ok in (True, False)}
             print(
                 f"D={d} A={a} depth={args.depth}: "
                 f"{initial_state_count(d, a)} initial states, "
@@ -108,8 +118,8 @@ def main():
                 f"engine only {alone:.2f}s, checker {1 - alone / elapsed:.0%} of the run; "
                 f"engine only per sync: {per_sync[False]:.2f} us failed, "
                 f"{per_sync[True]:.2f} us successful; per op "
-                f"{split.mean_us(False):.2f} us after a failed sync, "
-                f"{split.mean_us(True):.2f} us after a successful one"
+                f"{per_op[False]:.2f} us after a failed sync, "
+                f"{per_op[True]:.2f} us after a successful one"
             )
 
 

@@ -13,7 +13,7 @@ split of the bench ``replay`` workload; ``--assets`` and ``--number`` are
 then unused.
 
 ``canonical_dumps`` memoises the last document it wrote as a flat list
-of pieces, and is timed in the four cases a replay meets:
+of pieces, and is timed in the three cases a replay meets:
 
 - ``unchanged``: the state last rendered, as after a failed sync; a memo
   hit on the state object, which returns the memoised text and renders
@@ -23,11 +23,6 @@ of pieces, and is timed in the four cases a replay meets:
   synced asset's holder chains changed their tables, here all 4; the
   synced cell of each is rendered from its record into the pieces, with
   no ``to_json_dict`` call, and the pieces are joined once.
-- ``after lock``: the state with the first asset's lock taken, with the
-  memo holding the state before it, as for ``after sync``. Every chain
-  keeps its table, but the lock flag of the asset's cell on each of its
-  4 holder chains changed, so those cells and the locks object are
-  rendered into the pieces.
 - ``cold``: the memo emptied before each call (outside the timing), so
   that the call renders every cell of every chain, from one
   ``to_json_dict`` call."""
@@ -108,7 +103,6 @@ def main():
     for n in args.assets:
         gs = make_state(n)
         after = engine.sync("c1", RegAction.FREEZE, "a1", gs).state
-        locked = engine.acquire_lock(gs, "a1")
         dumps = engine.canonical_dumps
         # name -> (call, setup run once per repeat)
         repeated = {
@@ -119,7 +113,6 @@ def main():
         # name -> (call, preparation run before each call)
         prepared = {
             "canonical_dumps after sync": (lambda: dumps(after), lambda: dumps(gs)),
-            "canonical_dumps after lock": (lambda: dumps(locked), lambda: dumps(gs)),
             "canonical_dumps cold": (lambda: dumps(gs), engine._LAST_SNAPSHOT.clear),
         }
         timings = []

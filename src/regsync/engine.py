@@ -12,9 +12,9 @@ canonical_dumps relies on that purity: no chain table and no chains mapping
 is mutated in place after it has been rendered, so it memoises the last
 document as one flat list of pieces, re-renders only the cells a step
 changed, straight from their records, and joins the list once. A state
-whose chain names changed, or one of whose tables changed or moved its
-keys, is rendered in full through to_json_dict, which defines a snapshot's
-fields (see its docstring).
+whose chain names or lock set changed, or one of whose tables changed or
+moved its keys, is rendered in full through to_json_dict, which defines a
+snapshot's fields (see its docstring).
 """
 
 from __future__ import annotations
@@ -101,10 +101,6 @@ def get_reg_state(gs: GlobalState, c: ChainId, aid: AssetKey) -> Optional[RegSta
     table = gs.chains.get(c)
     rec = None if table is None else table.get(aid)
     return None if rec is None else rec.reg_state
-
-
-def asset_exists(gs: GlobalState, c: ChainId, aid: AssetKey) -> bool:
-    return get_reg_state(gs, c, aid) is not None
 
 
 def connected_chains(gs: GlobalState, aid: AssetKey) -> frozenset[ChainId]:
@@ -270,28 +266,28 @@ def canonical_dumps(gs: GlobalState) -> str:
     The last document written is memoised in ``_LAST_SNAPSHOT`` as one
     entry ``(gs, keys, positions, pieces, text)``: ``keys`` lists each
     chain's keys in its table's order, ``pieces`` is the document as one
-    flat list of strings whose join is ``text``, with the locks object at
-    ``pieces[-2]``, and ``positions`` maps each chain to the index in
-    ``pieces`` of each of its cells. The entry keeps ``gs`` alive, and the
-    identity tests on it and its tables rely on the purity premise: no
-    chain table and no ``chains`` mapping is mutated after it is rendered.
+    flat list of strings whose join is ``text``, and ``positions`` maps
+    each chain to the index in ``pieces`` of each of its cells. The entry
+    keeps ``gs`` alive, and the identity tests on it and its tables rely on
+    the purity premise: no chain table and no ``chains`` mapping is mutated
+    after it is rendered.
 
     ``gs`` itself, as after a failed sync, returns ``text``. A state with
-    the memoised chain names whose every table is the memoised one or
-    keeps its keys in the memoised order (as every engine step does) is
-    spliced: each dirty cell, one whose record is not the memoised object
-    (found by a scan in C) or whose lock flipped, is written into
-    ``pieces`` from its record, and the list is joined once. Any other
-    state is rendered in full from one to_json_dict call, which keeps
-    to_json_dict the definition of a snapshot's fields. The entry is out
-    of the memo meanwhile, so an exception leaves the memo empty, and a
-    splice abandoned for a full render leaves no half-written pieces.
+    the memoised chain names and lock set whose every table is the
+    memoised one or keeps its keys in the memoised order (as a sync does)
+    is spliced: each dirty cell, one whose record is not the memoised
+    object (found by a scan in C), is written into ``pieces`` from its
+    record, and the list is joined once. Any other state is rendered in
+    full from one to_json_dict call, which keeps to_json_dict the
+    definition of a snapshot's fields. The entry is out of the memo
+    meanwhile, so an exception leaves the memo empty, and a splice
+    abandoned for a full render leaves no half-written pieces.
     """
     memo, chains, locks, cell_text = _LAST_SNAPSHOT, gs.chains, gs.locks, _cell_text
     if memo and memo[0][0] is gs:
         return memo[0][4]
     entry = memo.pop() if memo else None
-    if entry is not None and chains.keys() == entry[0].chains.keys():
+    if entry is not None and chains.keys() == entry[0].chains.keys() and locks == entry[0].locks:
         last, keys, positions, pieces, _ = entry
         old = last.chains
         for c, table in chains.items():
@@ -304,12 +300,6 @@ def canonical_dumps(gs: GlobalState) -> str:
                     rec = table[aid]
                     pieces[at[aid]] = cell_text(aid, aid in locks, rec.owner, rec.reg_state)
         else:
-            flipped = locks ^ last.locks
-            if flipped:
-                pieces[-2] = _locks_text(locks)
-                for c, aid in [(c, a) for a in flipped for c in chains if a in chains[c]]:
-                    rec, at = chains[c][aid], positions[c]
-                    pieces[at[aid]] = cell_text(aid, aid in locks, rec.owner, rec.reg_state)
             memo.append((gs, keys, positions, pieces, "".join(pieces)))
             return memo[0][4]
     doc, esc = to_json_dict(gs), encode_basestring_ascii
@@ -325,7 +315,9 @@ def canonical_dumps(gs: GlobalState) -> str:
         if cells:
             pieces[-1] = "\n    }"
         positions[c] = at
-    pieces += "\n  }" if keys else "}", ',\n  "locks": ', _locks_text(locks), "\n}\n"
+    held = ",\n".join(f"    {esc(aid)}: true" for aid in sorted(locks))
+    locks_text = f"{{\n{held}\n  }}" if held else "{}"
+    pieces += "\n  }" if keys else "}", ',\n  "locks": ', locks_text, "\n}\n"
     memo.append((gs, keys, positions, pieces, "".join(pieces)))
     return memo[0][4]
 
@@ -351,9 +343,3 @@ def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str) -> str:
 
 # The ``"state"`` line of a snapshot cell, by state.
 _STATE_LINES = {s: f'        "state": {encode_basestring_ascii(s)}\n' for s in RegState}
-
-
-def _locks_text(locks: frozenset[AssetKey]) -> str:
-    """The snapshot text of the ``"locks"`` object."""
-    held = ",\n".join(f"    {encode_basestring_ascii(aid)}: true" for aid in sorted(locks))
-    return f"{{\n{held}\n  }}" if held else "{}"

@@ -65,8 +65,9 @@ class SimConfig:
 
 
 def validate_bft_config(cfg: SimConfig) -> ValidationReport:
-    """Check n >= 3f+1, the Byzantine bound, positivity, and the derived
-    honest majority."""
+    """Check unique node ids, n >= 3f+1, the Byzantine bound and
+    positivity. The honest majority follows: n >= 3f+1 and byz <= f give
+    honest = n - byz >= 2f+1."""
     report = ValidationReport()
     n = len(cfg.nodes)
     ids = [node.node_id for node in cfg.nodes]
@@ -81,8 +82,6 @@ def validate_bft_config(cfg: SimConfig) -> ValidationReport:
         report.add("timeout_positive", cfg.lock_timeout)
     if cfg.fairness_bound <= 0:
         report.add("fairness_positive", cfg.fairness_bound)
-    if report.ok and len(cfg.honest_nodes) <= 2 * cfg.f_max:
-        report.add("honest_majority", (len(cfg.honest_nodes), cfg.f_max))
     return report
 
 
@@ -98,16 +97,14 @@ def lock_effective(lock_time: int, current_time: int, timeout: int) -> bool:
 
 
 class LeaderSchedule:
-    """The leader of each epoch below ``horizon``: ``leaders`` itself, or,
-    with ``horizon`` given, the first ``horizon`` that the iterator
-    ``leaders`` yields, each drawn when its epoch is first asked for. So a
-    drain costs the epochs it steps, not the horizon. Equal schedules have
-    equal leaders."""
+    """The leader of each epoch below ``horizon``: the first ``horizon``
+    that ``leaders`` yields, each drawn when its epoch is first asked for.
+    So a drain costs the epochs it steps, not the horizon."""
 
-    def __init__(self, leaders: Iterable[int], horizon: Optional[int] = None):
-        self._drawn = [] if horizon is not None else list(leaders)
+    def __init__(self, leaders: Iterable[int], horizon: int):
+        self._drawn = []
         self._draws = iter(leaders)
-        self.horizon = len(self._drawn) if horizon is None else max(horizon, 0)
+        self.horizon = max(horizon, 0)
 
     def leader_at(self, epoch: int) -> int:
         drawn = self._drawn
@@ -118,9 +115,6 @@ class LeaderSchedule:
     @property
     def leaders(self) -> tuple[int, ...]:
         return tuple(map(self.leader_at, range(self.horizon)))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LeaderSchedule) and self.leaders == other.leaders
 
 
 def _windows_without(hits: Iterable[bool], k: int) -> Iterator[int]:

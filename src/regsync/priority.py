@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .engine import json_value
 from .regulatory import RegAction, TextEnum
-from .report import ValidationReport
 
 
 class AuthorityLevel(TextEnum):
@@ -74,23 +72,15 @@ class RegRequest:
 PriorityKey = tuple[int, int, int, int]
 
 
-def authority_rank(level: AuthorityLevel) -> int:
-    return AUTHORITY_RANK[level]
-
-
-def action_severity(a: RegAction) -> int:
-    return ACTION_SEVERITY[a]
-
-
 def priority_key(r: RegRequest, cfg: PriorityConfig = PriorityConfig()) -> PriorityKey:
     if not 0 <= r.timestamp <= cfg.t_max:
         raise HorizonError(f"{request_id(r)}: timestamp {r.timestamp} outside [0, {cfg.t_max}]")
     if not 0 <= r.node_id <= cfg.n_max:
         raise HorizonError(f"{request_id(r)}: node_id {r.node_id} outside [0, {cfg.n_max}]")
     return (
-        authority_rank(r.authority),
+        AUTHORITY_RANK[r.authority],
         cfg.t_max - r.timestamp,
-        action_severity(r.action),
+        ACTION_SEVERITY[r.action],
         cfg.n_max - r.node_id,
     )
 
@@ -123,35 +113,5 @@ def select_highest(rs, cfg: PriorityConfig = PriorityConfig()):
     return ranked[0] if ranked else None
 
 
-def check_injectivity(rs, cfg: PriorityConfig = PriorityConfig()) -> ValidationReport:
-    """Report the highest-ranked pair of distinct requests sharing a key."""
-    report = ValidationReport()
-    try:
-        rank_requests(rs, cfg)
-    except DuplicateKeyError as exc:
-        report.add("priority_injective", exc.requests, f"shared key {exc.key}")
-    return report
-
-
 def request_id(r: RegRequest) -> str:
     return f"n{r.node_id}-t{r.timestamp}-{r.action}-{r.asset}"
-
-
-def request_from_json(obj: dict) -> RegRequest:
-    return RegRequest(
-        node_id=json_value(obj["node"], int, "node"),
-        authority=AuthorityLevel(obj["authority"]),
-        timestamp=json_value(obj["timestamp"], int, "timestamp"),
-        action=RegAction(obj["action"]),
-        asset=json_value(obj["asset"], str, "asset"),
-    )
-
-
-def request_to_json(r: RegRequest) -> dict:
-    return {
-        "node": r.node_id,
-        "authority": r.authority,
-        "timestamp": r.timestamp,
-        "action": r.action,
-        "asset": r.asset,
-    }

@@ -67,14 +67,6 @@ def reg_transition(s: RegState, a: RegAction) -> Optional[RegState]:
     return REG_TRANSITIONS.get((s, a))
 
 
-def is_terminal(s: RegState) -> bool:
-    return s in REG_MACHINE.terminal
-
-
-def valid_actions(s: RegState) -> set[RegAction]:
-    return {a for a in RegAction if reg_transition(s, a) is not None}
-
-
 def reg_machine_spec() -> StateMachineSpec:
     """The regulatory machine: the one spec whose table ``reg_transition`` reads."""
     return REG_MACHINE

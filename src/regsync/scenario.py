@@ -14,7 +14,7 @@ from typing import Optional
 from . import engine
 from .engine import json_value
 from .liveness import NodeInfo, SimConfig
-from .priority import RegRequest, request_from_json, request_to_json
+from .priority import AuthorityLevel, RegRequest
 from .regulatory import RegAction
 
 
@@ -53,6 +53,26 @@ class Scenario:
         if self.sim is not None:
             doc["sim"] = _sim_to_json(self.sim)
         return doc
+
+
+def request_to_json(r: RegRequest) -> dict:
+    return {
+        "node": r.node_id,
+        "authority": r.authority,
+        "timestamp": r.timestamp,
+        "action": r.action,
+        "asset": r.asset,
+    }
+
+
+def request_from_json(obj: dict) -> RegRequest:
+    return RegRequest(
+        node_id=json_value(obj["node"], int, "node"),
+        authority=AuthorityLevel(obj["authority"]),
+        timestamp=json_value(obj["timestamp"], int, "timestamp"),
+        action=RegAction(obj["action"]),
+        asset=json_value(obj["asset"], str, "asset"),
+    )
 
 
 def _sim_to_json(cfg: SimConfig) -> dict:
@@ -168,10 +188,6 @@ def parse_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:  # an integer literal past Python's int-string limit
         raise ScenarioError(str(path), str(exc)) from exc
     return scenario_from_json(doc, origin=str(path))
-
-
-def canonical_dumps(scenario: Scenario) -> str:
-    return canonical_json(scenario.to_json_dict())
 
 
 def canonical_json(doc: dict) -> str:

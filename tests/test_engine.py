@@ -39,10 +39,6 @@ class TestReads:
     def test_unknown_chain(self, two_chain_active):
         assert engine.get_reg_state(two_chain_active, "c9", "a1") is None
 
-    def test_asset_exists(self, two_chain_active):
-        assert engine.asset_exists(two_chain_active, "c1", "a2")
-        assert not engine.asset_exists(two_chain_active, "c2", "a2")
-
     def test_connected_chains(self, two_chain_active):
         assert engine.connected_chains(two_chain_active, "a1") == frozenset({"c1", "c2"})
         assert engine.connected_chains(two_chain_active, "a2") == frozenset({"c1"})
@@ -563,8 +559,8 @@ def rendered(monkeypatch):
 def renders(monkeypatch):
     """The set of chain names of each engine.to_json_dict call, in order;
     canonical_dumps makes one call, on the whole state, when it renders in
-    full (no memo entry, changed chain names, or a table whose key set
-    changed or was reordered), and none when it splices dirty cells from
+    full (no memo entry, changed chain names or lock set, or a table whose
+    key set changed or was reordered), and none when it splices dirty cells from
     their records."""
     calls, to_json_dict = [], engine.to_json_dict
 
@@ -597,7 +593,6 @@ class TestChainTextMemo:
     def test_a_lock_step_misses_on_the_held_locks(self, rendered):
         gs = snapshot_stream(seed=12, steps=0)[0][0]
         aid = next(a for a in STREAM_ASSETS if a not in gs.locks)
-        holder_cells = sorted((c, aid) for c in engine.connected_chains(gs, aid))
         locked = engine.acquire_lock(gs, aid)
         released = engine.release_lock(locked, aid)
         # Lock steps share every chain table.
@@ -609,17 +604,18 @@ class TestChainTextMemo:
             assert engine.canonical_dumps(s) == text
             cells.append(sorted(rendered))
         every_cell = sorted((c, a) for c, table in gs.chains.items() for a in table)
-        assert cells == [every_cell, holder_cells, holder_cells]
+        # A changed lock set renders the whole state.
+        assert cells == [every_cell, every_cell, every_cell]
         assert expected[1] != expected[0] == expected[2]
 
-    def test_a_lock_on_no_chain_re_renders_no_chain(self, renders):
+    def test_a_lock_on_no_chain_renders_in_full(self, renders):
         gs = snapshot_stream(seed=12, steps=0)[0][0]
         locked = engine.acquire_lock(gs, "held by no chain")
         expected = reference_canonical_dumps(locked)
         engine.canonical_dumps(gs)
         renders.clear()
         assert engine.canonical_dumps(locked) == expected
-        assert renders == []
+        assert renders == [set(gs.chains)]
 
     def test_a_changed_chain_set_matches_the_reference(self, renders):
         gs = snapshot_stream(seed=13, steps=0)[0][0]
@@ -694,8 +690,9 @@ def cell_sets(monkeypatch):
 
 
 class TestCellSplice:
-    """A state whose tables are the memoised ones or keep their keys in
-    their order re-renders only its dirty cells, from their records, and
+    """A state with the memoised lock set whose tables are the memoised
+    ones or keep their keys in their order re-renders only its dirty cells,
+    from their records, and
     splices them into the memoised pieces; any other miss renders the whole
     document in full, through to_json_dict."""
 
@@ -720,7 +717,7 @@ class TestCellSplice:
             gs = after
         assert outcomes.count(True) >= 100
 
-    def test_a_lock_step_renders_its_holder_cells(self, rendered):
+    def test_a_lock_step_renders_every_cell(self, rendered):
         gs = snapshot_stream(seed=17, steps=0)[0][0]
         engine.canonical_dumps(gs)
         # Every asset is released if held and acquired if not, then back.
@@ -729,7 +726,7 @@ class TestCellSplice:
             after = step(gs, aid)
             expected, rendered[:] = reference_canonical_dumps(after), []
             assert engine.canonical_dumps(after) == expected
-            assert sorted(rendered) == sorted((c, aid) for c in engine.connected_chains(gs, aid))
+            assert sorted(rendered) == sorted((c, a) for c, t in gs.chains.items() for a in t)
             gs = after
 
     @pytest.mark.parametrize("change", ["gain", "lose", "swap"])

@@ -129,7 +129,7 @@ class TestSchedules:
 
     def test_fair_schedule_deterministic(self):
         cfg = config(seed=9)
-        assert gen_fair_schedule(cfg, 30) == gen_fair_schedule(cfg, 30)
+        assert gen_fair_schedule(cfg, 30).leaders == gen_fair_schedule(cfg, 30).leaders
 
     def test_all_honest_nodes(self):
         cfg = config(byz=0)
@@ -159,12 +159,12 @@ class TestSchedules:
 
 def all_honest_schedule(cfg, horizon):
     honest = cfg.honest_nodes[0].node_id
-    return LeaderSchedule(tuple(honest for _ in range(horizon)))
+    return LeaderSchedule(tuple(honest for _ in range(horizon)), horizon)
 
 
 def all_byz_schedule(cfg, horizon):
     byz = cfg.byzantine_nodes[0].node_id
-    return LeaderSchedule(tuple(byz for _ in range(horizon)))
+    return LeaderSchedule(tuple(byz for _ in range(horizon)), horizon)
 
 
 class TestStepEpoch:
@@ -613,17 +613,18 @@ class TestLazySchedule:
         late = [asked.leader_at(e) for e in (59, 3, 40, 0)]
         full = gen_fair_schedule(cfg, 60).leaders
         assert late == [full[59], full[3], full[40], full[0]]
-        assert asked.leaders == full and asked == gen_fair_schedule(cfg, 60) == LeaderSchedule(full)
+        assert asked.leaders == full == gen_fair_schedule(cfg, 60).leaders
+        assert LeaderSchedule(full, len(full)).leaders == full
 
     def test_no_leader_at_or_past_the_horizon(self):
-        for sched in (gen_fair_schedule(config(), 5), LeaderSchedule((1, 2, 3, 1, 2))):
+        for sched in (gen_fair_schedule(config(), 5), LeaderSchedule((1, 2, 3, 1, 2), 5)):
             assert sched.horizon == len(sched.leaders) == 5
             with pytest.raises(IndexError):
                 sched.leader_at(5)
 
     def test_schedules_of_other_lengths_differ(self):
         cfg = config()
-        assert gen_fair_schedule(cfg, 10) != gen_fair_schedule(cfg, 11)
+        assert gen_fair_schedule(cfg, 10).leaders != gen_fair_schedule(cfg, 11).leaders
         assert gen_fair_schedule(cfg, 0).leaders == ()
 
     @settings(max_examples=200, deadline=None)
@@ -671,7 +672,7 @@ class TestWindowScan:
            st.lists(st.integers(0, 6), max_size=60))
     def test_fair_leader_matches_the_reference(self, n, byz, k, leaders):
         cfg = SimConfig(tuple(NodeInfo(i, i >= byz) for i in range(n)), 0, 1, k)
-        sched = LeaderSchedule(tuple(leaders))
+        sched = LeaderSchedule(leaders, len(leaders))
         assert check_fair_leader(sched, cfg) == reference_check_fair_leader(sched, cfg)
 
     @settings(max_examples=300, deadline=None)

@@ -6,20 +6,18 @@ from hypothesis import given, strategies as st
 
 from regsync.priority import (
     ACTION_SEVERITY,
+    AUTHORITY_RANK,
     AuthorityLevel,
     DuplicateKeyError,
     HorizonError,
     PriorityConfig,
     RegRequest,
-    action_severity,
-    authority_rank,
-    check_injectivity,
     priority_key,
-    request_from_json,
-    request_to_json,
+    rank_requests,
     select_highest,
 )
 from regsync.regulatory import RegAction
+from regsync.scenario import request_from_json, request_to_json
 
 CFG = PriorityConfig(t_max=100, n_max=100)
 
@@ -31,11 +29,11 @@ def req(node=1, authority=AuthorityLevel.NATIONAL, t=10, action=RegAction.FREEZE
 class TestKeyComponents:
     def test_authority_rank_monotone(self):
         levels = [AuthorityLevel.REGIONAL, AuthorityLevel.NATIONAL, AuthorityLevel.INTERNATIONAL]
-        ranks = [authority_rank(l) for l in levels]
+        ranks = [AUTHORITY_RANK[l] for l in levels]
         assert ranks == sorted(ranks) and len(set(ranks)) == 3
 
     def test_severity_injective(self):
-        values = [action_severity(a) for a in RegAction]
+        values = [ACTION_SEVERITY[a] for a in RegAction]
         assert len(set(values)) == len(values)
 
     def test_severity_table(self):
@@ -130,13 +128,14 @@ class TestSelectHighest:
 
 class TestInjectivity:
     def test_distinct_node_ids_always_injective(self):
-        assert check_injectivity(universe(), CFG).ok
+        assert len(rank_requests(universe(), CFG)) == len(universe())
 
     def test_identical_key_inputs_reported(self):
         a = req(node=1, t=5, asset="a1")
         b = req(node=1, t=5, asset="a2")
-        report = check_injectivity([a, b], CFG)
-        assert "priority_injective" in report.rules()
+        with pytest.raises(DuplicateKeyError) as exc:
+            rank_requests([a, b], CFG)
+        assert set(exc.value.requests) == {a, b}
 
     def test_random_sample_with_distinct_nodes(self):
         rng = random.Random(7)
@@ -149,7 +148,7 @@ class TestInjectivity:
             )
             for n in rng.sample(range(101), 20)
         ]
-        assert check_injectivity(reqs, CFG).ok
+        assert len(rank_requests(reqs, CFG)) == len(reqs)
 
 
 def test_request_json_round_trip():

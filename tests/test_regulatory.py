@@ -7,11 +7,10 @@ from regsync.engine import SyncFailure
 from regsync.priority import AuthorityLevel
 from regsync.regulatory import (
     RegAction,
+    REG_MACHINE,
     RegState,
-    is_terminal,
     reg_machine_spec,
     reg_transition,
-    valid_actions,
 )
 from regsync.sm_core import validate_machine
 
@@ -75,9 +74,12 @@ def test_excluded_by_design_transitions():
 
 
 def test_is_terminal():
-    assert is_terminal(RegState.CONFISCATED)
-    assert not is_terminal(RegState.ACTIVE)
-    assert not is_terminal(RegState.SEIZED)
+    assert REG_MACHINE.terminal == {RegState.CONFISCATED}
+
+
+def valid_actions(s):
+    """The actions with a defined move from ``s``."""
+    return {a for a in RegAction if reg_transition(s, a) is not None}
 
 
 class TestValidActions:

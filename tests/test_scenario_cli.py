@@ -13,7 +13,7 @@ from regsync import cli, engine, liveness, modelcheck
 from regsync.modelcheck import run_modelcheck
 from regsync.regulatory import RegAction, RegState
 from regsync.scenario import (
-    ScenarioError, canonical_dumps, canonical_json, parse_scenario, scenario_from_json,
+    ScenarioError, canonical_json, parse_scenario, scenario_from_json,
 )
 
 from test_acceptance import (
@@ -138,9 +138,9 @@ class TestParseScenario:
     @pytest.mark.parametrize("make_doc", [minimal_doc, full_doc], ids=["minimal", "full"])
     def test_canonical_round_trip(self, tmp_path, make_doc):
         path = tmp_path / "canon.json"
-        path.write_text(canonical_dumps(parse_scenario(write(tmp_path, make_doc()))))
+        path.write_text(canonical_json(parse_scenario(write(tmp_path, make_doc())).to_json_dict()))
         reparsed = parse_scenario(path)
-        assert canonical_dumps(reparsed) == path.read_text()
+        assert canonical_json(reparsed.to_json_dict()) == path.read_text()
         assert path.read_text() == canonical_json(make_doc())
 
     def test_sim_defaults_are_written_out(self, tmp_path):
@@ -148,12 +148,12 @@ class TestParseScenario:
         optional = ("t_max", "n_max", "seed")
         for k in optional:
             del doc["sim"][k]
-        text = canonical_dumps(parse_scenario(write(tmp_path, doc)))
+        text = canonical_json(parse_scenario(write(tmp_path, doc)).to_json_dict())
         defaults = {f.name: f.default for f in dataclasses.fields(liveness.SimConfig)}
         assert json.loads(text)["sim"] == {**doc["sim"], **{k: defaults[k] for k in optional}}
         path = tmp_path / "canon.json"
         path.write_text(text)
-        assert canonical_dumps(parse_scenario(path)) == text
+        assert canonical_json(parse_scenario(path).to_json_dict()) == text
 
 
 def run_cli(capsys, *argv):
@@ -486,7 +486,7 @@ class TestCounterexampleOut:
         assert out.endswith(path.read_text())
         assert doc.pop("violation") == {"rule": "lock_released", "detail": ""}
         canonical = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        assert canonical_dumps(scenario_from_json(doc)) == canonical
+        assert canonical_json(scenario_from_json(doc).to_json_dict()) == canonical
         code, out, _ = run_cli(capsys, "sync", str(path))
         assert code == 0 and out.startswith("step 0: c1 FREEZE a1 -> ok")
 
