@@ -68,11 +68,11 @@ def main():
         sweep(args, n_requests)
 
 
-def timed_drain(s0, sched, cfg, max_epochs):
+def timed_drain(s0, sched, cfg):
     """The trace run_until_drained gives, and the seconds its honest
     (``True``) and Byzantine (``False``) epochs took."""
     trace, seconds, state = [], {True: 0.0, False: 0.0}, s0
-    while state.pending and state.epoch < min(max_epochs, sched.horizon):
+    while state.pending and state.epoch < sched.horizon:
         start = time.perf_counter()
         state, record = step_epoch(state, sched, cfg)
         seconds[record.honest] += time.perf_counter() - start
@@ -98,7 +98,7 @@ def sweep(args, n_requests):
             bound = drain_horizon(n_requests, cfg)
             sched = gen(cfg, bound)
             s0 = initial_state(n_requests)
-            trace, drain_s = timed_drain(s0, sched, cfg, bound)
+            trace, drain_s = timed_drain(s0, sched, cfg)
             for honest in (True, False):
                 seconds[honest] += drain_s[honest]
                 epochs[honest] += sum(r.honest is honest for r in trace)

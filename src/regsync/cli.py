@@ -125,7 +125,7 @@ def cmd_simulate(args) -> int:
     s0 = liveness.SimState(0, tuple(scenario.requests), scenario.state, {})
     try:
         # The first epoch ranks the requests, so this raises before any trace.
-        trace = liveness.run_until_drained(s0, sched, cfg, horizon)
+        trace = liveness.run_until_drained(s0, sched, cfg)
     except (DuplicateKeyError, HorizonError) as exc:
         raise UsageError(f"requests cannot be ranked: {exc}") from exc
     for record in trace:

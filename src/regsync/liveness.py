@@ -180,12 +180,15 @@ class LockEvent:
 
 @frozen_record
 class SimState:
+    """A drain at the start of ``epoch``. ``lock_times`` dates each lock
+    that can expire. ``ranking`` is the one step_epoch carries forward,
+    trusted only while its ``pending`` is this state's very tuple; it is
+    not part of the value."""
+
     epoch: int
     pending: tuple[RegRequest, ...]
     global_state: engine.GlobalState
-    lock_times: dict[str, int] = field(default_factory=dict)
-    # The ranking step_epoch carries forward; trusted only while its
-    # ``pending`` is this state's very tuple. Not part of the value.
+    lock_times: dict[str, int]
     ranking: Optional[Ranking] = field(default=None, compare=False, repr=False)
 
 
@@ -193,8 +196,7 @@ class Ranking:
     """One pending tuple in descending priority order, each key computed
     once per drain, plus what an epoch needs to update it without
     re-ranking: the pending count per asset and the sorted distinct pending
-    assets. ``rng`` is the drain's one generator, seeded afresh for each
-    draw.
+    assets.
 
     A ranking depends on its ``pending`` tuple alone, so it fits any state
     whose ``pending`` is that very tuple, whatever its locks. An epoch
@@ -209,7 +211,6 @@ class Ranking:
         self.pending = tuple(r for r in ranked for _ in range(copies[r]))
         self.counts = Counter(r.asset for r in self.pending)
         self.assets = sorted(self.counts)
-        self.rng = random.Random(0)
 
     def advance(self, removed: Optional[str], pending: tuple[RegRequest, ...]) -> None:
         """Take one request on asset ``removed`` (if any) out of the counts,
@@ -304,12 +305,11 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
         held = [bisect_left(rk.assets, a) for a in sorted(gs.locks) if a in rk.counts]
         unlocked = len(rk.assets) - len(held)
         # Single-resource discipline plus the no-total-blockade bound on the
-        # adversary: at least one pending asset must stay unlocked. Seeding
-        # resets the whole generator, so the draws depend on (seed, epoch)
-        # alone; an epoch that cannot lock draws nothing and seeds nothing.
+        # adversary: at least one pending asset must stay unlocked. Each
+        # epoch draws from a generator of its own, so the draws depend on
+        # (seed, epoch) alone; an epoch that cannot lock makes none.
         if unlocked >= 2:
-            rng = rk.rng
-            rng.seed(f"step:{cfg.seed}:{epoch}")
+            rng = random.Random(f"step:{cfg.seed}:{epoch}")
             if rng.random() < 0.5:
                 # The i-th unlocked asset: step i past each held position at or
                 # before it. randrange(n) draws the index choice of n items would.
@@ -330,13 +330,11 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
     return SimState(epoch + 1, pending, gs, lock_times, rk), record
 
 
-def run_until_drained(
-    s0: SimState, sched: LeaderSchedule, cfg: SimConfig, max_epochs: int
-) -> EpochTrace:
-    """Iterate step_epoch until pending empties or the epoch budget runs out."""
+def run_until_drained(s0: SimState, sched: LeaderSchedule, cfg: SimConfig) -> EpochTrace:
+    """Iterate step_epoch until pending empties or the schedule's horizon."""
     trace: EpochTrace = []
     state = s0
-    while state.pending and state.epoch < min(max_epochs, sched.horizon):
+    while state.pending and state.epoch < sched.horizon:
         state, record = step_epoch(state, sched, cfg)
         trace.append(record)
         assert record.pending_after <= record.pending_before

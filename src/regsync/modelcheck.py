@@ -205,11 +205,10 @@ def _prescribed(
     built, if the asset is unlocked and ``sync_all`` disagrees. Each new
     cell is the one record in ``cells``, keyed by (asset_id, target, owner),
     so the holders share it, as in the engine."""
-    aid, expected, holders = step.asset, projection.table.copy(), []
-    for c, table in gs.chains.items():
-        if aid in table:
-            holders.append(c)
-            expected[c, aid] = target
+    aid, expected = step.asset, projection.table.copy()
+    holders = engine.connected_chains(gs, aid)
+    for c in holders:
+        expected[c, aid] = target
     if aid not in gs.locks:
         generic = sync_all(projection, step.source, step.action, aid, spec)
         if generic is None or generic.table != expected:
@@ -233,19 +232,17 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, s
     returns the successor with its key, or None if the sync failed."""
     spec, weights = reg_machine_spec(), space[1]
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
-    by_cell: dict = {}  # (chain, asset, state) -> that cell's moves_at items
-    cells: dict = {}  # (asset_id, target, owner) -> the one prescribed record of that value
+    # (asset_id, target, owner) -> the one prescribed record of that value. Kept
+    # run-wide: a table per state read 202k against 215k op/s on bench mc (6-pair medians).
+    cells: dict = {}
 
     def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Callable:
         gs, key = node
         valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
         # Each defined move: (source, action, asset) -> (source's state, action, asset, target),
-        # read off the projection's cells; a cell's items are built once per run.
-        moves_at: dict = {}
-        for (c, aid), s in projection.table.items():
-            if (c, aid, s) not in by_cell:
-                by_cell[c, aid, s] = [((c, a, aid), (s, a, aid, t)) for a, t in moves.get(s, ())]
-            moves_at.update(by_cell[c, aid, s])
+        # read off the projection's cells.
+        moves_at = {(c, a, aid): (s, a, aid, t)
+                    for (c, aid), s in projection.table.items() for a, t in moves.get(s, ())}
         prescribed: dict = {}  # move -> (its prescribed successor's chains, locks, key), or None
 
         def take(step: SyncCommand) -> Optional[tuple[engine.GlobalState, Hashable]]:

@@ -13,16 +13,13 @@ from dataclasses import MISSING, dataclass, fields
 def frozen_record(cls: type) -> type:
     """``dataclass(frozen=True, slots=True)(cls)`` with the ``__init__``
     described above, of the same signature as the generated one (which is
-    therefore not generated)."""
+    therefore not generated). A field takes a plain default, not a factory."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    ns, params, body = {"MISSING": MISSING}, [], []
+    ns, params, body = {}, [], []
     for f in fields(cls):
-        n, has_factory = f.name, f.default_factory is not MISSING
-        ns[f"set_{n}"], ns[f"default_{n}"], ns[f"factory_{n}"] = (
-            getattr(cls, n).__set__, f.default, f.default_factory)
-        params.append(f"{n}=default_{n}" if f.default is not MISSING or has_factory else n)
-        if has_factory:
-            body.append(f"if {n} is MISSING: {n} = factory_{n}()")
+        n = f.name
+        ns[f"set_{n}"], ns[f"default_{n}"] = getattr(cls, n).__set__, f.default
+        params.append(n if f.default is MISSING else f"{n}=default_{n}")
         body.append(f"set_{n}(self, {n})")
     exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(body), ns)
     cls.__init__ = ns["__init__"]

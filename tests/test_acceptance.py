@@ -235,7 +235,7 @@ def test_criterion_9_starvation_and_completion():
                 for schedule_gen in (gen_fair_schedule, gen_adversarial_schedule):
                     sched = schedule_gen(cfg, bound)
                     s0 = SimState(0, reqs, make_state(placement), {})
-                    trace = run_until_drained(s0, sched, cfg, bound)
+                    trace = run_until_drained(s0, sched, cfg)
                     assert trace and trace[-1].pending_after == 0, (n, seed, schedule_gen)
                     assert len(trace) <= bound
                     assert check_starvation_bound(trace, k).ok, (n, seed, schedule_gen)

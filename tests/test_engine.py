@@ -40,9 +40,13 @@ class TestReads:
         assert engine.get_reg_state(two_chain_active, "c9", "a1") is None
 
     def test_connected_chains(self, two_chain_active):
-        assert engine.connected_chains(two_chain_active, "a1") == frozenset({"c1", "c2"})
-        assert engine.connected_chains(two_chain_active, "a2") == frozenset({"c1"})
-        assert engine.connected_chains(two_chain_active, "nowhere") == frozenset()
+        assert engine.connected_chains(two_chain_active, "a1") == ["c1", "c2"]
+        assert engine.connected_chains(two_chain_active, "a2") == ["c1"]
+        assert engine.connected_chains(two_chain_active, "nowhere") == []
+        # The holders come in the state's chain order, not in name order.
+        gs = make_state({"c3": {"a1": RegState.ACTIVE}, "c1": {"a1": RegState.ACTIVE},
+                         "c2": {"a2": RegState.ACTIVE}})
+        assert engine.connected_chains(gs, "a1") == ["c3", "c1"]
 
 
 class TestLocks:
@@ -123,6 +127,12 @@ class TestUpdateAllChains:
 
 
 class TestSync:
+    def test_sync_keeps_no_closure_cell(self):
+        """A comprehension in sync that reads ``aid`` would make ``aid`` a
+        cell variable, which slows every failed sync on CPython 3.11."""
+        assert engine.sync.__code__.co_cellvars == ()
+        assert engine.sync.__code__.co_freevars == ()
+
     def test_successful_freeze(self, two_chain_active):
         result = engine.sync("c1", RegAction.FREEZE, "a1", two_chain_active)
         assert result.ok
@@ -663,7 +673,7 @@ class TestChainTextMemo:
             rendered.clear()
             assert engine.canonical_dumps(after) == expected
             if result.ok:
-                assert {c for c, _ in rendered} == engine.connected_chains(gs, aid)
+                assert {c for c, _ in rendered} == set(engine.connected_chains(gs, aid))
             else:
                 # The state is the one just rendered: no chain and no cell.
                 assert after is gs

@@ -273,13 +273,13 @@ class TestStepEpoch:
 class TestRunUntilDrained:
     def test_all_honest_drains_in_exactly_five(self):
         cfg = config()
-        trace = run_until_drained(sim_state(requests(5)), all_honest_schedule(cfg, 50), cfg, 50)
+        trace = run_until_drained(sim_state(requests(5)), all_honest_schedule(cfg, 50), cfg)
         assert len(trace) == 5
         assert trace[-1].pending_after == 0
 
     def test_empty_pending_gives_empty_trace(self):
         cfg = config()
-        trace = run_until_drained(sim_state(()), all_honest_schedule(cfg, 10), cfg, 10)
+        trace = run_until_drained(sim_state(()), all_honest_schedule(cfg, 10), cfg)
         assert trace == []
 
     @pytest.mark.parametrize("seed", range(10))
@@ -289,7 +289,7 @@ class TestRunUntilDrained:
         gen = gen_adversarial_schedule if adversarial else gen_fair_schedule
         horizon = 5 * cfg.fairness_bound + cfg.lock_timeout
         sched = gen(cfg, horizon)
-        trace = run_until_drained(sim_state(requests(5)), sched, cfg, horizon)
+        trace = run_until_drained(sim_state(requests(5)), sched, cfg)
         assert trace[-1].pending_after == 0
         assert len(trace) <= horizon
         assert check_starvation_bound(trace, cfg.fairness_bound).ok
@@ -299,7 +299,7 @@ class TestRunUntilDrained:
         cfg = config(timeout=9, k=3, seed=4)
         horizon = drain_horizon(3, cfg)
         trace = run_until_drained(
-            sim_state(requests(3)), gen_adversarial_schedule(cfg, horizon), cfg, horizon
+            sim_state(requests(3)), gen_adversarial_schedule(cfg, horizon), cfg
         )
         assert trace[-1].pending_after == 0
         assert len(trace) > 3 * cfg.fairness_bound + cfg.lock_timeout
@@ -317,7 +317,7 @@ class TestRunUntilDrained:
         reqs = [RegRequest(i + 1, AuthorityLevel.NATIONAL, i, RegAction.FREEZE, aid)
                 for i, aid in enumerate(assets)]
         horizon = drain_horizon(len(reqs), cfg)
-        trace = run_until_drained(sim_state(reqs), gen(cfg, horizon), cfg, horizon)
+        trace = run_until_drained(sim_state(reqs), gen(cfg, horizon), cfg)
         assert trace[-1].pending_after == 0
 
 
@@ -551,7 +551,7 @@ def test_each_priority_key_is_computed_once_per_drain(monkeypatch):
     reqs = distinct + distinct[:50]
     cfg = config(seed=2)
     horizon = len(reqs) * cfg.fairness_bound + cfg.lock_timeout
-    trace = run_until_drained(sim_state(reqs), gen_adversarial_schedule(cfg, horizon), cfg, horizon)
+    trace = run_until_drained(sim_state(reqs), gen_adversarial_schedule(cfg, horizon), cfg)
     assert trace[-1].pending_after == 0
     assert sum(calls.values()) == len(set(reqs)) == 150
 

@@ -128,10 +128,9 @@ def test_defaults_are_the_declared_ones():
     assert engine.SyncResult() == engine.SyncResult(None, None)
     record = EpochRecord(0, 1, False, 2, 2, None, ())
     assert record.outcome is None
-    state = SimState(0, (), global_state())
-    assert state.lock_times == {} and state.ranking is None
-    # Each state gets a lock_times dict of its own.
-    assert SimState(0, (), global_state()).lock_times is not state.lock_times
+    with pytest.raises(TypeError):
+        SimState(0, (), global_state())
+    assert SimState(0, (), global_state(), {}).ranking is None
 
 
 def test_epoch_record_to_json_is_asdict_on_a_seeded_drain():
@@ -148,7 +147,7 @@ def test_epoch_record_to_json_is_asdict_on_a_seeded_drain():
     placement = {c: {f"a{i}": RegState.ACTIVE for i in range(8)} for c in ("c1", "c2")}
     s0 = SimState(0, reqs, make_state(placement), {})
     horizon = len(reqs) * 5
-    trace = run_until_drained(s0, gen_adversarial_schedule(cfg, horizon), cfg, horizon)
+    trace = run_until_drained(s0, gen_adversarial_schedule(cfg, horizon), cfg)
     events = {ev.event for r in trace for ev in r.lock_events}
     outcomes = {r.outcome for r in trace}
     assert events == {"acquire", "release", "expire"}
