@@ -9,7 +9,10 @@ checking, and so the checker's share of the run; and, split by the
 sync's outcome, the mean engine-only time of one sync and the mean time
 of one op: a sync plus the checks of its outcome (timed in a second run,
 through a wrapping ``sync_fn``). Each timed pass runs ``REPEATS`` times,
-and each figure is its best (least) time over the repeats."""
+and each figure is its best (least) time over the repeats. Last come the
+hits, misses and size of ``engine.cell``'s table over all of the bound's
+passes, emptied before them: misses far above the size held show the
+table's bound thrashing."""
 
 import argparse
 import resource
@@ -93,6 +96,7 @@ def main():
 
     for d in range(1, args.max_domains + 1):
         for a in range(1, args.max_assets + 1):
+            engine.cell.cache_clear()
             elapsed = float("inf")
             for _ in range(REPEATS):
                 start = time.perf_counter()
@@ -107,6 +111,7 @@ def main():
                 run_modelcheck(d, a, args.depth, sync_fn=split)
                 split.tick()
             per_op = {ok: min(split.mean_us(ok) for split in splits) for ok in (True, False)}
+            cells = engine.cell.cache_info()
             print(
                 f"D={d} A={a} depth={args.depth}: "
                 f"{initial_state_count(d, a)} initial states, "
@@ -119,7 +124,9 @@ def main():
                 f"engine only per sync: {per_sync[False]:.2f} us failed, "
                 f"{per_sync[True]:.2f} us successful; per op "
                 f"{per_op[False]:.2f} us after a failed sync, "
-                f"{per_op[True]:.2f} us after a successful one"
+                f"{per_op[True]:.2f} us after a successful one; "
+                f"cell table: hits {cells.hits}, misses {cells.misses}, "
+                f"held {cells.currsize}/{cells.maxsize}"
             )
 
 

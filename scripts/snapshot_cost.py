@@ -12,6 +12,12 @@ that follows it, the minimum over ``--repeat`` replays. That is the layer
 split of the bench ``replay`` workload; ``--assets`` and ``--number`` are
 then unused.
 
+Each state size, or the scenario, also reports the hits, misses and size
+of ``engine.cell``'s table over its runs, emptied before them: misses far
+above the size held show the table's bound thrashing. With
+``--scenario`` that report goes to stderr, so stdout stays the one line
+of the layer split.
+
 ``canonical_dumps`` memoises the last document it wrote as a flat list
 of pieces, and is timed in the three cases a replay meets:
 
@@ -28,6 +34,7 @@ of pieces, and is timed in the three cases a replay meets:
   ``to_json_dict`` call."""
 
 import argparse
+import sys
 import time
 import timeit
 
@@ -58,6 +65,13 @@ def prepared_seconds(call, prepare, number: int) -> float:
         call()
         total += time.process_time() - start
     return total
+
+
+def cell_table() -> str:
+    """The hits, misses and size of ``engine.cell``'s table."""
+    info = engine.cell.cache_info()
+    return (f"cell table: hits {info.hits}, misses {info.misses}, "
+            f"held {info.currsize}/{info.maxsize}")
 
 
 def replay_split(path: str, repeat: int) -> str:
@@ -94,13 +108,16 @@ def main():
                         help="replay this scenario's sync steps instead")
     args = parser.parse_args()
     if args.scenario is not None:
+        engine.cell.cache_clear()
         try:
             print(replay_split(args.scenario, args.repeat))
         except ScenarioError as exc:
             parser.error(str(exc))
+        print(f"scenario={args.scenario}: {cell_table()}", file=sys.stderr)
         return
 
     for n in args.assets:
+        engine.cell.cache_clear()
         gs = make_state(n)
         after = engine.sync("c1", RegAction.FREEZE, "a1", gs).state
         dumps = engine.canonical_dumps
@@ -123,7 +140,8 @@ def main():
             timings.append((name, min(prepared_seconds(call, prepare, args.number)
                                       for _ in range(args.repeat))))
         print(f"assets={n} chains={len(CHAINS)} cells={n * len(CHAINS)}: "
-              + ", ".join(f"{name} {best / args.number * 1e6:.1f} us" for name, best in timings))
+              + ", ".join(f"{name} {best / args.number * 1e6:.1f} us" for name, best in timings)
+              + f"; {cell_table()}")
 
 
 if __name__ == "__main__":

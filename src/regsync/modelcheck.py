@@ -12,11 +12,13 @@ can break only guaranteed success, whose premises are decided once per
 explored state. A success equal on every cell field to the successor the
 rules prescribe (each holder's cell of the asset takes the target state,
 nothing else changes, the lock is not held; built once per move of an
-explored state from cells built once per run, consulting the generic
-layer once) breaks no rule, as each rule reads only what that successor
-fixes. Other successes are diagnosed rule by rule. A state's key is its
-exact index in the scope (see _key), and a prescribed successor's is its
-parent's plus the synced asset's change of digit.
+explored state, consulting the generic layer once) breaks no rule, as each
+rule reads only what that successor fixes. The initial and prescribed
+cells come from engine.cell, as the engine's new cells do, so a matching
+success meets the very records it is compared with; the comparison is
+still by value. Other successes are diagnosed rule by rule. A state's key
+is its exact index in the scope (see _key), and a prescribed successor's
+is its parent's plus the synced asset's change of digit.
 """
 
 from __future__ import annotations
@@ -80,10 +82,9 @@ def _keyed_initial_states(n_chains: int, n_assets: int):
     bits, weights = _index_space(n_chains, n_assets)
     subsets = [combo for size in range(1, n_chains + 1)
                for combo in itertools.combinations(chains, size)]
-    # One record per (asset, state), shared by its holders in every initial state.
-    cells = {(aid, s): engine.AssetState(aid, s, "owner") for aid in assets for s in RegState}
     options = [  # per asset: (asset, subset, its record there, its digit there times its weight)
-        [(aid, s, cells[aid, t], ((sum(map(bits.get, s)) - 1) * 5 + _RANK[t]) * 2 * weights[aid])
+        [(aid, s, engine.cell(aid, t, "owner"),
+          ((sum(map(bits.get, s)) - 1) * 5 + _RANK[t]) * 2 * weights[aid])
          for s in subsets for t in RegState]
         for aid in assets
     ]
@@ -198,13 +199,12 @@ def _violations(
 
 def _prescribed(
     gs: engine.GlobalState, projection: DomainStateMap, step: SyncCommand, target: RegState,
-    spec: StateMachineSpec, cells: dict,
+    spec: StateMachineSpec,
 ) -> Optional[tuple[dict, frozenset]]:
     """The chains and locks of the successor the rules prescribe for
     ``step``, a move from ``gs`` to ``target``; None, decided before it is
     built, if the asset is unlocked and ``sync_all`` disagrees. Each new
-    cell is the one record in ``cells``, keyed by (asset_id, target, owner),
-    so the holders share it, as in the engine."""
+    cell is ``engine.cell(asset_id, target, owner)``, as in the engine."""
     aid, expected = step.asset, projection.table.copy()
     holders = engine.connected_chains(gs, aid)
     for c in holders:
@@ -217,11 +217,7 @@ def _prescribed(
     for c in holders:
         chains[c] = table = chains[c].copy()
         rec = table[aid]
-        key = rec.asset_id, target, rec.owner
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = engine.AssetState(*key)
-        table[aid] = cell
+        table[aid] = engine.cell(rec.asset_id, target, rec.owner)
     return chains, gs.locks - {aid} if aid in gs.locks else gs.locks
 
 
@@ -232,9 +228,6 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, s
     returns the successor with its key, or None if the sync failed."""
     spec, weights = reg_machine_spec(), space[1]
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
-    # (asset_id, target, owner) -> the one prescribed record of that value. Kept
-    # run-wide: a table per state read 202k against 215k op/s on bench mc (6-pair medians).
-    cells: dict = {}
 
     def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Callable:
         gs, key = node
@@ -254,8 +247,7 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, s
                 if move is not None:
                     pre = prescribed.get(move, False)  # None: the move has no successor
                     if pre is False:
-                        pre = prescribed[move] = _prescribed(
-                            gs, projection, step, move[3], spec, cells)
+                        pre = prescribed[move] = _prescribed(gs, projection, step, move[3], spec)
                         if pre is not None:  # keyed by the parent's index plus aid's change
                             delta = (_RANK[move[3]] - _RANK[move[0]]) * 2 - (aid in gs.locks)
                             k = (key + delta * weights[aid] if type(key) is int

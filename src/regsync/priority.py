@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .records import frozen_record
 from .regulatory import RegAction, TextEnum
 
 
@@ -60,7 +61,7 @@ class PriorityConfig:
     n_max: int = DEFAULT_HORIZON
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RegRequest:
     node_id: int
     authority: AuthorityLevel

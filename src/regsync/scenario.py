@@ -12,9 +12,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import engine
-from .engine import json_value
+from .engine import json_member, json_value
 from .liveness import NodeInfo, SimConfig
 from .priority import AuthorityLevel, RegRequest
+from .records import frozen_record
 from .regulatory import RegAction
 
 
@@ -26,7 +27,7 @@ class ScenarioError(ValueError):
         self.location = location
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SyncCommand:
     source: str
     action: RegAction
@@ -34,7 +35,9 @@ class SyncCommand:
     expect: Optional[str] = None  # "ok" or a failure reason name
 
     def to_json(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v is not None}
+        doc = {"source": self.source, "action": self.action, "asset": self.asset,
+               "expect": self.expect}
+        return {k: v for k, v in doc.items() if v is not None}
 
 
 @dataclass
@@ -68,9 +71,9 @@ def request_to_json(r: RegRequest) -> dict:
 def request_from_json(obj: dict) -> RegRequest:
     return RegRequest(
         node_id=json_value(obj["node"], int, "node"),
-        authority=AuthorityLevel(obj["authority"]),
+        authority=json_member(AuthorityLevel, obj["authority"]),
         timestamp=json_value(obj["timestamp"], int, "timestamp"),
-        action=RegAction(obj["action"]),
+        action=json_member(RegAction, obj["action"]),
         asset=json_value(obj["asset"], str, "asset"),
     )
 
@@ -148,7 +151,7 @@ def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
     def sync_step(raw: dict) -> SyncCommand:
         cmd = SyncCommand(
             source=json_value(raw["source"], str, "source"),
-            action=RegAction(raw["action"]),
+            action=json_member(RegAction, raw["action"]),
             asset=json_value(raw["asset"], str, "asset"),
             expect=raw.get("expect"),
         )

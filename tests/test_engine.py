@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from regsync import engine
 from regsync.engine import SyncFailure
 from regsync.preservation import check_consistent_init, sync_all
+from regsync.priority import AuthorityLevel
 from regsync.regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 
 from conftest import make_state
@@ -992,12 +993,11 @@ class TestUpdateAllChainsMatchesReference:
             old = table["a"]
             assert new_table["a"] == engine.AssetState(old.asset_id, new_state, old.owner)
             assert all(new_table[aid] is rec for aid, rec in table.items() if aid != "a")
-        # Holders that shared a record share its successor; the others do not.
+        # Two targets' new records are one object iff they are equal.
         for c1 in targets:
             for c2 in targets:
-                assert (updated.chains[c1]["a"] is updated.chains[c2]["a"]) == (
-                    gs.chains[c1]["a"] is gs.chains[c2]["a"]
-                )
+                new1, new2 = updated.chains[c1]["a"], updated.chains[c2]["a"]
+                assert (new1 is new2) == (new1 == new2)
 
     def test_sync_leaves_holders_of_one_record_holding_one_new_record(self):
         rec = engine.AssetState("a1", RegState.ACTIVE, "owner")
@@ -1006,3 +1006,51 @@ class TestUpdateAllChainsMatchesReference:
         cells = {id(table["a1"]) for table in result.state.chains.values()}
         assert len(cells) == 1
         assert result.state.chains["c1"]["a1"] == engine.AssetState("a1", RegState.FROZEN, "owner")
+
+
+class TestCell:
+    def test_a_record_holds_its_arguments(self):
+        for state in RegState:
+            rec = engine.cell("a1", state, "o")
+            assert type(rec) is engine.AssetState
+            assert (rec.asset_id, rec.reg_state, rec.owner) == ("a1", state, "o")
+            assert type(rec.reg_state) is RegState
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=4), REG_STATES, st.text(max_size=4))
+    def test_equal_arguments_give_one_object(self, aid, state, owner):
+        rec = engine.cell(aid, state, owner)
+        assert rec == engine.AssetState(aid, state, owner)
+        # Equal arguments, built afresh.
+        assert engine.cell("".join(list(aid)), RegState(str(state)), "".join(list(owner))) is rec
+
+    @pytest.mark.parametrize("order", [(RegState.FROZEN, "FROZEN"), ("FROZEN", RegState.FROZEN)],
+                             ids=["member_first", "str_first"])
+    def test_a_str_state_never_shares_a_members_record(self, order):
+        aid = f"typed-{type(order[0]).__name__}"
+        first, second = (engine.cell(aid, s, "o") for s in order)
+        assert first == second and first is not second
+        assert [type(rec.reg_state) for rec in (first, second)] == [type(s) for s in order]
+
+    def test_the_table_stays_bounded(self):
+        maxsize = engine.cell.cache_info().maxsize
+        for i in range(maxsize + 100):
+            engine.cell("bounded", RegState.ACTIVE, f"owner {i}")
+        assert engine.cell.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("cls", [RegState, RegAction, AuthorityLevel])
+class TestJsonMember:
+    def test_a_value_or_member_reads_its_member(self, cls):
+        for member in cls:
+            assert engine.json_member(cls, str(member)) is member
+            assert engine.json_member(cls, member) is member
+
+    @pytest.mark.parametrize("value", ["BOGUS", "", "active", 5, 2.0, True, None, [1], {"a": 1}])
+    def test_any_other_value_raises_what_the_call_raises(self, cls, value):
+        with pytest.raises(ValueError) as called:
+            cls(value)
+        with pytest.raises(ValueError) as read:
+            engine.json_member(cls, value)
+        assert str(read.value) == str(called.value)
+        assert read.value.__context__ is None

@@ -641,21 +641,72 @@ def test_the_holders_of_a_prescribed_successor_share_one_cell():
     )
     step = SyncCommand("c2", RegAction.FREEZE, "a1")
     chains, _ = modelcheck._prescribed(
-        gs, engine.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec(), {}
+        gs, engine.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec()
     )
     cells = [table["a1"] for table in chains.values()]
     assert len(cells) == 3 and all(cell is cells[0] for cell in cells)
+    assert cells[0] is engine.cell("a1", RegState.FROZEN, "owner")
     assert cells[0] == engine.AssetState("a1", RegState.FROZEN, "owner")
 
 
 def test_prescribed_cells_are_built_once_per_value():
-    """The table a run passes to _prescribed gives every successor whose new
-    cell has one (asset_id, state, owner) the same record."""
+    """_prescribed gives every successor whose new cell has one (asset_id,
+    state, owner) the same record: engine.cell's."""
     active = [gs for gs in modelcheck.enumerate_initial_states(2, 1)
               if engine.get_reg_state(gs, "c1", "a1") is RegState.ACTIVE]
-    step, spec, cells = SyncCommand("c1", RegAction.FREEZE, "a1"), reg_machine_spec(), {}
+    step, spec = SyncCommand("c1", RegAction.FREEZE, "a1"), reg_machine_spec()
     made = [modelcheck._prescribed(gs, engine.to_domain_state_map(gs), step,
-                                   RegState.FROZEN, spec, cells)[0]["c1"]["a1"]
+                                   RegState.FROZEN, spec)[0]["c1"]["a1"]
             for gs in active]
     assert len(made) == 2 and made[0] is made[1]
-    assert cells == {("a1", RegState.FROZEN, "owner"): made[0]}
+    assert made[0] is engine.cell("a1", RegState.FROZEN, "owner")
+
+
+def _fresh_cells(sync_fn):
+    """``sync_fn`` with each cell its success changed rebuilt as a fresh
+    AssetState of the same fields, never one from engine.cell."""
+
+    def fresh(source, action, aid, gs):
+        result = sync_fn(source, action, aid, gs)
+        if not result.ok:
+            return result
+        chains = {
+            c: {a: rec if rec is gs.chains.get(c, {}).get(a)
+                else engine.AssetState(rec.asset_id, rec.reg_state, rec.owner)
+                for a, rec in table.items()}
+            for c, table in result.state.chains.items()
+        }
+        return SyncResult.success(engine.GlobalState(chains, result.state.locks))
+
+    return fresh
+
+
+def test_a_correct_engine_with_fresh_cells_matches_by_value(monkeypatch):
+    """Identity is only a shortcut: successes whose new cells are equal to
+    the prescribed ones but other objects all match, by value, and the
+    run reads as with the engine's own cells."""
+    diagnosed, violations, synced, fresh = [], modelcheck._violations, [], _fresh_cells(engine.sync)
+    monkeypatch.setattr(modelcheck, "_violations",
+                        lambda *args: diagnosed.append(args) or violations(*args))
+
+    def recording(source, action, aid, gs):
+        result = fresh(source, action, aid, gs)
+        if result.ok:
+            synced.extend(table[aid] for table in result.state.chains.values() if aid in table)
+        return result
+
+    result = run_modelcheck(3, 2, 2, sync_fn=recording)
+    assert (result.states_explored, result.syncs_checked, len(result.counterexamples)) == (
+        1_225, 51_450, 0
+    )
+    assert diagnosed == [] and len(synced) > 10_080
+    assert not any(rec is engine.cell(rec.asset_id, rec.reg_state, rec.owner) for rec in synced)
+
+
+@pytest.mark.parametrize("mutant", [
+    _mutant_skip_target, _mutant_skip_release, _mutant_allow_seized_freeze,
+])
+def test_acceptance_mutants_with_fresh_cells_are_still_caught(mutant):
+    plain = run_modelcheck(2, 1, 2, sync_fn=mutant)
+    fresh = run_modelcheck(2, 1, 2, sync_fn=_fresh_cells(mutant))
+    assert not fresh.ok and fresh.counterexamples == plain.counterexamples

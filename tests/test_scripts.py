@@ -92,6 +92,33 @@ def test_snapshot_cost_splits_a_scenario_replay_by_layer(tmp_path):
     assert "absent.json: No such file or directory" in proc.stderr
 
 
+def test_timing_scripts_report_the_cell_table(tmp_path):
+    """Per bound, state size or scenario: engine.cell's hits, misses and
+    size, from a table emptied before it."""
+    table = r"cell table: hits \d+, misses {0}, held {0}/4096"
+    proc = run_python(str(ROOT / "scripts" / "modelcheck_bounds.py"),
+                      "--max-domains", "1", "--max-assets", "1", "--depth", "1")
+    assert proc.returncode == 0, proc.stderr
+    # One asset in five states.
+    assert re.search(rf"; {table.format(5)}\n\Z", proc.stdout), proc.stdout
+    script = str(ROOT / "scripts" / "snapshot_cost.py")
+    proc = run_python(script, "--assets", "2", "3", "--number", "2", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    # Each size's sync freezes a1 afresh: one new value, its miss counted again.
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all(re.search(rf"; {table.format(1)}\Z", line) for line in lines)
+    path = tmp_path / "replay.json"
+    cell = {"state": "ACTIVE", "owner": "o", "locked": False}
+    path.write_text(json.dumps({
+        "state": {"chains": {"c1": {"a1": cell}, "c2": {"a1": cell}}},
+        "sync": [{"source": "c1", "action": "FREEZE", "asset": "a1"}],
+    }))
+    proc = run_python(script, "--scenario", str(path), "--repeat", "3")
+    assert proc.returncode == 0, proc.stderr
+    # Three replays of one sync over two holders: one new value, six reads of it.
+    assert proc.stderr == f"scenario={path}: cell table: hits 5, misses 1, held 1/4096\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--max-domains", "0"),
                                          ("--max-assets", "-3")])
 def test_modelcheck_bounds_refuses_a_bound_below_one(flag, value):
