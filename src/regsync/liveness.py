@@ -148,8 +148,10 @@ def gen_fair_schedule(cfg: SimConfig, horizon: int) -> LeaderSchedule:
 
 
 def gen_adversarial_schedule(cfg: SimConfig, horizon: int) -> LeaderSchedule:
-    """Worst case allowed by fair_leader: Byzantine runs of exactly
-    fairness_bound - 1 epochs between honest epochs."""
+    """Byzantine leaders for exactly fairness_bound - 1 epochs between
+    honest ones, the longest Byzantine runs fair_leader allows. This is not
+    the slowest fair pattern: one that spends honest epochs where every
+    pending asset is locked can drain more slowly."""
     return _gen_schedule(cfg, horizon, "adv", cfg.byzantine_nodes)
 
 
@@ -247,12 +249,18 @@ EpochTrace = list[EpochRecord]
 def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimState, EpochRecord]:
     """One epoch of dynamics: expire stale locks, then let the leader act.
 
-    The Byzantine withholding attack never locks the last unlocked pending
-    asset; honest leaders therefore always find work while requests remain,
-    which is exactly the honest-progress premise the liveness theorems
-    assume. Every lock decision reads ``global_state.locks``; ``lock_times``
-    only dates the locks that expire, so a lock held with no entry there
-    stays held and is skipped like any other.
+    The Byzantine withholding attack locks a pending asset only while at
+    least two are unlocked, so it never locks the last unlocked one. An
+    honest leader takes the first request, in ranked order, whose asset is
+    unlocked, and takes nothing while every pending asset is locked. That
+    can happen with requests pending: once an honest epoch takes the last
+    request on the unlocked assets, the requests left may wait on locks a
+    Byzantine leader took until those expire. So an honest epoch does not
+    always make progress.
+
+    Every lock decision reads ``global_state.locks``; ``lock_times`` only
+    dates the locks that expire, so a lock held with no entry there stays
+    held and is skipped like any other.
 
     The first epoch of a drain ranks the pending requests, and raises
     DuplicateKeyError or HorizonError if some cannot be ranked. A state

@@ -7,6 +7,11 @@ guarantees: cross-chain agreement, per-asset isolation, validity
 preservation, guaranteed success under the combined premises, and
 agreement with the generic multi-domain layer.
 
+Each explored state's syncs are checked in one loop over the run's
+steps. Each step's source, action and asset are read once per run, and
+each step's defined move once per explored state, off the projection's
+cells, into a list aligned with the steps.
+
 Each sync is checked only for what its outcome can break. A failed sync
 can break only guaranteed success, whose premises are decided once per
 explored state. A success equal on every cell field to the successor the
@@ -221,29 +226,36 @@ def _prescribed(
     return chains, gs.locks - {aid} if aid in gs.locks else gs.locks
 
 
-def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, space) -> Callable:
+def _visitor(
+    sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, space,
+    steps: list[SyncCommand],
+) -> Callable:
     """The ``visit`` hook of run_modelcheck over (state, _key) pairs: per
-    explored state, a ``take`` that runs one sync through ``sync_fn``,
-    appends a Counterexample to ``out`` for each guarantee it breaks and
-    returns the successor with its key, or None if the sync failed."""
+    explored state, one loop that runs every step of ``steps`` through
+    ``sync_fn`` in order, appends a Counterexample to ``out`` for each
+    guarantee a sync breaks, and yields (step, (successor, its key)) for
+    each sync that succeeded."""
     spec, weights = reg_machine_spec(), space[1]
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
+    rows = [(step, step.source, step.action, step.asset) for step in steps]
+    index = {(source, action, aid): i for i, (_, source, action, aid) in enumerate(rows)}
 
-    def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Callable:
+    def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Iterator[tuple]:
         gs, key = node
         valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
-        # Each defined move: (source, action, asset) -> (source's state, action, asset, target),
-        # read off the projection's cells.
-        moves_at = {(c, a, aid): (s, a, aid, t)
-                    for (c, aid), s in projection.table.items() for a, t in moves.get(s, ())}
+        # Each step's defined move, (source's state, action, asset, target),
+        # read off the projection's cells; None where the move is undefined.
+        expect: list = [None] * len(rows)
+        for (c, aid), s in projection.table.items():
+            for a, t in moves.get(s, ()):
+                i = index.get((c, a, aid))
+                if i is not None:
+                    expect[i] = (s, a, aid, t)
         prescribed: dict = {}  # move -> (its prescribed successor's chains, locks, key), or None
-
-        def take(step: SyncCommand) -> Optional[tuple[engine.GlobalState, Hashable]]:
-            source, action, aid = step.source, step.action, step.asset
+        for (step, source, action, aid), move in zip(rows, expect):
             result = sync_fn(source, action, aid, gs)
             gs2 = result.state
             if gs2 is not None:
-                move = moves_at.get((source, action, aid))
                 if move is not None:
                     pre = prescribed.get(move, False)  # None: the move has no successor
                     if pre is False:
@@ -254,17 +266,17 @@ def _visitor(sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, s
                                  else _key(engine.GlobalState(*pre), *space))
                             pre = prescribed[move] = *pre, k
                     if pre is not None and gs2.chains == pre[0] and gs2.locks == pre[1]:
-                        return gs2, pre[2]
+                        yield step, (gs2, pre[2])
+                        continue
                 broken = _violations(gs, valid, projection, step, gs2, spec)
-            elif valid and (source, action, aid) in moves_at:
+            elif valid and move is not None:
                 broken = [("combined_success", f"sync failed with {result.reason}")]
             else:
-                return None
+                continue
             trail = origin[1] + (step,)
             out.counterexamples += [Counterexample(r, origin[0][0], trail, d) for r, d in broken]
-            return None if gs2 is None else (gs2, _key(gs2, *space))
-
-        return take
+            if gs2 is not None:
+                yield step, (gs2, _key(gs2, *space))
 
     return visit
 
@@ -296,7 +308,7 @@ def run_modelcheck(
     out = ModelCheckResult()
     out.states_explored, out.syncs_checked = explore(
         lambda: _keyed_initial_states(n_chains, n_assets), steps, depth, budget, itemgetter(1),
-        _visitor(sync_fn, out, _index_space(n_chains, n_assets)),
+        _visitor(sync_fn, out, _index_space(n_chains, n_assets), steps),
     )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))
     return out

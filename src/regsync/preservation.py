@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .records import frozen_record
 from .report import BudgetExceededError, ValidationReport, enumeration_budget
@@ -194,40 +194,39 @@ def explore(
     depth: int,
     budget: int,
     key: Callable[[S], Hashable],
-    visit: Callable[[S, tuple[S, tuple[T, ...]]], Callable[[T], Optional[S]]],
+    visit: Callable[[S, tuple[S, tuple[T, ...]]], Iterable[tuple[T, S]]],
 ) -> tuple[int, int]:
     """Breadth-first search to ``depth`` steps from the distinct initial
     states, deduplicated by ``key``. ``initial()`` gives the initial states
     and is called twice: once to key them all, and once to visit each first
     occurrence as it is drawn, so they are never all held at once.
     ``visit(state, origin)`` is called once per frontier state, with the
-    initial state and step trail that first reached it, and returns the
-    function that takes one step, checks it and returns the successor to
-    enqueue, or None when there is nothing new (the step failed, or the
-    function knows its successor is already keyed). Stops early once a
-    level adds no new state. Raises BudgetExceededError after ``budget``
-    steps. Returns the number of distinct states seen and of steps taken.
-    A caller that keys each successor from its parent makes states (state,
-    key) pairs, ``key`` itemgetter(1): ``take`` returns both."""
+    initial state and step trail that first reached it. It returns an
+    iterable that takes every step of ``steps`` once, in order, checks it,
+    and gives ``(step, successor)`` for each step that produced one; a
+    failed step gives nothing. Before a state is visited its ``len(steps)``
+    steps are counted against ``budget``: if they would exceed it, no step
+    of the state is taken and BudgetExceededError(budget + 1, budget) is
+    raised. Stops early once a level adds no new state. Returns the number
+    of distinct states seen and of steps taken. A caller that keys each
+    successor from its parent makes states (state, key) pairs, ``key``
+    itemgetter(1): ``visit`` gives both."""
     visited = set(map(key, initial()))
     unvisited = visited.copy()  # remove() returns None: only a key's first occurrence passes
     frontier: Iterable = ((s, (s, ())) for s in initial()
                           if (k := key(s)) in unvisited and not unvisited.remove(k))
-    taken = 0
+    taken, per_state = 0, len(steps)
     for _ in range(depth):
         next_frontier = []
         for s, origin in frontier:
-            take = visit(s, origin)
-            for step in steps:
-                taken += 1
-                if taken > budget:
-                    raise BudgetExceededError(taken, budget)
-                s2 = take(step)
-                if s2 is not None:
-                    k = key(s2)
-                    if k not in visited:
-                        visited.add(k)
-                        next_frontier.append((s2, (origin[0], origin[1] + (step,))))
+            taken += per_state
+            if taken > budget:
+                raise BudgetExceededError(budget + 1, budget)
+            for step, s2 in visit(s, origin):
+                k = key(s2)
+                if k not in visited:
+                    visited.add(k)
+                    next_frontier.append((s2, (origin[0], origin[1] + (step,))))
         if not next_frontier:
             break
         frontier = next_frontier
@@ -255,12 +254,12 @@ def check_multi_domain(
     assets = sorted({aid for (_, aid) in ds.table})
     steps = [(d, a, aid) for d in sorted(ds.domains) for a in sorted(sm.actions) for aid in assets]
 
-    def visit(current: DomainStateMap, _origin) -> Callable:
-        def take(triple: tuple[DomainId, ActionId, AssetKey]) -> Optional[DomainStateMap]:
+    def visit(current: DomainStateMap, _origin) -> Iterator[tuple[tuple, DomainStateMap]]:
+        for triple in steps:
             source, action, aid = triple
             result = sync_fn(current, source, action, aid, sm)
             if result is None:
-                return None
+                continue
             expected = transition_of(sm, current.table[(source, aid)], action)
             for d in sorted(connected_domains(current, aid)):
                 got = result.table.get((d, aid))
@@ -277,9 +276,7 @@ def check_multi_domain(
                 report.add("domain_set_changed", triple)
             for v in check_consistent_init(result).violations:
                 report.add("consistent_init_closure", (*triple, v.witness))
-            return result
-
-        return take
+            yield triple, result
 
     explore(lambda: [ds], steps, depth, budget, lambda m: frozenset(m.table.items()), visit)
     return report

@@ -304,6 +304,25 @@ class TestRunUntilDrained:
         assert trace[-1].pending_after == 0
         assert len(trace) > 3 * cfg.fairness_bound + cfg.lock_timeout
 
+    def test_an_honest_epoch_can_find_every_pending_asset_locked(self):
+        """Seed 302 at lock_timeout = k = 3, one chain holding a and b:
+        epoch 0's Byzantine leader locks a, epoch 1's honest leader takes
+        b, and epoch 2's honest leader finds a, the only pending asset,
+        locked. The 3-window from epoch 2 takes nothing, though the drain
+        completes. This pins today's verdict; ROADMAP item 20, which
+        decides for which lock timeouts the window holds, may move it."""
+        cfg = config(timeout=3, k=3, seed=302)
+        reqs = (RegRequest(1, AuthorityLevel.NATIONAL, 0, RegAction.FREEZE, "a"),
+                RegRequest(2, AuthorityLevel.NATIONAL, 1, RegAction.FREEZE, "b"))
+        s0 = SimState(0, reqs, make_state({"c1": {"a": RegState.ACTIVE, "b": RegState.ACTIVE}}), {})
+        trace = run_until_drained(s0, gen_fair_schedule(cfg, drain_horizon(2, cfg)), cfg)
+        stalled = trace[2]
+        assert stalled.honest and stalled.processed is None
+        assert stalled.pending_before == stalled.pending_after == 1
+        windows = check_starvation_bound(trace, 3).violations
+        assert [(v.witness, v.detail) for v in windows] == [((2, 5), "pending stuck at 1")]
+        assert check_eventual_completion(trace).ok
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 4), st.integers(1, 12), st.integers(0, 50), st.booleans(),

@@ -171,20 +171,14 @@ def test_state_index_changes_no_verdict(monkeypatch, sync_fn, bounds):
 
 def _recording_explore(monkeypatch, handed):
     """Make run_modelcheck's explorer append to ``handed`` each (state, key)
-    pair it is given: the initial ones and each one a ``take`` returns."""
+    pair it is given: the initial ones and each one a visitor yields."""
     explore = modelcheck.explore
 
     def recording(initial, steps, depth, budget, key, visit):
         def recording_visit(node, origin):
-            take = visit(node, origin)
-
-            def recording_take(step):
-                got = take(step)
-                if got is not None:
-                    handed.append(got)
-                return got
-
-            return recording_take
+            for step, got in visit(node, origin):
+                handed.append(got)
+                yield step, got
 
         pairs = list(initial())
         handed.extend(pairs)
@@ -504,23 +498,26 @@ def _verdicts(check, *args):
 @given(checked_states() | indexed_states(), EDITS)
 def test_checker_matches_the_reference(gs, edits):
     """run_modelcheck's per-state checker reports, in order, exactly what
-    the full rule scan reports, for every step and every kind of result.
-    It returns each successor with the key _key gives it, whether the key
+    the full rule scan reports, for every step and every kind of result,
+    each through a visitor built over that one step. It yields each
+    successor with its step and the key _key gives it, whether the key
     comes from the parent's index or from a walk."""
     spec = reg_machine_spec()
     valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
     out, pending = modelcheck.ModelCheckResult(), []
     node = (gs, modelcheck._key(gs, *SPACE))
-    take = modelcheck._visitor(lambda *_: pending.pop(), out, SPACE)(node, (node, ()))
 
     def checked(step, result):
         out.counterexamples.clear()
         pending.append(result)
-        got, gs2 = take(step), result.state
+        visit = modelcheck._visitor(lambda *_: pending.pop(), out, SPACE, [step])
+        got, gs2 = list(visit(node, (node, ()))), result.state
         if gs2 is None:
-            assert got is None
+            assert got == []
         else:
-            assert got[0] is gs2 and got[1] == modelcheck._key(gs2, *SPACE)
+            [(taken, (got_state, got_key))] = got
+            assert taken is step and got_state is gs2
+            assert got_key == modelcheck._key(gs2, *SPACE)
         assert all(ce.initial is gs and ce.steps == (step,) for ce in out.counterexamples)
         return [(ce.rule, ce.detail) for ce in out.counterexamples]
 

@@ -208,12 +208,15 @@ class TestExplore:
     2 from {0}, 4 from {1, 2}, 4 from {3, 4}, whose successors are all
     seen."""
 
-    def run(self, budget, depth=3):
-        origins = {}
+    def run(self, budget, depth=3, log=None):
+        origins, log = {}, [] if log is None else log
 
         def visit(state, origin):
             origins[state] = origin
-            return lambda step: (state + step) % 5
+            log.append(("visit", state))
+            for step in [1, 2]:
+                log.append(("take", state, step))
+                yield step, (state + step) % 5
 
         counts = explore(lambda: [0, 0], [1, 2], depth, budget, lambda s: s, visit)
         return counts, origins
@@ -231,8 +234,19 @@ class TestExplore:
         with pytest.raises(BudgetExceededError):
             self.run(budget=9)
 
+    def test_a_state_whose_steps_overrun_the_budget_is_not_entered(self):
+        """Budget 9 ends inside the steps of 4, the fifth state: its visitor
+        is never entered, no step of it is taken, and the error is the one
+        a step past the budget raises."""
+        log = []
+        with pytest.raises(BudgetExceededError) as raised:
+            self.run(budget=9, log=log)
+        assert (raised.value.needed, raised.value.budget) == (10, 9)
+        assert log == [e for state in [0, 1, 2, 3]
+                       for e in [("visit", state), ("take", state, 1), ("take", state, 2)]]
+
     def test_failed_steps_lead_nowhere(self):
-        visited = explore(lambda: [0], [1], 3, 10, lambda s: s, lambda s, o: lambda step: None)
+        visited = explore(lambda: [0], [1], 3, 10, lambda s: s, lambda s, o: iter(()))
         assert visited == (1, 1)
 
 
@@ -261,12 +275,9 @@ class TestStreamedFirstLevel:
     def run(self, initial, log):
         def visit(state, origin):
             log.append(("visit", state, origin))
-
-            def take(step):
+            for step in [1, 2]:
                 log.append(("take", state, step))
-                return (state + step) % 5
-
-            return take
+                yield step, (state + step) % 5
 
         return explore(initial, [1, 2], 2, 100, lambda s: s, visit)
 
