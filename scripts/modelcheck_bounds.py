@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Model-check the sync engine at increasing bounds and report timings:
 the wall time of the run and per checked sync; the process's peak RSS in
-MiB (``ru_maxrss``), read right after the run and before the engine-only
-pass, which holds every initial state at once on purpose; it is the
-process's peak so far, which an earlier bound may have set; the
+MiB (``ru_maxrss``), read right after the first run and before the
+engine-only pass, which holds every initial state at once on purpose; it
+is the process's peak so far, which an earlier bound may have set; the
 engine-only time, the same syncs from the same initial states with no
 checking, and so the checker's share of the run; and, split by the
 sync's outcome, the mean engine-only time of one sync and the mean time
 of one op: a sync plus the checks of its outcome (timed in a second run,
-through a wrapping ``sync_fn``). Each timed pass runs ``REPEATS`` times,
-and each figure is its best (least) time over the repeats. Last come the
+through a wrapping ``sync_fn``). The three timed passes run in ``ROUNDS``
+interleaved rounds; each figure is its median over the rounds, and each
+per-sync and per-op figure is printed with its min-max. Last come the
 hits, misses and size of ``engine.cell``'s table over all of the bound's
 passes, emptied before them: misses far above the size held show the
 table's bound thrashing."""
 
 import argparse
 import resource
+import statistics
 import time
 
 from regsync import engine
@@ -25,9 +27,11 @@ from regsync.modelcheck import (
 )
 from regsync.regulatory import RegAction
 
-# Runs of each timed pass; the figures on a shared VM swing by up to 2x
-# between single runs, and the best of a few is steadier.
-REPEATS = 3
+# Rounds of the three timed passes. The passes of a round run one after
+# another, so a slow spell of a shared VM, whose figures swing by up to 2x
+# between single runs, falls on all three alike; each figure is the median
+# over the rounds, printed with its min-max so the noise shows beside it.
+ROUNDS = 5
 
 
 class OpSplit:
@@ -58,33 +62,41 @@ class OpSplit:
         return self.ns[ok] / self.ops[ok] / 1e3
 
 
-def engine_only_times(n_chains: int, n_assets: int) -> dict[bool, tuple[int, float]]:
+def engine_only_batches(n_chains: int, n_assets: int) -> dict[bool, list]:
     """Every sync run_modelcheck makes at these bounds, with nothing else:
-    each step from each initial state, split by outcome. The lock-free
-    consistent states are closed under sync, so these are the states every
-    depth explores. An untimed pass sorts each state's steps by outcome
-    before the clock starts; the successful syncs are then timed apart
-    from the failed ones, ``REPEATS`` times. Returns, per outcome (True
-    for a success), the number of syncs and their least wall seconds."""
-    states = list(enumerate_initial_states(n_chains, n_assets))
+    each step from each initial state, sorted by outcome in an untimed
+    pass, so that the successful syncs can be timed apart from the failed
+    ones. The lock-free consistent states are closed under sync, so these
+    are the states every depth explores. Returns, per outcome (True for a
+    success), a list of (state, its steps of that outcome)."""
     steps = [(c, a, aid) for c in chain_names(n_chains) for a in RegAction
              for aid in asset_names(n_assets)]
-    sync, batches = engine.sync, {True: [], False: []}  # outcome -> [(state, its steps)]
-    for gs in states:
+    sync, batches = engine.sync, {True: [], False: []}
+    for gs in enumerate_initial_states(n_chains, n_assets):
         by_outcome = {True: [], False: []}
         for c, a, aid in steps:
             by_outcome[sync(c, a, aid, gs).ok].append((c, a, aid))
         for ok, batch in by_outcome.items():
             batches[ok].append((gs, batch))
-    best = dict.fromkeys(batches, float("inf"))
-    for _ in range(REPEATS):
-        for ok, pairs in batches.items():
-            start = time.perf_counter()
-            for gs, batch in pairs:
-                for c, a, aid in batch:
-                    sync(c, a, aid, gs)
-            best[ok] = min(best[ok], time.perf_counter() - start)
-    return {ok: (sum(len(batch) for _, batch in pairs), best[ok]) for ok, pairs in batches.items()}
+    return batches
+
+
+def engine_only_seconds(batches: dict[bool, list]) -> dict[bool, float]:
+    """One timed pass over ``batches``: per outcome, the wall seconds of its syncs."""
+    sync, seconds = engine.sync, {}
+    for ok, pairs in batches.items():
+        start = time.perf_counter()
+        for gs, batch in pairs:
+            for c, a, aid in batch:
+                sync(c, a, aid, gs)
+        seconds[ok] = time.perf_counter() - start
+    return seconds
+
+
+def spread(values: list[float], digits: int = 2) -> str:
+    """The median of ``values`` with their min-max, as ``median (min-max)``."""
+    return (f"{statistics.median(values):.{digits}f} "
+            f"({min(values):.{digits}f}-{max(values):.{digits}f})")
 
 
 def main():
@@ -97,34 +109,41 @@ def main():
     for d in range(1, args.max_domains + 1):
         for a in range(1, args.max_assets + 1):
             engine.cell.cache_clear()
-            elapsed = float("inf")
-            for _ in range(REPEATS):
+            batches = None
+            runs, alone, share = [], [], []
+            per_sync, per_op = {True: [], False: []}, {True: [], False: []}
+            for _ in range(ROUNDS):
                 start = time.perf_counter()
                 result = run_modelcheck(d, a, args.depth)
-                elapsed = min(elapsed, time.perf_counter() - start)
-            peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-            timed = engine_only_times(d, a)
-            alone = timed[True][1] + timed[False][1]
-            per_sync = {ok: seconds / n * 1e6 for ok, (n, seconds) in timed.items()}
-            splits = [OpSplit() for _ in range(REPEATS)]
-            for split in splits:
+                runs.append(time.perf_counter() - start)
+                if batches is None:  # built after the peak RSS (KiB on Linux) is read
+                    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                    batches = engine_only_batches(d, a)
+                    counts = {ok: sum(len(b) for _, b in pairs) for ok, pairs in batches.items()}
+                seconds = engine_only_seconds(batches)
+                alone.append(seconds[True] + seconds[False])
+                share.append(1 - alone[-1] / runs[-1])
+                split = OpSplit()
                 run_modelcheck(d, a, args.depth, sync_fn=split)
                 split.tick()
-            per_op = {ok: min(split.mean_us(ok) for split in splits) for ok in (True, False)}
+                for ok in per_op:
+                    per_sync[ok].append(seconds[ok] / counts[ok] * 1e6)
+                    per_op[ok].append(split.mean_us(ok))
             cells = engine.cell.cache_info()
             print(
                 f"D={d} A={a} depth={args.depth}: "
                 f"{initial_state_count(d, a)} initial states, "
                 f"{result.states_explored} reachable, "
                 f"{result.syncs_checked} syncs ({split.ops[True]} successful), "
-                f"{len(result.counterexamples)} violations, {elapsed:.2f}s, "
-                f"{elapsed / result.syncs_checked * 1e6:.1f} us/sync, "
+                f"{len(result.counterexamples)} violations, {statistics.median(runs):.2f}s, "
+                f"{spread([t / result.syncs_checked * 1e6 for t in runs], 1)} us/sync, "
                 f"peak RSS so far {peak_mib:.1f} MiB; "
-                f"engine only {alone:.2f}s, checker {1 - alone / elapsed:.0%} of the run; "
-                f"engine only per sync: {per_sync[False]:.2f} us failed, "
-                f"{per_sync[True]:.2f} us successful; per op "
-                f"{per_op[False]:.2f} us after a failed sync, "
-                f"{per_op[True]:.2f} us after a successful one; "
+                f"engine only {statistics.median(alone):.2f}s, "
+                f"checker {statistics.median(share):.0%} of the run; "
+                f"engine only per sync: {spread(per_sync[False])} us failed, "
+                f"{spread(per_sync[True])} us successful; per op "
+                f"{spread(per_op[False])} us after a failed sync, "
+                f"{spread(per_op[True])} us after a successful one; "
                 f"cell table: hits {cells.hits}, misses {cells.misses}, "
                 f"held {cells.currsize}/{cells.maxsize}"
             )

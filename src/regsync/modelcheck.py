@@ -3,9 +3,9 @@
 Enumerates every consistent initial global state over bounded chain and
 asset counts, explores all sync sequences to a bounded depth (deduplicating
 revisited states), and checks each successful sync against the protocol's
-guarantees: cross-chain agreement, per-asset isolation, validity
-preservation, guaranteed success under the combined premises, and
-agreement with the generic multi-domain layer.
+guarantees: cross-chain agreement, per-asset isolation, respect of held
+locks, validity preservation, guaranteed success under the combined
+premises, and agreement with the generic multi-domain layer.
 
 Each explored state's syncs are checked in one loop over the run's
 steps. Each step's source, action and asset are read once per run, and
@@ -16,14 +16,15 @@ Each sync is checked only for what its outcome can break. A failed sync
 can break only guaranteed success, whose premises are decided once per
 explored state. A success equal on every cell field to the successor the
 rules prescribe (each holder's cell of the asset takes the target state,
-nothing else changes, the lock is not held; built once per move of an
+nothing else changes; none if the lock is held; built once per move of an
 explored state, consulting the generic layer once) breaks no rule, as each
 rule reads only what that successor fixes. The initial and prescribed
 cells come from engine.cell, as the engine's new cells do, so a matching
 success meets the very records it is compared with; the comparison is
 still by value. Other successes are diagnosed rule by rule. A state's key
-is its exact index in the scope (see _key), and a prescribed successor's
-is its parent's plus the synced asset's change of digit.
+is its exact index in the scope (see _key). The initial states are all
+valid states of the index space, so a prescribed success of one is one:
+the explorer keyed it before its first visit, and it is not handed back.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def _violations(
     spec: StateMachineSpec,
 ) -> Iterator[tuple[str, str]]:
     """The (rule, detail) of each guarantee that one successful sync from
-    ``gs`` to ``gs2`` breaks. ``valid`` and ``projection`` are
+    ``gs`` to ``gs2`` breaks; a sync on a held lock breaks lock_respected,
+    as it must fail. ``valid`` and ``projection`` are
     ``engine.valid_state(gs)`` and ``engine.to_domain_state_map(gs)``,
     computed once per explored state."""
     current = engine.get_reg_state(gs, step.source, step.asset)
@@ -194,7 +196,9 @@ def _violations(
         yield "valid_state_preservation", ""
 
     # Generic/concrete agreement on the multi-domain projection.
-    if not engine.is_locked(gs, step.asset):
+    if engine.is_locked(gs, step.asset):
+        yield "lock_respected", ""
+    else:
         generic = sync_all(projection, step.source, step.action, step.asset, spec)
         if generic is None:
             yield "generic_agreement", "generic sync_all failed where sync succeeded"
@@ -208,22 +212,24 @@ def _prescribed(
 ) -> Optional[tuple[dict, frozenset]]:
     """The chains and locks of the successor the rules prescribe for
     ``step``, a move from ``gs`` to ``target``; None, decided before it is
-    built, if the asset is unlocked and ``sync_all`` disagrees. Each new
-    cell is ``engine.cell(asset_id, target, owner)``, as in the engine."""
+    built, if the asset's lock is held (the sync must fail) or ``sync_all``
+    disagrees. Each new cell is ``engine.cell(asset_id, target, owner)``,
+    as in the engine."""
+    if step.asset in gs.locks:
+        return None
     aid, expected = step.asset, projection.table.copy()
     holders = engine.connected_chains(gs, aid)
     for c in holders:
         expected[c, aid] = target
-    if aid not in gs.locks:
-        generic = sync_all(projection, step.source, step.action, aid, spec)
-        if generic is None or generic.table != expected:
-            return None
+    generic = sync_all(projection, step.source, step.action, aid, spec)
+    if generic is None or generic.table != expected:
+        return None
     chains = dict(gs.chains)
     for c in holders:
         chains[c] = table = chains[c].copy()
         rec = table[aid]
         table[aid] = engine.cell(rec.asset_id, target, rec.owner)
-    return chains, gs.locks - {aid} if aid in gs.locks else gs.locks
+    return chains, gs.locks
 
 
 def _visitor(
@@ -234,8 +240,8 @@ def _visitor(
     explored state, one loop that runs every step of ``steps`` through
     ``sync_fn`` in order, appends a Counterexample to ``out`` for each
     guarantee a sync breaks, and yields (step, (successor, its key)) for
-    each sync that succeeded."""
-    spec, weights = reg_machine_spec(), space[1]
+    each success but a prescribed one from an initial state (keyed already)."""
+    spec = reg_machine_spec()
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
     rows = [(step, step.source, step.action, step.asset) for step in steps]
     index = {(source, action, aid): i for i, (_, source, action, aid) in enumerate(rows)}
@@ -243,6 +249,7 @@ def _visitor(
     def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Iterator[tuple]:
         gs, key = node
         valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
+        initial = valid and type(key) is int  # valid and in the index space
         # Each step's defined move, (source's state, action, asset, target),
         # read off the projection's cells; None where the move is undefined.
         expect: list = [None] * len(rows)
@@ -251,7 +258,7 @@ def _visitor(
                 i = index.get((c, a, aid))
                 if i is not None:
                     expect[i] = (s, a, aid, t)
-        prescribed: dict = {}  # move -> (its prescribed successor's chains, locks, key), or None
+        prescribed: dict = {}  # move -> its prescribed successor's (chains, locks), or None
         for (step, source, action, aid), move in zip(rows, expect):
             result = sync_fn(source, action, aid, gs)
             gs2 = result.state
@@ -260,13 +267,9 @@ def _visitor(
                     pre = prescribed.get(move, False)  # None: the move has no successor
                     if pre is False:
                         pre = prescribed[move] = _prescribed(gs, projection, step, move[3], spec)
-                        if pre is not None:  # keyed by the parent's index plus aid's change
-                            delta = (_RANK[move[3]] - _RANK[move[0]]) * 2 - (aid in gs.locks)
-                            k = (key + delta * weights[aid] if type(key) is int
-                                 else _key(engine.GlobalState(*pre), *space))
-                            pre = prescribed[move] = *pre, k
                     if pre is not None and gs2.chains == pre[0] and gs2.locks == pre[1]:
-                        yield step, (gs2, pre[2])
+                        if not initial:
+                            yield step, (gs2, _key(gs2, *space))
                         continue
                 broken = _violations(gs, valid, projection, step, gs2, spec)
             elif valid and move is not None:

@@ -203,14 +203,14 @@ def explore(
     ``visit(state, origin)`` is called once per frontier state, with the
     initial state and step trail that first reached it. It returns an
     iterable that takes every step of ``steps`` once, in order, checks it,
-    and gives ``(step, successor)`` for each step that produced one; a
-    failed step gives nothing. Before a state is visited its ``len(steps)``
+    and gives ``(step, successor)`` for each successor it cannot show is
+    already keyed; a failed step gives nothing. Before a state is visited its ``len(steps)``
     steps are counted against ``budget``: if they would exceed it, no step
     of the state is taken and BudgetExceededError(budget + 1, budget) is
     raised. Stops early once a level adds no new state. Returns the number
     of distinct states seen and of steps taken. A caller that keys each
-    successor from its parent makes states (state, key) pairs, ``key``
-    itemgetter(1): ``visit`` gives both."""
+    successor in ``visit`` makes states (state, key) pairs, ``key``
+    itemgetter(1)."""
     visited = set(map(key, initial()))
     unvisited = visited.copy()  # remove() returns None: only a key's first occurrence passes
     frontier: Iterable = ((s, (s, ())) for s in initial()

@@ -323,6 +323,31 @@ class TestRunUntilDrained:
         assert [(v.witness, v.detail) for v in windows] == [((2, 5), "pending stuck at 1")]
         assert check_eventual_completion(trace).ok
 
+    def test_a_lock_timeout_below_the_fairness_bound_can_still_starve_a_window(self):
+        """lock_timeout 3 < k = 4, on a hand-built fair schedule whose node 0
+        is Byzantine: epoch 2 locks a, epoch 3's honest leader takes b,
+        epoch 4's finds a locked and takes nothing, a expires at epoch 5 and
+        epoch 8 takes it. So the 4-window from epoch 4 takes nothing. This
+        pins today's verdict; ROADMAP item 20 may move it."""
+        cfg = config(timeout=3, k=4, seed=2)
+        schedule = LeaderSchedule([0, 0, 0, 1, 1, 0, 0, 0, 1], 9)
+        assert check_fair_leader(schedule, cfg).ok
+        reqs = (RegRequest(1, AuthorityLevel.NATIONAL, 0, RegAction.FREEZE, "a"),
+                RegRequest(2, AuthorityLevel.NATIONAL, 1, RegAction.FREEZE, "b"))
+        chains = make_state({"c1": {"a": RegState.ACTIVE, "b": RegState.ACTIVE}})
+        trace = run_until_drained(SimState(0, reqs, chains, {}), schedule, cfg)
+        assert LockEvent("a", "acquire", 2) in trace[2].lock_events and not trace[2].honest
+        assert [(r.epoch, r.processed) for r in trace if r.processed] == [
+            (3, "n2-t1-FREEZE-b"), (8, "n1-t0-FREEZE-a")
+        ]
+        stalled = trace[4]
+        assert stalled.honest and stalled.processed is None
+        assert stalled.pending_before == stalled.pending_after == 1
+        assert LockEvent("a", "expire", 5) in trace[5].lock_events
+        windows = check_starvation_bound(trace, 4).violations
+        assert [(v.witness, v.detail) for v in windows] == [((4, 8), "pending stuck at 1")]
+        assert check_eventual_completion(trace).ok
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 4), st.integers(1, 12), st.integers(0, 50), st.booleans(),

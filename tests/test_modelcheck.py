@@ -83,8 +83,17 @@ def _flip(aid, gs):
     return gs
 
 
+def _steal_frozen(aid, gs):
+    """Rewrite the synced cell's owner, but only where the sync left it FROZEN."""
+    frozen = any(t[aid].reg_state is RegState.FROZEN for t in gs.chains.values() if aid in t)
+    return _rewrite_owners(gs, lambda a: a == aid) if frozen else gs
+
+
 _appear_on_bare_chain = _succeeded(_appear)
 _flip_neighbour = _succeeded(_flip)
+# Only the moves to FROZEN leave the index space, so the prescribed
+# successes that follow them are of states no initial state is.
+_change_owner_when_frozen = _succeeded(_steal_frozen)
 
 
 def rules(result):
@@ -130,7 +139,7 @@ SMALL_BOUNDS = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 1)]
 SYNC_FNS = [
     engine.sync, _fail_freeze, _touch_neighbour, _mutant_skip_release, _lock_neighbour,
     _accept_undefined, _change_owner, _appear_on_bare_chain, _flip_neighbour,
-    _mutant_skip_target, _mutant_allow_seized_freeze,
+    _mutant_skip_target, _mutant_allow_seized_freeze, _change_owner_when_frozen,
 ]
 
 
@@ -188,12 +197,12 @@ def _recording_explore(monkeypatch, handed):
 
 
 def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
-    """Every state of the engine's run at D=3/A=2 is in the index space:
-    each initial index comes from the enumeration and each successor's
-    (10,080, one per successful sync) from its parent's, so no state is
-    walked and _state_key never runs. A mutant that leaves holders
-    disagreeing leaves the index space, and its states are keyed by
-    _state_key."""
+    """Every state of the engine's run at D=3/A=2 is an initial state, keyed
+    by the enumeration's index. Each of the 10,080 successful syncs gives
+    its prescribed successor, an initial state too, so none is handed to
+    explore, no state is walked and _state_key never runs. A mutant that
+    leaves holders disagreeing leaves the index space, and its states are
+    keyed by _state_key."""
     keyed, walked, handed = [], [], []
     state_key, key = modelcheck._state_key, modelcheck._key
     monkeypatch.setattr(modelcheck, "_state_key", lambda gs: keyed.append(gs) or state_key(gs))
@@ -201,11 +210,27 @@ def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
     _recording_explore(monkeypatch, handed)
     result = run_modelcheck(3, 2, 2)
     assert (result.states_explored, result.syncs_checked, result.ok) == (1225, 51450, True)
-    assert (len(keyed), len(walked), len(handed)) == (0, 0, 1225 + 10080)
+    assert (len(keyed), len(walked), len(handed)) == (0, 0, 1225)
     assert all(type(k) is int for _, k in handed)
     assert len({k for _, k in handed}) == 1225
     run_modelcheck(3, 2, 2, sync_fn=_mutant_skip_target)
     assert keyed
+
+
+@pytest.mark.parametrize("bounds", [(d, a) for d in (1, 2, 3) for a in (1, 2)])
+def test_a_sync_from_an_initial_state_gives_an_initial_state(bounds):
+    """The closure the visitor relies on when it hands back no prescribed
+    success of an initial state: every successful engine.sync from every
+    initial state gives a state whose key is one of the enumeration's
+    indexes."""
+    space = modelcheck._index_space(*bounds)
+    keyed = list(modelcheck._keyed_initial_states(*bounds))
+    indexes = {k for _, k in keyed}
+    steps = [(c, a, aid) for c in modelcheck.chain_names(bounds[0]) for a in RegAction
+             for aid in modelcheck.asset_names(bounds[1])]
+    successors = [result.state for gs, _ in keyed for step in steps
+                  if (result := engine.sync(*step, gs)).ok]
+    assert successors and all(modelcheck._key(gs2, *space) in indexes for gs2 in successors)
 
 
 def test_the_initial_level_is_streamed(monkeypatch):
@@ -358,7 +383,8 @@ def reference_violations(
     spec: StateMachineSpec,
 ) -> Iterator[tuple[str, str]]:
     """The (rule, detail) of each guarantee that one sync from ``gs``
-    breaks. ``valid`` and ``projection`` are ``engine.valid_state(gs)`` and
+    breaks; a success on a held lock breaks lock_respected. ``valid`` and
+    ``projection`` are ``engine.valid_state(gs)`` and
     ``engine.to_domain_state_map(gs)``, computed once per explored state."""
     current = engine.get_reg_state(gs, step.source, step.asset)
     expected = None if current is None else reg_transition(current, step.action)
@@ -391,7 +417,9 @@ def reference_violations(
         yield "valid_state_preservation", ""
 
     # Generic/concrete agreement on the multi-domain projection.
-    if not was_locked:
+    if was_locked:
+        yield "lock_respected", ""
+    else:
         # ``_value_`` equals ``.value`` without the Python-level descriptor call.
         generic = sync_all(projection, step.source, step.action._value_, step.asset, spec)
         if generic is None:
@@ -485,6 +513,21 @@ def _results(gs, step, edits):
     ] + [SyncResult.success(s) for s in successors]
 
 
+def _prescription(gs, step):
+    """The (chains, locks) the rules prescribe for ``step`` from ``gs``: each
+    holder's cell of the asset takes the target state. None where the sync
+    must fail: the move is undefined or the asset's lock is held."""
+    current = engine.get_reg_state(gs, step.source, step.asset)
+    target = None if current is None else reg_transition(current, step.action)
+    if target is None or step.asset in gs.locks:
+        return None
+    chains = {
+        c: {**t, step.asset: replace(t[step.asset], reg_state=target)} if step.asset in t else t
+        for c, t in gs.chains.items()
+    }
+    return chains, gs.locks
+
+
 def _verdicts(check, *args):
     """The (rule, detail) list ``check(*args)`` gives, or the ValueError it
     raises (sync_all refuses a source chain the state does not have)."""
@@ -500,12 +543,14 @@ def test_checker_matches_the_reference(gs, edits):
     """run_modelcheck's per-state checker reports, in order, exactly what
     the full rule scan reports, for every step and every kind of result,
     each through a visitor built over that one step. It yields each
-    successor with its step and the key _key gives it, whether the key
-    comes from the parent's index or from a walk."""
+    successor with its step and the key _key gives it, but for the
+    prescribed successor of an initial state (a valid state with an index),
+    which is an initial state itself and which it does not yield."""
     spec = reg_machine_spec()
     valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
     out, pending = modelcheck.ModelCheckResult(), []
     node = (gs, modelcheck._key(gs, *SPACE))
+    initial = valid and type(node[1]) is int
 
     def checked(step, result):
         out.counterexamples.clear()
@@ -514,6 +559,9 @@ def test_checker_matches_the_reference(gs, edits):
         got, gs2 = list(visit(node, (node, ()))), result.state
         if gs2 is None:
             assert got == []
+        elif initial and _prescription(gs, step) == (gs2.chains, gs2.locks):
+            assert got == []
+            assert engine.valid_state(gs2) and type(modelcheck._key(gs2, *SPACE)) is int
         else:
             [(taken, (got_state, got_key))] = got
             assert taken is step and got_state is gs2
@@ -526,6 +574,28 @@ def test_checker_matches_the_reference(gs, edits):
         for result in _results(gs, step, edits):
             expected = _verdicts(reference_violations, gs, valid, projection, step, result, spec)
             assert _verdicts(checked, step, result) == expected, (step, result)
+
+
+def test_a_success_on_a_held_lock_breaks_lock_respected():
+    """A held lock has no prescribed success. Where engine.sync fails with
+    Locked, each success of a sync_fn that ignores the lock is reported."""
+    cell = engine.AssetState("a1", RegState.ACTIVE, "owner")
+    gs = engine.GlobalState({"c1": {"a1": cell}, "c2": {"a1": cell}}, frozenset({"a1"}))
+    steps = [SyncCommand(c, a, "a1") for c in ("c1", "c2") for a in RegAction]
+
+    def ignore_locks(source, action, aid, gs):
+        return engine.sync(source, action, aid, engine.GlobalState(gs.chains, frozenset()))
+
+    out, space = modelcheck.ModelCheckResult(), modelcheck._index_space(2, 1)
+    node = (gs, modelcheck._key(gs, *space))
+    successes = [step for step, _ in modelcheck._visitor(ignore_locks, out, space, steps)(
+        node, (node, ()))]
+    assert successes
+    assert all(engine.sync(s.source, s.action, s.asset, gs).reason is SyncFailure.LOCKED
+               for s in successes)
+    assert [(ce.rule, ce.steps) for ce in out.counterexamples] == [
+        ("lock_respected", (step,)) for step in successes
+    ]
 
 
 class TestCombinedSuccess:

@@ -63,14 +63,18 @@ def test_modelcheck_bounds_splits_ops_by_outcome():
                       "--max-domains", "1", "--max-assets", "1", "--depth", "1")
     assert proc.returncode == 0, proc.stderr
     assert "35 syncs (12 successful), 0 violations" in proc.stdout
-    assert "us after a failed sync" in proc.stdout and "us after a successful one" in proc.stdout
+    # Each per-sync and per-op figure is a median over the rounds, with its min-max.
+    spread = r"\d+\.\d\d \(\d+\.\d\d-\d+\.\d\d\)"
+    assert re.search(rf"; per op {spread} us after a failed sync, "
+                     rf"{spread} us after a successful one; ", proc.stdout)
     # The engine-only time of the same syncs, and the checker's share of the run.
     assert re.search(r"engine only \d+\.\d\ds, checker -?\d+% of the run;", proc.stdout)
     # The engine-only time split by outcome: the mean of one failed and one successful sync.
-    assert re.search(r" of the run; engine only per sync: \d+\.\d\d us failed, "
-                     r"\d+\.\d\d us successful; per op ", proc.stdout)
+    assert re.search(rf" of the run; engine only per sync: {spread} us failed, "
+                     rf"{spread} us successful; per op ", proc.stdout)
     # The peak RSS so far, read before the engine-only pass.
-    assert re.search(r" us/sync, peak RSS so far \d+\.\d MiB; engine only ", proc.stdout)
+    assert re.search(r"\d+\.\d \(\d+\.\d-\d+\.\d\) us/sync, peak RSS so far \d+\.\d MiB; "
+                     r"engine only ", proc.stdout)
 
 
 def test_snapshot_cost_splits_a_scenario_replay_by_layer(tmp_path):
