@@ -22,16 +22,16 @@ rule reads only what that successor fixes. The initial and prescribed
 cells come from engine.cell, as the engine's new cells do, so a matching
 success meets the very records it is compared with; the comparison is
 still by value. Other successes are diagnosed rule by rule. A state's key
-is its exact index in the scope (see _key). The initial states are all
-valid states of the index space, so a prescribed success of one is one:
-the explorer keyed it before its first visit, and it is not handed back.
+is its exact index in the scope, stated once, in _key. The initial states
+are all valid states of the index space and are all keyed before the first
+sync, so a state is initial exactly when no step reached it, and a
+prescribed success of one is another: it is not handed back.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Optional
 
 from . import engine
@@ -76,34 +76,23 @@ def asset_names(n: int) -> list[str]:
 
 
 def enumerate_initial_states(n_chains: int, n_assets: int):
-    """All valid initial states: each asset sits on a non-empty chain subset
-    in one of the five states, consistently, with no lock held."""
-    return (gs for gs, _ in _keyed_initial_states(n_chains, n_assets))
-
-
-def _keyed_initial_states(n_chains: int, n_assets: int):
-    """Each initial state with its index, a sum of per-asset digits."""
+    """All valid initial states, in one fixed order: each asset sits on a
+    non-empty chain subset in one RegState, consistently, with no lock held."""
     chains = chain_names(n_chains)
-    assets = asset_names(n_assets)
-    bits, weights = _index_space(n_chains, n_assets)
     subsets = [combo for size in range(1, n_chains + 1)
                for combo in itertools.combinations(chains, size)]
-    options = [  # per asset: (asset, subset, its record there, its digit there times its weight)
-        [(aid, s, engine.cell(aid, t, "owner"),
-          ((sum(map(bits.get, s)) - 1) * 5 + _RANK[t]) * 2 * weights[aid])
-         for s in subsets for t in RegState]
-        for aid in assets
+    options = [  # per asset: (asset, subset, its record there)
+        [(aid, s, engine.cell(aid, t, "owner")) for s in subsets for t in RegState]
+        for aid in asset_names(n_assets)
     ]
     for assignment in itertools.product(*options):
         tables: dict[str, dict[str, engine.AssetState]] = {c: {} for c in chains}
-        index = 0
-        for aid, subset, cell, value in assignment:
+        for aid, subset, cell in assignment:
             for c in subset:
                 tables[c][aid] = cell
-            index += value
         # The cells already carry their keys and no lock is held, so
         # GlobalState.make would only copy every table again.
-        yield engine.GlobalState(tables, frozenset()), index
+        yield engine.GlobalState(tables, frozenset())
 
 
 def initial_state_count(n_chains: int, n_assets: int) -> int:
@@ -135,17 +124,19 @@ _RANK = {s: i for i, s in enumerate(RegState)}
 
 
 def _index_space(n_chains: int, n_assets: int) -> tuple[dict, dict]:
-    """Each chain's holder bit and each asset's weight B**i, B = 10 * (2**n_chains - 1)."""
-    base = 10 * (2**n_chains - 1)
+    """Each chain's holder bit and each asset's weight B**i, with
+    B = 2 * len(RegState) * (2**n_chains - 1), the number of digits."""
+    base = 2 * len(RegState) * (2**n_chains - 1)
     bits = {c: 1 << i for i, c in enumerate(chain_names(n_chains))}
     return bits, {aid: base**i for i, aid in enumerate(asset_names(n_assets))}
 
 
 def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
     """The visited-set key of ``gs``: the sum of each asset's weight times
-    its digit ``((holder mask - 1) * 5 + state rank) * 2 + locked``, or, if
-    ``gs`` is outside that index space, _state_key(gs). Whether it is
-    outside is read from what _state_key reads, compared with ``==``."""
+    its digit ``((holder mask - 1) * len(RegState) + state rank) * 2 +
+    locked``, or, if ``gs`` is outside that index space, _state_key(gs).
+    Whether it is outside is read from what _state_key reads, compared
+    with ``==``."""
     masks, ranks, locks = {}, {}, gs.locks
     for c, table in gs.chains.items():
         for aid, rec in table.items():
@@ -155,7 +146,8 @@ def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
             masks[aid] = masks.get(aid, 0) | bits.get(c, 0)
     if masks.keys() != weights.keys() or gs.chains.keys() != bits.keys() or locks - weights.keys():
         return _state_key(gs)
-    return sum((((masks[a] - 1) * 5 + ranks[a]) * 2 + (a in locks)) * w for a, w in weights.items())
+    n = len(RegState)
+    return sum((((masks[a] - 1) * n + ranks[a]) * 2 + (a in locks)) * w for a, w in weights.items())
 
 
 def _violations(
@@ -233,23 +225,22 @@ def _prescribed(
 
 
 def _visitor(
-    sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, space,
-    steps: list[SyncCommand],
+    sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, steps: list[SyncCommand],
 ) -> Callable:
-    """The ``visit`` hook of run_modelcheck over (state, _key) pairs: per
-    explored state, one loop that runs every step of ``steps`` through
-    ``sync_fn`` in order, appends a Counterexample to ``out`` for each
-    guarantee a sync breaks, and yields (step, (successor, its key)) for
-    each success but a prescribed one from an initial state (keyed already)."""
+    """The ``visit`` hook of run_modelcheck: per explored state, one loop
+    that runs every step of ``steps`` through ``sync_fn`` in order, appends
+    a Counterexample to ``out`` for each guarantee a sync breaks, and
+    yields (step, successor) for each success but a prescribed one from an
+    initial state (a state its origin reached in no step), which is an
+    initial state itself and keyed already."""
     spec = reg_machine_spec()
     moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
     rows = [(step, step.source, step.action, step.asset) for step in steps]
     index = {(source, action, aid): i for i, (_, source, action, aid) in enumerate(rows)}
 
-    def visit(node: tuple[engine.GlobalState, Hashable], origin) -> Iterator[tuple]:
-        gs, key = node
+    def visit(gs: engine.GlobalState, origin) -> Iterator[tuple]:
         valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
-        initial = valid and type(key) is int  # valid and in the index space
+        initial = not origin[1]
         # Each step's defined move, (source's state, action, asset, target),
         # read off the projection's cells; None where the move is undefined.
         expect: list = [None] * len(rows)
@@ -269,7 +260,7 @@ def _visitor(
                         pre = prescribed[move] = _prescribed(gs, projection, step, move[3], spec)
                     if pre is not None and gs2.chains == pre[0] and gs2.locks == pre[1]:
                         if not initial:
-                            yield step, (gs2, _key(gs2, *space))
+                            yield step, gs2
                         continue
                 broken = _violations(gs, valid, projection, step, gs2, spec)
             elif valid and move is not None:
@@ -277,9 +268,9 @@ def _visitor(
             else:
                 continue
             trail = origin[1] + (step,)
-            out.counterexamples += [Counterexample(r, origin[0][0], trail, d) for r, d in broken]
+            out.counterexamples += [Counterexample(r, origin[0], trail, d) for r, d in broken]
             if gs2 is not None:
-                yield step, (gs2, _key(gs2, *space))
+                yield step, gs2
 
     return visit
 
@@ -308,10 +299,11 @@ def run_modelcheck(
         for a in RegAction
         for aid in asset_names(n_assets)
     ]
+    bits, weights = _index_space(n_chains, n_assets)
     out = ModelCheckResult()
     out.states_explored, out.syncs_checked = explore(
-        lambda: _keyed_initial_states(n_chains, n_assets), steps, depth, budget, itemgetter(1),
-        _visitor(sync_fn, out, _index_space(n_chains, n_assets), steps),
+        lambda: enumerate_initial_states(n_chains, n_assets), steps, depth, budget,
+        lambda gs: _key(gs, bits, weights), _visitor(sync_fn, out, steps),
     )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))
     return out

@@ -198,8 +198,10 @@ def explore(
 ) -> tuple[int, int]:
     """Breadth-first search to ``depth`` steps from the distinct initial
     states, deduplicated by ``key``. ``initial()`` gives the initial states
-    and is called twice: once to key them all, and once to visit each first
-    occurrence as it is drawn, so they are never all held at once.
+    and is called twice, and must yield the same states in the same order
+    on each call: once to key them all, before the first step, and once to
+    visit each first occurrence as it is drawn, zipped with its key, so
+    they are never all held at once.
     ``visit(state, origin)`` is called once per frontier state, with the
     initial state and step trail that first reached it. It returns an
     iterable that takes every step of ``steps`` once, in order, checks it,
@@ -208,13 +210,12 @@ def explore(
     steps are counted against ``budget``: if they would exceed it, no step
     of the state is taken and BudgetExceededError(budget + 1, budget) is
     raised. Stops early once a level adds no new state. Returns the number
-    of distinct states seen and of steps taken. A caller that keys each
-    successor in ``visit`` makes states (state, key) pairs, ``key``
-    itemgetter(1)."""
-    visited = set(map(key, initial()))
+    of distinct states seen and of steps taken."""
+    keys = list(map(key, initial()))
+    visited = set(keys)
     unvisited = visited.copy()  # remove() returns None: only a key's first occurrence passes
-    frontier: Iterable = ((s, (s, ())) for s in initial()
-                          if (k := key(s)) in unvisited and not unvisited.remove(k))
+    frontier: Iterable = ((s, (s, ())) for s, k in zip(initial(), keys)
+                          if k in unvisited and not unvisited.remove(k))
     taken, per_state = 0, len(steps)
     for _ in range(depth):
         next_frontier = []
@@ -244,8 +245,9 @@ def check_multi_domain(
 
     Explores every sequence of up to ``depth`` sync_all calls (deduplicating
     revisited maps) and asserts after each successful call that connected
-    domains agree, other assets are untouched, and consistent_init still
-    holds.
+    domains agree on the transition's target (there is none where the
+    correct sync fails), other assets are untouched, no cell appears, and
+    consistent_init still holds.
     """
     budget = enumeration_budget() if budget is None else budget
     report = check_consistent_init(ds)
@@ -260,7 +262,8 @@ def check_multi_domain(
             result = sync_fn(current, source, action, aid, sm)
             if result is None:
                 continue
-            expected = transition_of(sm, current.table[(source, aid)], action)
+            # None where the correct sync must fail: each holder then disagrees.
+            expected = transition_of(sm, current.table.get((source, aid)), action)
             for d in sorted(connected_domains(current, aid)):
                 got = result.table.get((d, aid))
                 if got != expected:
@@ -270,7 +273,7 @@ def check_multi_domain(
                 if other != aid and result.table.get((d, other)) != s:
                     report.add("sync_isolation", (*triple, d, other))
             for (d, other) in result.table:
-                if other != aid and (d, other) not in current.table:
+                if (d, other) not in current.table:
                     report.add("sync_isolation", (*triple, d, other))
             if result.domains != current.domains:
                 report.add("domain_set_changed", triple)

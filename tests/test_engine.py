@@ -182,6 +182,10 @@ class TestSync:
          ["reg_transition"]),
         ("c1", RegAction.FREEZE, "a1", True, SyncFailure.LOCKED,
          ["reg_transition", "acquire_lock"]),
+        # The move is validated before the lock is tried: an undefined move
+        # on a held lock fails InvalidTransition and never touches the lock.
+        ("c1", RegAction.UNFREEZE, "a1", True, SyncFailure.INVALID_TRANSITION,
+         ["reg_transition"]),
     ])
     def test_sync_calls_each_step_it_takes_once(
         self, monkeypatch, two_chain_active, source, action, aid, lock, reason, steps

@@ -163,14 +163,8 @@ def test_state_index_changes_no_verdict(monkeypatch, sync_fn, bounds):
     """Keying by the index or by _state_key alone explores the same states
     and finds the same counterexamples, in the same order."""
     indexed = run_modelcheck(*bounds, sync_fn=sync_fn)
-    # The in-space test always falls back, and the initial states, which
-    # the enumeration indexes without it, are keyed by _state_key too.
-    keyed = modelcheck._keyed_initial_states
+    # _key keys every state, the initial ones too.
     monkeypatch.setattr(modelcheck, "_key", lambda gs, *_: modelcheck._state_key(gs))
-    monkeypatch.setattr(
-        modelcheck, "_keyed_initial_states",
-        lambda *bounds: ((gs, modelcheck._state_key(gs)) for gs, _ in keyed(*bounds)),
-    )
     fallback = run_modelcheck(*bounds, sync_fn=sync_fn)
     assert (indexed.states_explored, indexed.syncs_checked) == (
         fallback.states_explored, fallback.syncs_checked
@@ -179,56 +173,62 @@ def test_state_index_changes_no_verdict(monkeypatch, sync_fn, bounds):
 
 
 def _recording_explore(monkeypatch, handed):
-    """Make run_modelcheck's explorer append to ``handed`` each (state, key)
-    pair it is given: the initial ones and each one a visitor yields."""
+    """Make run_modelcheck's explorer append to ``handed`` each state it is
+    given, with the key it gives it: the initial ones and each one a
+    visitor yields, as explore keys each of them once."""
     explore = modelcheck.explore
 
     def recording(initial, steps, depth, budget, key, visit):
-        def recording_visit(node, origin):
-            for step, got in visit(node, origin):
-                handed.append(got)
-                yield step, got
+        def recording_key(gs):
+            k = key(gs)
+            handed.append((gs, k))
+            return k
 
-        pairs = list(initial())
-        handed.extend(pairs)
-        return explore(lambda: pairs, steps, depth, budget, key, recording_visit)
+        return explore(initial, steps, depth, budget, recording_key, visit)
 
     monkeypatch.setattr(modelcheck, "explore", recording)
 
 
 def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
     """Every state of the engine's run at D=3/A=2 is an initial state, keyed
-    by the enumeration's index. Each of the 10,080 successful syncs gives
-    its prescribed successor, an initial state too, so none is handed to
-    explore, no state is walked and _state_key never runs. A mutant that
-    leaves holders disagreeing leaves the index space, and its states are
-    keyed by _state_key."""
-    keyed, walked, handed = [], [], []
+    by its index. Each of the 10,080 successful syncs gives its prescribed
+    successor, an initial state too, so none is handed to explore: _key
+    runs once per initial state, all before the first sync, and _state_key
+    never runs. A mutant that leaves holders disagreeing leaves the index
+    space, and its states are keyed by _state_key."""
+    log, handed = [], []
     state_key, key = modelcheck._state_key, modelcheck._key
-    monkeypatch.setattr(modelcheck, "_state_key", lambda gs: keyed.append(gs) or state_key(gs))
-    monkeypatch.setattr(modelcheck, "_key", lambda gs, *space: walked.append(gs) or key(gs, *space))
+    monkeypatch.setattr(modelcheck, "_state_key", lambda gs: log.append("state") or state_key(gs))
+    monkeypatch.setattr(modelcheck, "_key", lambda gs, *space: log.append("key") or key(gs, *space))
     _recording_explore(monkeypatch, handed)
-    result = run_modelcheck(3, 2, 2)
+
+    def sync_fn(*args):
+        log.append("sync")
+        return engine.sync(*args)
+
+    result = run_modelcheck(3, 2, 2, sync_fn=sync_fn)
     assert (result.states_explored, result.syncs_checked, result.ok) == (1225, 51450, True)
-    assert (len(keyed), len(walked), len(handed)) == (0, 0, 1225)
+    assert log == ["key"] * 1225 + ["sync"] * 51450
+    assert len(handed) == 1225 and all(engine.valid_state(gs) for gs, _ in handed)
     assert all(type(k) is int for _, k in handed)
     assert len({k for _, k in handed}) == 1225
     run_modelcheck(3, 2, 2, sync_fn=_mutant_skip_target)
-    assert keyed
+    assert "state" in log
 
 
 @pytest.mark.parametrize("bounds", [(d, a) for d in (1, 2, 3) for a in (1, 2)])
 def test_a_sync_from_an_initial_state_gives_an_initial_state(bounds):
     """The closure the visitor relies on when it hands back no prescribed
     success of an initial state: every successful engine.sync from every
-    initial state gives a state whose key is one of the enumeration's
+    initial state gives a state whose key is one of the initial states'
     indexes."""
     space = modelcheck._index_space(*bounds)
-    keyed = list(modelcheck._keyed_initial_states(*bounds))
-    indexes = {k for _, k in keyed}
+    initial = list(modelcheck.enumerate_initial_states(*bounds))
+    indexes = {modelcheck._key(gs, *space) for gs in initial}
+    assert len(indexes) == len(initial) and all(type(k) is int for k in indexes)
     steps = [(c, a, aid) for c in modelcheck.chain_names(bounds[0]) for a in RegAction
              for aid in modelcheck.asset_names(bounds[1])]
-    successors = [result.state for gs, _ in keyed for step in steps
+    successors = [result.state for gs in initial for step in steps
                   if (result := engine.sync(*step, gs)).ok]
     assert successors and all(modelcheck._key(gs2, *space) in indexes for gs2 in successors)
 
@@ -238,18 +238,18 @@ def test_the_initial_level_is_streamed(monkeypatch):
     twice: the first pass keys the initial states, and the second draws
     each only after the syncs of the one before, so the initial states are
     never all held at once."""
-    log, keyed = [], modelcheck._keyed_initial_states
+    log, enumerate_initial_states = [], modelcheck.enumerate_initial_states
 
     def drawn(*bounds):
-        for pair in keyed(*bounds):
+        for gs in enumerate_initial_states(*bounds):
             log.append("draw")
-            yield pair
+            yield gs
 
     def sync_fn(*args):
         log.append("sync")
         return engine.sync(*args)
 
-    monkeypatch.setattr(modelcheck, "_keyed_initial_states", drawn)
+    monkeypatch.setattr(modelcheck, "enumerate_initial_states", drawn)
     result = run_modelcheck(2, 1, 2, sync_fn=sync_fn)
     n, per_state = initial_state_count(2, 1), 2 * len(RegAction)
     assert (result.states_explored, result.syncs_checked, result.ok) == (n, n * per_state, True)
@@ -258,10 +258,9 @@ def test_the_initial_level_is_streamed(monkeypatch):
 
 def test_keys_identify_what_the_state_key_does(monkeypatch):
     """Two states have equal checker keys, index or fallback, exactly when
-    they have equal _state_keys: over the (state, key) pairs explore is
-    given on runs whose successors leave the index space (disagreeing
-    holders, held locks, changed owners, added cells), and over hand-built
-    states."""
+    they have equal _state_keys: over the states explore is given on runs
+    whose successors leave the index space (disagreeing holders, held
+    locks, changed owners, added cells), and over hand-built states."""
     handed = []
     _recording_explore(monkeypatch, handed)
     for mutant in (_mutant_skip_target, _mutant_skip_release, _change_owner, _appear_on_bare_chain):
@@ -543,30 +542,30 @@ def test_checker_matches_the_reference(gs, edits):
     """run_modelcheck's per-state checker reports, in order, exactly what
     the full rule scan reports, for every step and every kind of result,
     each through a visitor built over that one step. It yields each
-    successor with its step and the key _key gives it, but for the
-    prescribed successor of an initial state (a valid state with an index),
-    which is an initial state itself and which it does not yield."""
+    successor with its step, but for the prescribed successor of an
+    initial state (a valid state with an index, which explore draws with
+    an empty trail), which is an initial state itself and which it does
+    not yield. Any other state is visited one step past its initial state."""
     spec = reg_machine_spec()
     valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
     out, pending = modelcheck.ModelCheckResult(), []
-    node = (gs, modelcheck._key(gs, *SPACE))
-    initial = valid and type(node[1]) is int
+    initial = valid and type(modelcheck._key(gs, *SPACE)) is int
+    trail = () if initial else (SyncCommand("c1", RegAction.FREEZE, "a1"),)
 
     def checked(step, result):
         out.counterexamples.clear()
         pending.append(result)
-        visit = modelcheck._visitor(lambda *_: pending.pop(), out, SPACE, [step])
-        got, gs2 = list(visit(node, (node, ()))), result.state
+        visit = modelcheck._visitor(lambda *_: pending.pop(), out, [step])
+        got, gs2 = list(visit(gs, (gs, trail))), result.state
         if gs2 is None:
             assert got == []
         elif initial and _prescription(gs, step) == (gs2.chains, gs2.locks):
             assert got == []
             assert engine.valid_state(gs2) and type(modelcheck._key(gs2, *SPACE)) is int
         else:
-            [(taken, (got_state, got_key))] = got
+            [(taken, got_state)] = got
             assert taken is step and got_state is gs2
-            assert got_key == modelcheck._key(gs2, *SPACE)
-        assert all(ce.initial is gs and ce.steps == (step,) for ce in out.counterexamples)
+        assert all(ce.initial is gs and ce.steps == trail + (step,) for ce in out.counterexamples)
         return [(ce.rule, ce.detail) for ce in out.counterexamples]
 
     for c, action, aid in itertools.product(CHAINS, RegAction, ASSETS):
@@ -586,10 +585,8 @@ def test_a_success_on_a_held_lock_breaks_lock_respected():
     def ignore_locks(source, action, aid, gs):
         return engine.sync(source, action, aid, engine.GlobalState(gs.chains, frozenset()))
 
-    out, space = modelcheck.ModelCheckResult(), modelcheck._index_space(2, 1)
-    node = (gs, modelcheck._key(gs, *space))
-    successes = [step for step, _ in modelcheck._visitor(ignore_locks, out, space, steps)(
-        node, (node, ()))]
+    out = modelcheck.ModelCheckResult()
+    successes = [step for step, _ in modelcheck._visitor(ignore_locks, out, steps)(gs, (gs, ()))]
     assert successes
     assert all(engine.sync(s.source, s.action, s.asset, gs).reason is SyncFailure.LOCKED
                for s in successes)

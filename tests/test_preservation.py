@@ -139,6 +139,12 @@ def _copy_old_state_elsewhere(before, aid, after):
     return DomainStateMap(after.domains, {**after.table, (elsewhere, aid): old})
 
 
+def _copy_new_state_everywhere(before, aid, after):
+    """The asset's new state appears on every domain, holder or not."""
+    new = next(v for (d, a), v in after.table.items() if a == aid)
+    return DomainStateMap(after.domains, {**after.table, **{(d, aid): new for d in after.domains}})
+
+
 class TestMultiDomainCheck:
     def test_two_domains_one_asset_depth_3(self):
         assert check_multi_domain(two_domain_map(), REG, depth=3).ok
@@ -172,15 +178,19 @@ class TestMultiDomainCheck:
         assert "cross_domain_consistency" in report.rules()
 
     @pytest.mark.parametrize(
-        "mutate, rule",
+        "mutate, fired",
         [
-            pytest.param(_rewrite_other_assets, "sync_isolation", id="sync_isolation"),
-            pytest.param(_add_domain, "domain_set_changed", id="domain_set_changed"),
-            pytest.param(_copy_old_state_elsewhere, "consistent_init_closure",
+            pytest.param(_rewrite_other_assets, {"sync_isolation"}, id="sync_isolation"),
+            pytest.param(_add_domain, {"domain_set_changed"}, id="domain_set_changed"),
+            # The old state's cell appears on a domain that did not hold it.
+            pytest.param(_copy_old_state_elsewhere, {"consistent_init_closure", "sync_isolation"},
                          id="consistent_init_closure"),
+            pytest.param(
+                _copy_new_state_everywhere, {"sync_isolation"}, id="synced_cell_appeared"
+            ),
         ],
     )
-    def test_rule_fires(self, mutate, rule):
+    def test_rule_fires(self, mutate, fired):
         ds = DomainStateMap(
             frozenset({"d1", "d2", "d3"}),
             {("d1", "a1"): "ACTIVE", ("d2", "a1"): "ACTIVE", ("d3", "a2"): "RESTRICTED"},
@@ -191,7 +201,20 @@ class TestMultiDomainCheck:
             return None if result is None else mutate(current, aid, result)
 
         report = check_multi_domain(ds, REG, depth=1, sync_fn=mutant)
-        assert report.rules() == {rule}
+        assert report.rules() == fired
+
+    def test_a_success_where_the_sync_must_fail_breaks_consistency(self):
+        """A sync_fn that returns its input where sync_all fails (asset
+        missing at the source, or an undefined move) leaves each holder's
+        cell where a failure is expected."""
+        ds = DomainStateMap(frozenset({"d1", "d2"}), {("d1", "a1"): "ACTIVE"})
+
+        def never_fails(current, source, action, aid, sm):
+            return sync_all(current, source, action, aid, sm) or current
+
+        report = check_multi_domain(ds, REG, depth=2, sync_fn=never_fails)
+        assert report.rules() == {"cross_domain_consistency"}
+        assert {v.witness[3] for v in report.violations} == {"d1"}  # the one holder
 
     def test_inconsistent_init_reported(self):
         report = check_multi_domain(two_domain_map(("ACTIVE", "FROZEN")), REG, depth=1)
