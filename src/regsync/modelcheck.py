@@ -96,7 +96,7 @@ def enumerate_initial_states(n_chains: int, n_assets: int):
 
 
 def initial_state_count(n_chains: int, n_assets: int) -> int:
-    return ((2**n_chains - 1) * len(RegState)) ** n_assets
+    return ((2**n_chains - 1) * _N_STATES) ** n_assets
 
 
 def _over_budget(n_chains: int, n_assets: int, budget: int) -> bool:
@@ -108,7 +108,7 @@ def _over_budget(n_chains: int, n_assets: int, budget: int) -> bool:
     for _ in range(n_assets):
         if needed > budget:
             return True
-        needed *= (2**n_chains - 1) * len(RegState)
+        needed *= (2**n_chains - 1) * _N_STATES
     return needed > budget
 
 
@@ -121,12 +121,13 @@ def _state_key(gs: engine.GlobalState) -> tuple:
 
 
 _RANK = {s: i for i, s in enumerate(RegState)}
+_N_STATES = len(_RANK)
 
 
 def _index_space(n_chains: int, n_assets: int) -> tuple[dict, dict]:
     """Each chain's holder bit and each asset's weight B**i, with
     B = 2 * len(RegState) * (2**n_chains - 1), the number of digits."""
-    base = 2 * len(RegState) * (2**n_chains - 1)
+    base = 2 * _N_STATES * (2**n_chains - 1)
     bits = {c: 1 << i for i, c in enumerate(chain_names(n_chains))}
     return bits, {aid: base**i for i, aid in enumerate(asset_names(n_assets))}
 
@@ -146,8 +147,8 @@ def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
             masks[aid] = masks.get(aid, 0) | bits.get(c, 0)
     if masks.keys() != weights.keys() or gs.chains.keys() != bits.keys() or locks - weights.keys():
         return _state_key(gs)
-    n = len(RegState)
-    return sum((((masks[a] - 1) * n + ranks[a]) * 2 + (a in locks)) * w for a, w in weights.items())
+    return sum((((masks[a] - 1) * _N_STATES + ranks[a]) * 2 + (a in locks)) * w
+               for a, w in weights.items())
 
 
 def _violations(
