@@ -237,6 +237,16 @@ def json_value(value: object, kind: type, what: str):
     raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
 
 
+def json_object(value: object, what: str, fields: set[str]) -> dict:
+    """``json_value(value, dict, what)``, and a ValueError naming ``what`` and
+    its first key not in ``fields``, which no reader reads (a misspelt one)."""
+    doc = json_value(value, dict, what)
+    if not fields.issuperset(doc):
+        unknown = next(k for k in doc if k not in fields)
+        raise ValueError(f"{what} has unknown field {unknown!r}")
+    return doc
+
+
 def json_member(cls: type[TextEnum], value: object) -> TextEnum:
     """``cls(value)``, read with one lookup when ``value`` is a member's
     value; any other value goes through the call, which raises its error."""
@@ -252,13 +262,13 @@ def from_json_dict(doc: dict) -> GlobalState:
     on a document that does not have its shape. A cell's ``"locked"`` must
     be a JSON boolean, but the state takes its locks from ``"locks"``,
     whose ``false`` entries are checked and dropped."""
-    doc = json_value(doc, dict, "state")
+    doc = json_object(doc, "state", {"chains", "locks"})
     chains = {}
     for c, table in json_value(doc.get("chains", {}), dict, "chains").items():
         chains[c] = {}
         for aid, cell in json_value(table, dict, f"chain {c!r}").items():
             where = f"asset {aid!r} on chain {c!r}"
-            cell = json_value(cell, dict, where)
+            cell = json_object(cell, where, {"state", "owner", "locked"})
             owner = json_value(cell.get("owner", ""), str, f"owner of {where}")
             # Checked but not kept: ``locks`` is the lock state.
             json_value(cell.get("locked", False), bool, f"locked of {where}")

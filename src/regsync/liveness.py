@@ -18,8 +18,6 @@ from typing import Iterable, Iterator, Optional
 
 from . import engine
 from .priority import (
-    DEFAULT_HORIZON,
-    PriorityConfig,
     RegRequest,
     rank_requests,
     request_id,
@@ -41,8 +39,6 @@ class SimConfig:
     f_max: int
     lock_timeout: int
     fairness_bound: int
-    t_max: int = DEFAULT_HORIZON
-    n_max: int = DEFAULT_HORIZON
     seed: int = 0
 
     @property
@@ -59,9 +55,6 @@ class SimConfig:
 
     def is_honest(self, node_id: int) -> bool:
         return node_id in self._honest_ids
-
-    def priority_config(self) -> PriorityConfig:
-        return PriorityConfig(t_max=self.t_max, n_max=self.n_max)
 
 
 def validate_bft_config(cfg: SimConfig) -> ValidationReport:
@@ -207,9 +200,9 @@ class Ranking:
     earlier state ranks afresh if it is stepped again.
     """
 
-    def __init__(self, pending: tuple[RegRequest, ...], cfg: SimConfig):
+    def __init__(self, pending: tuple[RegRequest, ...]):
         copies = Counter(pending)
-        ranked = rank_requests(copies, cfg.priority_config())
+        ranked = rank_requests(copies)
         self.pending = tuple(r for r in ranked for _ in range(copies[r]))
         self.counts = Counter(r.asset for r in self.pending)
         self.assets = sorted(self.counts)
@@ -269,7 +262,7 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
     """
     rk = s.ranking
     if rk is None or rk.pending is not s.pending:
-        rk = Ranking(s.pending, cfg)
+        rk = Ranking(s.pending)
     epoch, gs, lock_times = s.epoch, s.global_state, s.lock_times
     events: list[LockEvent] = []
     # lock_times is shared with the next state unless a lock expires or is

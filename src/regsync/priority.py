@@ -2,13 +2,12 @@
 
 A pending request maps to a 4-tuple (authority rank, inverted timestamp,
 action severity, inverted node id); tuples compare lexicographically and
-the maximum wins. Inversions are taken against explicit horizons so the
-subtraction stays total.
+the maximum wins. Timestamps and node ids are inverted against one
+horizon, ``DEFAULT_HORIZON``, so the subtraction stays total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .records import frozen_record
@@ -43,7 +42,7 @@ DEFAULT_HORIZON = 2**32 - 1
 
 
 class HorizonError(ValueError):
-    """A timestamp or node id exceeds the configured inversion horizon."""
+    """A timestamp or node id lies outside ``[0, DEFAULT_HORIZON]``."""
 
 
 class DuplicateKeyError(ValueError):
@@ -53,12 +52,6 @@ class DuplicateKeyError(ValueError):
         super().__init__(f"requests {request_id(a)} and {request_id(b)} share priority key {key}")
         self.requests = (a, b)
         self.key = key
-
-
-@dataclass(frozen=True)
-class PriorityConfig:
-    t_max: int = DEFAULT_HORIZON
-    n_max: int = DEFAULT_HORIZON
 
 
 @frozen_record
@@ -73,29 +66,28 @@ class RegRequest:
 PriorityKey = tuple[int, int, int, int]
 
 
-def priority_key(r: RegRequest, cfg: PriorityConfig = PriorityConfig()) -> PriorityKey:
-    if not 0 <= r.timestamp <= cfg.t_max:
-        raise HorizonError(f"{request_id(r)}: timestamp {r.timestamp} outside [0, {cfg.t_max}]")
-    if not 0 <= r.node_id <= cfg.n_max:
-        raise HorizonError(f"{request_id(r)}: node_id {r.node_id} outside [0, {cfg.n_max}]")
+def priority_key(r: RegRequest) -> PriorityKey:
+    for name, value in (("timestamp", r.timestamp), ("node_id", r.node_id)):
+        if not 0 <= value <= DEFAULT_HORIZON:
+            raise HorizonError(f"{request_id(r)}: {name} {value} outside [0, {DEFAULT_HORIZON}]")
     return (
         AUTHORITY_RANK[r.authority],
-        cfg.t_max - r.timestamp,
+        DEFAULT_HORIZON - r.timestamp,
         ACTION_SEVERITY[r.action],
-        cfg.n_max - r.node_id,
+        DEFAULT_HORIZON - r.node_id,
     )
 
 
-def rank_requests(rs, cfg: PriorityConfig = PriorityConfig()) -> list[RegRequest]:
+def rank_requests(rs) -> list[RegRequest]:
     """The distinct requests of ``rs``, highest priority first.
 
     Identical requests count once, and each distinct request's key is
     computed exactly once. Raises DuplicateKeyError if two distinct requests
     share a key, since the uniqueness guarantee rests on key injectivity,
-    and HorizonError if a request lies outside the horizons.
+    and HorizonError if a request lies outside the horizon.
     """
     keyed = sorted(
-        ((priority_key(r, cfg), r) for r in dict.fromkeys(rs)),
+        ((priority_key(r), r) for r in dict.fromkeys(rs)),
         key=itemgetter(0),
         reverse=True,
     )
@@ -105,12 +97,12 @@ def rank_requests(rs, cfg: PriorityConfig = PriorityConfig()) -> list[RegRequest
     return [r for _, r in keyed]
 
 
-def select_highest(rs, cfg: PriorityConfig = PriorityConfig()):
+def select_highest(rs):
     """Unique-maximum selection; order of the input is irrelevant.
 
     Returns None for an empty input; raises as ``rank_requests`` does.
     """
-    ranked = rank_requests(rs, cfg)
+    ranked = rank_requests(rs)
     return ranked[0] if ranked else None
 
 

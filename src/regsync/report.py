@@ -63,9 +63,6 @@ class ValidationReport:
     def add(self, rule: str, witness: object = None, detail: str = "") -> None:
         self.violations.append(Violation(rule, witness, detail))
 
-    def rules(self) -> set[str]:
-        return {v.rule for v in self.violations}
-
     def __str__(self) -> str:
         if self.ok:
             return "ok"

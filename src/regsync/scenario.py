@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import engine
-from .engine import json_member, json_value
+from .engine import json_member, json_object, json_value
 from .liveness import NodeInfo, SimConfig
 from .priority import AuthorityLevel, RegRequest
 from .records import frozen_record
@@ -84,18 +84,16 @@ def _sim_to_json(cfg: SimConfig) -> dict:
         "f_max": cfg.f_max,
         "lock_timeout": cfg.lock_timeout,
         "fairness_bound": cfg.fairness_bound,
-        "t_max": cfg.t_max,
-        "n_max": cfg.n_max,
         "seed": cfg.seed,
     }
 
 
 def _sim_from_json(doc: dict) -> SimConfig:
-    doc = json_value(doc, dict, "sim")
-    nodes = [json_value(n, dict, "node") for n in json_value(doc["nodes"], list, "nodes")]
-    # Only the optional fields given are passed: SimConfig states the defaults.
-    given = [k for k in ("t_max", "n_max", "seed") if k in doc]
-    ints = ("f_max", "lock_timeout", "fairness_bound", *given)
+    doc = json_object(doc, "sim", {"nodes", "f_max", "lock_timeout", "fairness_bound", "seed"})
+    nodes = [json_object(n, "node", {"id", "honest"})
+             for n in json_value(doc["nodes"], list, "nodes")]
+    # A seed is passed only if given: SimConfig states its default.
+    ints = ("f_max", "lock_timeout", "fairness_bound", *(["seed"] if "seed" in doc else []))
     return SimConfig(
         tuple(NodeInfo(json_value(n["id"], int, "id"), json_value(n["honest"], bool, "honest"))
               for n in nodes),
@@ -103,6 +101,9 @@ def _sim_from_json(doc: dict) -> SimConfig:
     )
 
 
+# The fields of a sync step and of a request; any other is an input error.
+_SYNC_FIELDS = {"source", "action", "asset", "expect"}
+_REQUEST_FIELDS = {"node", "authority", "timestamp", "action", "asset"}
 # A tuple, not a set: ``in`` compares an unhashable value instead of raising.
 _EXPECT_TAGS = ("ok", *engine.SyncFailure)
 _MALFORMED = (KeyError, TypeError, ValueError)
@@ -123,15 +124,15 @@ def _read(location: str, read, *args, context: str = ""):
         raise _error(location, exc, context) from exc
 
 
-def _read_list(doc: dict, key: str, origin: str, what: str, read) -> list:
-    """The ``key`` list of ``doc`` (empty if absent), each entry a JSON
-    object (``what``) passed through ``read``. An entry's location is built
-    only when it fails, which keeps the per-entry cost off long lists."""
+def _read_list(doc: dict, key: str, origin: str, what: str, fields: set[str], read) -> list:
+    """The ``key`` list of ``doc`` (empty if absent), each entry a ``what``
+    object of ``fields`` passed through ``read``. An entry's location is
+    built only when it fails, which keeps the per-entry cost off long lists."""
     entries = _read(f"{origin}/{key}", json_value, doc.get(key, []), list, key)
     out = []
     try:
         for raw in entries:
-            out.append(read(json_value(raw, dict, what)))
+            out.append(read(json_object(raw, what, fields)))
     except _MALFORMED as exc:
         raise _error(f"{origin}/{key}[{len(out)}]", exc) from exc
     return out
@@ -140,6 +141,7 @@ def _read_list(doc: dict, key: str, origin: str, what: str, read) -> list:
 def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
     if not isinstance(doc, dict) or "state" not in doc:
         raise ScenarioError(origin, "top-level object with a 'state' block required")
+    _read(origin, json_object, doc, "scenario", {"state", "sync", "requests", "sim", "violation"})
     state = _read(f"{origin}/state", engine.from_json_dict, doc["state"])
     declared_chains = set(state.chains)
     declared_assets = {aid for table in state.chains.values() for aid in table}
@@ -169,8 +171,8 @@ def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
 
     return Scenario(
         state=state,
-        sync=_read_list(doc, "sync", origin, "sync step", sync_step),
-        requests=_read_list(doc, "requests", origin, "request", request),
+        sync=_read_list(doc, "sync", origin, "sync step", _SYNC_FIELDS, sync_step),
+        requests=_read_list(doc, "requests", origin, "request", _REQUEST_FIELDS, request),
         sim=(_read(f"{origin}/sim", _sim_from_json, doc["sim"], context="bad sim block: ")
              if "sim" in doc else None),
     )

@@ -13,6 +13,11 @@ def make_state(placement, locks=None):
     return engine.GlobalState.make(chains, locks or {})
 
 
+def rules(report):
+    """The rule names of ``report``'s violations."""
+    return {v.rule for v in report.violations}
+
+
 @pytest.fixture
 def two_chain_active():
     return make_state(

@@ -16,6 +16,7 @@ from regsync.liveness import (
     SimState,
     check_eventual_completion,
     check_starvation_bound,
+    drain_horizon,
     gen_adversarial_schedule,
     gen_fair_schedule,
     lock_effective,
@@ -32,7 +33,6 @@ from regsync.preservation import (
 from regsync.priority import (
     AuthorityLevel,
     DuplicateKeyError,
-    PriorityConfig,
     RegRequest,
     priority_key,
     select_highest,
@@ -40,7 +40,7 @@ from regsync.priority import (
 from regsync.regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from regsync.scenario import parse_scenario
 
-from conftest import make_state
+from conftest import make_state, rules
 from test_regulatory import ACTION_ORDER, REFERENCE_MATRIX
 
 
@@ -161,7 +161,6 @@ def test_criterion_5_mutation_sensitivity(tmp_path):
 
 def test_criterion_6_priority_determinism():
     with Gate(6, "unique maximum over all subsets and permutations", 5.0):
-        cfg = PriorityConfig(t_max=100, n_max=100)
         reqs = [
             RegRequest(1, AuthorityLevel.REGIONAL, 1, RegAction.CONFISCATE, "a1"),
             RegRequest(2, AuthorityLevel.INTERNATIONAL, 9, RegAction.UNFREEZE, "a2"),
@@ -174,16 +173,16 @@ def test_criterion_6_priority_determinism():
         for size in range(1, 7):
             for subset in itertools.combinations(reqs, size):
                 subsets += 1
-                winner = select_highest(subset, cfg)
-                wk = priority_key(winner, cfg)
-                assert sum(priority_key(r, cfg) == wk for r in subset) == 1
-                assert all(priority_key(r, cfg) <= wk for r in subset)
+                winner = select_highest(subset)
+                wk = priority_key(winner)
+                assert sum(priority_key(r) == wk for r in subset) == 1
+                assert all(priority_key(r) <= wk for r in subset)
                 for perm in itertools.permutations(subset):
-                    assert select_highest(list(perm), cfg) == winner
+                    assert select_highest(list(perm)) == winner
         assert subsets == 63
         clash = RegRequest(1, AuthorityLevel.REGIONAL, 1, RegAction.CONFISCATE, "b9")
         with pytest.raises(DuplicateKeyError):
-            select_highest([reqs[0], clash], cfg)
+            select_highest([reqs[0], clash])
 
 
 def test_criterion_7_deadlock_freedom():
@@ -200,8 +199,6 @@ def _bft_config(n, f, byz, timeout=2, k=3, seed=0):
         f_max=f,
         lock_timeout=timeout,
         fairness_bound=k,
-        t_max=1000,
-        n_max=1000,
         seed=seed,
     )
 
@@ -215,7 +212,7 @@ def test_criterion_8_bft_arithmetic():
                 assert validate_bft_config(cfg).ok
                 assert len(cfg.honest_nodes) > 2 * f
         assert validate_bft_config(_bft_config(20, 6, 6)).ok
-        assert "bft_threshold" in validate_bft_config(_bft_config(3, 1, 1)).rules()
+        assert "bft_threshold" in rules(validate_bft_config(_bft_config(3, 1, 1)))
 
 
 def test_criterion_9_starvation_and_completion():
@@ -240,6 +237,27 @@ def test_criterion_9_starvation_and_completion():
                     assert len(trace) <= bound
                     assert check_starvation_bound(trace, k).ok, (n, seed, schedule_gen)
                     assert check_eventual_completion(trace).ok
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lock_timeout_2_keeps_every_k_window(k):
+    """The holding side of ROADMAP item 20's boundary: at lock_timeout 2,
+    fair and adversarial drains over seeds 0-199 keep every k-window, on
+    the two-request one-chain scenario that stalls a window at timeout 3
+    (seed 302) and on a six-request, five-asset variant of it."""
+    two = tuple(RegRequest(i + 1, AuthorityLevel.NATIONAL, i, RegAction.FREEZE, asset)
+                for i, asset in enumerate("ab"))
+    six = tuple(RegRequest(i + 1, AuthorityLevel.NATIONAL, i, RegAction.FREEZE, f"a{i % 5}")
+                for i in range(6))
+    for reqs in (two, six):
+        chain = make_state({"c1": {r.asset: RegState.ACTIVE for r in reqs}})
+        for seed in range(200):
+            cfg = _bft_config(4, 1, 1, timeout=2, k=k, seed=seed)
+            for schedule_gen in (gen_fair_schedule, gen_adversarial_schedule):
+                sched = schedule_gen(cfg, drain_horizon(len(reqs), cfg))
+                trace = run_until_drained(SimState(0, reqs, chain, {}), sched, cfg)
+                assert check_starvation_bound(trace, k).ok, (len(reqs), seed, schedule_gen)
+                assert check_eventual_completion(trace).ok, (len(reqs), seed, schedule_gen)
 
 
 def test_criterion_10_harness_determinism(tmp_path, capsys):
@@ -270,8 +288,7 @@ def test_criterion_10_harness_determinism(tmp_path, capsys):
             "sim": {
                 "nodes": [{"id": 0, "honest": False}]
                 + [{"id": i, "honest": True} for i in (1, 2, 3)],
-                "f_max": 1, "lock_timeout": 2, "fairness_bound": 3,
-                "t_max": 1000, "n_max": 1000, "seed": 4,
+                "f_max": 1, "lock_timeout": 2, "fairness_bound": 3, "seed": 4,
             },
         }
         sync_path = tmp_path / "sync.json"

@@ -31,7 +31,7 @@ from regsync.priority import AuthorityLevel, RegRequest, request_id, select_high
 from regsync.regulatory import RegAction, RegState
 from regsync.report import ValidationReport
 
-from conftest import make_state
+from conftest import make_state, rules
 
 
 def nodes(n, byz):
@@ -45,8 +45,6 @@ def config(n=4, f=1, byz=None, timeout=2, k=3, seed=0):
         f_max=f,
         lock_timeout=timeout,
         fairness_bound=k,
-        t_max=1000,
-        n_max=1000,
         seed=seed,
     )
 
@@ -103,14 +101,14 @@ class TestBftConfig:
 
     def test_threshold_violation(self):
         report = validate_bft_config(config(n=3, f=1))
-        assert "bft_threshold" in report.rules()
+        assert "bft_threshold" in rules(report)
 
     def test_byzantine_bound_violation(self):
         report = validate_bft_config(config(n=7, f=1, byz=2))
-        assert "byzantine_bound" in report.rules()
+        assert "byzantine_bound" in rules(report)
 
     def test_timeout_positive(self):
-        assert "timeout_positive" in validate_bft_config(config(timeout=0)).rules()
+        assert "timeout_positive" in rules(validate_bft_config(config(timeout=0)))
 
     def test_honest_majority_arithmetic(self):
         for n in range(4, 101):
@@ -372,7 +370,7 @@ def flat_record(epoch, pending):
 class TestTraceCheckers:
     def test_flat_window_violation(self):
         trace = [flat_record(e, 2) for e in range(4)]
-        assert "starvation_bound" in check_starvation_bound(trace, 3).rules()
+        assert "starvation_bound" in rules(check_starvation_bound(trace, 3))
 
     def test_drained_trace_vacuous(self):
         trace = [flat_record(e, 0) for e in range(5)]
@@ -381,7 +379,7 @@ class TestTraceCheckers:
     def test_truncated_trace_reported(self):
         trace = [flat_record(0, 2)]
         report = check_eventual_completion(trace)
-        assert "eventual_completion" in report.rules()
+        assert "eventual_completion" in rules(report)
 
     def test_empty_trace_passes(self):
         assert check_eventual_completion([]).ok
@@ -416,7 +414,7 @@ def reference_step_epoch(s, sched, cfg):
     if honest and pending:
         candidates = [r for r in pending if not engine.is_locked(gs, r.asset)]
         if candidates:
-            chosen = select_highest(candidates, cfg.priority_config())
+            chosen = select_highest(candidates)
             source = min(engine.connected_chains(gs, chosen.asset), default=None)
             outcome = "AssetNotFound"
             if source is not None:
@@ -523,9 +521,9 @@ class TestRankedEpochMatchesReference:
         calls = Counter()
         original = priority.priority_key
 
-        def counted(r, cfg=priority.PriorityConfig()):
+        def counted(r):
             calls[r] += 1
-            return original(r, cfg)
+            return original(r)
 
         monkeypatch.setattr(priority, "priority_key", counted)
         assert step_epoch(s, sched, cfg) == (after, record)
@@ -586,9 +584,9 @@ def test_each_priority_key_is_computed_once_per_drain(monkeypatch):
     calls = Counter()
     original = priority.priority_key
 
-    def counted(r, cfg=priority.PriorityConfig()):
+    def counted(r):
         calls[r] += 1
-        return original(r, cfg)
+        return original(r)
 
     monkeypatch.setattr(priority, "priority_key", counted)
     distinct = requests(150)

@@ -18,6 +18,8 @@ from regsync.preservation import (
 from regsync.regulatory import reg_machine_spec
 from regsync.report import BudgetExceededError
 
+from conftest import rules
+
 REG = reg_machine_spec()
 RENAMED, RENAMING = rename_machine(REG, lambda s: s + "'", lambda a: a + "'")
 
@@ -81,7 +83,7 @@ class TestRoundtrip:
     def test_collapsing_forward_fails_injectivity(self):
         sym = inverse_renaming()
         report = check_roundtrip(SymmetricMorphism(collapsing_morphism(), sym.backward))
-        assert "injectivity" in report.rules()
+        assert "injectivity" in rules(report)
 
 
 def two_domain_map(states=("ACTIVE", "ACTIVE")):
@@ -175,7 +177,7 @@ class TestMultiDomainCheck:
             return DomainStateMap(result.domains, table)
 
         report = check_multi_domain(two_domain_map(), REG, depth=1, sync_fn=lossy_sync)
-        assert "cross_domain_consistency" in report.rules()
+        assert "cross_domain_consistency" in rules(report)
 
     @pytest.mark.parametrize(
         "mutate, fired",
@@ -201,7 +203,7 @@ class TestMultiDomainCheck:
             return None if result is None else mutate(current, aid, result)
 
         report = check_multi_domain(ds, REG, depth=1, sync_fn=mutant)
-        assert report.rules() == fired
+        assert rules(report) == fired
 
     def test_a_success_where_the_sync_must_fail_breaks_consistency(self):
         """A sync_fn that returns its input where sync_all fails (asset
@@ -213,12 +215,12 @@ class TestMultiDomainCheck:
             return sync_all(current, source, action, aid, sm) or current
 
         report = check_multi_domain(ds, REG, depth=2, sync_fn=never_fails)
-        assert report.rules() == {"cross_domain_consistency"}
+        assert rules(report) == {"cross_domain_consistency"}
         assert {v.witness[3] for v in report.violations} == {"d1"}  # the one holder
 
     def test_inconsistent_init_reported(self):
         report = check_multi_domain(two_domain_map(("ACTIVE", "FROZEN")), REG, depth=1)
-        assert "consistent_init" in report.rules()
+        assert "consistent_init" in rules(report)
 
     def test_budget_rejection(self):
         with pytest.raises(BudgetExceededError):

@@ -138,7 +138,7 @@ def test_epoch_record_to_json_is_asdict_on_a_seeded_drain():
     in a list) on every record of a drain with expiries, locks taken and
     failed syncs."""
     nodes = tuple(NodeInfo(i, honest=i >= 1) for i in range(4))
-    cfg = SimConfig(nodes, 1, 2, 3, t_max=1000, n_max=1000, seed=7)
+    cfg = SimConfig(nodes, 1, 2, 3, seed=7)
     actions = [RegAction.FREEZE, RegAction.UNFREEZE, RegAction.SEIZE]
     reqs = tuple(
         RegRequest(i % 3, AuthorityLevel.NATIONAL, i, actions[i % 3], f"a{i % 8}")

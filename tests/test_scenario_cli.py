@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from regsync import cli, engine, liveness, modelcheck
 from regsync.modelcheck import run_modelcheck
+from regsync.priority import DEFAULT_HORIZON
 from regsync.regulatory import RegAction, RegState
 from regsync.scenario import (
     ScenarioError, canonical_json, parse_scenario, scenario_from_json,
@@ -53,8 +54,6 @@ def full_doc():
             "f_max": 1,
             "lock_timeout": 4,
             "fairness_bound": 2,
-            "t_max": 500,
-            "n_max": 50,
             "seed": 9,
         },
     }
@@ -145,7 +144,7 @@ class TestParseScenario:
 
     def test_sim_defaults_are_written_out(self, tmp_path):
         doc = full_doc()
-        optional = ("t_max", "n_max", "seed")
+        optional = ("seed",)
         for k in optional:
             del doc["sim"][k]
         text = canonical_json(parse_scenario(write(tmp_path, doc)).to_json_dict())
@@ -342,6 +341,42 @@ def test_missing_field_is_named(capsys, tmp_path, command, edit, where, message)
     edit(doc)
     path = write(tmp_path, doc)
     assert run_cli(capsys, command, str(path)) == (2, "", f"error: {path}/{where}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["sync", "simulate"])
+@pytest.mark.parametrize(
+    "edit, where, message",
+    [
+        (lambda d: d.update(extra=1), "", "scenario has unknown field 'extra'"),
+        (lambda d: d["state"].update(extra=1), "/state", "state has unknown field 'extra'"),
+        (lambda d: d["state"]["chains"]["c2"].update(
+            a3={"state": "ACTIVE", "owner": "o", "locked": False, "extra": 1}), "/state",
+         "asset 'a3' on chain 'c2' has unknown field 'extra'"),
+        (lambda d: d["sync"][0].update(extra=1), "/sync[0]", "sync step has unknown field 'extra'"),
+        (lambda d: d["requests"][4].update(extra=1), "/requests[4]",
+         "request has unknown field 'extra'"),
+        (lambda d: d["sim"].update(extra=1), "/sim", "bad sim block: sim has unknown field 'extra'"),
+        (lambda d: d["sim"]["nodes"][1].update(extra=1), "/sim",
+         "bad sim block: node has unknown field 'extra'"),
+    ],
+    ids=["top-level", "state", "state-cell", "sync-step", "request", "sim-block", "sim-node"],
+)
+def test_unknown_field_is_an_input_error(capsys, tmp_path, command, edit, where, message):
+    """Every object of a scenario names only fields a reader reads, so a
+    misspelt field cannot change the verdict unnoticed."""
+    doc = simulate_doc()
+    doc["sync"] = [{"source": "c1", "action": "FREEZE", "asset": "a1"}]
+    edit(doc)
+    path = write(tmp_path, doc)
+    assert run_cli(capsys, command, str(path)) == (2, "", f"error: {path}{where}: {message}\n")
+
+
+def test_misspelt_expect_exits_2_instead_of_dropping_the_expectation(capsys, tmp_path):
+    doc = minimal_doc()
+    doc["sync"][0] = {"source": "c1", "action": "FREEZE", "asset": "a1", "expct": "Locked"}
+    path = write(tmp_path, doc)
+    assert run_cli(capsys, "sync", str(path)) == (
+        2, "", f"error: {path}/sync[0]: sync step has unknown field 'expct'\n")
 
 
 @pytest.mark.parametrize("command", ["sync", "simulate"])
@@ -632,8 +667,6 @@ def simulate_doc():
             "f_max": 1,
             "lock_timeout": 2,
             "fairness_bound": 3,
-            "t_max": 1000,
-            "n_max": 1000,
             "seed": 11,
         },
     }
@@ -701,6 +734,14 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "node_id -1" in err
 
+    def test_timestamp_past_the_horizon_exits_2_before_any_epoch(self, capsys, tmp_path):
+        doc = simulate_doc()
+        late = DEFAULT_HORIZON + 1
+        doc["requests"][2]["timestamp"] = late
+        assert run_cli(capsys, "simulate", str(write(tmp_path, doc))) == (
+            2, "", f"error: requests cannot be ranked: n3-t{late}-FREEZE-a3: "
+                   f"timestamp {late} outside [0, {DEFAULT_HORIZON}]\n")
+
     def test_lock_held_at_rest_exits_2_before_any_epoch(self, capsys, tmp_path):
         doc = simulate_doc()
         doc["state"]["locks"] = {"a3": True, "a1": False}
@@ -721,8 +762,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "where",
         [("requests", 0, "node"), ("requests", 0, "timestamp"), ("sim", "nodes", 1, "id"),
-         ("sim", "f_max"), ("sim", "lock_timeout"), ("sim", "fairness_bound"),
-         ("sim", "t_max"), ("sim", "n_max"), ("sim", "seed")],
+         ("sim", "f_max"), ("sim", "lock_timeout"), ("sim", "fairness_bound"), ("sim", "seed")],
         ids=lambda where: "/".join(map(str, where)),
     )
     def test_non_integer_field_exits_2(self, capsys, tmp_path, where, value):
@@ -737,6 +777,26 @@ class TestSimulateCommand:
         block = "requests[0]" if where[0] == "requests" else "sim"
         assert err.startswith(f"error: {path}/{block}: ")
         assert err.endswith(f"{where[-1]} must be an integer, got {type(value).__name__}\n")
+
+    @pytest.mark.parametrize("value", [1.9, "3", True, 1000],
+                             ids=["float", "string", "bool", "int"])
+    @pytest.mark.parametrize("where", [("sim", "t_max"), ("sim", "n_max")],
+                             ids=lambda where: "/".join(where))
+    def test_horizon_field_exits_2(self, capsys, tmp_path, where, value):
+        """DEFAULT_HORIZON is the one inversion horizon: a sim block that
+        names t_max or n_max is an input error, whatever the value."""
+        doc = simulate_doc()
+        doc["sim"][where[-1]] = value
+        path = write(tmp_path, doc)
+        assert run_cli(capsys, "simulate", str(path)) == (
+            2, "", f"error: {path}/sim: bad sim block: sim has unknown field {where[-1]!r}\n")
+
+    def test_misspelt_seed_exits_2_instead_of_running_seed_0(self, capsys, tmp_path):
+        doc = simulate_doc()
+        doc["sim"]["seeed"] = doc["sim"].pop("seed")
+        path = write(tmp_path, doc)
+        assert run_cli(capsys, "simulate", str(path)) == (
+            2, "", f"error: {path}/sim: bad sim block: sim has unknown field 'seeed'\n")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_epochs_below_one_exits_2(self, capsys, tmp_path, value):

@@ -201,10 +201,17 @@ TEST_ONLY_CHECKS = {
 }
 
 
+# Methods only tests and bench/test_bench.py call: the bench self-test's
+# mutant sync builds its results with them, and bench/ is the benchmark's own.
+TEST_ONLY_METHODS = {"SyncResult.success", "SyncResult.failure"}
+
+
 def test_every_public_name_is_used_outside_the_tests():
     """Each public top-level function and class under ``src/regsync`` is
     named by a command, a script or the benchmark, or is one of the checks
-    above; anything else is API that only tests reach."""
+    above, and each public method, property and static method of those
+    classes is named as an attribute there, or is one of the methods above;
+    anything else is API that only tests reach."""
     def parsed(paths):
         return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
 
@@ -212,19 +219,27 @@ def test_every_public_name_is_used_outside_the_tests():
     users = package + sorted((ROOT / "scripts").glob("*.py")) + [
         path for path in sorted((ROOT / "bench").glob("*.py")) if not path.name.startswith("test_")
     ]
-    defined = {
-        node.name
+    public = [
+        node
         for tree in parsed(package)
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    methods = {
+        f"{cls.name}.{node.name}": node.name
+        for cls in public
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
-    used = set()
+    used, attributes = set(), set()
     for tree in parsed(users):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    assert defined - used == TEST_ONLY_CHECKS
+    assert {node.name for node in public} - used - attributes == TEST_ONLY_CHECKS
+    assert {m for m, name in methods.items() if name not in attributes} == TEST_ONLY_METHODS

@@ -11,6 +11,8 @@ from regsync.sm_core import (
     validate_machine,
 )
 
+from conftest import rules
+
 REG = reg_machine_spec()
 
 
@@ -81,16 +83,16 @@ class TestValidateMachine:
             ["a", "b"], ["x"], {("b", "x"): "a"}, terminal=["b"]
         )
         report = validate_machine(sm)
-        assert "terminal_absorbing" in report.rules()
+        assert "terminal_absorbing" in rules(report)
 
     def test_target_outside_states(self):
         sm = StateMachineSpec.make(["a"], ["x"], {("a", "x"): "ghost"})
-        assert "transition_closed" in validate_machine(sm).rules()
+        assert "transition_closed" in rules(validate_machine(sm))
 
     def test_source_outside_states(self):
         sm = StateMachineSpec.make(["a"], ["x"], {("z", "x"): "a"})
-        assert "transition_domain" in validate_machine(sm).rules()
+        assert "transition_domain" in rules(validate_machine(sm))
 
     def test_terminal_not_subset(self):
         sm = StateMachineSpec.make(["a"], ["x"], {}, terminal=["b"])
-        assert "terminal_subset" in validate_machine(sm).rules()
+        assert "terminal_subset" in rules(validate_machine(sm))
