@@ -13,7 +13,16 @@ interleaved rounds; each figure is its median over the rounds, and each
 per-sync and per-op figure is printed with its min-max. Last come the
 hits, misses and size of ``engine.cell``'s table over all of the bound's
 passes, emptied before them: misses far above the size held show the
-table's bound thrashing."""
+table's bound thrashing.
+
+The budget is REGSYNC_BUDGET's, as for ``regsync modelcheck`` (default
+5,000,000 syncs); raise it to run bounds such as D=6/A=2.
+
+Whole invocations of the same code shift together: their per-op medians
+swing by ~50-60% from one invocation to the next on a shared VM, though
+each one's min-max is narrow. To compare two trees, alternate
+invocations of each and compare the medians over invocations, not the
+``ROUNDS`` of one."""
 
 import argparse
 import resource
@@ -26,6 +35,7 @@ from regsync.modelcheck import (
     asset_names, chain_names, enumerate_initial_states, initial_state_count, run_modelcheck,
 )
 from regsync.regulatory import RegAction
+from regsync.report import enumeration_budget
 
 # Rounds of the three timed passes. The passes of a round run one after
 # another, so a slow spell of a shared VM, whose figures swing by up to 2x
@@ -105,6 +115,10 @@ def main():
     parser.add_argument("--max-assets", type=_int_at_least(1), default=2)
     parser.add_argument("--depth", type=_int_at_least(1), default=2)
     args = parser.parse_args()
+    try:
+        budget = enumeration_budget()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     for d in range(1, args.max_domains + 1):
         for a in range(1, args.max_assets + 1):
@@ -114,7 +128,7 @@ def main():
             per_sync, per_op = {True: [], False: []}, {True: [], False: []}
             for _ in range(ROUNDS):
                 start = time.perf_counter()
-                result = run_modelcheck(d, a, args.depth)
+                result = run_modelcheck(d, a, args.depth, budget)
                 runs.append(time.perf_counter() - start)
                 if batches is None:  # built after the peak RSS (KiB on Linux) is read
                     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -124,7 +138,7 @@ def main():
                 alone.append(seconds[True] + seconds[False])
                 share.append(1 - alone[-1] / runs[-1])
                 split = OpSplit()
-                run_modelcheck(d, a, args.depth, sync_fn=split)
+                run_modelcheck(d, a, args.depth, budget, sync_fn=split)
                 split.tick()
                 for ok in per_op:
                     per_sync[ok].append(seconds[ok] / counts[ok] * 1e6)

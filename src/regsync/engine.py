@@ -27,7 +27,6 @@ from json.encoder import encode_basestring_ascii
 from operator import is_not
 from typing import Iterable, Mapping, Optional
 
-from .preservation import DomainStateMap
 from .records import frozen_record
 from .regulatory import RegAction, RegState, TextEnum, reg_transition
 
@@ -125,10 +124,6 @@ def connected_chains(gs: GlobalState, aid: AssetKey) -> list[ChainId]:
     return holders
 
 
-def is_locked(gs: GlobalState, aid: AssetKey) -> bool:
-    return aid in gs.locks
-
-
 def acquire_lock(gs: GlobalState, aid: AssetKey) -> Optional[GlobalState]:
     if aid in gs.locks:
         return None
@@ -189,16 +184,6 @@ def valid_state(gs: GlobalState) -> bool:
             if seen.setdefault(aid, rec.reg_state) is not rec.reg_state:
                 return False
     return True
-
-
-def to_domain_state_map(gs: GlobalState) -> DomainStateMap:
-    """Project chains to the generic multi-domain layer (reg_state only)."""
-    table = {
-        (c, aid): rec.reg_state
-        for c, chain in gs.chains.items()
-        for aid, rec in chain.items()
-    }
-    return DomainStateMap(frozenset(gs.chains), table)
 
 
 def to_json_dict(gs: GlobalState) -> dict:

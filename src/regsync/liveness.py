@@ -78,15 +78,12 @@ def validate_bft_config(cfg: SimConfig) -> ValidationReport:
     return report
 
 
-def expiry_time(lock_time: int, timeout: int) -> int:
-    """Least time at which the lock is no longer effective."""
+def lock_effective(lock_time: int, current_time: int, timeout: int) -> bool:
+    """Whether a lock taken at ``lock_time`` still holds: it expires at
+    ``lock_time + timeout``, the least time at which it is not effective."""
     if timeout <= 0:
         raise ValueError("timeout must be positive")
-    return lock_time + timeout
-
-
-def lock_effective(lock_time: int, current_time: int, timeout: int) -> bool:
-    return current_time < expiry_time(lock_time, timeout)
+    return current_time < lock_time + timeout
 
 
 class LeaderSchedule:

@@ -37,7 +37,7 @@ from typing import Callable, Hashable, Iterator, Optional
 from . import engine
 from .preservation import DomainStateMap, explore, sync_all
 from .regulatory import RegAction, RegState, reg_machine_spec, reg_transition
-from .report import BudgetExceededError, enumeration_budget
+from .report import DEFAULT_BUDGET, BudgetExceededError
 from .scenario import Scenario, SyncCommand
 from .sm_core import StateMachineSpec
 
@@ -82,7 +82,7 @@ def enumerate_initial_states(n_chains: int, n_assets: int):
     subsets = [combo for size in range(1, n_chains + 1)
                for combo in itertools.combinations(chains, size)]
     options = [  # per asset: (asset, subset, its record there)
-        [(aid, s, engine.cell(aid, t, "owner")) for s in subsets for t in RegState]
+        [(aid, s, engine.cell(aid, t, _OWNER)) for s in subsets for t in RegState]
         for aid in asset_names(n_assets)
     ]
     for assignment in itertools.product(*options):
@@ -122,6 +122,7 @@ def _state_key(gs: engine.GlobalState) -> tuple:
 
 _RANK = {s: i for i, s in enumerate(RegState)}
 _N_STATES = len(_RANK)
+_OWNER = "owner"  # every enumerated cell's owner; _key indexes no other
 
 
 def _index_space(n_chains: int, n_assets: int) -> tuple[dict, dict]:
@@ -142,13 +143,23 @@ def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
     for c, table in gs.chains.items():
         for aid, rec in table.items():
             rank = _RANK.get(rec.reg_state)
-            if rank is None or rec.owner != "owner" or ranks.setdefault(aid, rank) != rank:
+            if rank is None or rec.owner != _OWNER or ranks.setdefault(aid, rank) != rank:
                 return _state_key(gs)
             masks[aid] = masks.get(aid, 0) | bits.get(c, 0)
     if masks.keys() != weights.keys() or gs.chains.keys() != bits.keys() or locks - weights.keys():
         return _state_key(gs)
     return sum((((masks[a] - 1) * _N_STATES + ranks[a]) * 2 + (a in locks)) * w
                for a, w in weights.items())
+
+
+def to_domain_state_map(gs: engine.GlobalState) -> DomainStateMap:
+    """Project chains to the generic multi-domain layer (reg_state only)."""
+    table = {
+        (c, aid): rec.reg_state
+        for c, chain in gs.chains.items()
+        for aid, rec in chain.items()
+    }
+    return DomainStateMap(frozenset(gs.chains), table)
 
 
 def _violations(
@@ -162,7 +173,7 @@ def _violations(
     """The (rule, detail) of each guarantee that one successful sync from
     ``gs`` to ``gs2`` breaks; a sync on a held lock breaks lock_respected,
     as it must fail. ``valid`` and ``projection`` are
-    ``engine.valid_state(gs)`` and ``engine.to_domain_state_map(gs)``,
+    ``engine.valid_state(gs)`` and ``to_domain_state_map(gs)``,
     computed once per explored state."""
     current = engine.get_reg_state(gs, step.source, step.asset)
     expected = None if current is None else reg_transition(current, step.action)
@@ -183,19 +194,19 @@ def _violations(
         for aid in table2:
             if aid not in table:
                 yield "sync_isolation", f"cell ({c}, {aid}) appeared"
-    if engine.is_locked(gs2, step.asset):
+    if step.asset in gs2.locks:
         yield "lock_released", ""
     if valid and not engine.valid_state(gs2):
         yield "valid_state_preservation", ""
 
     # Generic/concrete agreement on the multi-domain projection.
-    if engine.is_locked(gs, step.asset):
+    if step.asset in gs.locks:
         yield "lock_respected", ""
     else:
         generic = sync_all(projection, step.source, step.action, step.asset, spec)
         if generic is None:
             yield "generic_agreement", "generic sync_all failed where sync succeeded"
-        elif generic.table != engine.to_domain_state_map(gs2).table:
+        elif generic.table != to_domain_state_map(gs2).table:
             yield "generic_agreement", "projections differ"
 
 
@@ -240,7 +251,7 @@ def _visitor(
     index = {(source, action, aid): i for i, (_, source, action, aid) in enumerate(rows)}
 
     def visit(gs: engine.GlobalState, origin) -> Iterator[tuple]:
-        valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
+        valid, projection = engine.valid_state(gs), to_domain_state_map(gs)
         initial = not origin[1]
         # Each step's defined move, (source's state, action, asset, target),
         # read off the projection's cells; None where the move is undefined.
@@ -280,7 +291,7 @@ def run_modelcheck(
     n_chains: int,
     n_assets: int,
     depth: int,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
     sync_fn: Callable[..., engine.SyncResult] = engine.sync,
 ) -> ModelCheckResult:
     """Breadth-first exploration from every valid initial state; a bound
@@ -291,7 +302,6 @@ def run_modelcheck(
     """
     if min(n_chains, n_assets, depth) < 1:
         raise ValueError(f"bounds must be at least 1, got {(n_chains, n_assets, depth)}")
-    budget = enumeration_budget() if budget is None else budget
     if _over_budget(n_chains, n_assets, budget):
         raise BudgetExceededError(budget + 1, budget)
     steps = [

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .records import frozen_record
-from .report import BudgetExceededError, ValidationReport, enumeration_budget
+from .report import DEFAULT_BUDGET, BudgetExceededError, ValidationReport
 from .sm_core import ActionId, StateId, StateMachineSpec, apply_actions, transition_of
 
 DomainId = str
@@ -85,14 +85,13 @@ def check_naturality(m: Morphism) -> ValidationReport:
 
 
 def check_sequential_preservation(
-    m: Morphism, max_len: int, budget: Optional[int] = None
+    m: Morphism, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> ValidationReport:
     """Check preservation of apply_actions over all sequences up to max_len.
 
     Mapped apply_actions must agree with apply_actions-then-map, including
     agreement on undefinedness.
     """
-    budget = enumeration_budget() if budget is None else budget
     n_actions = len(m.source.actions)
     needed = len(m.source.states) * sum(n_actions**k for k in range(max_len + 1))
     if needed > budget:
@@ -238,7 +237,7 @@ def check_multi_domain(
     ds: DomainStateMap,
     sm: StateMachineSpec,
     depth: int,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
     sync_fn: Callable[..., Optional[DomainStateMap]] = sync_all,
 ) -> ValidationReport:
     """Model-check consistency, isolation, and invariant closure.
@@ -249,7 +248,6 @@ def check_multi_domain(
     correct sync fails), other assets are untouched, no cell appears, and
     consistent_init still holds.
     """
-    budget = enumeration_budget() if budget is None else budget
     report = check_consistent_init(ds)
     if not report.ok:
         return report

@@ -19,7 +19,7 @@ class BudgetExceededError(Exception):
 
 
 def enumeration_budget() -> int:
-    """Current enumeration budget; overridable via REGSYNC_BUDGET.
+    """The budget of the command line: REGSYNC_BUDGET, else DEFAULT_BUDGET.
 
     Raises ValueError naming the variable unless it is a non-negative integer.
     """

@@ -145,6 +145,8 @@ def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
     state = _read(f"{origin}/state", engine.from_json_dict, doc["state"])
     declared_chains = set(state.chains)
     declared_assets = {aid for table in state.chains.values() for aid in table}
+    if stray := sorted(state.locks - declared_assets):
+        raise ScenarioError(f"{origin}/state", f"lock held on undeclared asset {stray[0]!r}")
 
     def check_asset(aid: str) -> None:
         if aid not in declared_assets:

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from regsync import engine
+from regsync import engine, modelcheck
 from regsync.engine import SyncFailure
 from regsync.preservation import check_consistent_init, sync_all
 from regsync.priority import AuthorityLevel
@@ -21,10 +21,10 @@ def snapshot_locked(gs, c, aid):
 
 def snapshot_agrees_with_locks(gs):
     """Every cell sits under its own asset id and its JSON ``locked`` flag
-    is is_locked of its asset."""
+    says whether the lock set holds its asset."""
     doc = engine.to_json_dict(gs)["chains"]
     return all(
-        rec.asset_id == aid and doc[c][aid]["locked"] == engine.is_locked(gs, aid)
+        rec.asset_id == aid and doc[c][aid]["locked"] == (aid in gs.locks)
         for c, table in gs.chains.items()
         for aid, rec in table.items()
     )
@@ -53,13 +53,13 @@ class TestReads:
 class TestLocks:
     def test_acquire_then_release(self, two_chain_active):
         locked = engine.acquire_lock(two_chain_active, "a1")
-        assert engine.is_locked(locked, "a1")
+        assert "a1" in locked.locks
         assert snapshot_locked(locked, "c1", "a1")
         # reg states untouched
         for c in ("c1", "c2"):
             assert locked.chains[c]["a1"].reg_state is RegState.ACTIVE
         released = engine.release_lock(locked, "a1")
-        assert not engine.is_locked(released, "a1")
+        assert "a1" not in released.locks
         assert not snapshot_locked(released, "c1", "a1")
 
     def test_double_acquire_fails(self, two_chain_active):
@@ -68,14 +68,14 @@ class TestLocks:
 
     def test_lock_is_per_asset(self, two_chain_active):
         locked = engine.acquire_lock(two_chain_active, "a2")
-        assert not engine.is_locked(locked, "a1")
+        assert "a1" not in locked.locks
 
     def test_release_of_free_lock_is_identity(self, two_chain_active):
         assert engine.release_lock(two_chain_active, "a1") == two_chain_active
 
     def test_input_never_mutated(self, two_chain_active):
         engine.acquire_lock(two_chain_active, "a1")
-        assert not engine.is_locked(two_chain_active, "a1")
+        assert "a1" not in two_chain_active.locks
 
     def test_mirror_consistency(self, two_chain_active):
         locked = engine.acquire_lock(two_chain_active, "a1")
@@ -140,7 +140,7 @@ class TestSync:
         gs = result.state
         assert engine.get_reg_state(gs, "c1", "a1") is RegState.FROZEN
         assert engine.get_reg_state(gs, "c2", "a1") is RegState.FROZEN
-        assert not engine.is_locked(gs, "a1")
+        assert "a1" not in gs.locks
         assert engine.valid_state(gs)
 
     def test_asset_not_found(self, two_chain_active):
@@ -157,7 +157,7 @@ class TestSync:
         locked = engine.acquire_lock(two_chain_active, "a1")
         result = engine.sync("c1", RegAction.FREEZE, "a1", locked)
         assert result.reason is SyncFailure.LOCKED
-        assert engine.is_locked(locked, "a1")  # input untouched
+        assert "a1" in locked.locks  # input untouched
 
     @pytest.mark.parametrize("source, action, aid, lock, reason", [
         ("c2", RegAction.FREEZE, "a2", False, SyncFailure.ASSET_NOT_FOUND),
@@ -240,18 +240,18 @@ class TestValidState:
 
 class TestGenericBridge:
     def test_projection_is_consistent(self, two_chain_active):
-        assert check_consistent_init(engine.to_domain_state_map(two_chain_active)).ok
+        assert check_consistent_init(modelcheck.to_domain_state_map(two_chain_active)).ok
 
     def test_sync_agrees_with_generic_sync_all(self, two_chain_active):
         sm = reg_machine_spec()
         for action in RegAction:
             concrete = engine.sync("c1", action, "a1", two_chain_active)
             generic = sync_all(
-                engine.to_domain_state_map(two_chain_active), "c1", action.value, "a1", sm
+                modelcheck.to_domain_state_map(two_chain_active), "c1", action.value, "a1", sm
             )
             assert concrete.ok == (generic is not None)
             if concrete.ok:
-                assert dict(engine.to_domain_state_map(concrete.state).table) == dict(
+                assert dict(modelcheck.to_domain_state_map(concrete.state).table) == dict(
                     generic.table
                 )
 
@@ -286,7 +286,7 @@ class TestStoredEnumValues:
         gs = engine.GlobalState({"c1": table}, {})
         cells = engine.to_json_dict(gs)["chains"]["c1"]
         assert [cells[f"a{i}"]["state"] for i in range(5)] == self.STATE_NAMES
-        projection = engine.to_domain_state_map(gs).table
+        projection = modelcheck.to_domain_state_map(gs).table
         assert [projection[("c1", f"a{i}")] for i in range(5)] == self.STATE_NAMES
 
     def test_state_line_table_is_the_json_dumps_form(self):
@@ -737,7 +737,7 @@ class TestCellSplice:
         engine.canonical_dumps(gs)
         # Every asset is released if held and acquired if not, then back.
         for aid in STREAM_ASSETS + STREAM_ASSETS:
-            step = engine.release_lock if engine.is_locked(gs, aid) else engine.acquire_lock
+            step = engine.release_lock if aid in gs.locks else engine.acquire_lock
             after = step(gs, aid)
             expected, rendered[:] = reference_canonical_dumps(after), []
             assert engine.canonical_dumps(after) == expected
@@ -854,7 +854,7 @@ class TestCellSplice:
             if op == "sync":
                 gs = engine.sync(c, action, aid, gs).state or gs
             elif op == "lock":
-                step = engine.release_lock if engine.is_locked(gs, aid) else engine.acquire_lock
+                step = engine.release_lock if aid in gs.locks else engine.acquire_lock
                 gs = step(gs, aid)
             else:
                 table = dict(gs.chains[other] if op == "copy" else gs.chains[c])

@@ -19,7 +19,6 @@ from regsync.liveness import (
     check_fair_leader,
     check_starvation_bound,
     drain_horizon,
-    expiry_time,
     gen_adversarial_schedule,
     gen_fair_schedule,
     lock_effective,
@@ -79,14 +78,10 @@ class TestLockEffective:
         with pytest.raises(ValueError):
             lock_effective(0, 0, 0)
 
-    def test_expiry_time(self):
-        assert expiry_time(0, 5) == 5
-        assert expiry_time(10, 3) == 13
-
     def test_expiry_is_least_ineffective_time(self):
         for lock_time in range(0, 101, 7):
             for timeout in range(1, 21):
-                t = expiry_time(lock_time, timeout)
+                t = lock_time + timeout
                 assert not lock_effective(lock_time, t, timeout)
                 assert lock_effective(lock_time, t - 1, timeout)
 
@@ -412,7 +407,7 @@ def reference_step_epoch(s, sched, cfg):
     pending = list(s.pending)
     processed = outcome = None
     if honest and pending:
-        candidates = [r for r in pending if not engine.is_locked(gs, r.asset)]
+        candidates = [r for r in pending if r.asset not in gs.locks]
         if candidates:
             chosen = select_highest(candidates)
             source = min(engine.connected_chains(gs, chosen.asset), default=None)
@@ -427,7 +422,7 @@ def reference_step_epoch(s, sched, cfg):
             pending.remove(chosen)
             processed = request_id(chosen)
     elif not honest and pending:
-        unlocked = sorted({r.asset for r in pending if not engine.is_locked(gs, r.asset)})
+        unlocked = sorted({r.asset for r in pending if r.asset not in gs.locks})
         if len(unlocked) >= 2 and rng.random() < 0.5:
             target = rng.choice(unlocked)
             locked = engine.acquire_lock(gs, target)

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from regsync import engine, modelcheck
 from regsync.engine import SyncFailure, SyncResult
 from regsync.modelcheck import initial_state_count, run_modelcheck
-from regsync.preservation import DomainStateMap, sync_all
+from regsync.preservation import (
+    DomainStateMap, check_multi_domain, check_sequential_preservation, identity_morphism, sync_all,
+)
 from regsync.regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from regsync.report import BudgetExceededError
 from regsync.scenario import SyncCommand
@@ -384,10 +386,10 @@ def reference_violations(
     """The (rule, detail) of each guarantee that one sync from ``gs``
     breaks; a success on a held lock breaks lock_respected. ``valid`` and
     ``projection`` are ``engine.valid_state(gs)`` and
-    ``engine.to_domain_state_map(gs)``, computed once per explored state."""
+    ``modelcheck.to_domain_state_map(gs)``, computed once per explored state."""
     current = engine.get_reg_state(gs, step.source, step.asset)
     expected = None if current is None else reg_transition(current, step.action)
-    was_locked = engine.is_locked(gs, step.asset)
+    was_locked = step.asset in gs.locks
     premises = valid and expected is not None and not was_locked
     if not result.ok:
         if premises:
@@ -410,7 +412,7 @@ def reference_violations(
         for aid in table:
             if aid not in gs.chains.get(c, {}):
                 yield "sync_isolation", f"cell ({c}, {aid}) appeared"
-    if engine.is_locked(gs2, step.asset):
+    if step.asset in gs2.locks:
         yield "lock_released", ""
     if valid and not engine.valid_state(gs2):
         yield "valid_state_preservation", ""
@@ -423,7 +425,7 @@ def reference_violations(
         generic = sync_all(projection, step.source, step.action._value_, step.asset, spec)
         if generic is None:
             yield "generic_agreement", "generic sync_all failed where sync succeeded"
-        elif dict(generic.table) != dict(engine.to_domain_state_map(gs2).table):
+        elif dict(generic.table) != dict(modelcheck.to_domain_state_map(gs2).table):
             yield "generic_agreement", "projections differ"
 
 
@@ -547,7 +549,7 @@ def test_checker_matches_the_reference(gs, edits):
     an empty trail), which is an initial state itself and which it does
     not yield. Any other state is visited one step past its initial state."""
     spec = reg_machine_spec()
-    valid, projection = engine.valid_state(gs), engine.to_domain_state_map(gs)
+    valid, projection = engine.valid_state(gs), modelcheck.to_domain_state_map(gs)
     out, pending = modelcheck.ModelCheckResult(), []
     initial = valid and type(modelcheck._key(gs, *SPACE)) is int
     trail = () if initial else (SyncCommand("c1", RegAction.FREEZE, "a1"),)
@@ -652,6 +654,24 @@ def test_budget_is_decided_before_anything_is_built(monkeypatch):
     assert info.value.budget == 10
 
 
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_the_checkers_ignore_regsync_budget(monkeypatch, raw):
+    """Only ``regsync modelcheck`` reads REGSYNC_BUDGET: a checker called
+    without a budget takes the default whatever the variable holds."""
+    spec = reg_machine_spec()
+    ds = DomainStateMap(frozenset({"d1", "d2"}),
+                        {("d1", "a1"): RegState.ACTIVE, ("d2", "a1"): RegState.ACTIVE})
+
+    def checks():
+        return (run_modelcheck(1, 1, 1), check_multi_domain(ds, spec, 2),
+                check_sequential_preservation(identity_morphism(spec), 2))
+
+    monkeypatch.delenv("REGSYNC_BUDGET", raising=False)
+    unset = checks()
+    monkeypatch.setenv("REGSYNC_BUDGET", raw)
+    assert checks() == unset
+
+
 def test_budget_decision_matches_the_exact_count():
     for d in range(1, 6):
         for a in range(1, 4):
@@ -705,7 +725,7 @@ def test_the_holders_of_a_prescribed_successor_share_one_cell():
     )
     step = SyncCommand("c2", RegAction.FREEZE, "a1")
     chains, _ = modelcheck._prescribed(
-        gs, engine.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec()
+        gs, modelcheck.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec()
     )
     cells = [table["a1"] for table in chains.values()]
     assert len(cells) == 3 and all(cell is cells[0] for cell in cells)
@@ -719,7 +739,7 @@ def test_prescribed_cells_are_built_once_per_value():
     active = [gs for gs in modelcheck.enumerate_initial_states(2, 1)
               if engine.get_reg_state(gs, "c1", "a1") is RegState.ACTIVE]
     step, spec = SyncCommand("c1", RegAction.FREEZE, "a1"), reg_machine_spec()
-    made = [modelcheck._prescribed(gs, engine.to_domain_state_map(gs), step,
+    made = [modelcheck._prescribed(gs, modelcheck.to_domain_state_map(gs), step,
                                    RegState.FROZEN, spec)[0]["c1"]["a1"]
             for gs in active]
     assert len(made) == 2 and made[0] is made[1]

@@ -380,6 +380,28 @@ def test_misspelt_expect_exits_2_instead_of_dropping_the_expectation(capsys, tmp
 
 
 @pytest.mark.parametrize("command", ["sync", "simulate"])
+def test_lock_held_on_undeclared_asset_exits_2(capsys, tmp_path, command):
+    """A held lock names a declared asset, as a sync step or a request must:
+    no step could name it, and every snapshot would carry it."""
+    doc = simulate_doc()
+    doc["sync"] = [{"source": "c1", "action": "FREEZE", "asset": "a1"}]
+    # An undeclared false entry is dropped, so only ``zz`` is named.
+    doc["state"]["locks"] = {"yy": False, "zz": True, "a1": True}
+    path = write(tmp_path, doc)
+    assert run_cli(capsys, command, str(path)) == (
+        2, "", f"error: {path}/state: lock held on undeclared asset 'zz'\n")
+
+
+def test_undeclared_false_lock_is_dropped(capsys, tmp_path):
+    doc = minimal_doc()
+    doc["state"]["locks"] = {"zz": False}
+    path = write(tmp_path, doc)
+    assert parse_scenario(path).state.locks == frozenset()
+    code, out, _ = run_cli(capsys, "sync", str(path))
+    assert code == 0 and "zz" not in out and out.count('"locks": {}') == 1
+
+
+@pytest.mark.parametrize("command", ["sync", "simulate"])
 @pytest.mark.parametrize(
     "where, value",
     [(("sync", 0, "source"), 1), (("sync", 0, "asset"), 7), (("requests", 0, "asset"), 7),

@@ -1,6 +1,7 @@
 """Smoke test: the scripts under ``scripts/`` and ``python -m regsync`` run
 on the current APIs, a deep model check ends once nothing new is reached,
-and every public name of the package is used outside the tests."""
+every public name of the package is used outside the tests, and each
+layer reads only its own inputs."""
 
 import ast
 import json
@@ -123,6 +124,22 @@ def test_timing_scripts_report_the_cell_table(tmp_path):
     assert proc.stderr == f"scenario={path}: cell table: hits 5, misses 1, held 1/4096\n"
 
 
+def test_modelcheck_bounds_takes_its_budget_from_regsync_budget(monkeypatch):
+    # D=1/A=1 takes 35 syncs at depth 1, as the first run checks.
+    argv = [str(ROOT / "scripts" / "modelcheck_bounds.py"),
+            "--max-domains", "1", "--max-assets", "1", "--depth", "1"]
+    monkeypatch.setenv("REGSYNC_BUDGET", "35")
+    assert run_python(*argv).returncode == 0
+    monkeypatch.setenv("REGSYNC_BUDGET", "34")
+    proc = run_python(*argv)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "budget exceeded: needs at least 35 steps, budget is 34" in proc.stderr
+    monkeypatch.setenv("REGSYNC_BUDGET", "abc")
+    proc = run_python(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error: REGSYNC_BUDGET must be an integer, got 'abc'" in proc.stderr
+
+
 @pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--max-domains", "0"),
                                          ("--max-assets", "-3")])
 def test_modelcheck_bounds_refuses_a_bound_below_one(flag, value):
@@ -243,3 +260,26 @@ def test_every_public_name_is_used_outside_the_tests():
                 used.update(alias.name for alias in node.names)
     assert {node.name for node in public} - used - attributes == TEST_ONLY_CHECKS
     assert {m for m, name in methods.items() if name not in attributes} == TEST_ONLY_METHODS
+
+
+def test_each_layer_reads_only_its_own_inputs():
+    """Read off the source, importing nothing: the engine, the concrete
+    instance, imports no generic layer; only report.py touches the
+    environment; and only the command line reads REGSYNC_BUDGET, so every
+    checker takes its budget as an argument."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "regsync").glob("*.py"))}
+    imported = set()
+    for node in ast.walk(trees["engine.py"]):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else (a.name for a in node.names))
+    assert imported == {"records", "regulatory"}
+
+    def files_with(found):
+        return {name for name, tree in trees.items() if any(map(found, ast.walk(tree)))}
+
+    assert files_with(lambda node: isinstance(node, ast.Attribute) and node.attr == "environ"
+                      and isinstance(node.value, ast.Name) and node.value.id == "os") == {
+        "report.py"}
+    assert files_with(lambda node: isinstance(node, ast.Call) and "enumeration_budget" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))) == {"cli.py"}
