@@ -16,7 +16,9 @@ passes, emptied before them: misses far above the size held show the
 table's bound thrashing.
 
 The budget is REGSYNC_BUDGET's, as for ``regsync modelcheck`` (default
-5,000,000 syncs); raise it to run bounds such as D=6/A=2.
+5,000,000 syncs); raise it to run bounds such as D=6/A=2. A bound over
+the budget ends the run as it ends that command: one ``error:`` line on
+stderr and exit code 2.
 
 Whole invocations of the same code shift together: their per-op medians
 swing by ~50-60% from one invocation to the next on a shared VM, though
@@ -35,7 +37,7 @@ from regsync.modelcheck import (
     asset_names, chain_names, enumerate_initial_states, initial_state_count, run_modelcheck,
 )
 from regsync.regulatory import RegAction
-from regsync.report import enumeration_budget
+from regsync.report import BudgetExceededError, enumeration_budget
 
 # Rounds of the three timed passes. The passes of a round run one after
 # another, so a slow spell of a shared VM, whose figures swing by up to 2x
@@ -119,16 +121,23 @@ def main():
         budget = enumeration_budget()
     except ValueError as exc:
         parser.error(str(exc))
+    try:
+        measure(args.max_domains, args.max_assets, args.depth, budget)
+    except BudgetExceededError as exc:  # an input error, as for ``regsync modelcheck``
+        parser.exit(2, f"error: {exc}\n")
 
-    for d in range(1, args.max_domains + 1):
-        for a in range(1, args.max_assets + 1):
+
+def measure(max_domains: int, max_assets: int, depth: int, budget: int) -> None:
+    """Print one line of figures per bound up to (max_domains, max_assets)."""
+    for d in range(1, max_domains + 1):
+        for a in range(1, max_assets + 1):
             engine.cell.cache_clear()
             batches = None
             runs, alone, share = [], [], []
             per_sync, per_op = {True: [], False: []}, {True: [], False: []}
             for _ in range(ROUNDS):
                 start = time.perf_counter()
-                result = run_modelcheck(d, a, args.depth, budget)
+                result = run_modelcheck(d, a, depth, budget)
                 runs.append(time.perf_counter() - start)
                 if batches is None:  # built after the peak RSS (KiB on Linux) is read
                     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -138,14 +147,14 @@ def main():
                 alone.append(seconds[True] + seconds[False])
                 share.append(1 - alone[-1] / runs[-1])
                 split = OpSplit()
-                run_modelcheck(d, a, args.depth, budget, sync_fn=split)
+                run_modelcheck(d, a, depth, budget, sync_fn=split)
                 split.tick()
                 for ok in per_op:
                     per_sync[ok].append(seconds[ok] / counts[ok] * 1e6)
                     per_op[ok].append(split.mean_us(ok))
             cells = engine.cell.cache_info()
             print(
-                f"D={d} A={a} depth={args.depth}: "
+                f"D={d} A={a} depth={depth}: "
                 f"{initial_state_count(d, a)} initial states, "
                 f"{result.states_explored} reachable, "
                 f"{result.syncs_checked} syncs ({split.ops[True]} successful), "

@@ -3,7 +3,8 @@
 Enumerates every consistent initial global state over bounded chain and
 asset counts, explores all sync sequences to a bounded depth (deduplicating
 revisited states), and checks each successful sync against the protocol's
-guarantees: cross-chain agreement, per-asset isolation, respect of held
+guarantees: cross-chain agreement, per-asset isolation, an unchanged set
+of chains (the three stated once, in preservation.judge), respect of held
 locks, validity preservation, guaranteed success under the combined
 premises, and agreement with the generic multi-domain layer.
 
@@ -32,10 +33,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Hashable, Iterator, Optional
 
 from . import engine
-from .preservation import DomainStateMap, explore, sync_all
+from .preservation import DomainStateMap, explore, judge, sync_all
 from .regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from .report import DEFAULT_BUDGET, BudgetExceededError
 from .scenario import Scenario, SyncCommand
@@ -123,6 +125,7 @@ def _state_key(gs: engine.GlobalState) -> tuple:
 _RANK = {s: i for i, s in enumerate(RegState)}
 _N_STATES = len(_RANK)
 _OWNER = "owner"  # every enumerated cell's owner; _key indexes no other
+_REG_STATE = attrgetter("reg_state")
 
 
 def _index_space(n_chains: int, n_assets: int) -> tuple[dict, dict]:
@@ -152,61 +155,43 @@ def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
                for a, w in weights.items())
 
 
-def to_domain_state_map(gs: engine.GlobalState) -> DomainStateMap:
-    """Project chains to the generic multi-domain layer (reg_state only)."""
-    table = {
-        (c, aid): rec.reg_state
-        for c, chain in gs.chains.items()
-        for aid, rec in chain.items()
-    }
+def to_domain_state_map(gs: engine.GlobalState, read: Callable = _REG_STATE) -> DomainStateMap:
+    """Project chains to the generic multi-domain layer: each cell as
+    ``read`` reads its record, by default its reg_state."""
+    table = {(c, aid): read(rec) for c, chain in gs.chains.items() for aid, rec in chain.items()}
     return DomainStateMap(frozenset(gs.chains), table)
 
 
-def _violations(
-    gs: engine.GlobalState,
-    valid: bool,
-    projection: DomainStateMap,
-    step: SyncCommand,
-    gs2: engine.GlobalState,
-    spec: StateMachineSpec,
-) -> Iterator[tuple[str, str]]:
+def _violations(gs: engine.GlobalState, valid: bool, projection: DomainStateMap, step: SyncCommand,
+                gs2: engine.GlobalState, spec: StateMachineSpec) -> Iterator[tuple[str, str]]:
     """The (rule, detail) of each guarantee that one successful sync from
     ``gs`` to ``gs2`` breaks; a sync on a held lock breaks lock_respected,
     as it must fail. ``valid`` and ``projection`` are
-    ``engine.valid_state(gs)`` and ``to_domain_state_map(gs)``,
-    computed once per explored state."""
-    current = engine.get_reg_state(gs, step.source, step.asset)
-    expected = None if current is None else reg_transition(current, step.action)
-    for c in sorted(engine.connected_chains(gs, step.asset)):
-        if engine.get_reg_state(gs2, c, step.asset) is not expected:
-            yield "cross_domain_consistency", f"chain {c} disagrees"
-    for c, table in gs.chains.items():
-        table2 = gs2.chains.get(c, {})
-        for aid, rec in table.items():
-            after = table2.get(aid)
-            if aid != step.asset:
-                if after != rec:
-                    yield "sync_isolation", f"cell ({c}, {aid}) changed"
-            elif after is None or after.owner != rec.owner:
-                yield "owner_untouched", f"cell ({c}, {aid})"
-    for c, table2 in gs2.chains.items():
-        table = gs.chains.get(c, {})
-        for aid in table2:
-            if aid not in table:
-                yield "sync_isolation", f"cell ({c}, {aid}) appeared"
-    if step.asset in gs2.locks:
+    ``engine.valid_state(gs)`` and ``to_domain_state_map(gs)``, computed
+    once per explored state. preservation.judge states the per-sync rules,
+    here over projections to whole records (so another asset's owner
+    change breaks isolation); the rest are what a projection forgets."""
+    aid = step.asset
+    before, after = (to_domain_state_map(g, lambda rec: rec) for g in (gs, gs2))
+    for rule, _, detail in judge(before, step.source, step.action, aid, after, spec, _REG_STATE):
+        yield rule, detail
+    for c in engine.connected_chains(gs, aid):
+        rec = after.table.get((c, aid))
+        if rec is None or rec.owner != before.table[c, aid].owner:
+            yield "owner_untouched", f"cell ({c}, {aid})"
+    if aid in gs2.locks:
         yield "lock_released", ""
     if valid and not engine.valid_state(gs2):
         yield "valid_state_preservation", ""
 
     # Generic/concrete agreement on the multi-domain projection.
-    if step.asset in gs.locks:
+    if aid in gs.locks:
         yield "lock_respected", ""
     else:
-        generic = sync_all(projection, step.source, step.action, step.asset, spec)
+        generic = sync_all(projection, step.source, step.action, aid, spec)
         if generic is None:
             yield "generic_agreement", "generic sync_all failed where sync succeeded"
-        elif generic.table != to_domain_state_map(gs2).table:
+        elif generic.table != {cell: rec.reg_state for cell, rec in after.table.items()}:
             yield "generic_agreement", "projections differ"
 
 

@@ -233,6 +233,34 @@ def explore(
     return len(visited), taken
 
 
+def judge(before: DomainStateMap, source: DomainId, action: ActionId, aid: AssetKey,
+          after: DomainStateMap, sm: StateMachineSpec, state: Callable = lambda cell: cell,
+          ) -> Iterator[tuple[str, tuple, str]]:
+    """The (rule, where, detail) of each per-sync guarantee that a success
+    of ``sync_all(before, source, action, aid, sm)`` giving ``after``
+    breaks: cross_domain_consistency at each holder whose cell does not
+    read the move's target (none exists where sync_all fails),
+    sync_isolation at each cell of another asset that changed and at each
+    cell that appeared, and domain_set_changed. ``where`` is the holder,
+    the cell or (). ``state`` reads a cell's state; cells are compared
+    whole, so on records a change of another field breaks isolation."""
+    cell = before.table.get((source, aid))
+    expected = None if cell is None else transition_of(sm, state(cell), action)
+    for d in sorted(connected_domains(before, aid)):
+        cell = after.table.get((d, aid))
+        if (None if cell is None else state(cell)) != expected:
+            yield "cross_domain_consistency", (d,), f"chain {d} disagrees"
+    for (d, other), cell in before.table.items():
+        if other != aid and after.table.get((d, other)) != cell:
+            yield "sync_isolation", (d, other), f"cell ({d}, {other}) changed"
+    for d, other in after.table:
+        if (d, other) not in before.table:
+            yield "sync_isolation", (d, other), f"cell ({d}, {other}) appeared"
+    if after.domains != before.domains:
+        detail = f"chains {sorted(before.domains)} became {sorted(after.domains)}"
+        yield "domain_set_changed", (), detail
+
+
 def check_multi_domain(
     ds: DomainStateMap,
     sm: StateMachineSpec,
@@ -243,9 +271,10 @@ def check_multi_domain(
     """Model-check consistency, isolation, and invariant closure.
 
     Explores every sequence of up to ``depth`` sync_all calls (deduplicating
-    revisited maps) and asserts after each successful call that connected
-    domains agree on the transition's target (there is none where the
-    correct sync fails), other assets are untouched, no cell appears, and
+    revisited maps) and asserts after each successful call ``judge``'s
+    rules, which run_modelcheck shares: connected domains agree on the
+    transition's target, other assets are untouched, no cell appears, and
+    the set of domains is unchanged (domain_set_changed); and that
     consistent_init still holds.
     """
     report = check_consistent_init(ds)
@@ -256,25 +285,11 @@ def check_multi_domain(
 
     def visit(current: DomainStateMap, _origin) -> Iterator[tuple[tuple, DomainStateMap]]:
         for triple in steps:
-            source, action, aid = triple
-            result = sync_fn(current, source, action, aid, sm)
+            result = sync_fn(current, *triple, sm)
             if result is None:
                 continue
-            # None where the correct sync must fail: each holder then disagrees.
-            expected = transition_of(sm, current.table.get((source, aid)), action)
-            for d in sorted(connected_domains(current, aid)):
-                got = result.table.get((d, aid))
-                if got != expected:
-                    detail = f"expected {expected}, read {got}"
-                    report.add("cross_domain_consistency", (*triple, d), detail)
-            for (d, other), s in current.table.items():
-                if other != aid and result.table.get((d, other)) != s:
-                    report.add("sync_isolation", (*triple, d, other))
-            for (d, other) in result.table:
-                if (d, other) not in current.table:
-                    report.add("sync_isolation", (*triple, d, other))
-            if result.domains != current.domains:
-                report.add("domain_set_changed", triple)
+            for rule, where, detail in judge(current, *triple, result, sm):
+                report.add(rule, (*triple, *where), detail)
             for v in check_consistent_init(result).violations:
                 report.add("consistent_init_closure", (*triple, v.witness))
             yield triple, result

@@ -91,11 +91,22 @@ def _steal_frozen(aid, gs):
     return _rewrite_owners(gs, lambda a: a == aid) if frozen else gs
 
 
+def _add_empty_chain(aid, gs):
+    return engine.GlobalState({**gs.chains, "zz": {}}, gs.locks)
+
+
+def _drop_empty_chains(aid, gs):
+    return engine.GlobalState({c: t for c, t in gs.chains.items() if t}, gs.locks)
+
+
 _appear_on_bare_chain = _succeeded(_appear)
 _flip_neighbour = _succeeded(_flip)
 # Only the moves to FROZEN leave the index space, so the prescribed
 # successes that follow them are of states no initial state is.
 _change_owner_when_frozen = _succeeded(_steal_frozen)
+# A sync that adds or drops a chain holding no cell changes no cell.
+_add_chain = _succeeded(_add_empty_chain)
+_drop_chains = _succeeded(_drop_empty_chains)
 
 
 def rules(result):
@@ -131,6 +142,8 @@ def rules(result):
             {"sync_isolation", "generic_agreement", "valid_state_preservation"},
             id="projections_differ",
         ),
+        pytest.param(_add_chain, (2, 1, 1), {"domain_set_changed"}, id="chain_added"),
+        pytest.param(_drop_chains, (2, 1, 1), {"domain_set_changed"}, id="chains_dropped"),
     ],
 )
 def test_rule_fires(sync_fn, bounds, fired):
@@ -141,7 +154,8 @@ SMALL_BOUNDS = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 1)]
 SYNC_FNS = [
     engine.sync, _fail_freeze, _touch_neighbour, _mutant_skip_release, _lock_neighbour,
     _accept_undefined, _change_owner, _appear_on_bare_chain, _flip_neighbour,
-    _mutant_skip_target, _mutant_allow_seized_freeze, _change_owner_when_frozen,
+    _mutant_skip_target, _mutant_allow_seized_freeze, _change_owner_when_frozen, _add_chain,
+    _drop_chains,
 ]
 
 
@@ -402,16 +416,19 @@ def reference_violations(
             yield "cross_domain_consistency", f"chain {c} disagrees"
     for c, table in gs.chains.items():
         for aid, rec in table.items():
-            after = gs2.chains.get(c, {}).get(aid)
-            if aid != step.asset:
-                if after != rec:
-                    yield "sync_isolation", f"cell ({c}, {aid}) changed"
-            elif after is None or after.owner != rec.owner:
-                yield "owner_untouched", f"cell ({c}, {aid})"
+            if aid != step.asset and gs2.chains.get(c, {}).get(aid) != rec:
+                yield "sync_isolation", f"cell ({c}, {aid}) changed"
     for c, table in gs2.chains.items():
         for aid in table:
             if aid not in gs.chains.get(c, {}):
                 yield "sync_isolation", f"cell ({c}, {aid}) appeared"
+    if gs2.chains.keys() != gs.chains.keys():
+        yield "domain_set_changed", f"chains {sorted(gs.chains)} became {sorted(gs2.chains)}"
+    for c, table in gs.chains.items():
+        if step.asset in table:
+            after = gs2.chains.get(c, {}).get(step.asset)
+            if after is None or after.owner != table[step.asset].owner:
+                yield "owner_untouched", f"cell ({c}, {step.asset})"
     if step.asset in gs2.locks:
         yield "lock_released", ""
     if valid and not engine.valid_state(gs2):

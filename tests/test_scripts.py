@@ -131,9 +131,11 @@ def test_modelcheck_bounds_takes_its_budget_from_regsync_budget(monkeypatch):
     monkeypatch.setenv("REGSYNC_BUDGET", "35")
     assert run_python(*argv).returncode == 0
     monkeypatch.setenv("REGSYNC_BUDGET", "34")
+    # An overrun is an input error, as for ``regsync modelcheck``: exit 2,
+    # not the violation code 1 of an uncaught exception.
     proc = run_python(*argv)
-    assert proc.returncode != 0 and proc.stdout == ""
-    assert "budget exceeded: needs at least 35 steps, budget is 34" in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: budget exceeded: needs at least 35 steps, budget is 34\n")
     monkeypatch.setenv("REGSYNC_BUDGET", "abc")
     proc = run_python(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -221,6 +223,9 @@ TEST_ONLY_CHECKS = {
 # Methods only tests and bench/test_bench.py call: the bench self-test's
 # mutant sync builds its results with them, and bench/ is the benchmark's own.
 TEST_ONLY_METHODS = {"SyncResult.success", "SyncResult.failure"}
+# Functions only tests and bench/test_bench.py call, for the same reason:
+# the mutant sync reads the source cell's state with it.
+TEST_ONLY_FUNCTIONS = {"get_reg_state"}
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -258,7 +263,8 @@ def test_every_public_name_is_used_outside_the_tests():
                 attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    assert {node.name for node in public} - used - attributes == TEST_ONLY_CHECKS
+    assert {node.name for node in public} - used - attributes == (
+        TEST_ONLY_CHECKS | TEST_ONLY_FUNCTIONS)
     assert {m for m, name in methods.items() if name not in attributes} == TEST_ONLY_METHODS
 
 
@@ -283,3 +289,23 @@ def test_each_layer_reads_only_its_own_inputs():
         "report.py"}
     assert files_with(lambda node: isinstance(node, ast.Call) and "enumeration_budget" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))) == {"cli.py"}
+
+
+def test_each_per_sync_rule_is_stated_once():
+    """The rules both model checkers share are named, as string literals, in
+    one function under ``src/regsync``, preservation.judge, and
+    check_multi_domain and modelcheck._violations both call it."""
+    homes = {"cross_domain_consistency": set(), "sync_isolation": set(),
+             "domain_set_changed": set()}
+    callers = set()
+    for path in sorted((ROOT / "src" / "regsync").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):  # a nested function counts for its outer one too
+                if isinstance(node, ast.Constant) and node.value in homes:
+                    homes[node.value].add(f"{path.stem}.{func.name}")
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "judge":
+                    callers.add(f"{path.stem}.{func.name}")
+    assert homes == dict.fromkeys(homes, {"preservation.judge"})
+    assert {"preservation.check_multi_domain", "modelcheck._violations"} <= callers
