@@ -7,7 +7,7 @@ lock set, and an update copies only the asset tables of its target chains.
 An update takes each new cell from ``cell``, one record per cell value,
 which the model checker's initial and prescribed states share; every
 comparison stays by value, with identity only a shortcut. The records are
-frozen dataclasses with slots (see records.frozen_record).
+frozen slots records that compile only their ``__init__`` (records.py).
 
 canonical_dumps relies on that purity: no chain table and no chains mapping
 is mutated in place after it has been rendered, so it memoises the last

@@ -12,7 +12,6 @@ import itertools
 import random
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -23,17 +22,17 @@ from .priority import (
     request_id,
     select_highest,  # noqa: F401 -- kept as liveness.select_highest, which bench/tracer.py wraps
 )
-from .records import frozen_record
+from .records import field, frozen_record, record
 from .report import ValidationReport
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NodeInfo:
     node_id: int
     honest: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimConfig:
     nodes: tuple[NodeInfo, ...]
     f_max: int

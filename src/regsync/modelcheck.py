@@ -32,19 +32,19 @@ prescribed success of one is another: it is not handed back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Hashable, Iterator, Optional
 
 from . import engine
 from .preservation import DomainStateMap, explore, judge, sync_all
+from .records import field, record
 from .regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from .report import DEFAULT_BUDGET, BudgetExceededError
 from .scenario import Scenario, SyncCommand
 from .sm_core import StateMachineSpec
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Counterexample:
     rule: str
     initial: engine.GlobalState
@@ -58,7 +58,7 @@ class Counterexample:
         return doc
 
 
-@dataclass
+@record
 class ModelCheckResult:
     states_explored: int = 0
     syncs_checked: int = 0
@@ -179,6 +179,8 @@ def _violations(gs: engine.GlobalState, valid: bool, projection: DomainStateMap,
         rec = after.table.get((c, aid))
         if rec is None or rec.owner != before.table[c, aid].owner:
             yield "owner_untouched", f"cell ({c}, {aid})"
+        if rec is not None and rec.asset_id != aid:
+            yield "asset_id_untouched", f"cell ({c}, {aid})"
     if aid in gs2.locks:
         yield "lock_released", ""
     if valid and not engine.valid_state(gs2):

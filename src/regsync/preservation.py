@@ -7,10 +7,9 @@ force over the (small, finite) machines instead of being assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
-from .records import frozen_record
+from .records import frozen_record, record
 from .report import DEFAULT_BUDGET, BudgetExceededError, ValidationReport
 from .sm_core import ActionId, StateId, StateMachineSpec, apply_actions, transition_of
 
@@ -20,7 +19,7 @@ S = TypeVar("S")
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Morphism:
     """A map between two machines, total on the source's states and actions."""
 
@@ -30,7 +29,7 @@ class Morphism:
     action_map: Mapping[ActionId, ActionId]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SymmetricMorphism:
     forward: Morphism
     backward: Morphism

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+
+from .records import field, record
 
 
 DEFAULT_BUDGET = 5_000_000
@@ -35,7 +36,7 @@ def enumeration_budget() -> int:
     return budget
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     rule: str
     witness: object = None
@@ -50,7 +51,7 @@ class Violation:
         return ": ".join(parts)
 
 
-@dataclass
+@record
 class ValidationReport:
     """Accumulates rule violations; empty report means all checks passed."""
 

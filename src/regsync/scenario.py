@@ -7,7 +7,6 @@ that round-tripping canonical inputs is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -15,7 +14,7 @@ from . import engine
 from .engine import json_member, json_object, json_value
 from .liveness import NodeInfo, SimConfig
 from .priority import AuthorityLevel, RegRequest
-from .records import frozen_record
+from .records import field, frozen_record, record
 from .regulatory import RegAction
 
 
@@ -40,7 +39,7 @@ class SyncCommand:
         return {k: v for k, v in doc.items() if v is not None}
 
 
-@dataclass
+@record
 class Scenario:
     state: engine.GlobalState
     sync: list[SyncCommand] = field(default_factory=list)

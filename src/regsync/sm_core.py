@@ -9,16 +9,16 @@ as the identifier it equals. Undefined transitions are represented by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .records import field, record
 from .report import ValidationReport
 
 StateId = str
 ActionId = str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateMachineSpec:
     """Explicit finite description of a partial state machine.
 

@@ -47,16 +47,20 @@ def _accept_undefined(source, action, aid, gs):
     return result
 
 
-def _rewrite_owners(gs, touch):
+def _rewrite(gs, touch, **change):
+    """``gs`` with ``change`` made to the cells of each asset ``touch`` accepts."""
     chains = {
-        c: {a: replace(rec, owner="thief") if touch(a) else rec for a, rec in table.items()}
+        c: {a: replace(rec, **change) if touch(a) else rec for a, rec in table.items()}
         for c, table in gs.chains.items()
     }
     return engine.GlobalState(chains, gs.locks)
 
 
-_touch_neighbour = _succeeded(lambda aid, gs: _rewrite_owners(gs, lambda a: a != aid))
-_change_owner = _succeeded(lambda aid, gs: _rewrite_owners(gs, lambda a: a == aid))
+_touch_neighbour = _succeeded(lambda aid, gs: _rewrite(gs, lambda a: a != aid, owner="thief"))
+_change_owner = _succeeded(lambda aid, gs: _rewrite(gs, lambda a: a == aid, owner="thief"))
+# Every other check reads a cell by its table key; only asset_id_untouched
+# reads the record's own asset_id.
+_rename_asset = _succeeded(lambda aid, gs: _rewrite(gs, lambda a: a == aid, asset_id="zz"))
 _lock_neighbour = _succeeded(
     lambda aid, gs: engine.GlobalState(gs.chains, gs.locks | {"a1" if aid == "a2" else "a2"})
 )
@@ -88,7 +92,7 @@ def _flip(aid, gs):
 def _steal_frozen(aid, gs):
     """Rewrite the synced cell's owner, but only where the sync left it FROZEN."""
     frozen = any(t[aid].reg_state is RegState.FROZEN for t in gs.chains.values() if aid in t)
-    return _rewrite_owners(gs, lambda a: a == aid) if frozen else gs
+    return _rewrite(gs, lambda a: a == aid, owner="thief") if frozen else gs
 
 
 def _add_empty_chain(aid, gs):
@@ -131,6 +135,7 @@ def rules(result):
             id="generic_agreement",
         ),
         pytest.param(_change_owner, (2, 1, 1), {"owner_untouched"}, id="owner_untouched"),
+        pytest.param(_rename_asset, (2, 1, 1), {"asset_id_untouched"}, id="asset_id_untouched"),
         # These two can change a table the engine would have shared with its
         # input; the checker must still compare it.
         pytest.param(
@@ -155,7 +160,7 @@ SYNC_FNS = [
     engine.sync, _fail_freeze, _touch_neighbour, _mutant_skip_release, _lock_neighbour,
     _accept_undefined, _change_owner, _appear_on_bare_chain, _flip_neighbour,
     _mutant_skip_target, _mutant_allow_seized_freeze, _change_owner_when_frozen, _add_chain,
-    _drop_chains,
+    _drop_chains, _rename_asset,
 ]
 
 
@@ -361,22 +366,14 @@ def test_a_generic_layer_fault_is_caught_on_every_success(monkeypatch):
     assert len(successes) == 48
 
 
-def _rename_synced_cell(aid, gs):
-    """Give the synced asset's cell on every holder another asset_id."""
-    chains = {
-        c: {**t, aid: replace(t[aid], asset_id=aid + "'")} if aid in t else t
-        for c, t in gs.chains.items()
-    }
-    return engine.GlobalState(chains, gs.locks)
-
-
-@pytest.mark.parametrize("sync_fn, diagnosed_share", [
-    (engine.sync, 0), (_succeeded(_rename_synced_cell), 1),
+@pytest.mark.parametrize("sync_fn, diagnosed_share, broken", [
+    (engine.sync, 0, set()), (_rename_asset, 1, {"asset_id_untouched"}),
 ], ids=["engine", "asset_id_renamed"])
-def test_only_a_mismatch_is_diagnosed_and_it_is_no_verdict(monkeypatch, sync_fn, diagnosed_share):
+def test_only_a_mismatch_is_diagnosed(monkeypatch, sync_fn, diagnosed_share, broken):
     """The engine's successes all match their prescribed successors. A
-    successor that differs only where no rule reads, the synced cell's
-    asset_id, never matches: each of its successes is diagnosed, and passes."""
+    successor that differs only in the synced cell's asset_id never
+    matches: each of its successes is diagnosed, and breaks
+    asset_id_untouched alone."""
     diagnosed, violations = [], modelcheck._violations
 
     def diagnosis(*args):
@@ -385,7 +382,8 @@ def test_only_a_mismatch_is_diagnosed_and_it_is_no_verdict(monkeypatch, sync_fn,
 
     monkeypatch.setattr(modelcheck, "_violations", diagnosis)
     successes = []
-    assert run_modelcheck(2, 2, 1, sync_fn=_recording(sync_fn, successes)).ok
+    result = run_modelcheck(2, 2, 1, sync_fn=_recording(sync_fn, successes))
+    assert rules(result) == broken
     assert successes and len(diagnosed) == diagnosed_share * len(successes)
 
 
@@ -429,6 +427,8 @@ def reference_violations(
             after = gs2.chains.get(c, {}).get(step.asset)
             if after is None or after.owner != table[step.asset].owner:
                 yield "owner_untouched", f"cell ({c}, {step.asset})"
+            if after is not None and after.asset_id != step.asset:
+                yield "asset_id_untouched", f"cell ({c}, {step.asset})"
     if step.asset in gs2.locks:
         yield "lock_released", ""
     if valid and not engine.valid_state(gs2):
@@ -485,10 +485,11 @@ def indexed_states(draw):
     return engine.GlobalState(chains, draw(st.frozensets(st.sampled_from(ASSETS))))
 
 
-# One edit of a successor: put, drop or lock a cell, or drop a chain.
+# One edit of a successor: put, drop or lock a cell, put a cell whose
+# asset_id is not its key, or drop a chain.
 EDITS = st.lists(
     st.tuples(
-        st.sampled_from(["put", "remove", "lock", "unlock", "drop_chain"]),
+        st.sampled_from(["put", "remove", "lock", "unlock", "rename", "drop_chain"]),
         st.sampled_from(CHAINS), st.sampled_from(ASSETS), STATES, OWNERS,
     ),
     max_size=3,
@@ -499,8 +500,9 @@ def _edited(gs, edits):
     """``gs`` after ``edits``; each edit copies only the table it touches."""
     chains, locks = dict(gs.chains), gs.locks
     for kind, c, aid, state, owner in edits:
-        if kind == "put":
-            chains[c] = {**chains.get(c, {}), aid: engine.AssetState(aid, state, owner)}
+        if kind in ("put", "rename"):
+            rec = engine.AssetState(aid if kind == "put" else "zz", state, owner)
+            chains[c] = {**chains.get(c, {}), aid: rec}
         elif kind == "remove" and aid in chains.get(c, {}):
             chains[c] = {a: rec for a, rec in chains[c].items() if a != aid}
         elif kind == "lock":

@@ -1,12 +1,16 @@
-"""The value-record contract of engine.AssetState, GlobalState and
-SyncResult, of liveness.LockEvent, EpochRecord and SimState and of
-preservation.DomainStateMap: frozen,
-equal (and equally hashed, where hashable) when their fields are equal,
-usable with dataclasses.replace and fields, and with the repr a frozen
-dataclass of the same fields has."""
+"""The value-record contract of every record class under ``src/regsync``
+(every decorated class there): equal (and equally hashed, where hashable)
+when of the same class with equal compared fields; frozen, or mutable and
+unhashable; usable with dataclasses.replace, fields and asdict; kept whole
+by copy, deepcopy and pickle; and with the repr a dataclass of the same
+fields has."""
 
+import ast
+import copy
 import dataclasses
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +24,13 @@ from regsync.liveness import (
     gen_adversarial_schedule,
     run_until_drained,
 )
-from regsync.preservation import DomainStateMap
+from regsync.modelcheck import Counterexample, ModelCheckResult
+from regsync.preservation import DomainStateMap, Morphism, SymmetricMorphism
 from regsync.priority import AuthorityLevel, RegRequest
 from regsync.regulatory import RegAction, RegState
+from regsync.report import ValidationReport, Violation
+from regsync.scenario import Scenario, SyncCommand
+from regsync.sm_core import StateMachineSpec
 
 from conftest import make_state
 
@@ -35,7 +43,49 @@ def global_state():
     return engine.GlobalState({"c1": {"a1": asset_state()}}, frozenset({"a1"}))
 
 
+def sim_config():
+    """A config whose cached honest set is already in its ``__dict__``."""
+    cfg = SimConfig((NodeInfo(0, True), NodeInfo(1, False)), 1, 2, 3, seed=7)
+    assert cfg.is_honest(0) and not cfg.is_honest(1)
+    return cfg
+
+
+def command():
+    return SyncCommand("c1", RegAction.FREEZE, "a1", "ok")
+
+
+def counterexample():
+    return Counterexample("lock_respected", global_state(), (command(),), "")
+
+
+def spec():
+    # One-member sets, so that no repr depends on the hash seed.
+    return StateMachineSpec.make({"s"}, {"go"}, {("s", "go"): "s"})
+
+
+def morphism():
+    return Morphism(spec(), spec(), {"s": "s"}, {"go": "go"})
+
+
+def violation():
+    return Violation("sync_isolation", ("c1", "a1"), "changed")
+
+
 REQUEST = RegRequest(1, AuthorityLevel.NATIONAL, 0, RegAction.FREEZE, "a1")
+
+# The reprs of the records above, spelled out once for the cases below.
+GLOBAL_STATE = ("GlobalState(chains={'c1': {'a1': AssetState(asset_id='a1', "
+                "reg_state=<RegState.ACTIVE: 'ACTIVE'>, owner='o')}}, locks=frozenset({'a1'}))")
+REQUEST_REPR = ("RegRequest(node_id=1, authority=<AuthorityLevel.NATIONAL: 'National'>, "
+                "timestamp=0, action=<RegAction.FREEZE: 'FREEZE'>, asset='a1')")
+SIM_CONFIG = ("SimConfig(nodes=(NodeInfo(node_id=0, honest=True), NodeInfo(node_id=1, "
+              "honest=False)), f_max=1, lock_timeout=2, fairness_bound=3, seed=7)")
+COMMAND = "SyncCommand(source='c1', action=<RegAction.FREEZE: 'FREEZE'>, asset='a1', expect='ok')"
+COUNTEREXAMPLE = f"Counterexample(rule='lock_respected', initial={GLOBAL_STATE}, steps=({COMMAND},), detail='')"
+SPEC = ("StateMachineSpec(states=frozenset({'s'}), actions=frozenset({'go'}), "
+        "transitions={('s', 'go'): 's'}, terminal=frozenset())")
+MORPHISM = f"Morphism(source={SPEC}, target={SPEC}, state_map={{'s': 's'}}, action_map={{'go': 'go'}})"
+VIOLATION = "Violation(rule='sync_isolation', witness=('c1', 'a1'), detail='changed')"
 
 # Per type: a builder of equal records from fresh field objects, whether
 # the records hash, a field change for replace, and the expected repr.
@@ -80,11 +130,49 @@ CASES = {
         "reg_state=<RegState.ACTIVE: 'ACTIVE'>, owner='o')}}, locks=frozenset({'a1'})), "
         "lock_times={'a1': 1})",
     ),
+    "NodeInfo": (
+        lambda: NodeInfo(1, True), True, {"honest": False}, "NodeInfo(node_id=1, honest=True)",
+    ),
+    "SimConfig": (sim_config, True, {"seed": 8}, SIM_CONFIG),
+    "RegRequest": (
+        lambda: RegRequest(1, AuthorityLevel.NATIONAL, 0, RegAction.FREEZE, "a1"), True,
+        {"timestamp": 5}, REQUEST_REPR,
+    ),
+    "SyncCommand": (command, True, {"expect": None}, COMMAND),
+    "Scenario": (
+        lambda: Scenario(global_state(), [command()], [REQUEST], sim_config()), False,
+        {"sim": None},
+        f"Scenario(state={GLOBAL_STATE}, sync=[{COMMAND}], requests=[{REQUEST_REPR}], "
+        f"sim={SIM_CONFIG})",
+    ),
+    "Counterexample": (counterexample, False, {"detail": "held"}, COUNTEREXAMPLE),
+    "ModelCheckResult": (
+        lambda: ModelCheckResult(3, 42, [counterexample()]), False, {"syncs_checked": 0},
+        f"ModelCheckResult(states_explored=3, syncs_checked=42, counterexamples=[{COUNTEREXAMPLE}])",
+    ),
+    "Morphism": (morphism, False, {"state_map": {}}, MORPHISM),
+    "SymmetricMorphism": (
+        lambda: SymmetricMorphism(morphism(), morphism()), False,
+        {"backward": Morphism(spec(), spec(), {}, {})},
+        f"SymmetricMorphism(forward={MORPHISM}, backward={MORPHISM})",
+    ),
+    "StateMachineSpec": (spec, False, {"terminal": frozenset({"s"})}, SPEC),
+    "Violation": (violation, True, {"detail": ""}, VIOLATION),
+    "ValidationReport": (
+        lambda: ValidationReport([violation()]), False, {"violations": []},
+        f"ValidationReport(violations=[{VIOLATION}])",
+    ),
 }
+# The record classes whose instances take assignment; none of them hashes.
+MUTABLE = {"ModelCheckResult", "Scenario", "ValidationReport"}
+FROZEN = sorted(set(CASES) - MUTABLE)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+all_records = pytest.mark.parametrize("name", sorted(CASES))
+
+
 class TestRecordContract:
+    @pytest.mark.parametrize("name", FROZEN)
     def test_assigning_or_deleting_a_field_raises(self, name):
         build = CASES[name][0]
         rec = build()
@@ -95,17 +183,32 @@ class TestRecordContract:
                 delattr(rec, f.name)
         assert rec == build()
 
+    @pytest.mark.parametrize("name", sorted(MUTABLE))
+    def test_a_mutable_record_takes_assignment(self, name):
+        build, _, change, _ = CASES[name]
+        rec = build()
+        (field, value), = change.items()
+        setattr(rec, field, value)
+        assert getattr(rec, field) == value and rec != build()
+        delattr(rec, field)
+        assert field not in vars(rec)
+
+    @all_records
     def test_equal_fields_give_equal_records(self, name):
         build, hashable, _, _ = CASES[name]
         a, b = build(), build()
         assert a == b and not a != b
+        # Only a record of the very same class compares, not its field tuple.
+        compared = tuple(getattr(a, f.name) for f in dataclasses.fields(a) if f.compare)
+        assert a != compared and a.__eq__(compared) is NotImplemented
         if hashable:
-            assert hash(a) == hash(b)
+            assert hash(a) == hash(b) == hash(compared)
             assert len({a, b}) == 1
         else:
             with pytest.raises(TypeError):
                 hash(a)
 
+    @all_records
     def test_replace_and_fields(self, name):
         build, _, change, _ = CASES[name]
         rec = build()
@@ -119,7 +222,25 @@ class TestRecordContract:
             if other != field:
                 assert getattr(changed, other) is getattr(rec, other)
         assert dataclasses.replace(rec) == rec
+        assert type(rec).__match_args__ == tuple(names)
+        assert list(dataclasses.asdict(rec)) == names
 
+    @all_records
+    def test_copy_deepcopy_and_pickle_keep_the_record(self, name):
+        rec = CASES[name][0]()
+        copies = [copy.copy(rec), copy.deepcopy(rec)] + [
+            pickle.loads(pickle.dumps(rec, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for other in copies:
+            assert type(other) is type(rec) and other is not rec
+            assert other == rec and repr(other) == repr(rec)
+            if name in MUTABLE:
+                continue
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(other, dataclasses.fields(rec)[0].name, None)
+
+    @all_records
     def test_repr(self, name):
         assert repr(CASES[name][0]()) == CASES[name][3]
 
@@ -131,6 +252,35 @@ def test_defaults_are_the_declared_ones():
     with pytest.raises(TypeError):
         SimState(0, (), global_state())
     assert SimState(0, (), global_state(), {}).ranking is None
+    # A default factory gives each record a fresh value.
+    assert ModelCheckResult() == ModelCheckResult(0, 0, [])
+    assert ModelCheckResult().counterexamples is not ModelCheckResult().counterexamples
+    assert ValidationReport().violations == [] and ValidationReport().ok
+    scenario = Scenario(global_state())
+    assert (scenario.sync, scenario.requests, scenario.sim) == ([], [], None)
+    assert spec().terminal == frozenset()
+    assert (SimConfig((), 0, 1, 1).seed, Violation("r").witness, Violation("r").detail) == (
+        0, None, "")
+
+
+def test_a_ranking_is_not_part_of_the_value():
+    """SimState.ranking is neither compared nor shown."""
+    state = SimState(2, (REQUEST,), global_state(), {"a1": 1})
+    ranked = dataclasses.replace(state, ranking=object())
+    assert ranked == state and repr(ranked) == repr(state)
+
+
+def test_the_cases_name_every_record_class():
+    """Every decorated class under ``src/regsync`` is a record class, and
+    each one has a case above."""
+    package = Path(__file__).resolve().parent.parent / "src" / "regsync"
+    decorated = {
+        node.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.decorator_list
+    }
+    assert decorated == set(CASES)
 
 
 def test_epoch_record_to_json_is_asdict_on_a_seeded_drain():

@@ -1,7 +1,7 @@
 """Smoke test: the scripts under ``scripts/`` and ``python -m regsync`` run
 on the current APIs, a deep model check ends once nothing new is reached,
-every public name of the package is used outside the tests, and each
-layer reads only its own inputs."""
+every public name of the package is used outside the tests, each layer
+reads only its own inputs, and only records.py applies dataclass."""
 
 import ast
 import json
@@ -289,6 +289,24 @@ def test_each_layer_reads_only_its_own_inputs():
         "report.py"}
     assert files_with(lambda node: isinstance(node, ast.Call) and "enumeration_budget" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))) == {"cli.py"}
+
+
+def test_only_records_applies_dataclass():
+    """Read off the source: no module under ``src/regsync`` but records.py
+    imports ``dataclasses.dataclass`` or names it as an attribute, so no
+    class brings back a compiled method per generated method; record and
+    frozen_record make every record class. ``dataclasses.replace`` and
+    ``field`` stay free to use."""
+    def names_dataclass(node):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            return any(alias.name == "dataclass" for alias in node.names)
+        return isinstance(node, ast.Attribute) and node.attr == "dataclass"
+
+    assert {
+        path.name
+        for path in sorted((ROOT / "src" / "regsync").glob("*.py"))
+        if any(map(names_dataclass, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    } == {"records.py"}
 
 
 def test_each_per_sync_rule_is_stated_once():
