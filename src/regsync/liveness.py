@@ -354,7 +354,12 @@ def drain_horizon(n_requests: int, cfg: SimConfig) -> int:
 
 def check_starvation_bound(trace: EpochTrace, k: int) -> ValidationReport:
     """Every full k-window starting at positive pending must contain a
-    strict decrease."""
+    strict decrease. A theorem of the model only for ``lock_timeout`` <= 2
+    (exhaustive abstract search; test_lock_timeout_2_keeps_every_k_window
+    samples it). From timeout 3 on an honest leader can find every pending
+    asset locked, even at timeout <= k: windows (2, 5) at k = 3 and (4, 8) at
+    k = 4 stall (test_an_honest_epoch_can_find_every_pending_asset_locked,
+    test_a_lock_timeout_below_the_fairness_bound_can_still_starve_a_window)."""
     report = ValidationReport()
     progress = (r.pending_after < r.pending_before for r in trace)
     for start in _windows_without(progress, k):

@@ -101,17 +101,19 @@ def initial_state_count(n_chains: int, n_assets: int) -> int:
     return ((2**n_chains - 1) * _N_STATES) ** n_assets
 
 
-def _over_budget(n_chains: int, n_assets: int, budget: int) -> bool:
-    """Whether initial_state_count times the syncs per state exceeds
-    ``budget``, decided without computing numbers far above the budget."""
-    if n_chains > budget.bit_length():  # 2**n_chains - 1 > budget
-        return True
+def _check_budget(n_chains: int, n_assets: int, budget: int) -> None:
+    """Raise BudgetExceededError if initial_state_count times the syncs per
+    state exceeds ``budget``, naming that product, a part of it past the
+    budget or no count, so that no number far above the budget is built."""
+    if n_chains > budget.bit_length():  # so 2**n_chains - 1 > budget
+        raise BudgetExceededError(None, budget)
     needed = n_chains * len(RegAction) * n_assets
     for _ in range(n_assets):
         if needed > budget:
-            return True
+            break
         needed *= (2**n_chains - 1) * _N_STATES
-    return needed > budget
+    if needed > budget:
+        raise BudgetExceededError(needed, budget)
 
 
 def _state_key(gs: engine.GlobalState) -> tuple:
@@ -289,8 +291,7 @@ def run_modelcheck(
     """
     if min(n_chains, n_assets, depth) < 1:
         raise ValueError(f"bounds must be at least 1, got {(n_chains, n_assets, depth)}")
-    if _over_budget(n_chains, n_assets, budget):
-        raise BudgetExceededError(budget + 1, budget)
+    _check_budget(n_chains, n_assets, budget)
     steps = [
         SyncCommand(c, a, aid)
         for c in chain_names(n_chains)

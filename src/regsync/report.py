@@ -13,8 +13,9 @@ DEFAULT_BUDGET = 5_000_000
 class BudgetExceededError(Exception):
     """Raised when an exhaustive enumeration would exceed the configured budget."""
 
-    def __init__(self, needed: int, budget: int):
-        super().__init__(f"budget exceeded: needs at least {needed} steps, budget is {budget}")
+    def __init__(self, needed: int | None, budget: int):
+        count = f"more than {budget}" if needed is None else f"at least {needed}"
+        super().__init__(f"budget exceeded: needs {count} steps, budget is {budget}")
         self.needed = needed
         self.budget = budget
 

@@ -151,18 +151,22 @@ def scenario_from_json(doc: dict, origin: str = "<scenario>") -> Scenario:
         if aid not in declared_assets:
             raise ValueError(f"undeclared asset {aid!r}")
 
+    steps: dict[tuple, SyncCommand] = {}  # one checked record per distinct step
+
     def sync_step(raw: dict) -> SyncCommand:
-        cmd = SyncCommand(
-            source=json_value(raw["source"], str, "source"),
-            action=json_member(RegAction, raw["action"]),
-            asset=json_value(raw["asset"], str, "asset"),
-            expect=raw.get("expect"),
-        )
-        if cmd.source not in declared_chains:
-            raise ValueError(f"undeclared chain {cmd.source!r}")
-        check_asset(cmd.asset)
-        if cmd.expect is not None and cmd.expect not in _EXPECT_TAGS:
-            raise ValueError(f"unknown expectation {cmd.expect!r}")
+        key = (json_value(raw["source"], str, "source"), json_member(RegAction, raw["action"]),
+               json_value(raw["asset"], str, "asset"), raw.get("expect"))
+        try:
+            return steps[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable expect
+            pass
+        source, _, asset, expect = key
+        if source not in declared_chains:
+            raise ValueError(f"undeclared chain {source!r}")
+        check_asset(asset)
+        if expect is not None and expect not in _EXPECT_TAGS:
+            raise ValueError(f"unknown expectation {expect!r}")
+        steps[key] = cmd = SyncCommand(*key)
         return cmd
 
     def request(raw: dict) -> RegRequest:

@@ -692,11 +692,23 @@ def test_the_checkers_ignore_regsync_budget(monkeypatch, raw):
 
 
 def test_budget_decision_matches_the_exact_count():
+    """The check raises exactly when the first level's syncs exceed the
+    budget, naming a count past the budget and within the true one, or
+    none, only where the holder subsets alone exceed it."""
     for d in range(1, 6):
         for a in range(1, 4):
             needed = initial_state_count(d, a) * d * len(RegAction) * a
             for budget in (needed - 1, needed, needed + 1, 0, 10):
-                assert modelcheck._over_budget(d, a, budget) == (needed > budget), (d, a, budget)
+                if needed <= budget:
+                    modelcheck._check_budget(d, a, budget)
+                    continue
+                with pytest.raises(BudgetExceededError) as raised:
+                    modelcheck._check_budget(d, a, budget)
+                reached = raised.value.needed
+                if reached is None:
+                    assert 2**d - 1 > budget, (d, a, budget)
+                else:
+                    assert budget < reached <= needed, (d, a, budget)
 
 
 def _initial_states_through_make(n_chains, n_assets):

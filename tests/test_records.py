@@ -8,6 +8,7 @@ fields has."""
 import ast
 import copy
 import dataclasses
+import inspect
 import json
 import pickle
 from pathlib import Path
@@ -27,6 +28,7 @@ from regsync.liveness import (
 from regsync.modelcheck import Counterexample, ModelCheckResult
 from regsync.preservation import DomainStateMap, Morphism, SymmetricMorphism
 from regsync.priority import AuthorityLevel, RegRequest
+from regsync.records import frozen_record, record
 from regsync.regulatory import RegAction, RegState
 from regsync.report import ValidationReport, Violation
 from regsync.scenario import Scenario, SyncCommand
@@ -281,6 +283,33 @@ def test_the_cases_name_every_record_class():
         if isinstance(node, ast.ClassDef) and node.decorator_list
     }
     assert decorated == set(CASES)
+
+
+# The record classes without a docstring; each has dataclass's ``Name()``.
+UNDOCUMENTED = ["AssetState", "Counterexample", "EpochRecord", "LockEvent", "ModelCheckResult",
+                "NodeInfo", "RegRequest", "Scenario", "SimConfig", "SymmetricMorphism",
+                "SyncCommand", "Violation"]
+
+
+@pytest.mark.parametrize("name", UNDOCUMENTED)
+def test_an_undocumented_record_class_is_documented_by_its_name(name):
+    assert type(CASES[name][0]()).__doc__ == f"{name}()"
+
+
+@pytest.mark.parametrize("make", [frozen_record, record(frozen=True), record],
+                         ids=["frozen-slots", "frozen", "mutable"])
+@pytest.mark.parametrize("doc", [None, "A point."], ids=["undocumented", "documented"])
+def test_no_record_class_computes_a_signature(monkeypatch, make, doc):
+    """Defining a record class costs no ``inspect.signature`` call, which
+    dataclass makes for an undocumented class only to write its doc."""
+    def signature(*args, **kwargs):
+        raise AssertionError("inspect.signature called")
+
+    monkeypatch.setattr(inspect, "signature", signature)
+    body = {"__annotations__": {"x": int, "y": str}, "y": "", **({"__doc__": doc} if doc else {})}
+    Point = make(type("Point", (), body))
+    assert Point.__doc__ == (doc or "Point()")
+    assert Point(1) == Point(1, "") and repr(Point(1)) == "Point(x=1, y='')"
 
 
 def test_epoch_record_to_json_is_asdict_on_a_seeded_drain():

@@ -379,6 +379,47 @@ def test_misspelt_expect_exits_2_instead_of_dropping_the_expectation(capsys, tmp
         2, "", f"error: {path}/sync[0]: sync step has unknown field 'expct'\n")
 
 
+def test_equal_steps_share_one_record(tmp_path):
+    """A step equal to an earlier one is that step's record, whether its
+    ``expect`` is absent or null; a step that differs in any field is its own."""
+    doc = minimal_doc()
+    step = doc["sync"][0]
+    bare = {"source": "c2", "action": "FREEZE", "asset": "a1"}
+    doc["sync"] = [step, bare, dict(step), {**step, "expect": "Locked"}, {**bare, "expect": None},
+                   {**step, "action": "SEIZE"}, dict(step)]
+    sync = parse_scenario(write(tmp_path, doc)).sync
+    assert sync[0] is sync[2] is sync[6] and sync[1] is sync[4]
+    assert len({id(cmd) for cmd in sync}) == 4
+    assert [cmd.to_json() for cmd in sync] == [{k: v for k, v in raw.items() if v is not None}
+                                              for raw in doc["sync"]]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"extra": 1}, "sync step has unknown field 'extra'"),
+        ({"expect": ["ok"]}, "unknown expectation ['ok']"),
+        ({"expect": {"x": 1}}, "unknown expectation {'x': 1}"),
+        ({"expect": "Lockd"}, "unknown expectation 'Lockd'"),
+        ({"asset": 1}, "asset must be a string, got int"),
+        ({"asset": "a9"}, "undeclared asset 'a9'"),
+        ({"source": "c9"}, "undeclared chain 'c9'"),
+        ({"source": "c9", "expect": ["ok"]}, "undeclared chain 'c9'"),
+    ],
+    ids=["unknown-field", "expect-list", "expect-object", "expect-misspelt", "asset-number",
+         "undeclared-asset", "undeclared-chain", "undeclared-chain-and-expect"],
+)
+def test_a_bad_step_after_an_equal_looking_valid_one_fails_where_it_is(
+        capsys, tmp_path, bad, message):
+    """Every step is checked whole, even one that differs from an earlier
+    valid step in a single field: the error names that step and its fault."""
+    doc = minimal_doc()
+    step = doc["sync"][0]
+    doc["sync"] = [step, dict(step), {**step, **bad}, dict(step)]
+    path = write(tmp_path, doc)
+    assert run_cli(capsys, "sync", str(path)) == (2, "", f"error: {path}/sync[2]: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["sync", "simulate"])
 def test_lock_held_on_undeclared_asset_exits_2(capsys, tmp_path, command):
     """A held lock names a declared asset, as a sync step or a request must:
@@ -436,6 +477,22 @@ class TestModelcheckCommand:
         code, _, err = run_cli(capsys, "modelcheck", "--domains", "3", "--assets", "2", "--depth", "2")
         assert code == 2 and "budget" in err
 
+    @pytest.mark.parametrize(
+        "domains, assets, needs",
+        [("40", "1", "more than 5000000"), ("3", "4000", "at least 102900000"),
+         ("4", "3", "at least 35437500")],
+    )
+    def test_budget_refusal_names_a_count_the_bounds_need(
+            self, capsys, monkeypatch, domains, assets, needs):
+        """Past 2**D - 1 > budget no count is built; otherwise the count
+        is the first level's syncs, (2**D - 1)**A * 5**A * 7 * D * A (4, 3),
+        or the part of that product that first passes the budget (3, 4000)."""
+        monkeypatch.delenv("REGSYNC_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "modelcheck", "--domains", domains, "--assets", assets,
+                                 "--depth", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: budget exceeded: needs {needs} steps, budget is 5000000\n"
+
     @pytest.mark.parametrize("domains, assets", [("3", "4000"), ("100000", "1")])
     def test_huge_bounds_exit_2_at_once(self, capsys, domains, assets):
         start = time.perf_counter()
@@ -461,7 +518,7 @@ class TestModelcheckCommand:
         monkeypatch.setenv("REGSYNC_BUDGET", "0")
         code, out, err = run_cli(capsys, "modelcheck", "--domains", "1", "--depth", "1")
         assert code == 2 and out == ""
-        assert err == "error: budget exceeded: needs at least 1 steps, budget is 0\n"
+        assert err == "error: budget exceeded: needs more than 0 steps, budget is 0\n"
 
     @pytest.mark.parametrize(
         "flag, value",
