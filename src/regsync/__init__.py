@@ -1,10 +1,10 @@
 """Executable cross-chain regulatory state synchronization model.
 
-Layers: a generic finite state machine core, structure-preserving maps and
-multi-domain propagation, the concrete regulatory machine, an atomic sync
-engine with per-asset locking, deterministic priority resolution, a
-Byzantine liveness simulator, and a small-scope model checker, all wired
-into the ``regsync`` CLI.
+Layers: a generic finite state machine core, multi-domain propagation, the
+concrete regulatory machine, an atomic sync engine with per-asset locking,
+deterministic priority resolution, a Byzantine liveness simulator, and a
+small-scope model checker, all wired into the ``regsync`` CLI; ``locales``
+holds the paper's generic locale checks, which only tests run.
 """
 
 from .regulatory import RegAction, RegState, reg_transition

@@ -23,13 +23,8 @@ from regsync.liveness import (
     run_until_drained,
     validate_bft_config,
 )
+from regsync.locales import check_sequential_preservation, identity_morphism, rename_machine
 from regsync.modelcheck import run_modelcheck
-from regsync.preservation import (
-    SymmetricMorphism,
-    check_sequential_preservation,
-    identity_morphism,
-    rename_machine,
-)
 from regsync.priority import (
     AuthorityLevel,
     DuplicateKeyError,

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from regsync import engine, modelcheck
 from regsync.engine import SyncFailure
-from regsync.preservation import check_consistent_init, sync_all
+from regsync.locales import check_consistent_init
+from regsync.preservation import sync_all
 from regsync.priority import AuthorityLevel
 from regsync.regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 

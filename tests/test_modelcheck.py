@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from regsync import engine, modelcheck
 from regsync.engine import SyncFailure, SyncResult
+from regsync.locales import check_multi_domain, check_sequential_preservation, identity_morphism
 from regsync.modelcheck import initial_state_count, run_modelcheck
-from regsync.preservation import (
-    DomainStateMap, check_multi_domain, check_sequential_preservation, identity_morphism, sync_all,
-)
+from regsync.preservation import DomainStateMap, sync_all
 from regsync.regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from regsync.report import BudgetExceededError
 from regsync.scenario import SyncCommand

@@ -1,20 +1,17 @@
 import pytest
 
-from regsync.preservation import (
-    DomainStateMap,
+from regsync.locales import (
     Morphism,
     SymmetricMorphism,
     check_consistent_init,
     check_multi_domain,
-    explore,
     check_naturality,
     check_roundtrip,
     check_sequential_preservation,
-    connected_domains,
     identity_morphism,
     rename_machine,
-    sync_all,
 )
+from regsync.preservation import DomainStateMap, connected_domains, explore, sync_all
 from regsync.regulatory import reg_machine_spec
 from regsync.report import BudgetExceededError
 
@@ -223,8 +220,11 @@ class TestMultiDomainCheck:
         assert "consistent_init" in rules(report)
 
     def test_budget_rejection(self):
-        with pytest.raises(BudgetExceededError):
+        """The refusal names the count explore reached: the first state's 14
+        steps (two domains, seven actions, one asset), not budget + 1."""
+        with pytest.raises(BudgetExceededError) as raised:
             check_multi_domain(two_domain_map(), REG, depth=3, budget=5)
+        assert str(raised.value) == "budget exceeded: needs at least 14 steps, budget is 5"
 
 
 class TestExplore:

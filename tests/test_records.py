@@ -25,8 +25,9 @@ from regsync.liveness import (
     gen_adversarial_schedule,
     run_until_drained,
 )
+from regsync.locales import Morphism, SymmetricMorphism
 from regsync.modelcheck import Counterexample, ModelCheckResult
-from regsync.preservation import DomainStateMap, Morphism, SymmetricMorphism
+from regsync.preservation import DomainStateMap
 from regsync.priority import AuthorityLevel, RegRequest
 from regsync.records import frozen_record, record
 from regsync.regulatory import RegAction, RegState

@@ -4,6 +4,7 @@ import pytest
 
 from regsync import regulatory
 from regsync.engine import SyncFailure
+from regsync.locales import validate_machine
 from regsync.priority import AuthorityLevel
 from regsync.regulatory import (
     RegAction,
@@ -12,7 +13,6 @@ from regsync.regulatory import (
     reg_machine_spec,
     reg_transition,
 )
-from regsync.sm_core import validate_machine
 
 # The published matrix, re-typed cell by cell as an independent reference.
 # Rows: state; columns follow FREEZE, SEIZE, CONFISCATE, RESTRICT,

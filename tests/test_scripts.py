@@ -291,6 +291,28 @@ def test_each_layer_reads_only_its_own_inputs():
         getattr(node.func, "id", None), getattr(node.func, "attr", None))) == {"cli.py"}
 
 
+def test_only_the_tests_load_the_locale_checks():
+    """Read off the source: no module under ``src/regsync`` but locales.py
+    imports ``locales``, so no command compiles the checks only tests run,
+    and each of those checks but check_fair_leader, which shares its window
+    scan with the simulator, is defined in locales.py."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "regsync").glob("*.py"))}
+
+    def imports_locales(node):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            return module[-1] == "locales" or any(a.name == "locales" for a in node.names)
+        return isinstance(node, ast.Import) and any(
+            a.name.split(".")[-1] == "locales" for a in node.names)
+
+    assert {name for name, tree in trees.items()
+            if any(map(imports_locales, ast.walk(tree)))} == set()
+    defined = {node.name for node in trees["locales.py"].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert TEST_ONLY_CHECKS - {"check_fair_leader"} <= defined
+
+
 def test_only_records_applies_dataclass():
     """Read off the source: no module under ``src/regsync`` but records.py
     imports ``dataclasses.dataclass`` or names it as an attribute, so no
@@ -312,7 +334,7 @@ def test_only_records_applies_dataclass():
 def test_each_per_sync_rule_is_stated_once():
     """The rules both model checkers share are named, as string literals, in
     one function under ``src/regsync``, preservation.judge, and
-    check_multi_domain and modelcheck._violations both call it."""
+    locales.check_multi_domain and modelcheck._violations both call it."""
     homes = {"cross_domain_consistency": set(), "sync_isolation": set(),
              "domain_set_changed": set()}
     callers = set()
@@ -326,4 +348,4 @@ def test_each_per_sync_rule_is_stated_once():
                 elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "judge":
                     callers.add(f"{path.stem}.{func.name}")
     assert homes == dict.fromkeys(homes, {"preservation.judge"})
-    assert {"preservation.check_multi_domain", "modelcheck._violations"} <= callers
+    assert {"locales.check_multi_domain", "modelcheck._violations"} <= callers

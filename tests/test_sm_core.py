@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regsync.regulatory import reg_machine_spec
-from regsync.sm_core import (
-    StateMachineSpec,
-    apply_actions,
-    transition_of,
-    validate_machine,
-)
+from regsync.locales import apply_actions, validate_machine
+from regsync.sm_core import StateMachineSpec, transition_of
 
 from conftest import rules
 
