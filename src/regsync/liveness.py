@@ -245,7 +245,8 @@ def step_epoch(s: SimState, sched: LeaderSchedule, cfg: SimConfig) -> tuple[SimS
     can happen with requests pending: once an honest epoch takes the last
     request on the unlocked assets, the requests left may wait on locks a
     Byzantine leader took until those expire. So an honest epoch does not
-    always make progress.
+    always make progress: the starvation window holds only for
+    ``lock_timeout`` <= 2 (check_starvation_bound and its two stall tests).
 
     Every lock decision reads ``global_state.locks``; ``lock_times`` only
     dates the locks that expire, so a lock held with no entry there stays
@@ -348,7 +349,9 @@ def drain_horizon(n_requests: int, cfg: SimConfig) -> int:
     the locks then held expire within lock_timeout epochs. So each request
     is taken within fairness_bound + lock_timeout epochs of the one before.
     ``n_requests * fairness_bound + lock_timeout`` is not a bound: one drain
-    can wait for an expiry more than once."""
+    can wait for an expiry more than once. Only for ``lock_timeout`` <= 2
+    is each taken within fairness_bound epochs of the one before (the
+    starvation window: check_starvation_bound and its two stall tests)."""
     return n_requests * (cfg.fairness_bound + cfg.lock_timeout)
 
 

@@ -9,9 +9,9 @@ locks, validity preservation, guaranteed success under the combined
 premises, and agreement with the generic multi-domain layer.
 
 Each explored state's syncs are checked in one loop over the run's
-steps. Each step's source, action and asset are read once per run, and
-each step's defined move once per explored state, off the projection's
-cells, into a list aligned with the steps.
+steps. A table built once per run gives the moves each projection cell
+enables, so a state's defined moves take one lookup per cell, into a list
+aligned with the steps, and each asset's holders one scan, if needed.
 
 Each sync is checked only for what its outcome can break. A failed sync
 can break only guaranteed success, whose premises are decided once per
@@ -201,27 +201,29 @@ def _violations(gs: engine.GlobalState, valid: bool, projection: DomainStateMap,
 
 def _prescribed(
     gs: engine.GlobalState, projection: DomainStateMap, step: SyncCommand, target: RegState,
-    spec: StateMachineSpec,
+    spec: StateMachineSpec, holders: Optional[list] = None,
 ) -> Optional[tuple[dict, frozenset]]:
     """The chains and locks of the successor the rules prescribe for
-    ``step``, a move from ``gs`` to ``target``; None, decided before it is
-    built, if the asset's lock is held (the sync must fail) or ``sync_all``
-    disagrees. Each new cell is ``engine.cell(asset_id, target, owner)``,
-    as in the engine."""
+    ``step``, a move from ``gs`` to ``target`` at ``holders`` (by default, as
+    engine.connected_chains scans them); None, decided before it is built,
+    if the lock is held (the sync must fail) or ``sync_all`` disagrees. Each
+    new cell is ``engine.cell(asset_id, target, owner)``, once per record."""
     if step.asset in gs.locks:
         return None
     aid, expected = step.asset, projection.table.copy()
-    holders = engine.connected_chains(gs, aid)
+    holders = engine.connected_chains(gs, aid) if holders is None else holders
     for c in holders:
         expected[c, aid] = target
     generic = sync_all(projection, step.source, step.action, aid, spec)
     if generic is None or generic.table != expected:
         return None
-    chains = dict(gs.chains)
+    chains, last = dict(gs.chains), None
     for c in holders:
         chains[c] = table = chains[c].copy()
         rec = table[aid]
-        table[aid] = engine.cell(rec.asset_id, target, rec.owner)
+        if rec is not last:
+            last, new = rec, engine.cell(rec.asset_id, target, rec.owner)
+        table[aid] = new
     return chains, gs.locks
 
 
@@ -235,22 +237,25 @@ def _visitor(
     initial state (a state its origin reached in no step), which is an
     initial state itself and keyed already."""
     spec = reg_machine_spec()
-    moves = {s: [(a, t) for a in RegAction if (t := reg_transition(s, a))] for s in RegState}
+    moves = {(s, a): t for s in RegState for a in RegAction if (t := reg_transition(s, a))}
     rows = [(step, step.source, step.action, step.asset) for step in steps]
-    index = {(source, action, aid): i for i, (_, source, action, aid) in enumerate(rows)}
+    # A projection cell ((chain, asset), state) -> the (step index, move) of each
+    # step it enables; a move is (source's state, action, asset, target).
+    enables: dict = {}
+    for i, (_, source, action, aid) in enumerate(rows):
+        for (s, a), t in moves.items():
+            if a == action:
+                enables.setdefault(((source, aid), s), []).append((i, (s, a, aid, t)))
 
     def visit(gs: engine.GlobalState, origin) -> Iterator[tuple]:
         valid, projection = engine.valid_state(gs), to_domain_state_map(gs)
         initial = not origin[1]
-        # Each step's defined move, (source's state, action, asset, target),
-        # read off the projection's cells; None where the move is undefined.
-        expect: list = [None] * len(rows)
-        for (c, aid), s in projection.table.items():
-            for a, t in moves.get(s, ()):
-                i = index.get((c, a, aid))
-                if i is not None:
-                    expect[i] = (s, a, aid, t)
+        expect: list = [None] * len(rows)  # each step's defined move, or None
+        for cell in projection.table.items():
+            for i, move in enables.get(cell, ()):
+                expect[i] = move
         prescribed: dict = {}  # move -> its prescribed successor's (chains, locks), or None
+        holders: dict = {}  # asset -> its holders, scanned once, for its first prescription
         for (step, source, action, aid), move in zip(rows, expect):
             result = sync_fn(source, action, aid, gs)
             gs2 = result.state
@@ -258,7 +263,9 @@ def _visitor(
                 if move is not None:
                     pre = prescribed.get(move, False)  # None: the move has no successor
                     if pre is False:
-                        pre = prescribed[move] = _prescribed(gs, projection, step, move[3], spec)
+                        held = holders[aid] = holders.get(aid) or engine.connected_chains(gs, aid)
+                        pre = prescribed[move] = _prescribed(
+                            gs, projection, step, move[3], spec, held)
                     if pre is not None and gs2.chains == pre[0] and gs2.locks == pre[1]:
                         if not initial:
                             yield step, gs2

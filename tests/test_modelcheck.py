@@ -397,7 +397,9 @@ def reference_violations(
     """The (rule, detail) of each guarantee that one sync from ``gs``
     breaks; a success on a held lock breaks lock_respected. ``valid`` and
     ``projection`` are ``engine.valid_state(gs)`` and
-    ``modelcheck.to_domain_state_map(gs)``, computed once per explored state."""
+    ``modelcheck.to_domain_state_map(gs)``, computed once per explored state.
+    It states every rule itself, reading neither preservation.judge nor
+    modelcheck._prescribed, and compares states with ``!=``, as judge does."""
     current = engine.get_reg_state(gs, step.source, step.asset)
     expected = None if current is None else reg_transition(current, step.action)
     was_locked = step.asset in gs.locks
@@ -409,7 +411,7 @@ def reference_violations(
 
     gs2 = result.state
     for c in sorted(engine.connected_chains(gs, step.asset)):
-        if engine.get_reg_state(gs2, c, step.asset) is not expected:
+        if engine.get_reg_state(gs2, c, step.asset) != expected:
             yield "cross_domain_consistency", f"chain {c} disagrees"
     for c, table in gs.chains.items():
         for aid, rec in table.items():
@@ -774,6 +776,27 @@ def test_prescribed_cells_are_built_once_per_value():
             for gs in active]
     assert len(made) == 2 and made[0] is made[1]
     assert made[0] is engine.cell("a1", RegState.FROZEN, "owner")
+
+
+def test_the_visitor_scans_an_assets_holders_once_per_state(monkeypatch):
+    """In one run, modelcheck scans an asset's holders at most once per
+    explored state, however many of the state's moves on that asset need a
+    prescription. The engine's own scans, inside engine.sync, are not
+    counted: only modelcheck's view of the engine is wrapped."""
+    scans = Counter()
+
+    class CountingEngine:
+        def __getattr__(self, name):
+            return getattr(engine, name)
+
+        def connected_chains(self, gs, aid):
+            scans[modelcheck._state_key(gs), aid] += 1
+            return engine.connected_chains(gs, aid)
+
+    monkeypatch.setattr(modelcheck, "engine", CountingEngine())
+    result = run_modelcheck(3, 2, 1)
+    assert (result.states_explored, result.syncs_checked, result.ok) == (1225, 51450, True)
+    assert scans and max(scans.values()) == 1
 
 
 def _fresh_cells(sync_fn):

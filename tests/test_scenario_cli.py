@@ -828,6 +828,38 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err == "error: locks held at rest: a3\n"
 
+    def test_a_lower_authoritys_reversal_decides_the_final_state(self, capsys, tmp_path):
+        """A characterization of ROADMAP item 27, not a verdict on it: two
+        chains hold ``a`` ACTIVE, and the fair drain takes International
+        FREEZE at epoch 0 and then Regional UNFREEZE at epoch 2, so ``a``
+        ends ACTIVE on both chains and simulate exits 0. The change that
+        decides what resolution means may move this pin."""
+        doc = simulate_doc()
+        cell = {"state": "ACTIVE", "owner": "o", "locked": False}
+        doc["state"]["chains"] = {"c1": {"a": dict(cell)}, "c2": {"a": dict(cell)}}
+        doc["requests"] = [
+            {"node": 1, "authority": "International", "timestamp": 0,
+             "action": "FREEZE", "asset": "a"},
+            {"node": 2, "authority": "Regional", "timestamp": 5,
+             "action": "UNFREEZE", "asset": "a"},
+        ]
+        doc["sim"]["seed"] = 1
+        path = write(tmp_path, doc)
+        code, out, _ = run_cli(capsys, "simulate", str(path))
+        taken = [(r["epoch"], r["processed"], r["outcome"])
+                 for r in map(json.loads, out.splitlines()[:-2]) if r["processed"]]
+        assert code == 0
+        assert taken == [(0, "n1-t0-FREEZE-a", "ok"), (2, "n2-t5-UNFREEZE-a", "ok")]
+
+        sc = parse_scenario(path)
+        sched = liveness.gen_fair_schedule(sc.sim, liveness.drain_horizon(2, sc.sim))
+        s = liveness.SimState(0, tuple(sc.requests), sc.state, {})
+        while s.pending:
+            s, _ = liveness.step_epoch(s, sched, sc.sim)
+        assert s.epoch == 3
+        assert {c: t["a"].reg_state for c, t in s.global_state.chains.items()} == {
+            "c1": RegState.ACTIVE, "c2": RegState.ACTIVE}
+
     @pytest.mark.parametrize("honest", ["false", 1])
     def test_non_boolean_honest_exits_2(self, capsys, tmp_path, honest):
         doc = simulate_doc()
