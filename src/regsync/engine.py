@@ -139,15 +139,17 @@ def release_lock(gs: GlobalState, aid: AssetKey) -> GlobalState:
 def update_all_chains(
     gs: GlobalState, aid: AssetKey, new_state: RegState, targets: Iterable[ChainId]
 ) -> GlobalState:
-    """``gs`` with every target's cell of ``aid`` in ``new_state``, taken
-    from ``cell``; each target's cell is looked up once."""
-    chains = dict(gs.chains)
+    """``gs`` with every target's cell of ``aid``, looked up once, in
+    ``new_state``: one ``cell`` per run of targets that share a record."""
+    chains, last = dict(gs.chains), None
     for c in targets:
         table = chains.get(c)
         rec = None if table is None else table.get(aid)
         assert rec is not None, f"target {c} does not hold {aid}"
         chains[c] = table = table.copy()
-        table[aid] = cell(rec.asset_id, new_state, rec.owner)
+        if rec is not last:
+            last, new = rec, cell(rec.asset_id, new_state, rec.owner)
+        table[aid] = new
     return GlobalState(chains, gs.locks)
 
 

@@ -211,5 +211,6 @@ def check_multi_domain(
                 report.add("consistent_init_closure", (*triple, v.witness))
             yield triple, result
 
-    explore(lambda: [ds], steps, depth, budget, lambda m: frozenset(m.table.items()), visit)
+    explore([ds], lambda m: m.table == ds.table, steps, depth, budget,
+            lambda m: frozenset(m.table.items()), visit)
     return report

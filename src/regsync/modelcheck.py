@@ -22,11 +22,11 @@ explored state, consulting the generic layer once) breaks no rule, as each
 rule reads only what that successor fixes. The initial and prescribed
 cells come from engine.cell, as the engine's new cells do, so a matching
 success meets the very records it is compared with; the comparison is
-still by value. Other successes are diagnosed rule by rule. A state's key
-is its exact index in the scope, stated once, in _key. The initial states
-are all valid states of the index space and are all keyed before the first
-sync, so a state is initial exactly when no step reached it, and a
-prescribed success of one is another: it is not handed back.
+still by value. Other successes are diagnosed rule by rule. A state's
+index in the scope, its key where it has one, is stated once, in _index.
+The initial states are exactly the lock-free states with an index; that
+predicate tells explore to key none of them, and a prescribed success of
+one is another: it is not handed back. Validity is computed when read.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _state_key(gs: engine.GlobalState) -> tuple:
 
 _RANK = {s: i for i, s in enumerate(RegState)}
 _N_STATES = len(_RANK)
-_OWNER = "owner"  # every enumerated cell's owner; _key indexes no other
+_OWNER = "owner"  # every enumerated cell's owner; _index indexes no other
 _REG_STATE = attrgetter("reg_state")
 
 
@@ -138,23 +138,28 @@ def _index_space(n_chains: int, n_assets: int) -> tuple[dict, dict]:
     return bits, {aid: base**i for i, aid in enumerate(asset_names(n_assets))}
 
 
-def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
-    """The visited-set key of ``gs``: the sum of each asset's weight times
+def _index(gs: engine.GlobalState, bits: dict, weights: dict) -> Optional[int]:
+    """The index of ``gs`` in the scope: the sum of each asset's weight times
     its digit ``((holder mask - 1) * len(RegState) + state rank) * 2 +
-    locked``, or, if ``gs`` is outside that index space, _state_key(gs).
-    Whether it is outside is read from what _state_key reads, compared
-    with ``==``."""
+    locked``, or None if ``gs`` is outside that index space. Whether it is
+    outside is read from what _state_key reads, compared with ``==``."""
     masks, ranks, locks = {}, {}, gs.locks
     for c, table in gs.chains.items():
         for aid, rec in table.items():
             rank = _RANK.get(rec.reg_state)
             if rank is None or rec.owner != _OWNER or ranks.setdefault(aid, rank) != rank:
-                return _state_key(gs)
+                return None
             masks[aid] = masks.get(aid, 0) | bits.get(c, 0)
     if masks.keys() != weights.keys() or gs.chains.keys() != bits.keys() or locks - weights.keys():
-        return _state_key(gs)
+        return None
     return sum((((masks[a] - 1) * _N_STATES + ranks[a]) * 2 + (a in locks)) * w
                for a, w in weights.items())
+
+
+def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
+    """The visited-set key of ``gs``: its index, or _state_key(gs) outside the index space."""
+    index = _index(gs, bits, weights)
+    return _state_key(gs) if index is None else index
 
 
 def to_domain_state_map(gs: engine.GlobalState, read: Callable = _REG_STATE) -> DomainStateMap:
@@ -235,7 +240,8 @@ def _visitor(
     a Counterexample to ``out`` for each guarantee a sync breaks, and
     yields (step, successor) for each success but a prescribed one from an
     initial state (a state its origin reached in no step), which is an
-    initial state itself and keyed already."""
+    initial state itself. engine.valid_state(gs) is called only if a
+    success is not the prescribed one or a defined move fails."""
     spec = reg_machine_spec()
     moves = {(s, a): t for s in RegState for a in RegAction if (t := reg_transition(s, a))}
     rows = [(step, step.source, step.action, step.asset) for step in steps]
@@ -248,8 +254,8 @@ def _visitor(
                 enables.setdefault(((source, aid), s), []).append((i, (s, a, aid, t)))
 
     def visit(gs: engine.GlobalState, origin) -> Iterator[tuple]:
-        valid, projection = engine.valid_state(gs), to_domain_state_map(gs)
-        initial = not origin[1]
+        projection, initial = to_domain_state_map(gs), not origin[1]
+        valid = None  # engine.valid_state(gs), computed when a rule first reads it
         expect: list = [None] * len(rows)  # each step's defined move, or None
         for cell in projection.table.items():
             for i, move in enables.get(cell, ()):
@@ -270,8 +276,9 @@ def _visitor(
                         if not initial:
                             yield step, gs2
                         continue
+                valid = engine.valid_state(gs) if valid is None else valid
                 broken = _violations(gs, valid, projection, step, gs2, spec)
-            elif valid and move is not None:
+            elif move is not None and (valid := engine.valid_state(gs) if valid is None else valid):
                 broken = [("combined_success", f"sync failed with {result.reason}")]
             else:
                 continue
@@ -308,8 +315,9 @@ def run_modelcheck(
     bits, weights = _index_space(n_chains, n_assets)
     out = ModelCheckResult()
     out.states_explored, out.syncs_checked = explore(
-        lambda: enumerate_initial_states(n_chains, n_assets), steps, depth, budget,
-        lambda gs: _key(gs, bits, weights), _visitor(sync_fn, out, steps),
+        enumerate_initial_states(n_chains, n_assets),
+        lambda gs: not gs.locks and _index(gs, bits, weights) is not None,  # is it initial?
+        steps, depth, budget, lambda gs: _key(gs, bits, weights), _visitor(sync_fn, out, steps),
     )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))
     return out

@@ -57,33 +57,32 @@ def sync_all(
 
 
 def explore(
-    initial: Callable[[], Iterable[S]],
+    initial: Iterable[S],
+    is_initial: Callable[[S], bool],
     steps: Sequence[T],
     depth: int,
     budget: int,
     key: Callable[[S], Hashable],
     visit: Callable[[S, tuple[S, tuple[T, ...]]], Iterable[tuple[T, S]]],
 ) -> tuple[int, int]:
-    """Breadth-first search to ``depth`` steps from the distinct initial
-    states, deduplicated by ``key``. ``initial()`` gives the initial states
-    and is called twice, and must yield the same states in the same order
-    on each call: once to key them all, before the first step, and once to
-    visit each first occurrence as it is drawn, zipped with its key, so
-    they are never all held at once.
+    """Breadth-first search to ``depth`` steps from the initial states,
+    deduplicated by ``key``. ``initial`` gives distinct states and is
+    iterated once: each is visited as it is drawn, and none is keyed or
+    kept. ``is_initial`` holds exactly on the states ``initial`` gives, so
+    a successor is new when ``is_initial`` is false for it and its key was
+    not seen.
     ``visit(state, origin)`` is called once per frontier state, with the
     initial state and step trail that first reached it. It returns an
     iterable that takes every step of ``steps`` once, in order, checks it,
     and gives ``(step, successor)`` for each successor it cannot show is
-    already keyed; a failed step gives nothing. Before a state is visited
-    its ``len(steps)`` steps are added to the count of steps taken: if that
-    count would exceed ``budget``, no step of the state is taken and
-    BudgetExceededError(count, budget) is raised. Stops early once a level adds no new state. Returns the number
-    of distinct states seen and of steps taken."""
-    keys = list(map(key, initial()))
-    visited = set(keys)
-    unvisited = visited.copy()  # remove() returns None: only a key's first occurrence passes
-    frontier: Iterable = ((s, (s, ())) for s, k in zip(initial(), keys)
-                          if k in unvisited and not unvisited.remove(k))
+    an initial state or seen already; a failed step gives nothing. Before a
+    state is visited its ``len(steps)`` steps are added to the count of
+    steps taken: if that count would exceed ``budget``, no step of the
+    state is taken and BudgetExceededError(count, budget) is raised. Stops
+    early once a level adds no new state. Returns the number of distinct
+    states seen (those drawn plus those keyed) and of steps taken."""
+    visited, drawn = set(), 0
+    frontier: Iterable = ((s, (s, ())) for s in initial)
     taken, per_state = 0, len(steps)
     for _ in range(depth):
         next_frontier = []
@@ -91,15 +90,15 @@ def explore(
             taken += per_state
             if taken > budget:
                 raise BudgetExceededError(taken, budget)
+            drawn += not origin[1]
             for step, s2 in visit(s, origin):
-                k = key(s2)
-                if k not in visited:
+                if not is_initial(s2) and (k := key(s2)) not in visited:
                     visited.add(k)
                     next_frontier.append((s2, (origin[0], origin[1] + (step,))))
         if not next_frontier:
             break
         frontier = next_frontier
-    return len(visited), taken
+    return drawn + len(visited), taken
 
 
 def judge(before: DomainStateMap, source: DomainId, action: ActionId, aid: AssetKey,

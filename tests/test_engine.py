@@ -127,6 +127,16 @@ class TestUpdateAllChains:
         assert snapshot_locked(updated, "c1", "a1")
         assert snapshot_agrees_with_locks(updated)
 
+    def test_holders_that_share_a_record_share_one_new_record(self, monkeypatch):
+        """A sync of an asset whose three holders share one record makes
+        one engine.cell call, and its record is each holder's new cell."""
+        rec, calls, cell = engine.AssetState("a1", RegState.ACTIVE, "o"), [], engine.cell
+        monkeypatch.setattr(engine, "cell", lambda *args: calls.append(args) or cell(*args))
+        gs = engine.GlobalState({c: {"a1": rec} for c in ("c1", "c2", "c3")}, frozenset())
+        updated = engine.sync("c1", RegAction.FREEZE, "a1", gs).state
+        assert calls == [("a1", RegState.FROZEN, "o")]
+        assert all(table["a1"] is cell(*calls[0]) for table in updated.chains.values())
+
 
 class TestSync:
     def test_sync_keeps_no_closure_cell(self):

@@ -193,29 +193,29 @@ def test_state_index_changes_no_verdict(monkeypatch, sync_fn, bounds):
 
 
 def _recording_explore(monkeypatch, handed):
-    """Make run_modelcheck's explorer append to ``handed`` each state it is
-    given, with the key it gives it: the initial ones and each one a
-    visitor yields, as explore keys each of them once."""
+    """Make run_modelcheck's explorer append to ``handed`` each state it
+    keys, with its key: each one a visitor yields that is not an initial
+    state. The initial states are drawn, not keyed."""
     explore = modelcheck.explore
 
-    def recording(initial, steps, depth, budget, key, visit):
+    def recording(initial, is_initial, steps, depth, budget, key, visit):
         def recording_key(gs):
             k = key(gs)
             handed.append((gs, k))
             return k
 
-        return explore(initial, steps, depth, budget, recording_key, visit)
+        return explore(initial, is_initial, steps, depth, budget, recording_key, visit)
 
     monkeypatch.setattr(modelcheck, "explore", recording)
 
 
 def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
-    """Every state of the engine's run at D=3/A=2 is an initial state, keyed
-    by its index. Each of the 10,080 successful syncs gives its prescribed
-    successor, an initial state too, so none is handed to explore: _key
-    runs once per initial state, all before the first sync, and _state_key
-    never runs. A mutant that leaves holders disagreeing leaves the index
-    space, and its states are keyed by _state_key."""
+    """Every state of the engine's run at D=3/A=2 is an initial state, which
+    has an index. Each of the 10,080 successful syncs gives its prescribed
+    successor, an initial state too, so none is handed to explore: the run
+    is 51,450 syncs, and neither _key nor _state_key runs. A mutant that
+    leaves holders disagreeing leaves the index space, and its states are
+    keyed by _state_key."""
     log, handed = [], []
     state_key, key = modelcheck._state_key, modelcheck._key
     monkeypatch.setattr(modelcheck, "_state_key", lambda gs: log.append("state") or state_key(gs))
@@ -228,10 +228,10 @@ def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
 
     result = run_modelcheck(3, 2, 2, sync_fn=sync_fn)
     assert (result.states_explored, result.syncs_checked, result.ok) == (1225, 51450, True)
-    assert log == ["key"] * 1225 + ["sync"] * 51450
-    assert len(handed) == 1225 and all(engine.valid_state(gs) for gs, _ in handed)
-    assert all(type(k) is int for _, k in handed)
-    assert len({k for _, k in handed}) == 1225
+    assert log == ["sync"] * 51450 and handed == []
+    indexes = {modelcheck._index(gs, *modelcheck._index_space(3, 2))
+               for gs in modelcheck.enumerate_initial_states(3, 2)}
+    assert len(indexes) == 1225 and all(type(k) is int for k in indexes)
     run_modelcheck(3, 2, 2, sync_fn=_mutant_skip_target)
     assert "state" in log
 
@@ -253,11 +253,39 @@ def test_a_sync_from_an_initial_state_gives_an_initial_state(bounds):
     assert successors and all(modelcheck._key(gs2, *space) in indexes for gs2 in successors)
 
 
+@pytest.mark.parametrize("bounds", [(d, a) for d in (1, 2, 3) for a in (1, 2)])
+def test_the_initial_states_are_the_lock_free_indexes(monkeypatch, bounds):
+    """The predicate run_modelcheck hands explore holds on every enumerated
+    state and on no variant of one that holds a lock, has another owner or
+    a state outside RegState, or lacks a chain. The enumerated states'
+    indexes are the lock-free indexes, those whose every digit is even, and
+    number initial_state_count."""
+    predicates = []
+    monkeypatch.setattr(modelcheck, "explore", lambda initial, is_initial, *_: (
+        predicates.append(is_initial) or (0, 0)))
+    run_modelcheck(*bounds, 1)
+    [is_initial] = predicates
+    space = modelcheck._index_space(*bounds)
+    initial = list(modelcheck.enumerate_initial_states(*bounds))
+    assert all(is_initial(gs) for gs in initial)
+    for gs in initial:
+        variants = [engine.GlobalState(gs.chains, frozenset({aid})) for aid in space[1]] + [
+            _rewrite(gs, lambda a: a == "a1", owner="thief"),
+            _rewrite(gs, lambda a: a == "a1", reg_state="UNKNOWN"),
+            engine.GlobalState(dict(list(gs.chains.items())[1:]), gs.locks),
+        ]
+        assert not any(is_initial(v) for v in variants)
+    weights = space[1].values()
+    lock_free = {i for i in range(max(weights) * 2 * len(RegState) * (2 ** bounds[0] - 1))
+                 if all(i // w % 2 == 0 for w in weights)}
+    assert {modelcheck._index(gs, *space) for gs in initial} == lock_free
+    assert len(lock_free) == initial_state_count(*bounds)
+
+
 def test_the_initial_level_is_streamed(monkeypatch):
-    """run_modelcheck hands explore a zero-argument function, which it calls
-    twice: the first pass keys the initial states, and the second draws
-    each only after the syncs of the one before, so the initial states are
-    never all held at once."""
+    """run_modelcheck hands explore the initial states as an iterator, which
+    it draws once: each state only after the syncs of the one before, so
+    the initial states are never all held at once."""
     log, enumerate_initial_states = [], modelcheck.enumerate_initial_states
 
     def drawn(*bounds):
@@ -273,18 +301,21 @@ def test_the_initial_level_is_streamed(monkeypatch):
     result = run_modelcheck(2, 1, 2, sync_fn=sync_fn)
     n, per_state = initial_state_count(2, 1), 2 * len(RegAction)
     assert (result.states_explored, result.syncs_checked, result.ok) == (n, n * per_state, True)
-    assert log == ["draw"] * n + (["draw"] + ["sync"] * per_state) * n
+    assert log == (["draw"] + ["sync"] * per_state) * n
 
 
 def test_keys_identify_what_the_state_key_does(monkeypatch):
     """Two states have equal checker keys, index or fallback, exactly when
-    they have equal _state_keys: over the states explore is given on runs
-    whose successors leave the index space (disagreeing holders, held
-    locks, changed owners, added cells), and over hand-built states."""
+    they have equal _state_keys: over the initial states, over the states
+    explore keys on runs whose successors leave the index space
+    (disagreeing holders, held locks, changed owners, added cells), and
+    over hand-built states."""
     handed = []
     _recording_explore(monkeypatch, handed)
     for mutant in (_mutant_skip_target, _mutant_skip_release, _change_owner, _appear_on_bare_chain):
         run_modelcheck(2, 2, 2, sync_fn=mutant)
+    space = modelcheck._index_space(2, 2)
+    handed += [(gs, modelcheck._key(gs, *space)) for gs in modelcheck.enumerate_initial_states(2, 2)]
     table = {
         "a1": engine.AssetState("a1", RegState.ACTIVE, "owner"),
         "a2": engine.AssetState("a2", RegState.FROZEN, "owner"),
@@ -299,7 +330,6 @@ def test_keys_identify_what_the_state_key_does(monkeypatch):
         engine.GlobalState({"c1": table, "c2": {}}, frozenset({"a3"})),  # a lock on no held asset
         engine.GlobalState({"c1": {"a1": table["a1"]}, "c2": {}}, frozenset({"a2"})),  # a2 unheld
     ]
-    space = modelcheck._index_space(2, 2)
     keys = [modelcheck._key(gs, *space) for gs in hand_built]
     assert keys[0] == keys[1] and type(keys[1]) is int  # "ACTIVE" == RegState.ACTIVE
     assert type(keys[3]) is int and all(type(k) is tuple for k in keys[2:3] + keys[4:])

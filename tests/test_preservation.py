@@ -1,5 +1,6 @@
 import pytest
 
+from regsync import locales
 from regsync.locales import (
     Morphism,
     SymmetricMorphism,
@@ -227,11 +228,74 @@ class TestMultiDomainCheck:
         assert str(raised.value) == "budget exceeded: needs at least 14 steps, budget is 5"
 
 
+def _keyed_explore(initial, is_initial, steps, depth, budget, key, visit):
+    """A reference explorer that keys every initial state before the first
+    step and takes a successor as new only by its key, as explore did
+    before it kept no key for an initial state; it takes no budget."""
+    initial = list(initial)
+    visited, frontier = {key(s) for s in initial}, [(s, (s, ())) for s in initial]
+    for _ in range(depth):
+        next_frontier = []
+        for s, origin in frontier:
+            for step, s2 in visit(s, origin):
+                if (k := key(s2)) not in visited:
+                    visited.add(k)
+                    next_frontier.append((s2, (origin[0], origin[1] + (step,))))
+        frontier = next_frontier
+    return len(visited), None
+
+
+RETURNING = DomainStateMap(
+    frozenset({"d1", "d2", "d3"}),
+    {("d1", "a1"): "ACTIVE", ("d2", "a1"): "ACTIVE", ("d3", "a2"): "RESTRICTED"},
+)
+
+
+def _restore_other_assets(current, source, action, aid, sm):
+    """sync_all, but every other asset's cells go back to RETURNING's:
+    that breaks isolation, and FREEZE then UNFREEZE of a1 returns to it."""
+    result = sync_all(current, source, action, aid, sm)
+    if result is None:
+        return None
+    table = {k: RETURNING.table[k] if k[1] != aid else v for k, v in result.table.items()}
+    return DomainStateMap(result.domains, table)
+
+
+def _grow_domains(current, source, action, aid, sm):
+    """sync_all plus a new domain each time: two syncs can return to
+    RETURNING's table with two more domains, a map the key, which reads
+    only the table, equates with RETURNING. Were it taken as new, its
+    syncs would add 11 domain_set_changed violations at depth 3."""
+    result = sync_all(current, source, action, aid, sm)
+    if result is None:
+        return None
+    return DomainStateMap(result.domains | {f"d{len(result.domains) + 1}"}, result.table)
+
+
+@pytest.mark.parametrize("sync_fn, depth, count", [
+    (sync_all, 3, 0),
+    (_restore_other_assets, 3, 56),
+    (_grow_domains, 3, 156),
+])
+def test_a_return_to_the_initial_map_changes_no_report(monkeypatch, sync_fn, depth, count):
+    """Runs whose sync sequences return to the initial map report what the
+    reference explorer, which keys the initial map, reports: the same
+    violations, in the same order. The counts are the reports' sizes
+    before explore kept no key for an initial state."""
+    report = check_multi_domain(RETURNING, REG, depth, sync_fn=sync_fn)
+    monkeypatch.setattr(locales, "explore", _keyed_explore)
+    assert report.violations == check_multi_domain(RETURNING, REG, depth, sync_fn=sync_fn).violations
+    assert len(report.violations) == count
+    back = sync_fn(sync_fn(RETURNING, "d1", "FREEZE", "a1", REG), "d2", "UNFREEZE", "a1", REG)
+    assert back.table == RETURNING.table
+
+
 class TestExplore:
     """The explorer on a small graph: states are residues mod 5, a step
-    adds 1 or 2. From 0, depth 3 reaches every residue with ten steps:
-    2 from {0}, 4 from {1, 2}, 4 from {3, 4}, whose successors are all
-    seen."""
+    adds 1 or 2. The initial states are given once, distinct, with the
+    predicate that holds exactly on them. From 0, depth 3 reaches every
+    residue with ten steps: 2 from {0}, 4 from {1, 2}, 4 from {3, 4},
+    whose successors are all seen."""
 
     def run(self, budget, depth=3, log=None):
         origins, log = {}, [] if log is None else log
@@ -243,7 +307,7 @@ class TestExplore:
                 log.append(("take", state, step))
                 yield step, (state + step) % 5
 
-        counts = explore(lambda: [0, 0], [1, 2], depth, budget, lambda s: s, visit)
+        counts = explore([0], lambda s: s == 0, [1, 2], depth, budget, lambda s: s, visit)
         return counts, origins
 
     def test_counts_and_trails(self):
@@ -271,51 +335,43 @@ class TestExplore:
                        for e in [("visit", state), ("take", state, 1), ("take", state, 2)]]
 
     def test_failed_steps_lead_nowhere(self):
-        visited = explore(lambda: [0], [1], 3, 10, lambda s: s, lambda s, o: iter(()))
+        visited = explore([0], lambda s: s == 0, [1], 3, 10, lambda s: s, lambda s, o: iter(()))
         assert visited == (1, 1)
 
 
-class Drawn:
-    """A re-iterable over ``states`` that logs each state it hands out, with
-    the number of the pass that drew it."""
-
-    def __init__(self, states, log):
-        self.states, self.log, self.passes = states, log, 0
-
-    def __iter__(self):
-        self.passes += 1
-        for s in self.states:
-            self.log.append(("draw", self.passes, s))
-            yield s
+def drawn(states, log):
+    """A one-shot iterator over ``states`` that logs each state it hands out."""
+    for s in states:
+        log.append(("draw", s))
+        yield s
 
 
 class TestStreamedFirstLevel:
-    """explore keys the initial level in one pass and visits it in a second,
-    drawing each initial state only once the one before it was visited.
-    The graph is TestExplore's; 0 is given twice and 1, a successor of 0,
-    comes after it."""
+    """explore visits the initial level in one pass, drawing each initial
+    state only once the one before it was visited, and keys none of them.
+    The graph is TestExplore's; 1, a successor of 0, is an initial state
+    given after it, and 0 is a successor of 3."""
 
-    INITIAL = [0, 3, 0, 1]
+    INITIAL = [0, 3, 1]
 
-    def run(self, initial, log):
+    def run(self, initial, log, key=lambda s: s):
         def visit(state, origin):
             log.append(("visit", state, origin))
             for step in [1, 2]:
                 log.append(("take", state, step))
                 yield step, (state + step) % 5
 
-        return explore(initial, [1, 2], 2, 100, lambda s: s, visit)
+        return explore(initial, set(self.INITIAL).__contains__, [1, 2], 2, 100, key, visit)
 
     def test_each_state_is_drawn_after_the_one_before_was_visited(self):
         log = []
-        counts = self.run(Drawn(self.INITIAL, log).__iter__, log)
-        assert log == [("draw", 1, s) for s in self.INITIAL] + [
-            ("draw", 2, 0), ("visit", 0, (0, ())), ("take", 0, 1), ("take", 0, 2),
-            ("draw", 2, 3), ("visit", 3, (3, ())), ("take", 3, 1), ("take", 3, 2),
-            ("draw", 2, 0),  # the second 0 is drawn but not visited again
-            ("draw", 2, 1), ("visit", 1, (1, ())), ("take", 1, 1), ("take", 1, 2),
-            # 1 was keyed in the first pass, so 0 does not re-reach it: the
-            # second level is 2 (from 0) and 4 (from 3).
+        counts = self.run(drawn(self.INITIAL, log), log)
+        assert log == [
+            ("draw", 0), ("visit", 0, (0, ())), ("take", 0, 1), ("take", 0, 2),
+            ("draw", 3), ("visit", 3, (3, ())), ("take", 3, 1), ("take", 3, 2),
+            ("draw", 1), ("visit", 1, (1, ())), ("take", 1, 1), ("take", 1, 2),
+            # 1 is an initial state, so 0 does not reach it, nor 3 reach 0:
+            # the second level is 2 (from 0) and 4 (from 3).
             ("visit", 2, (0, (2,))), ("take", 2, 1), ("take", 2, 2),
             ("visit", 4, (3, (1,))), ("take", 4, 1), ("take", 4, 2),
         ]
@@ -323,14 +379,23 @@ class TestStreamedFirstLevel:
 
     def test_the_list_form_gives_the_same_counts_and_order(self):
         streamed, listed = [], []
-        counts = self.run(Drawn(self.INITIAL, streamed).__iter__, streamed)
-        assert self.run(lambda: list(self.INITIAL), listed) == counts
+        counts = self.run(drawn(self.INITIAL, streamed), streamed)
+        assert self.run(list(self.INITIAL), listed) == counts
         assert [e for e in streamed if e[0] != "draw"] == listed
 
     @pytest.mark.parametrize("one_shot", [iter, lambda xs: (x for x in xs)])
-    def test_an_iterator_is_refused(self, one_shot):
-        with pytest.raises(TypeError, match="not callable"):
-            self.run(one_shot(self.INITIAL), [])
+    def test_an_iterator_is_accepted(self, one_shot):
+        """A one-shot iterator gives what a list does. Only the states the
+        predicate rejects are keyed: 2 and 4, each first as new and then as
+        seen; 0, 1 and 3 never, however often they are reached."""
+        keyed, listed = [], []
+        counts = self.run(one_shot(self.INITIAL), [], key=lambda s: keyed.append(s) or s)
+        assert counts == self.run(self.INITIAL, listed) == (5, 10)
+        assert sorted(keyed) == [2, 2, 4, 4]
+
+    def test_a_function_is_refused(self):
+        with pytest.raises(TypeError, match="not iterable"):
+            self.run(lambda: self.INITIAL, [])
 
 
 def test_connected_domains_includes_source():
