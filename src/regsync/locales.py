@@ -188,11 +188,12 @@ def check_multi_domain(
     """Model-check consistency, isolation, and invariant closure.
 
     Explores every sequence of up to ``depth`` sync_all calls (deduplicating
-    revisited maps) and asserts after each successful call ``judge``'s
-    rules, which run_modelcheck shares: connected domains agree on the
-    transition's target, other assets are untouched, no cell appears, and
-    the set of domains is unchanged (domain_set_changed); and that
-    consistent_init still holds.
+    revisited maps, each identified by its domains and table, and keying
+    none equal to ``ds``) and asserts after each successful call
+    ``judge``'s rules, which run_modelcheck shares: connected domains agree
+    on the transition's target, other assets are untouched, no cell
+    appears, and the set of domains is unchanged (domain_set_changed); and
+    that consistent_init still holds.
     """
     report = check_consistent_init(ds)
     if not report.ok:
@@ -211,6 +212,6 @@ def check_multi_domain(
                 report.add("consistent_init_closure", (*triple, v.witness))
             yield triple, result
 
-    explore([ds], lambda m: m.table == ds.table, steps, depth, budget,
-            lambda m: frozenset(m.table.items()), visit)
+    explore([ds], steps, depth, budget,
+            lambda m: None if m == ds else (m.domains, frozenset(m.table.items())), visit)
     return report

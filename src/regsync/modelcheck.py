@@ -22,18 +22,18 @@ explored state, consulting the generic layer once) breaks no rule, as each
 rule reads only what that successor fixes. The initial and prescribed
 cells come from engine.cell, as the engine's new cells do, so a matching
 success meets the very records it is compared with; the comparison is
-still by value. Other successes are diagnosed rule by rule. A state's
-index in the scope, its key where it has one, is stated once, in _index.
-The initial states are exactly the lock-free states with an index; that
-predicate tells explore to key none of them, and a prescribed success of
-one is another: it is not handed back. Validity is computed when read.
+still by value. Other successes are diagnosed rule by rule. A state is
+identified by its value alone (_state_key). The initial states are
+exactly the lock-free states with an index in the scope (_index), the
+states _key gives explore no key for, and a prescribed success of one is
+another: it is not handed back. Validity is computed when read.
 """
 
 from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Callable, Hashable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import engine
 from .preservation import DomainStateMap, explore, judge, sync_all
@@ -117,11 +117,9 @@ def _check_budget(n_chains: int, n_assets: int, budget: int) -> None:
 
 
 def _state_key(gs: engine.GlobalState) -> tuple:
-    """Order-independent identity of a state: its chain names, the fields of
-    every cell and the held locks (the cells carry no lock flag)."""
-    cells = frozenset((c, aid, rec.reg_state, rec.owner)
-                      for c, table in gs.chains.items() for aid, rec in table.items())
-    return frozenset(gs.chains), cells, gs.locks
+    """The frozen value of a state, its chains' tables and its held locks:
+    two keys are equal exactly when the states are ``==``."""
+    return frozenset((c, frozenset(t.items())) for c, t in gs.chains.items()), gs.locks
 
 
 _RANK = {s: i for i, s in enumerate(RegState)}
@@ -142,12 +140,14 @@ def _index(gs: engine.GlobalState, bits: dict, weights: dict) -> Optional[int]:
     """The index of ``gs`` in the scope: the sum of each asset's weight times
     its digit ``((holder mask - 1) * len(RegState) + state rank) * 2 +
     locked``, or None if ``gs`` is outside that index space. Whether it is
-    outside is read from what _state_key reads, compared with ``==``."""
+    outside is read from each cell's asset_id, state and owner, compared
+    with ``==``, from the chain names and from the locks."""
     masks, ranks, locks = {}, {}, gs.locks
     for c, table in gs.chains.items():
         for aid, rec in table.items():
             rank = _RANK.get(rec.reg_state)
-            if rank is None or rec.owner != _OWNER or ranks.setdefault(aid, rank) != rank:
+            if (rank is None or rec.owner != _OWNER or rec.asset_id != aid
+                    or ranks.setdefault(aid, rank) != rank):
                 return None
             masks[aid] = masks.get(aid, 0) | bits.get(c, 0)
     if masks.keys() != weights.keys() or gs.chains.keys() != bits.keys() or locks - weights.keys():
@@ -156,10 +156,10 @@ def _index(gs: engine.GlobalState, bits: dict, weights: dict) -> Optional[int]:
                for a, w in weights.items())
 
 
-def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Hashable:
-    """The visited-set key of ``gs``: its index, or _state_key(gs) outside the index space."""
-    index = _index(gs, bits, weights)
-    return _state_key(gs) if index is None else index
+def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Optional[tuple]:
+    """explore's key of ``gs``: None for an initial state (one that holds no
+    lock and has an index), else _state_key(gs)."""
+    return None if not gs.locks and _index(gs, bits, weights) is not None else _state_key(gs)
 
 
 def to_domain_state_map(gs: engine.GlobalState, read: Callable = _REG_STATE) -> DomainStateMap:
@@ -206,17 +206,17 @@ def _violations(gs: engine.GlobalState, valid: bool, projection: DomainStateMap,
 
 def _prescribed(
     gs: engine.GlobalState, projection: DomainStateMap, step: SyncCommand, target: RegState,
-    spec: StateMachineSpec, holders: Optional[list] = None,
+    spec: StateMachineSpec, holders: list,
 ) -> Optional[tuple[dict, frozenset]]:
     """The chains and locks of the successor the rules prescribe for
-    ``step``, a move from ``gs`` to ``target`` at ``holders`` (by default, as
-    engine.connected_chains scans them); None, decided before it is built,
-    if the lock is held (the sync must fail) or ``sync_all`` disagrees. Each
-    new cell is ``engine.cell(asset_id, target, owner)``, once per record."""
+    ``step``, a move from ``gs`` to ``target`` at ``holders``, the asset's
+    holders as engine.connected_chains scans them; None, decided before it
+    is built, if the lock is held (the sync must fail) or ``sync_all``
+    disagrees. Each new cell is ``engine.cell(step.asset, target, owner)``,
+    whose asset_id is its table key, once per record."""
     if step.asset in gs.locks:
         return None
     aid, expected = step.asset, projection.table.copy()
-    holders = engine.connected_chains(gs, aid) if holders is None else holders
     for c in holders:
         expected[c, aid] = target
     generic = sync_all(projection, step.source, step.action, aid, spec)
@@ -227,7 +227,7 @@ def _prescribed(
         chains[c] = table = chains[c].copy()
         rec = table[aid]
         if rec is not last:
-            last, new = rec, engine.cell(rec.asset_id, target, rec.owner)
+            last, new = rec, engine.cell(aid, target, rec.owner)
         table[aid] = new
     return chains, gs.locks
 
@@ -315,9 +315,8 @@ def run_modelcheck(
     bits, weights = _index_space(n_chains, n_assets)
     out = ModelCheckResult()
     out.states_explored, out.syncs_checked = explore(
-        enumerate_initial_states(n_chains, n_assets),
-        lambda gs: not gs.locks and _index(gs, bits, weights) is not None,  # is it initial?
-        steps, depth, budget, lambda gs: _key(gs, bits, weights), _visitor(sync_fn, out, steps),
+        enumerate_initial_states(n_chains, n_assets), steps, depth, budget,
+        lambda gs: _key(gs, bits, weights), _visitor(sync_fn, out, steps),
     )
     out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))
     return out

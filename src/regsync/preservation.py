@@ -58,19 +58,18 @@ def sync_all(
 
 def explore(
     initial: Iterable[S],
-    is_initial: Callable[[S], bool],
     steps: Sequence[T],
     depth: int,
     budget: int,
-    key: Callable[[S], Hashable],
+    key: Callable[[S], Optional[Hashable]],
     visit: Callable[[S, tuple[S, tuple[T, ...]]], Iterable[tuple[T, S]]],
 ) -> tuple[int, int]:
     """Breadth-first search to ``depth`` steps from the initial states,
     deduplicated by ``key``. ``initial`` gives distinct states and is
-    iterated once: each is visited as it is drawn, and none is keyed or
-    kept. ``is_initial`` holds exactly on the states ``initial`` gives, so
-    a successor is new when ``is_initial`` is false for it and its key was
-    not seen.
+    iterated once: each is visited as it is drawn, and none is kept.
+    ``key(s)`` is None exactly on the states ``initial`` gives and a
+    hashable key of the value of any other state, so a successor is new
+    when its key is not None and was not seen.
     ``visit(state, origin)`` is called once per frontier state, with the
     initial state and step trail that first reached it. It returns an
     iterable that takes every step of ``steps`` once, in order, checks it,
@@ -92,7 +91,7 @@ def explore(
                 raise BudgetExceededError(taken, budget)
             drawn += not origin[1]
             for step, s2 in visit(s, origin):
-                if not is_initial(s2) and (k := key(s2)) not in visited:
+                if (k := key(s2)) is not None and k not in visited:
                     visited.add(k)
                     next_frontier.append((s2, (origin[0], origin[1] + (step,))))
         if not next_frontier:

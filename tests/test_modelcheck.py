@@ -177,45 +177,26 @@ def test_prescribed_successor_changes_no_verdict(monkeypatch, sync_fn, bounds):
     assert fast.counterexamples == diagnosed.counterexamples
 
 
-@pytest.mark.parametrize("bounds", SMALL_BOUNDS)
-@pytest.mark.parametrize("sync_fn", SYNC_FNS)
-def test_state_index_changes_no_verdict(monkeypatch, sync_fn, bounds):
-    """Keying by the index or by _state_key alone explores the same states
-    and finds the same counterexamples, in the same order."""
-    indexed = run_modelcheck(*bounds, sync_fn=sync_fn)
-    # _key keys every state, the initial ones too.
-    monkeypatch.setattr(modelcheck, "_key", lambda gs, *_: modelcheck._state_key(gs))
-    fallback = run_modelcheck(*bounds, sync_fn=sync_fn)
-    assert (indexed.states_explored, indexed.syncs_checked) == (
-        fallback.states_explored, fallback.syncs_checked
-    )
-    assert indexed.counterexamples == fallback.counterexamples
-
-
 def _recording_explore(monkeypatch, handed):
     """Make run_modelcheck's explorer append to ``handed`` each state it
-    keys, with its key: each one a visitor yields that is not an initial
-    state. The initial states are drawn, not keyed."""
+    asks the key of: each one a visitor yields. The initial states are
+    drawn, not keyed."""
     explore = modelcheck.explore
 
-    def recording(initial, is_initial, steps, depth, budget, key, visit):
-        def recording_key(gs):
-            k = key(gs)
-            handed.append((gs, k))
-            return k
-
-        return explore(initial, is_initial, steps, depth, budget, recording_key, visit)
+    def recording(initial, steps, depth, budget, key, visit):
+        return explore(initial, steps, depth, budget,
+                       lambda gs: handed.append(gs) or key(gs), visit)
 
     monkeypatch.setattr(modelcheck, "explore", recording)
 
 
-def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
-    """Every state of the engine's run at D=3/A=2 is an initial state, which
-    has an index. Each of the 10,080 successful syncs gives its prescribed
-    successor, an initial state too, so none is handed to explore: the run
-    is 51,450 syncs, and neither _key nor _state_key runs. A mutant that
-    leaves holders disagreeing leaves the index space, and its states are
-    keyed by _state_key."""
+def test_the_engine_run_keys_no_state(monkeypatch):
+    """Every state of the engine's run at D=3/A=2 is an initial state. Each
+    of the 10,080 successful syncs gives its prescribed successor, an
+    initial state too, so none is handed to explore: the run is 51,450
+    syncs, and neither _key nor _state_key runs. A mutant that leaves
+    holders disagreeing leaves the index space, and its states are keyed
+    by _state_key."""
     log, handed = [], []
     state_key, key = modelcheck._state_key, modelcheck._key
     monkeypatch.setattr(modelcheck, "_state_key", lambda gs: log.append("state") or state_key(gs))
@@ -229,52 +210,50 @@ def test_every_key_of_the_engine_run_is_an_index(monkeypatch):
     result = run_modelcheck(3, 2, 2, sync_fn=sync_fn)
     assert (result.states_explored, result.syncs_checked, result.ok) == (1225, 51450, True)
     assert log == ["sync"] * 51450 and handed == []
-    indexes = {modelcheck._index(gs, *modelcheck._index_space(3, 2))
-               for gs in modelcheck.enumerate_initial_states(3, 2)}
-    assert len(indexes) == 1225 and all(type(k) is int for k in indexes)
-    run_modelcheck(3, 2, 2, sync_fn=_mutant_skip_target)
-    assert "state" in log
+    run_modelcheck(2, 1, 2, sync_fn=_mutant_skip_target)
+    assert "state" in log and handed
 
 
 @pytest.mark.parametrize("bounds", [(d, a) for d in (1, 2, 3) for a in (1, 2)])
 def test_a_sync_from_an_initial_state_gives_an_initial_state(bounds):
     """The closure the visitor relies on when it hands back no prescribed
     success of an initial state: every successful engine.sync from every
-    initial state gives a state whose key is one of the initial states'
-    indexes."""
+    initial state gives a state that _key, like every initial state's,
+    gives no key."""
     space = modelcheck._index_space(*bounds)
     initial = list(modelcheck.enumerate_initial_states(*bounds))
-    indexes = {modelcheck._key(gs, *space) for gs in initial}
-    assert len(indexes) == len(initial) and all(type(k) is int for k in indexes)
+    assert all(modelcheck._key(gs, *space) is None for gs in initial)
     steps = [(c, a, aid) for c in modelcheck.chain_names(bounds[0]) for a in RegAction
              for aid in modelcheck.asset_names(bounds[1])]
     successors = [result.state for gs in initial for step in steps
                   if (result := engine.sync(*step, gs)).ok]
-    assert successors and all(modelcheck._key(gs2, *space) in indexes for gs2 in successors)
+    assert successors and all(modelcheck._key(gs2, *space) is None for gs2 in successors)
 
 
 @pytest.mark.parametrize("bounds", [(d, a) for d in (1, 2, 3) for a in (1, 2)])
 def test_the_initial_states_are_the_lock_free_indexes(monkeypatch, bounds):
-    """The predicate run_modelcheck hands explore holds on every enumerated
-    state and on no variant of one that holds a lock, has another owner or
-    a state outside RegState, or lacks a chain. The enumerated states'
-    indexes are the lock-free indexes, those whose every digit is even, and
-    number initial_state_count."""
-    predicates = []
-    monkeypatch.setattr(modelcheck, "explore", lambda initial, is_initial, *_: (
-        predicates.append(is_initial) or (0, 0)))
+    """The key run_modelcheck hands explore is None on every enumerated
+    state and on no variant of one that holds a lock, has another owner, a
+    state outside RegState or a cell whose asset_id is not its table key,
+    or lacks a chain. The enumerated states' indexes are the lock-free
+    indexes, those whose every digit is even, and number
+    initial_state_count."""
+    keys = []
+    monkeypatch.setattr(modelcheck, "explore", lambda initial, steps, depth, budget, key, visit: (
+        keys.append(key) or (0, 0)))
     run_modelcheck(*bounds, 1)
-    [is_initial] = predicates
+    [key] = keys
     space = modelcheck._index_space(*bounds)
     initial = list(modelcheck.enumerate_initial_states(*bounds))
-    assert all(is_initial(gs) for gs in initial)
+    assert all(key(gs) is None for gs in initial)
     for gs in initial:
         variants = [engine.GlobalState(gs.chains, frozenset({aid})) for aid in space[1]] + [
             _rewrite(gs, lambda a: a == "a1", owner="thief"),
             _rewrite(gs, lambda a: a == "a1", reg_state="UNKNOWN"),
+            _rewrite(gs, lambda a: a == "a1", asset_id="zz"),
             engine.GlobalState(dict(list(gs.chains.items())[1:]), gs.locks),
         ]
-        assert not any(is_initial(v) for v in variants)
+        assert all(key(v) == modelcheck._state_key(v) for v in variants)
     weights = space[1].values()
     lock_free = {i for i in range(max(weights) * 2 * len(RegState) * (2 ** bounds[0] - 1))
                  if all(i // w % 2 == 0 for w in weights)}
@@ -304,41 +283,46 @@ def test_the_initial_level_is_streamed(monkeypatch):
     assert log == (["draw"] + ["sync"] * per_state) * n
 
 
-def test_keys_identify_what_the_state_key_does(monkeypatch):
-    """Two states have equal checker keys, index or fallback, exactly when
-    they have equal _state_keys: over the initial states, over the states
-    explore keys on runs whose successors leave the index space
-    (disagreeing holders, held locks, changed owners, added cells), and
-    over hand-built states."""
+def test_state_keys_are_equal_exactly_when_the_states_are(monkeypatch):
+    """_state_key(a) == _state_key(b) exactly when a == b: over the initial
+    states, over the states explore is handed on runs whose successors
+    leave the index space (disagreeing holders, held locks, changed owners,
+    added cells), and over hand-built states, twins among them."""
     handed = []
     _recording_explore(monkeypatch, handed)
     for mutant in (_mutant_skip_target, _mutant_skip_release, _change_owner, _appear_on_bare_chain):
         run_modelcheck(2, 2, 2, sync_fn=mutant)
-    space = modelcheck._index_space(2, 2)
-    handed += [(gs, modelcheck._key(gs, *space)) for gs in modelcheck.enumerate_initial_states(2, 2)]
-    table = {
-        "a1": engine.AssetState("a1", RegState.ACTIVE, "owner"),
-        "a2": engine.AssetState("a2", RegState.FROZEN, "owner"),
-    }
+    assert any(gs.locks for gs in handed)
+    a1 = engine.AssetState("a1", RegState.ACTIVE, "owner")
+    table = {"a1": a1, "a2": engine.AssetState("a2", RegState.FROZEN, "owner")}
     text = {**table, "a1": engine.AssetState("a1", "ACTIVE", "owner")}
-    hand_built = [
+    renamed = {**table, "a1": engine.AssetState("zz", RegState.ACTIVE, "owner")}
+    twins = [
         engine.GlobalState({"c1": table, "c2": table}, frozenset()),
+        engine.GlobalState({"c2": dict(reversed(table.items())), "c1": table}, frozenset()),
         engine.GlobalState({"c1": text, "c2": text}, frozenset()),  # a str-valued state
+        engine.GlobalState({"c1": renamed, "c2": renamed}, frozenset()),  # an asset_id twin
+    ]
+    hand_built = twins + [
         engine.GlobalState({"c1": table, "c2": table, "c3": table}, frozenset()),  # an extra chain
         engine.GlobalState({"c1": table, "c2": {}}, frozenset()),  # an empty chain
         engine.GlobalState({"c1": table}, frozenset()),  # a missing chain
         engine.GlobalState({"c1": table, "c2": {}}, frozenset({"a3"})),  # a lock on no held asset
-        engine.GlobalState({"c1": {"a1": table["a1"]}, "c2": {}}, frozenset({"a2"})),  # a2 unheld
+        engine.GlobalState({"c1": {"a1": a1}, "c2": {}}, frozenset({"a2"})),  # a2 unheld
     ]
-    keys = [modelcheck._key(gs, *space) for gs in hand_built]
-    assert keys[0] == keys[1] and type(keys[1]) is int  # "ACTIVE" == RegState.ACTIVE
-    assert type(keys[3]) is int and all(type(k) is tuple for k in keys[2:3] + keys[4:])
-    pairs = {(k, modelcheck._state_key(gs)) for gs, k in handed + list(zip(hand_built, keys))}
-    # Two keys agree on every pair of states exactly when each key value of
-    # one pairs with a single key value of the other.
-    assert len({k for k, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
-    assert {type(k) for k, _ in pairs} == {int, tuple}
-    assert any(gs.locks for gs, _ in handed)
+    keys = [modelcheck._state_key(gs) for gs in twins]
+    assert keys[0] == keys[1] == keys[2] != keys[3] and twins[0] == twins[2] != twins[3]
+    by_key: dict = {}
+    for gs in [*modelcheck.enumerate_initial_states(2, 2), *handed, *hand_built]:
+        by_key.setdefault(modelcheck._state_key(gs), []).append(gs)
+    assert all(gs == same[0] for same in by_key.values() for gs in same)
+    # Equal states hold the same assets on the same chains under the same
+    # locks, so only states of distinct keys that do are compared.
+    shapes: dict = {}
+    for gs, *_ in by_key.values():
+        shape = frozenset((c, frozenset(t)) for c, t in gs.chains.items()), gs.locks
+        shapes.setdefault(shape, []).append(gs)
+    assert not any(a == b for same in shapes.values() for a, b in itertools.combinations(same, 2))
 
 
 @pytest.mark.parametrize("bounds, outcomes", [
@@ -393,6 +377,13 @@ def test_a_generic_layer_fault_is_caught_on_every_success(monkeypatch):
     verdicts = [(ce.rule, ce.detail) for ce in result.counterexamples]
     assert verdicts == [("generic_agreement", "projections differ")] * 48
     assert len(successes) == 48
+
+
+def test_a_renamed_asset_id_makes_another_state():
+    """A state that differs from an initial one only in a cell's asset_id
+    is not that initial state: at D=1/A=1, _rename_asset's successes of
+    the 5 initial states reach the 5 states that rename a1's record."""
+    assert run_modelcheck(1, 1, 2, sync_fn=_rename_asset).states_explored == 10
 
 
 @pytest.mark.parametrize("sync_fn, diagnosed_share, broken", [
@@ -601,7 +592,7 @@ def test_checker_matches_the_reference(gs, edits):
     spec = reg_machine_spec()
     valid, projection = engine.valid_state(gs), modelcheck.to_domain_state_map(gs)
     out, pending = modelcheck.ModelCheckResult(), []
-    initial = valid and type(modelcheck._key(gs, *SPACE)) is int
+    initial = valid and modelcheck._key(gs, *SPACE) is None
     trail = () if initial else (SyncCommand("c1", RegAction.FREEZE, "a1"),)
 
     def checked(step, result):
@@ -613,7 +604,7 @@ def test_checker_matches_the_reference(gs, edits):
             assert got == []
         elif initial and _prescription(gs, step) == (gs2.chains, gs2.locks):
             assert got == []
-            assert engine.valid_state(gs2) and type(modelcheck._key(gs2, *SPACE)) is int
+            assert engine.valid_state(gs2) and modelcheck._key(gs2, *SPACE) is None
         else:
             [(taken, got_state)] = got
             assert taken is step and got_state is gs2
@@ -787,7 +778,8 @@ def test_the_holders_of_a_prescribed_successor_share_one_cell():
     )
     step = SyncCommand("c2", RegAction.FREEZE, "a1")
     chains, _ = modelcheck._prescribed(
-        gs, modelcheck.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec()
+        gs, modelcheck.to_domain_state_map(gs), step, RegState.FROZEN, reg_machine_spec(),
+        engine.connected_chains(gs, "a1"),
     )
     cells = [table["a1"] for table in chains.values()]
     assert len(cells) == 3 and all(cell is cells[0] for cell in cells)
@@ -801,8 +793,8 @@ def test_prescribed_cells_are_built_once_per_value():
     active = [gs for gs in modelcheck.enumerate_initial_states(2, 1)
               if engine.get_reg_state(gs, "c1", "a1") is RegState.ACTIVE]
     step, spec = SyncCommand("c1", RegAction.FREEZE, "a1"), reg_machine_spec()
-    made = [modelcheck._prescribed(gs, modelcheck.to_domain_state_map(gs), step,
-                                   RegState.FROZEN, spec)[0]["c1"]["a1"]
+    made = [modelcheck._prescribed(gs, modelcheck.to_domain_state_map(gs), step, RegState.FROZEN,
+                                   spec, engine.connected_chains(gs, "a1"))[0]["c1"]["a1"]
             for gs in active]
     assert len(made) == 2 and made[0] is made[1]
     assert made[0] is engine.cell("a1", RegState.FROZEN, "owner")
