@@ -27,14 +27,14 @@ from json.encoder import encode_basestring_ascii
 from operator import is_not
 from typing import Iterable, Mapping, Optional
 
-from .records import frozen_record
+from .records import record
 from .regulatory import RegAction, RegState, TextEnum, reg_transition
 
 ChainId = str
 AssetKey = str
 
 
-@frozen_record
+@record
 class AssetState:
     asset_id: AssetKey
     reg_state: RegState
@@ -51,7 +51,7 @@ def cell(asset_id: AssetKey, state: RegState, owner: str) -> AssetState:
     return AssetState(asset_id, state, owner)
 
 
-@frozen_record
+@record
 class GlobalState:
     """Per-chain asset tables plus the set of assets whose lock is held.
 
@@ -82,7 +82,7 @@ class SyncFailure(TextEnum):
     LOCKED = "Locked"
 
 
-@frozen_record
+@record
 class SyncResult:
     """Success carries the new GlobalState; failure carries a reason tag."""
 

@@ -12,7 +12,6 @@ import itertools
 import random
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from . import engine
@@ -22,17 +21,17 @@ from .priority import (
     request_id,
     select_highest,  # noqa: F401 -- kept as liveness.select_highest, which bench/tracer.py wraps
 )
-from .records import field, frozen_record, record
+from .records import field, record
 from .report import ValidationReport
 
 
-@record(frozen=True)
+@record
 class NodeInfo:
     node_id: int
     honest: bool
 
 
-@record(frozen=True)
+@record
 class SimConfig:
     nodes: tuple[NodeInfo, ...]
     f_max: int
@@ -48,12 +47,11 @@ class SimConfig:
     def byzantine_nodes(self) -> tuple[NodeInfo, ...]:
         return tuple(n for n in self.nodes if not n.honest)
 
-    @cached_property
-    def _honest_ids(self) -> frozenset[int]:
-        return frozenset(n.node_id for n in self.honest_nodes)
-
     def is_honest(self, node_id: int) -> bool:
-        return node_id in self._honest_ids
+        for n in self.nodes:
+            if n.honest and n.node_id == node_id:
+                return True
+        return False
 
 
 def validate_bft_config(cfg: SimConfig) -> ValidationReport:
@@ -162,14 +160,14 @@ def _gen_schedule(
     return LeaderSchedule(draws, horizon)
 
 
-@frozen_record
+@record
 class LockEvent:
     asset: str
     event: str  # "acquire" | "release" | "expire"
     epoch: int
 
 
-@frozen_record
+@record
 class SimState:
     """A drain at the start of ``epoch``. ``lock_times`` dates each lock
     that can expire. ``ranking`` is the one step_epoch carries forward,
@@ -214,7 +212,7 @@ class Ranking:
         self.pending = pending
 
 
-@frozen_record
+@record
 class EpochRecord:
     epoch: int
     leader: int

@@ -50,7 +50,7 @@ def validate_machine(sm: StateMachineSpec) -> ValidationReport:
     return report
 
 
-@record(frozen=True)
+@record
 class Morphism:
     """A map between two machines, total on the source's states and actions."""
 
@@ -60,7 +60,7 @@ class Morphism:
     action_map: Mapping[ActionId, ActionId]
 
 
-@record(frozen=True)
+@record
 class SymmetricMorphism:
     forward: Morphism
     backward: Morphism

@@ -44,7 +44,7 @@ from .scenario import Scenario, SyncCommand
 from .sm_core import StateMachineSpec
 
 
-@record(frozen=True)
+@record
 class Counterexample:
     rule: str
     initial: engine.GlobalState
@@ -232,12 +232,11 @@ def _prescribed(
     return chains, gs.locks
 
 
-def _visitor(
-    sync_fn: Callable[..., engine.SyncResult], out: ModelCheckResult, steps: list[SyncCommand],
-) -> Callable:
+def _visitor(sync_fn: Callable[..., engine.SyncResult], found: list[Counterexample],
+             steps: list[SyncCommand]) -> Callable:
     """The ``visit`` hook of run_modelcheck: per explored state, one loop
     that runs every step of ``steps`` through ``sync_fn`` in order, appends
-    a Counterexample to ``out`` for each guarantee a sync breaks, and
+    a Counterexample to ``found`` for each guarantee a sync breaks, and
     yields (step, successor) for each success but a prescribed one from an
     initial state (a state its origin reached in no step), which is an
     initial state itself. engine.valid_state(gs) is called only if a
@@ -283,7 +282,7 @@ def _visitor(
             else:
                 continue
             trail = origin[1] + (step,)
-            out.counterexamples += [Counterexample(r, origin[0], trail, d) for r, d in broken]
+            found.extend(Counterexample(r, origin[0], trail, d) for r, d in broken)
             if gs2 is not None:
                 yield step, gs2
 
@@ -313,10 +312,10 @@ def run_modelcheck(
         for aid in asset_names(n_assets)
     ]
     bits, weights = _index_space(n_chains, n_assets)
-    out = ModelCheckResult()
-    out.states_explored, out.syncs_checked = explore(
+    found: list[Counterexample] = []
+    states, syncs = explore(
         enumerate_initial_states(n_chains, n_assets), steps, depth, budget,
-        lambda gs: _key(gs, bits, weights), _visitor(sync_fn, out, steps),
+        lambda gs: _key(gs, bits, weights), _visitor(sync_fn, found, steps),
     )
-    out.counterexamples.sort(key=lambda ce: (len(ce.steps), ce.rule))
-    return out
+    found.sort(key=lambda ce: (len(ce.steps), ce.rule))
+    return ModelCheckResult(states, syncs, found)

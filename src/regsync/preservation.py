@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
-from .records import frozen_record
+from .records import record
 from .report import BudgetExceededError
 from .sm_core import ActionId, StateId, StateMachineSpec, transition_of
 
@@ -17,7 +17,7 @@ S = TypeVar("S")
 T = TypeVar("T")
 
 
-@frozen_record
+@record
 class DomainStateMap:
     """Per-domain, per-asset state table; an absent cell means not present."""
 

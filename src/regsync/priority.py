@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .records import frozen_record
+from .records import record
 from .regulatory import RegAction, TextEnum
 
 
@@ -54,7 +54,7 @@ class DuplicateKeyError(ValueError):
         self.key = key
 
 
-@frozen_record
+@record
 class RegRequest:
     node_id: int
     authority: AuthorityLevel

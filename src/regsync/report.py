@@ -37,7 +37,7 @@ def enumeration_budget() -> int:
     return budget
 
 
-@record(frozen=True)
+@record
 class Violation:
     rule: str
     witness: object = None

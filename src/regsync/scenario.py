@@ -14,7 +14,7 @@ from . import engine
 from .engine import json_member, json_object, json_value
 from .liveness import NodeInfo, SimConfig
 from .priority import AuthorityLevel, RegRequest
-from .records import field, frozen_record, record
+from .records import field, record
 from .regulatory import RegAction
 
 
@@ -26,7 +26,7 @@ class ScenarioError(ValueError):
         self.location = location
 
 
-@frozen_record
+@record
 class SyncCommand:
     source: str
     action: RegAction

@@ -17,7 +17,7 @@ StateId = str
 ActionId = str
 
 
-@record(frozen=True)
+@record
 class StateMachineSpec:
     """Explicit finite description of a partial state machine.
 

@@ -287,15 +287,20 @@ def test_state_keys_are_equal_exactly_when_the_states_are(monkeypatch):
     """_state_key(a) == _state_key(b) exactly when a == b: over the initial
     states, over the states explore is handed on runs whose successors
     leave the index space (disagreeing holders, held locks, changed owners,
-    added cells), and over hand-built states, twins among them."""
+    added cells, a released lock kept, a seized asset frozen), and over
+    hand-built states no sync reaches, twins among them."""
     handed = []
     _recording_explore(monkeypatch, handed)
     for mutant in (_mutant_skip_target, _mutant_skip_release, _change_owner, _appear_on_bare_chain):
         run_modelcheck(2, 2, 2, sync_fn=mutant)
+    for mutant in (_mutant_skip_target, _mutant_skip_release, _mutant_allow_seized_freeze):
+        run_modelcheck(2, 1, 2, sync_fn=mutant)
     assert any(gs.locks for gs in handed)
     a1 = engine.AssetState("a1", RegState.ACTIVE, "owner")
-    table = {"a1": a1, "a2": engine.AssetState("a2", RegState.FROZEN, "owner")}
-    text = {**table, "a1": engine.AssetState("a1", "ACTIVE", "owner")}
+    a2 = engine.AssetState("a2", RegState.FROZEN, "owner")
+    text_a1 = engine.AssetState("a1", "ACTIVE", "owner")
+    table = {"a1": a1, "a2": a2}
+    text = {**table, "a1": text_a1}
     renamed = {**table, "a1": engine.AssetState("zz", RegState.ACTIVE, "owner")}
     twins = [
         engine.GlobalState({"c1": table, "c2": table}, frozenset()),
@@ -303,17 +308,32 @@ def test_state_keys_are_equal_exactly_when_the_states_are(monkeypatch):
         engine.GlobalState({"c1": text, "c2": text}, frozenset()),  # a str-valued state
         engine.GlobalState({"c1": renamed, "c2": renamed}, frozenset()),  # an asset_id twin
     ]
-    hand_built = twins + [
+    # A held lock on a2, which one chain holds: the same state with its
+    # chains in reverse, its c1 table in reverse, and a str-valued a1.
+    locked = [
+        engine.GlobalState({"c1": table, "c2": {"a1": a1}}, frozenset({"a2"})),
+        engine.GlobalState({"c2": {"a1": a1}, "c1": table}, frozenset({"a2"})),
+        engine.GlobalState({"c1": {"a2": a2, "a1": a1}, "c2": {"a1": a1}}, frozenset({"a2"})),
+        engine.GlobalState({"c1": {"a1": text_a1, "a2": a2}, "c2": {"a1": text_a1}},
+                           frozenset({"a2"})),
+    ]
+    hand_built = twins + locked + [
         engine.GlobalState({"c1": table, "c2": table, "c3": table}, frozenset()),  # an extra chain
         engine.GlobalState({"c1": table, "c2": {}}, frozenset()),  # an empty chain
         engine.GlobalState({"c1": table}, frozenset()),  # a missing chain
         engine.GlobalState({"c1": table, "c2": {}}, frozenset({"a3"})),  # a lock on no held asset
         engine.GlobalState({"c1": {"a1": a1}, "c2": {}}, frozenset({"a2"})),  # a2 unheld
+        # Empty chains, free and held locks on an asset no chain holds.
+        engine.GlobalState({"c1": {}}, frozenset()),
+        engine.GlobalState({"c1": {}, "c2": {}}, frozenset()),
+        engine.GlobalState({"c1": {}}, frozenset({"a1"})),
     ]
     keys = [modelcheck._state_key(gs) for gs in twins]
     assert keys[0] == keys[1] == keys[2] != keys[3] and twins[0] == twins[2] != twins[3]
+    assert len({modelcheck._state_key(gs) for gs in locked}) == 1
     by_key: dict = {}
-    for gs in [*modelcheck.enumerate_initial_states(2, 2), *handed, *hand_built]:
+    initial = [*modelcheck.enumerate_initial_states(2, 2), *modelcheck.enumerate_initial_states(2, 1)]
+    for gs in [*initial, *handed, *hand_built]:
         by_key.setdefault(modelcheck._state_key(gs), []).append(gs)
     assert all(gs == same[0] for same in by_key.values() for gs in same)
     # Equal states hold the same assets on the same chains under the same
@@ -591,14 +611,14 @@ def test_checker_matches_the_reference(gs, edits):
     not yield. Any other state is visited one step past its initial state."""
     spec = reg_machine_spec()
     valid, projection = engine.valid_state(gs), modelcheck.to_domain_state_map(gs)
-    out, pending = modelcheck.ModelCheckResult(), []
+    found, pending = [], []
     initial = valid and modelcheck._key(gs, *SPACE) is None
     trail = () if initial else (SyncCommand("c1", RegAction.FREEZE, "a1"),)
 
     def checked(step, result):
-        out.counterexamples.clear()
+        found.clear()
         pending.append(result)
-        visit = modelcheck._visitor(lambda *_: pending.pop(), out, [step])
+        visit = modelcheck._visitor(lambda *_: pending.pop(), found, [step])
         got, gs2 = list(visit(gs, (gs, trail))), result.state
         if gs2 is None:
             assert got == []
@@ -608,8 +628,8 @@ def test_checker_matches_the_reference(gs, edits):
         else:
             [(taken, got_state)] = got
             assert taken is step and got_state is gs2
-        assert all(ce.initial is gs and ce.steps == trail + (step,) for ce in out.counterexamples)
-        return [(ce.rule, ce.detail) for ce in out.counterexamples]
+        assert all(ce.initial is gs and ce.steps == trail + (step,) for ce in found)
+        return [(ce.rule, ce.detail) for ce in found]
 
     for c, action, aid in itertools.product(CHAINS, RegAction, ASSETS):
         step = SyncCommand(c, action, aid)
@@ -628,12 +648,12 @@ def test_a_success_on_a_held_lock_breaks_lock_respected():
     def ignore_locks(source, action, aid, gs):
         return engine.sync(source, action, aid, engine.GlobalState(gs.chains, frozenset()))
 
-    out = modelcheck.ModelCheckResult()
-    successes = [step for step, _ in modelcheck._visitor(ignore_locks, out, steps)(gs, (gs, ()))]
+    found = []
+    successes = [step for step, _ in modelcheck._visitor(ignore_locks, found, steps)(gs, (gs, ()))]
     assert successes
     assert all(engine.sync(s.source, s.action, s.asset, gs).reason is SyncFailure.LOCKED
                for s in successes)
-    assert [(ce.rule, ce.steps) for ce in out.counterexamples] == [
+    assert [(ce.rule, ce.steps) for ce in found] == [
         ("lock_respected", (step,)) for step in successes
     ]
 

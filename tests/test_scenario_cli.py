@@ -613,55 +613,7 @@ class TestCounterexampleOut:
         assert err.startswith("error: cannot write counterexample: ")
 
 
-def reference_state_key(gs):
-    """The JSON state key the explorer used before its tuple key."""
-    doc = engine.to_json_dict(gs)
-    doc["locks"] = {aid: True for aid, held in doc["locks"].items() if held}
-    return json.dumps(doc, sort_keys=True)
-
-
 class TestExplorer:
-    def test_state_key_identifies_what_the_reference_key_does(self):
-        states = []
-
-        def recording(mutant):
-            def sync_fn(source, action, aid, gs):
-                result = mutant(source, action, aid, gs)
-                states.append(gs)
-                if result.ok:
-                    states.append(result.state)
-                return result
-
-            return sync_fn
-
-        for mutant in (_mutant_skip_target, _mutant_skip_release, _mutant_allow_seized_freeze):
-            run_modelcheck(2, 1, 2, sync_fn=recording(mutant))
-        # States no sync reaches: empty chains, and locks on assets no
-        # chain holds, held and free.
-        states += [
-            engine.GlobalState({"c1": {}}, frozenset()),
-            engine.GlobalState({"c1": {}, "c2": {}}, frozenset()),
-            engine.GlobalState({"c1": {}}, frozenset({"a1"})),
-        ]
-        # Twins of one state, which the reference key cannot tell apart:
-        # chains inserted in reverse, a table in reverse, and a cell whose
-        # state is the plain string "ACTIVE" rather than RegState.ACTIVE.
-        a1 = engine.AssetState("a1", RegState.ACTIVE, "owner")
-        a2 = engine.AssetState("a2", RegState.FROZEN, "owner")
-        text_a1 = engine.AssetState("a1", "ACTIVE", "owner")
-        states += [
-            engine.GlobalState({"c1": {"a1": a1, "a2": a2}, "c2": {"a1": a1}}, frozenset({"a2"})),
-            engine.GlobalState({"c2": {"a1": a1}, "c1": {"a1": a1, "a2": a2}}, frozenset({"a2"})),
-            engine.GlobalState({"c1": {"a2": a2, "a1": a1}, "c2": {"a1": a1}}, frozenset({"a2"})),
-            engine.GlobalState({"c1": {"a1": text_a1, "a2": a2}, "c2": {"a1": text_a1}},
-                               frozenset({"a2"})),
-        ]
-        pairs = {(modelcheck._state_key(gs), reference_state_key(gs)) for gs in states}
-        # Two keys agree on every pair of states exactly when each key
-        # value of one pairs with a single key value of the other.
-        assert len({key for key, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
-        assert any(gs.locks for gs in states)
-
     def test_false_lock_entries_do_not_make_a_new_state(self):
         chains = {"c1": {"a1": {"state": "ACTIVE", "owner": "o", "locked": False}}}
         absent = engine.from_json_dict({"chains": chains, "locks": {}})

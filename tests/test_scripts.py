@@ -316,8 +316,8 @@ def test_only_the_tests_load_the_locale_checks():
 def test_only_records_applies_dataclass():
     """Read off the source: no module under ``src/regsync`` but records.py
     imports ``dataclasses.dataclass`` or names it as an attribute, so no
-    class brings back a compiled method per generated method; record and
-    frozen_record make every record class. ``dataclasses.replace`` and
+    class brings back a compiled method per generated method; record makes
+    every record class. ``dataclasses.replace`` and
     ``field`` stay free to use."""
     def names_dataclass(node):
         if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
