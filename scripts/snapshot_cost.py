@@ -19,16 +19,19 @@ above the size held show the table's bound thrashing. With
 of the layer split.
 
 ``canonical_dumps`` memoises the last document it wrote as a flat list
-of pieces, and is timed in the three cases a replay meets:
+of pieces, one per cell with the separator after it, and is timed in the
+three cases a replay meets:
 
 - ``unchanged``: the state last rendered, as after a failed sync; a memo
   hit on the state object, which returns the memoised text and renders
   nothing.
 - ``after sync``: the state after the sync, with the memo holding the
   state before it (rendered before each call, outside the timing). The
-  synced asset's holder chains changed their tables, here all 4; the
-  synced cell of each is rendered from its record into the pieces, with
-  no ``to_json_dict`` call, and the pieces are joined once.
+  synced asset's holder chains changed their tables, here all 4, and
+  share one new record: its text is rendered once, from the record, and
+  written at each holder's piece, with no ``to_json_dict`` call. (Here
+  ``a1`` is each chain's first cell, so all 4 pieces share a separator
+  too.) The pieces are joined once.
 - ``cold``: the memo emptied before each call (outside the timing), so
   that the call renders every cell of every chain, from one
   ``to_json_dict`` call."""

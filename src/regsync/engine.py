@@ -11,11 +11,11 @@ frozen slots records that compile only their ``__init__`` (records.py).
 
 canonical_dumps relies on that purity: no chain table and no chains mapping
 is mutated in place after it has been rendered, so it memoises the last
-document as one flat list of pieces, re-renders only the cells a step
-changed, straight from their records, and joins the list once. A state
-whose chain names or lock set changed, or one of whose tables changed or
-moved its keys, is rendered in full through to_json_dict, which defines a
-snapshot's fields (see its docstring).
+document as one flat list of pieces, one per cell with its separator,
+re-renders one text per record a step changed, written at each of its
+cells, and joins the list once. A state whose chain names or lock set
+changed, or one of whose tables changed or moved its keys, is rendered in
+full through to_json_dict, which defines a snapshot's fields.
 """
 
 from __future__ import annotations
@@ -276,78 +276,78 @@ def canonical_dumps(gs: GlobalState) -> str:
     The last document written is memoised in ``_LAST_SNAPSHOT`` as one
     entry ``(gs, keys, positions, pieces, text)``: ``keys`` lists each
     chain's keys in its table's order, ``pieces`` is the document as one
-    flat list of strings whose join is ``text``, and ``positions`` maps
-    each chain to the index in ``pieces`` of each of its cells. The entry
-    keeps ``gs`` alive, and the identity tests on it and its tables rely on
-    the purity premise: no chain table and no ``chains`` mapping is mutated
-    after it is rendered.
+    flat list of strings whose join is ``text``, one per cell with the
+    separator after it, and ``positions[c][aid]`` is that piece's index
+    and separator. The entry keeps ``gs`` alive, and the identity tests on
+    it and its tables rely on the purity premise: no chain table and no
+    ``chains`` mapping is mutated after it is rendered.
 
     ``gs`` itself, as after a failed sync, returns ``text``. A state with
     the memoised chain names and lock set whose every table is the
     memoised one or keeps its keys in the memoised order (as a sync does)
     is spliced: each dirty cell, one whose record is not the memoised
-    object (found by a scan in C), is written into ``pieces`` from its
-    record, and the list is joined once. Any other state is rendered in
-    full from one to_json_dict call, which keeps to_json_dict the
-    definition of a snapshot's fields. The entry is out of the memo
-    meanwhile, so an exception leaves the memo empty, and a splice
-    abandoned for a full render leaves no half-written pieces.
+    object (found by a scan in C), gets a piece rendered from its record,
+    once per record, key and separator, and the list is joined once. Any
+    other state is rendered in full from one to_json_dict call, which
+    keeps to_json_dict the definition of a snapshot's fields. The entry
+    is out of the memo meanwhile, so an exception leaves the memo empty,
+    and a splice abandoned for a full render leaves no half-written pieces.
     """
-    memo, chains, locks, cell_text = _LAST_SNAPSHOT, gs.chains, gs.locks, _cell_text
+    memo = _LAST_SNAPSHOT
     if memo and memo[0][0] is gs:
         return memo[0][4]
-    entry = memo.pop() if memo else None
-    if entry is not None and chains.keys() == entry[0].chains.keys() and locks == entry[0].locks:
-        last, keys, positions, pieces, _ = entry
-        old = last.chains
+    chains, locks, cell_text, entry = gs.chains, gs.locks, _cell_text, memo and memo.pop()
+    if entry and len(chains) == len((last := entry[0]).chains) and locks == last.locks:
+        _, keys, positions, pieces, _ = entry
+        old, texts = last.chains, {}
         for c, table in chains.items():
-            was = old[c]
+            was = old.get(c)
             if table is not was:
-                if list(table) != keys[c]:
-                    break  # render in full, below
+                if [*table] != (order := keys.get(c)):
+                    break  # a new chain name or key order: render in full, below
                 at = positions[c]
-                for aid in compress(keys[c], map(is_not, table.values(), was.values())):
-                    rec = table[aid]
-                    pieces[at[aid]] = cell_text(aid, aid in locks, rec.owner, rec.reg_state)
+                for aid in compress(order, map(is_not, table.values(), was.values())):
+                    rec, (i, sep) = table[aid], at[aid]
+                    if (text := texts.get(key := (id(rec), aid, sep))) is None:
+                        text = texts[key] = cell_text(aid, aid in locks, rec.owner,
+                                                      rec.reg_state, sep)
+                    pieces[i] = text
         else:
-            memo.append((gs, keys, positions, pieces, "".join(pieces)))
-            return memo[0][4]
+            memo.append((gs, keys, positions, pieces, text := "".join(pieces)))
+            return text
     doc, esc = to_json_dict(gs), encode_basestring_ascii
     pieces, keys, positions = ['{\n  "chains": {'], {}, {}
     for i, c in enumerate(sorted(doc["chains"])):
         cells = doc["chains"][c]
-        keys[c], at = list(cells), {}
+        keys[c], at, ordered = list(cells), {}, sorted(cells)
         pieces.append(f"{',' if i else ''}\n    {esc(c)}: {{" + ("\n" if cells else "}"))
-        for aid in sorted(cells):
-            cell = cells[aid]
-            at[aid] = len(pieces)
-            pieces += cell_text(aid, cell["locked"], cell["owner"], cell["state"]), ",\n"
-        if cells:
-            pieces[-1] = "\n    }"
+        for aid, sep in zip(ordered, [",\n"] * (len(ordered) - 1) + ["\n    }"]):
+            cell, at[aid] = cells[aid], (len(pieces), sep)
+            pieces.append(cell_text(aid, cell["locked"], cell["owner"], cell["state"], sep))
         positions[c] = at
     held = ",\n".join(f"    {esc(aid)}: true" for aid in sorted(locks))
     locks_text = f"{{\n{held}\n  }}" if held else "{}"
     pieces += "\n  }" if keys else "}", ',\n  "locks": ', locks_text, "\n}\n"
-    memo.append((gs, keys, positions, pieces, "".join(pieces)))
-    return memo[0][4]
+    memo.append((gs, keys, positions, pieces, text := "".join(pieces)))
+    return text
 
 
-# The one memo entry of canonical_dumps, or none.
+# The one memo entry of canonical_dumps, or none; a cell's position is (piece index, separator).
 _LAST_SNAPSHOT: list[tuple[GlobalState, dict[ChainId, list[AssetKey]],
-                           dict[ChainId, dict[AssetKey, int]], list[str], str]] = []
+                           dict[ChainId, dict[AssetKey, tuple[int, str]]], list[str], str]] = []
 
 
-def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str) -> str:
-    """The snapshot text of one cell, from its key to its closing brace.
-    The ``"state"`` line comes from ``_STATE_LINES``, escaped once at
-    import, since only five strings can appear there."""
+def _cell_text(aid: AssetKey, locked: bool, owner: str, state: str, sep: str) -> str:
+    """The snapshot text of one cell, from its key to its closing brace,
+    then ``sep``. The ``"state"`` line comes from ``_STATE_LINES``, escaped
+    once at import, since only five strings can appear there."""
     esc = encode_basestring_ascii
     return (
         f'      {esc(aid)}: {{\n'
         f'        "locked": {"true" if locked else "false"},\n'
         f'        "owner": {esc(owner)},\n'
         f'{_STATE_LINES[state]}'
-        f'      }}'
+        f'      }}{sep}'
     )
 
 

@@ -485,6 +485,22 @@ def rendered_cells(gs):
     }
 
 
+def separator(gs, c, aid):
+    """The separator after cell ``aid`` of chain ``c`` in the snapshot of
+    ``gs``: the chain's closing brace after its last cell in key order."""
+    return "\n    }" if aid == max(gs.chains[c]) else ",\n"
+
+
+def rendered_pieces(gs):
+    """The ``_cell_text`` arguments of every cell of ``gs``'s JSON form: its
+    ``rendered_cells`` fields and the separator after it."""
+    return {
+        (aid, cell["locked"], cell["owner"], cell["state"], separator(gs, c, aid))
+        for c, table in engine.to_json_dict(gs)["chains"].items()
+        for aid, cell in table.items()
+    }
+
+
 @pytest.fixture
 def cell_renders(monkeypatch):
     """The arguments of each engine._cell_text call, in order: one call per
@@ -527,28 +543,31 @@ class TestCellTextCache:
         assert warm[1:] == cold[1:]
 
     def test_cache_holds_one_entry_per_distinct_cell(self, cell_renders):
+        """Each distinct cell, with the separator after it, is rendered."""
         states, _ = snapshot_stream(seed=8)
         engine._LAST_SNAPSHOT.clear()
         for gs in states:
             engine.canonical_dumps(gs)
-        distinct = set().union(*map(rendered_cells, states))
+        distinct = set().union(*map(rendered_pieces, states))
+        assert {args[4] for args in cell_renders} == {",\n", "\n    }"}
         assert set(cell_renders) == distinct
 
 
 @pytest.fixture
 def rendered(monkeypatch):
-    """The ``(chain, aid)`` of each cell text canonical_dumps renders, in
-    order, by either path: spliced from the cell's record or read from a
-    to_json_dict call. Each text is traced to the index of the piece it
-    fills, which the memo entry's ``positions`` map to its cell. A splice
-    writes into the memoised piece list, swapped before each call for one
-    that notes the cell at each index written; a full render leaves its
-    texts in the new entry's pieces."""
+    """One entry per cell text canonical_dumps renders, in order, by either
+    path (spliced from a record or read from a to_json_dict call): the
+    sorted tuple of the ``(chain, aid)`` cells whose piece is that text. A
+    text is traced to the indices of the pieces it fills, which the memo
+    entry's ``positions`` map to their cells. A splice writes into the
+    memoised piece list, swapped before each call for one that notes the
+    cell at each index written; a full render leaves its texts in the new
+    entry's pieces."""
     calls, texts, spliced = [], [], {}
     cell_text, dumps = engine._cell_text, engine.canonical_dumps
 
     def cells(positions):
-        return {i: (c, aid) for c, at in positions.items() for aid, i in at.items()}
+        return {i: (c, aid) for c, at in positions.items() for aid, (i, _) in at.items()}
 
     class Pieces(list):
         def __init__(self, pieces, positions):
@@ -556,11 +575,11 @@ def rendered(monkeypatch):
             self.cells = cells(positions)
 
         def __setitem__(self, i, piece):
-            spliced[id(piece)] = self.cells.get(i)
+            spliced.setdefault(id(piece), []).append(self.cells.get(i))
             super().__setitem__(i, piece)
 
-    def recording(aid, *fields):
-        texts.append(cell_text(aid, *fields))
+    def recording(*args):
+        texts.append(cell_text(*args))
         return texts[-1]
 
     def tracing(gs):
@@ -572,13 +591,20 @@ def rendered(monkeypatch):
         spliced.clear()
         out = dumps(gs)
         _, _, positions, pieces, _ = memo[0]
-        written, at = cells(positions), {id(p): i for i, p in enumerate(pieces)}
-        calls.extend(spliced[id(t)] if id(t) in spliced else written[at[id(t)]] for t in texts)
+        written, at = cells(positions), {}
+        for i, piece in enumerate(pieces):
+            at.setdefault(id(piece), []).append(written.get(i))
+        calls.extend(tuple(sorted(spliced.get(id(t)) or at[id(t)])) for t in texts)
         return out
 
     monkeypatch.setattr(engine, "_cell_text", recording)
     monkeypatch.setattr(engine, "canonical_dumps", tracing)
     return calls
+
+
+def written_cells(rendered):
+    """The sorted ``(chain, aid)`` cells that the texts in ``rendered`` fill."""
+    return sorted(cell for cells in rendered for cell in cells)
 
 
 @pytest.fixture
@@ -629,8 +655,8 @@ class TestChainTextMemo:
             rendered.clear()
             assert engine.canonical_dumps(s) == text
             cells.append(sorted(rendered))
-        every_cell = sorted((c, a) for c, table in gs.chains.items() for a in table)
-        # A changed lock set renders the whole state.
+        every_cell = sorted(((c, a),) for c, table in gs.chains.items() for a in table)
+        # A changed lock set renders the whole state, one text per cell.
         assert cells == [every_cell, every_cell, every_cell]
         assert expected[1] != expected[0] == expected[2]
 
@@ -689,7 +715,8 @@ class TestChainTextMemo:
             rendered.clear()
             assert engine.canonical_dumps(after) == expected
             if result.ok:
-                assert {c for c, _ in rendered} == set(engine.connected_chains(gs, aid))
+                holders = engine.connected_chains(gs, aid)
+                assert written_cells(rendered) == sorted((c, aid) for c in holders)
             else:
                 # The state is the one just rendered: no chain and no cell.
                 assert after is gs
@@ -723,10 +750,13 @@ class TestCellSplice:
     document in full, through to_json_dict."""
 
     def test_a_success_renders_one_cell_per_holder(self, rendered):
+        """A success renders one text per record and separator of the synced
+        asset's holder cells, written at each of them: one text in all
+        when its holders share a record and a separator."""
         rng = random.Random(16)
         gs = snapshot_stream(seed=16, steps=0)[0][0]
         engine.canonical_dumps(gs)
-        outcomes = []
+        outcomes, shared = [], 0
         for _ in range(400):
             aid, source = rng.choice(STREAM_ASSETS), rng.choice(STREAM_CHAINS)
             reg = engine.get_reg_state(gs, source, aid)
@@ -736,12 +766,17 @@ class TestCellSplice:
             expected, rendered[:] = reference_canonical_dumps(after), []
             assert engine.canonical_dumps(after) == expected
             if result.ok:
-                assert sorted(rendered) == sorted((c, aid) for c in engine.connected_chains(gs, aid))
+                texts = {}
+                for c in engine.connected_chains(gs, aid):
+                    piece = id(after.chains[c][aid]), separator(after, c, aid)
+                    texts.setdefault(piece, []).append((c, aid))
+                assert sorted(rendered) == sorted(map(tuple, texts.values()))
+                shared += any(len(cells) > 1 for cells in rendered)
             else:
                 assert rendered == []
             outcomes.append(result.ok)
             gs = after
-        assert outcomes.count(True) >= 100
+        assert outcomes.count(True) >= 100 and shared >= 50
 
     def test_a_lock_step_renders_every_cell(self, rendered):
         gs = snapshot_stream(seed=17, steps=0)[0][0]
@@ -752,7 +787,7 @@ class TestCellSplice:
             after = step(gs, aid)
             expected, rendered[:] = reference_canonical_dumps(after), []
             assert engine.canonical_dumps(after) == expected
-            assert sorted(rendered) == sorted((c, a) for c, t in gs.chains.items() for a in t)
+            assert sorted(rendered) == sorted(((c, a),) for c, t in gs.chains.items() for a in t)
             gs = after
 
     @pytest.mark.parametrize("change", ["gain", "lose", "swap"])
@@ -817,7 +852,10 @@ class TestCellSplice:
         expected, rendered[:], renders[:] = reference_canonical_dumps(after), [], []
         assert engine.canonical_dumps(after) == expected
         holder_cells = [(h, aid) for h in engine.connected_chains(gs, aid)]
-        assert sorted(rendered) == sorted(holder_cells + [(c, other)])
+        assert written_cells(rendered) == sorted(holder_cells + [(c, other)])
+        # One text per record and separator: the other cell's text is its own.
+        pieces = {(id(after.chains[h][a]), separator(after, h, a)) for h, a in holder_cells}
+        assert ((c, other),) in rendered and len(rendered) == len(pieces) + 1
         assert renders == []
         if second == "equal copy":
             assert expected == reference_canonical_dumps(synced)
@@ -926,6 +964,119 @@ class TestCellSplice:
             tracemalloc.stop()
         assert len(engine._LAST_SNAPSHOT) == 1
         assert grown < 256 * 1024
+
+
+A, F = RegState.ACTIVE, RegState.FROZEN
+
+
+class TestSeparators:
+    """Each cell's piece ends with the separator after it: a comma, or the
+    chain's closing brace after its last cell. A splice writes each changed
+    cell with its own separator, and the bytes are the reference's on a
+    warm memo and on a cold one."""
+
+    @staticmethod
+    def warm_and_cold(before, after, rendered, renders):
+        """The texts a warm snapshot of ``after``, spliced on the memo of
+        ``before``, renders (see ``rendered``); both that snapshot and a
+        cold one must be the reference's."""
+        expected = reference_canonical_dumps(after)
+        engine._LAST_SNAPSHOT.clear()
+        assert engine.canonical_dumps(before) == reference_canonical_dumps(before)
+        rendered.clear()
+        renders.clear()
+        assert engine.canonical_dumps(after) == expected
+        assert renders == []  # spliced, not rendered in full
+        warm = sorted(rendered)
+        engine._LAST_SNAPSHOT.clear()
+        assert engine.canonical_dumps(after) == expected
+        return warm
+
+    def test_a_synced_asset_last_on_one_chain_and_in_the_middle_of_another(
+        self, rendered, renders
+    ):
+        gs = make_state({"c1": {"a1": A, "a2": A}, "c2": {"a1": A, "a2": A, "a3": F}})
+        after = engine.sync("c1", RegAction.FREEZE, "a2", gs).state
+        # One record, two separators: one text per separator.
+        assert after.chains["c1"]["a2"] is after.chains["c2"]["a2"]
+        assert self.warm_and_cold(gs, after, rendered, renders) == [
+            (("c1", "a2"),), (("c2", "a2"),)]
+
+    def test_a_chain_that_holds_one_cell(self, rendered, renders):
+        gs = make_state({"c1": {"a1": A}, "c2": {"a1": A, "a2": A}})
+        after = engine.sync("c2", RegAction.FREEZE, "a1", gs).state
+        assert self.warm_and_cold(gs, after, rendered, renders) == [
+            (("c1", "a1"),), (("c2", "a1"),)]
+
+    def test_an_empty_chain(self, rendered, renders):
+        gs = make_state({"c1": {}, "c2": {"a1": A, "a2": A}, "c3": {}})
+        after = engine.sync("c2", RegAction.FREEZE, "a2", gs).state
+        assert self.warm_and_cold(gs, after, rendered, renders) == [(("c2", "a2"),)]
+        # An empty chain given a fresh empty table has no cell to splice.
+        fresh = engine.GlobalState({**after.chains, "c1": {}}, after.locks)
+        assert self.warm_and_cold(after, fresh, rendered, renders) == []
+
+    def test_a_hand_built_state_that_changes_two_assets_in_one_table(self, rendered, renders):
+        """The two changed cells hold one record object and the same
+        separator, but each key gets its own text: its key and lock flag."""
+        gs = make_state({"c1": {"a1": A, "a2": A, "a3": A}, "c2": {"a2": A}}, {"a2": True})
+        shared = engine.AssetState("a1", F, "owner")
+        table = {**gs.chains["c1"], "a1": shared, "a2": shared}
+        after = engine.GlobalState({**gs.chains, "c1": table}, gs.locks)
+        assert self.warm_and_cold(gs, after, rendered, renders) == [
+            (("c1", "a1"),), (("c1", "a2"),)]
+
+
+def replay_scenario(seed, steps=1000):
+    """The initial state and ``steps`` sync steps of a replay shaped like
+    the bench's: 32 assets on 4 chains, asset i on i % 4 + 1 chains drawn
+    at random, one owner, and ~80% valid steps (a defined action from a
+    holder; CONFISCATE rarely). The rest are split between an undefined
+    action and a source chain that does not hold the asset."""
+    rng = random.Random(seed)
+    holders = {f"a{i + 1}": sorted(rng.sample(STREAM_CHAINS, i % 4 + 1)) for i in range(32)}
+    states = {aid: rng.choice([s for s in RegState if s is not RegState.CONFISCATED])
+              for aid in holders}
+    gs = make_state({c: {aid: states[aid] for aid in holders if c in holders[aid]}
+                     for c in STREAM_CHAINS})
+    partial = [aid for aid in holders if len(holders[aid]) < len(STREAM_CHAINS)]
+    script = []
+    for _ in range(steps):
+        draw, aid = rng.random(), rng.choice(list(holders))
+        defined = [a for a in RegAction if reg_transition(states[aid], a)]
+        if draw < 0.8 and defined:
+            safe = [a for a in defined if a is not RegAction.CONFISCATE]
+            action = rng.choice(defined if rng.random() < 0.002 or not safe else safe)
+            states[aid] = reg_transition(states[aid], action)
+            script.append((rng.choice(holders[aid]), action, aid))
+        elif draw < 0.9:
+            undefined = [a for a in RegAction if a not in defined]
+            script.append((rng.choice(holders[aid]), rng.choice(undefined), aid))
+        else:
+            aid = rng.choice(partial)
+            missing = [c for c in STREAM_CHAINS if c not in holders[aid]]
+            script.append((rng.choice(missing), rng.choice(list(RegAction)), aid))
+    return gs, script
+
+
+class TestReplaySnapshots:
+    @pytest.mark.parametrize("locks", [(), ("a1", "a7")], ids=["free", "locked"])
+    def test_every_step_matches_the_reference(self, locks):
+        """Each snapshot of a bench-shaped replay, as ``regsync sync`` writes
+        them, equals the reference; the locked variant holds two locks, so
+        their assets' syncs fail with Locked and their cells show it."""
+        gs, script = replay_scenario(seed=23)
+        gs = engine.GlobalState(gs.chains, frozenset(locks))
+        engine._LAST_SNAPSHOT.clear()
+        outcomes = []
+        for source, action, aid in script:
+            result = engine.sync(source, action, aid, gs)
+            gs = result.state or gs
+            assert engine.canonical_dumps(gs) == reference_canonical_dumps(gs)
+            outcomes.append(result.reason or "ok")
+        expected = {"ok", *SyncFailure} if locks else {"ok", *SyncFailure} - {SyncFailure.LOCKED}
+        assert set(outcomes) == expected
+        assert 0.7 <= outcomes.count("ok") / len(script) <= 0.85
 
 
 class TestSnapshotLockFlag:
