@@ -10,7 +10,11 @@ With ``--scenario FILE`` the script instead replays that scenario's
 prints the mean wall-clock time per step of the sync and of the snapshot
 that follows it, the minimum over ``--repeat`` replays. That is the layer
 split of the bench ``replay`` workload; ``--assets`` and ``--number`` are
-then unused.
+then unused. Each invocation replays one tree, and whole invocations of
+the same code swing: seven with ``--scenario`` on the seed-1 bench replay
+scenario read 5.3-7.9 us of snapshot per step (2-vCPU VM, CPython
+3.11.7). To compare two trees, alternate many invocations of each and
+compare the medians over invocations, not one invocation's figures.
 
 Each state size, or the scenario, also reports the hits, misses and size
 of ``engine.cell``'s table over its runs, emptied before them: misses far

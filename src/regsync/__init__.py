@@ -2,7 +2,7 @@
 
 Layers: a generic finite state machine core, multi-domain propagation, the
 concrete regulatory machine, an atomic sync engine with per-asset locking,
-deterministic priority resolution, a Byzantine liveness simulator, and a
+deterministic priority ordering, a Byzantine liveness simulator, and a
 small-scope model checker, all wired into the ``regsync`` CLI; ``locales``
 holds the paper's generic locale checks, which only tests run.
 """

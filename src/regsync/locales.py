@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .preservation import AssetKey, DomainId, DomainStateMap, explore, judge, sync_all
+from .preservation import DomainStateMap, disagreements, explore, judge, sync_all
 from .records import record
 from .report import DEFAULT_BUDGET, BudgetExceededError, ValidationReport
 from .sm_core import ActionId, StateId, StateMachineSpec, transition_of
@@ -168,13 +168,8 @@ def check_roundtrip(sm: SymmetricMorphism) -> ValidationReport:
 
 def check_consistent_init(ds: DomainStateMap) -> ValidationReport:
     report = ValidationReport()
-    by_asset: dict[AssetKey, dict[DomainId, StateId]] = {}
-    for (d, aid), s in ds.table.items():
-        by_asset.setdefault(aid, {})[d] = s
-    for aid in sorted(by_asset):
-        states = set(by_asset[aid].values())
-        if len(states) > 1:
-            report.add("consistent_init", aid, f"states {sorted(states)}")
+    for aid, states in sorted(disagreements(ds).items()):
+        report.add("consistent_init", aid, f"states {sorted(states)}")
     return report
 
 
@@ -185,15 +180,16 @@ def check_multi_domain(
     budget: int = DEFAULT_BUDGET,
     sync_fn: Callable[..., Optional[DomainStateMap]] = sync_all,
 ) -> ValidationReport:
-    """Model-check consistency, isolation, and invariant closure.
+    """Model-check consistency, isolation, and agreement closure.
 
     Explores every sequence of up to ``depth`` sync_all calls (deduplicating
     revisited maps, each identified by its domains and table, and keying
     none equal to ``ds``) and asserts after each successful call
     ``judge``'s rules, which run_modelcheck shares: connected domains agree
     on the transition's target, other assets are untouched, no cell
-    appears, and the set of domains is unchanged (domain_set_changed); and
-    that consistent_init still holds.
+    appears, the set of domains is unchanged (domain_set_changed), and
+    agreement is kept (valid_agreement); an inconsistent ``ds`` is
+    reported as consistent_init alone.
     """
     report = check_consistent_init(ds)
     if not report.ok:
@@ -208,8 +204,6 @@ def check_multi_domain(
                 continue
             for rule, where, detail in judge(current, *triple, result, sm):
                 report.add(rule, (*triple, *where), detail)
-            for v in check_consistent_init(result).violations:
-                report.add("consistent_init_closure", (*triple, v.witness))
             yield triple, result
 
     explore([ds], steps, depth, budget,

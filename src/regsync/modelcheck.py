@@ -4,9 +4,9 @@ Enumerates every consistent initial global state over bounded chain and
 asset counts, explores all sync sequences to a bounded depth (deduplicating
 revisited states), and checks each successful sync against the protocol's
 guarantees: cross-chain agreement, per-asset isolation, an unchanged set
-of chains (the three stated once, in preservation.judge), respect of held
-locks, validity preservation, guaranteed success under the combined
-premises, and agreement with the generic multi-domain layer.
+of chains and agreement closure (stated once, in preservation.judge),
+respect of held locks, no lock left held, guaranteed success under the
+combined premises, and agreement with the generic multi-domain layer.
 
 Each explored state's syncs are checked in one loop over the run's
 steps. A table built once per run gives the moves each projection cell
@@ -173,11 +173,12 @@ def _violations(gs: engine.GlobalState, valid: bool, projection: DomainStateMap,
                 gs2: engine.GlobalState, spec: StateMachineSpec) -> Iterator[tuple[str, str]]:
     """The (rule, detail) of each guarantee that one successful sync from
     ``gs`` to ``gs2`` breaks; a sync on a held lock breaks lock_respected,
-    as it must fail. ``valid`` and ``projection`` are
+    as it must fail, and one from a valid state that leaves a lock held
+    breaks valid_state_preservation. ``valid`` and ``projection`` are
     ``engine.valid_state(gs)`` and ``to_domain_state_map(gs)``, computed
     once per explored state. preservation.judge states the per-sync rules,
-    here over projections to whole records (so another asset's owner
-    change breaks isolation); the rest are what a projection forgets."""
+    over projections to whole records (so another asset's owner change
+    breaks isolation); the rest are what a projection forgets."""
     aid = step.asset
     before, after = (to_domain_state_map(g, lambda rec: rec) for g in (gs, gs2))
     for rule, _, detail in judge(before, step.source, step.action, aid, after, spec, _REG_STATE):
@@ -190,7 +191,7 @@ def _violations(gs: engine.GlobalState, valid: bool, projection: DomainStateMap,
             yield "asset_id_untouched", f"cell ({c}, {aid})"
     if aid in gs2.locks:
         yield "lock_released", ""
-    if valid and not engine.valid_state(gs2):
+    if valid and gs2.locks:
         yield "valid_state_preservation", ""
 
     # Generic/concrete agreement on the multi-domain projection.

@@ -29,6 +29,14 @@ def connected_domains(ds: DomainStateMap, aid: AssetKey) -> frozenset[DomainId]:
     return frozenset(d for d in ds.domains if (d, aid) in ds.table)
 
 
+def disagreements(ds: DomainStateMap, state: Callable = lambda cell: cell) -> dict[AssetKey, set]:
+    """Each asset whose cells read more than one ``state``, with those states."""
+    by_asset: dict[AssetKey, set] = {}
+    for (_, aid), cell in ds.table.items():
+        by_asset.setdefault(aid, set()).add(state(cell))
+    return {aid: states for aid, states in by_asset.items() if len(states) > 1}
+
+
 def sync_all(
     ds: DomainStateMap,
     source: DomainId,
@@ -108,9 +116,11 @@ def judge(before: DomainStateMap, source: DomainId, action: ActionId, aid: Asset
     breaks: cross_domain_consistency at each holder whose cell does not
     read the move's target (none exists where sync_all fails),
     sync_isolation at each cell of another asset that changed and at each
-    cell that appeared, and domain_set_changed. ``where`` is the holder,
-    the cell or (). ``state`` reads a cell's state; cells are compared
-    whole, so on records a change of another field breaks isolation."""
+    cell that appeared, domain_set_changed, and valid_agreement at each
+    asset, in sorted order, whose cells disagree in ``after`` if no asset's
+    do in ``before``. ``where`` is the holder, the cell, () or the asset.
+    ``state`` reads a cell's state; cells are compared whole, so on
+    records a change of another field breaks isolation."""
     cell = before.table.get((source, aid))
     expected = None if cell is None else transition_of(sm, state(cell), action)
     for d in sorted(connected_domains(before, aid)):
@@ -126,3 +136,6 @@ def judge(before: DomainStateMap, source: DomainId, action: ActionId, aid: Asset
     if after.domains != before.domains:
         detail = f"chains {sorted(before.domains)} became {sorted(after.domains)}"
         yield "domain_set_changed", (), detail
+    if not disagreements(before, state):
+        for other in sorted(disagreements(after, state)):
+            yield "valid_agreement", (other,), ""

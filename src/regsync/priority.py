@@ -1,9 +1,12 @@
-"""Deterministic conflict resolution via an injective lexicographic key.
+"""Deterministic conflict ordering via an injective lexicographic key.
 
 A pending request maps to a 4-tuple (authority rank, inverted timestamp,
 action severity, inverted node id); tuples compare lexicographically and
-the maximum wins. Timestamps and node ids are inverted against one
-horizon, ``DEFAULT_HORIZON``, so the subtraction stays total.
+the maximum is applied first. The key decides the order in which a drain
+applies conflicting requests, not which one prevails: the last one applied
+decides the final state (International FREEZE and then Regional UNFREEZE
+of an ACTIVE asset leave it ACTIVE). Timestamps and node ids are inverted
+against one horizon, ``DEFAULT_HORIZON``, so the subtraction stays total.
 """
 
 from __future__ import annotations

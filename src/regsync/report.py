@@ -66,6 +66,4 @@ class ValidationReport:
         self.violations.append(Violation(rule, witness, detail))
 
     def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(str(v) for v in self.violations)
+        return "\n".join(map(str, self.violations)) if self.violations else "ok"

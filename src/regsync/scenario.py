@@ -58,13 +58,8 @@ class Scenario:
 
 
 def request_to_json(r: RegRequest) -> dict:
-    return {
-        "node": r.node_id,
-        "authority": r.authority,
-        "timestamp": r.timestamp,
-        "action": r.action,
-        "asset": r.asset,
-    }
+    return {"node": r.node_id, "authority": r.authority, "timestamp": r.timestamp,
+            "action": r.action, "asset": r.asset}
 
 
 def request_from_json(obj: dict) -> RegRequest:
@@ -78,13 +73,9 @@ def request_from_json(obj: dict) -> RegRequest:
 
 
 def _sim_to_json(cfg: SimConfig) -> dict:
-    return {
-        "nodes": [{"id": n.node_id, "honest": n.honest} for n in cfg.nodes],
-        "f_max": cfg.f_max,
-        "lock_timeout": cfg.lock_timeout,
-        "fairness_bound": cfg.fairness_bound,
-        "seed": cfg.seed,
-    }
+    return {"nodes": [{"id": n.node_id, "honest": n.honest} for n in cfg.nodes],
+            "f_max": cfg.f_max, "lock_timeout": cfg.lock_timeout,
+            "fairness_bound": cfg.fairness_bound, "seed": cfg.seed}
 
 
 def _sim_from_json(doc: dict) -> SimConfig:

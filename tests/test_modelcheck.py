@@ -143,7 +143,7 @@ def rules(result):
         ),
         pytest.param(
             _flip_neighbour, (2, 2, 1),
-            {"sync_isolation", "generic_agreement", "valid_state_preservation"},
+            {"sync_isolation", "generic_agreement", "valid_agreement"},
             id="projections_differ",
         ),
         pytest.param(_add_chain, (2, 1, 1), {"domain_set_changed"}, id="chain_added"),
@@ -427,6 +427,15 @@ def test_only_a_mismatch_is_diagnosed(monkeypatch, sync_fn, diagnosed_share, bro
     assert successes and len(diagnosed) == diagnosed_share * len(successes)
 
 
+def _split_assets(gs: engine.GlobalState) -> list[str]:
+    """The assets of ``gs`` whose holders read more than one state, sorted."""
+    states: dict = {}
+    for table in gs.chains.values():
+        for aid, rec in table.items():
+            states.setdefault(aid, set()).add(rec.reg_state)
+    return sorted(aid for aid, seen in states.items() if len(seen) > 1)
+
+
 def reference_violations(
     gs: engine.GlobalState,
     valid: bool,
@@ -440,7 +449,10 @@ def reference_violations(
     ``projection`` are ``engine.valid_state(gs)`` and
     ``modelcheck.to_domain_state_map(gs)``, computed once per explored state.
     It states every rule itself, reading neither preservation.judge nor
-    modelcheck._prescribed, and compares states with ``!=``, as judge does."""
+    modelcheck._prescribed, and compares states with ``!=``, as judge does.
+    Agreement closure (valid_agreement, once per asset the sync splits)
+    asks only that every asset agree before; valid_state_preservation asks
+    that ``gs`` be valid and reads only the locks the sync left held."""
     current = engine.get_reg_state(gs, step.source, step.asset)
     expected = None if current is None else reg_transition(current, step.action)
     was_locked = step.asset in gs.locks
@@ -464,6 +476,9 @@ def reference_violations(
                 yield "sync_isolation", f"cell ({c}, {aid}) appeared"
     if gs2.chains.keys() != gs.chains.keys():
         yield "domain_set_changed", f"chains {sorted(gs.chains)} became {sorted(gs2.chains)}"
+    if not _split_assets(gs):
+        for _ in _split_assets(gs2):
+            yield "valid_agreement", ""
     for c, table in gs.chains.items():
         if step.asset in table:
             after = gs2.chains.get(c, {}).get(step.asset)
@@ -473,7 +488,7 @@ def reference_violations(
                 yield "asset_id_untouched", f"cell ({c}, {step.asset})"
     if step.asset in gs2.locks:
         yield "lock_released", ""
-    if valid and not engine.valid_state(gs2):
+    if valid and gs2.locks:
         yield "valid_state_preservation", ""
 
     # Generic/concrete agreement on the multi-domain projection.

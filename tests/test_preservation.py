@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from regsync import locales
 from regsync.locales import (
@@ -12,7 +13,9 @@ from regsync.locales import (
     identity_morphism,
     rename_machine,
 )
-from regsync.preservation import DomainStateMap, connected_domains, explore, sync_all
+from regsync.preservation import (
+    DomainStateMap, connected_domains, disagreements, explore, judge, sync_all,
+)
 from regsync.regulatory import reg_machine_spec
 from regsync.report import BudgetExceededError
 
@@ -183,8 +186,8 @@ class TestMultiDomainCheck:
             pytest.param(_rewrite_other_assets, {"sync_isolation"}, id="sync_isolation"),
             pytest.param(_add_domain, {"domain_set_changed"}, id="domain_set_changed"),
             # The old state's cell appears on a domain that did not hold it.
-            pytest.param(_copy_old_state_elsewhere, {"consistent_init_closure", "sync_isolation"},
-                         id="consistent_init_closure"),
+            pytest.param(_copy_old_state_elsewhere, {"valid_agreement", "sync_isolation"},
+                         id="valid_agreement"),
             pytest.param(
                 _copy_new_state_everywhere, {"sync_isolation"}, id="synced_cell_appeared"
             ),
@@ -288,6 +291,62 @@ def test_a_return_to_the_initial_map_changes_no_report(monkeypatch, sync_fn, dep
     assert len(report.violations) == count
     back = sync_fn(sync_fn(RETURNING, "d1", "FREEZE", "a1", REG), "d2", "UNFREEZE", "a1", REG)
     assert back.table == RETURNING.table
+
+
+DOMAINS, ASSETS = ("d1", "d2", "d3"), ("a1", "a2", "a3")
+STATES = st.sampled_from(sorted(REG.states) + ["UNKNOWN"])
+
+
+@st.composite
+def agreeing_maps(draw):
+    """Maps over DOMAINS whose every asset sits in one state of REG on a
+    non-empty set of domains."""
+    table = {}
+    for aid in draw(st.lists(st.sampled_from(ASSETS), unique=True)):
+        state = draw(st.sampled_from(sorted(REG.states)))
+        for d in draw(st.lists(st.sampled_from(DOMAINS), min_size=1, unique=True)):
+            table[d, aid] = state
+    return DomainStateMap(frozenset(DOMAINS), table)
+
+
+# One edit of a result: put a cell in a state (None drops it).
+EDITS = st.lists(st.tuples(st.sampled_from(DOMAINS), st.sampled_from(ASSETS),
+                           st.none() | STATES), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(agreeing_maps(), st.sampled_from(DOMAINS), st.sampled_from(sorted(REG.actions)),
+       st.sampled_from(ASSETS), EDITS)
+@example(two_domain_map(), "d1", "FREEZE", "a1", [("d2", "a1", "ACTIVE")])  # a holder left behind
+@example(RETURNING, "d1", "FREEZE", "a1", [("d3", "a2", "FROZEN"), ("d1", "a2", "SEIZED")])
+def test_agreement_closure_is_never_reported_alone(before, source, action, aid, edits):
+    """From a map whose assets all agree, a result, sync_all's or its input
+    edited, that leaves some asset's cells disagreeing (valid_agreement,
+    once per such asset, in sorted order) also breaks
+    cross_domain_consistency or sync_isolation: closure follows from the
+    other rules, so stating it in judge adds no report on its own."""
+    table = dict((sync_all(before, source, action, aid, REG) or before).table)
+    for d, a, state in edits:
+        if state is None:
+            table.pop((d, a), None)
+        else:
+            table[d, a] = state
+    after = DomainStateMap(before.domains, table)
+    verdicts = list(judge(before, source, action, aid, after, REG))
+    closure = [(where, detail) for rule, where, detail in verdicts if rule == "valid_agreement"]
+    assert closure == [((a,), "") for a in sorted(disagreements(after))]
+    if closure:
+        assert {"cross_domain_consistency", "sync_isolation"} & {rule for rule, *_ in verdicts}
+
+
+def test_agreement_closure_needs_an_agreeing_map():
+    """From a map that already disagrees judge reports no closure: the
+    rule's premise is agreement before the sync."""
+    split = two_domain_map(("ACTIVE", "FROZEN"))
+    after = DomainStateMap(split.domains, {**split.table, ("d2", "a1"): "SEIZED"})
+    assert disagreements(after) == {"a1": {"ACTIVE", "SEIZED"}}
+    verdicts = judge(split, "d1", "RESTRICT", "a1", after, REG)
+    assert "valid_agreement" not in {rule for rule, *_ in verdicts}
 
 
 class TestExplore:

@@ -650,7 +650,7 @@ class TestExplorer:
         "mutant, count, digest",
         [
             (_mutant_skip_target, 196,
-             "2e110543ed292b343f54f915947dea3411bc9b5b1bf160b425cdc5e9de5ca4c6"),
+             "0b704afa0fa9a9771fd9041738c0507cdbfa5455f4a3c33c38d6f0d53ac1ba4e"),
             (_mutant_skip_release, 96,
              "a752c213b61253c5112a6c71a509a1b525a6137a3e537035174f9640e89024f9"),
             (_mutant_allow_seized_freeze, 10,
@@ -659,7 +659,9 @@ class TestExplorer:
     )
     def test_counterexample_lists_are_unchanged(self, mutant, count, digest):
         # SHA-256 of the ordered to_scenario() list at (2, 1, 2), recorded
-        # before the model checker moved onto the shared explorer.
+        # before the model checker moved onto the shared explorer. The
+        # skip-target list's 24 agreement entries have since been renamed in
+        # place, from valid_state_preservation to valid_agreement.
         docs = [ce.to_scenario() for ce in run_modelcheck(2, 1, 2, sync_fn=mutant).counterexamples]
         assert len(docs) == count
         assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
@@ -781,11 +783,12 @@ class TestSimulateCommand:
         assert err == "error: locks held at rest: a3\n"
 
     def test_a_lower_authoritys_reversal_decides_the_final_state(self, capsys, tmp_path):
-        """A characterization of ROADMAP item 27, not a verdict on it: two
-        chains hold ``a`` ACTIVE, and the fair drain takes International
-        FREEZE at epoch 0 and then Regional UNFREEZE at epoch 2, so ``a``
-        ends ACTIVE on both chains and simulate exits 0. The change that
-        decides what resolution means may move this pin."""
+        """The priority key decides the order in which a drain applies
+        conflicting requests, not which one prevails: the last one applied
+        decides the final state (ROADMAP item 27, option (a)). Two chains
+        hold ``a`` ACTIVE, and the fair drain takes International FREEZE at
+        epoch 0 and then Regional UNFREEZE at epoch 2, so ``a`` ends ACTIVE
+        on both chains and simulate exits 0."""
         doc = simulate_doc()
         cell = {"state": "ACTIVE", "owner": "o", "locked": False}
         doc["state"]["chains"] = {"c1": {"a": dict(cell)}, "c2": {"a": dict(cell)}}

@@ -332,20 +332,37 @@ def test_only_records_applies_dataclass():
 
 
 def test_each_per_sync_rule_is_stated_once():
-    """The rules both model checkers share are named, as string literals, in
-    one function under ``src/regsync``, preservation.judge, and
-    locales.check_multi_domain and modelcheck._violations both call it."""
-    homes = {"cross_domain_consistency": set(), "sync_isolation": set(),
-             "domain_set_changed": set()}
-    callers = set()
+    """The rules both model checkers share, agreement closure
+    (valid_agreement) among them, are named, as string literals, in one
+    function under ``src/regsync``, preservation.judge, and
+    locales.check_multi_domain and modelcheck._violations both call it.
+    valid_state_preservation, the lock rule a projection forgets, is named
+    in modelcheck._violations alone, and neither caller restates agreement:
+    _violations reads no engine.valid_state, and check_multi_domain's
+    visitor no consistent_init. The per-asset agreement scan,
+    preservation.disagreements, serves judge and check_consistent_init."""
+    shared = ["cross_domain_consistency", "sync_isolation", "domain_set_changed",
+              "valid_agreement"]
+    homes = {rule: set() for rule in [*shared, "valid_state_preservation",
+                                      "consistent_init_closure"]}
+    calls: dict[str, set] = {}
     for path in sorted((ROOT / "src" / "regsync").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            name = f"{path.stem}.{func.name}"
             for node in ast.walk(func):  # a nested function counts for its outer one too
                 if isinstance(node, ast.Constant) and node.value in homes:
-                    homes[node.value].add(f"{path.stem}.{func.name}")
-                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "judge":
-                    callers.add(f"{path.stem}.{func.name}")
-    assert homes == dict.fromkeys(homes, {"preservation.judge"})
-    assert {"locales.check_multi_domain", "modelcheck._violations"} <= callers
+                    homes[node.value].add(name)
+                elif isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    calls.setdefault(name, set()).add(called)
+    assert homes == {**dict.fromkeys(shared, {"preservation.judge"}),
+                     "valid_state_preservation": {"modelcheck._violations"},
+                     "consistent_init_closure": set()}
+    for caller in ("locales.check_multi_domain", "modelcheck._violations"):
+        assert "judge" in calls[caller]
+    assert "valid_state" not in calls["modelcheck._violations"]
+    assert not {"check_consistent_init", "disagreements"} & calls["locales.visit"]
+    assert {f for f, called in calls.items() if "disagreements" in called} == {
+        "preservation.judge", "locales.check_consistent_init"}
