@@ -46,8 +46,9 @@ def cell(asset_id: AssetKey, state: RegState, owner: str) -> AssetState:
     """The one record of this cell value, from a table of the 4,096 values
     used last. That covers every working set met: at most 15 values in a
     model-checked scope of up to three assets, and at most 160 and 1,000
-    in bench replay and sim. The table is typed, as valid_state compares
-    states by identity: a plain-str state never gets a member's record."""
+    in bench replay and sim. The table is typed, so a record's state is the
+    very object its caller passed: a plain-str state never gets a member's
+    record, nor a member a plain str's."""
     return AssetState(asset_id, state, owner)
 
 
@@ -177,13 +178,15 @@ def sync(source: ChainId, action: RegAction, aid: AssetKey, gs: GlobalState) -> 
 
 
 def valid_state(gs: GlobalState) -> bool:
-    """No lock held at rest, and every holder of an asset agrees on its state."""
+    """No lock held at rest, and every holder of an asset agrees on its state,
+    compared by value (``!=``), as the model checker's state key and the
+    judge's agreement scan compare it: a plain str equal to a member agrees."""
     if gs.locks:
         return False
     seen: dict[AssetKey, RegState] = {}
     for table in gs.chains.values():
         for aid, rec in table.items():
-            if seen.setdefault(aid, rec.reg_state) is not rec.reg_state:
+            if seen.setdefault(aid, rec.reg_state) != rec.reg_state:
                 return False
     return True
 

@@ -24,9 +24,10 @@ cells come from engine.cell, as the engine's new cells do, so a matching
 success meets the very records it is compared with; the comparison is
 still by value. Other successes are diagnosed rule by rule. A state is
 identified by its value alone (_state_key). The initial states are
-exactly the lock-free states with an index in the scope (_index), the
-states _key gives explore no key for, and a prescribed success of one is
-another: it is not handed back. Validity is computed when read.
+exactly the valid states over the scope whose cells are enumerated
+records (_key's scope test), the states _key gives explore no key for,
+and a prescribed success of one is another: it is not handed back.
+Validity is computed when read.
 """
 
 from __future__ import annotations
@@ -122,44 +123,23 @@ def _state_key(gs: engine.GlobalState) -> tuple:
     return frozenset((c, frozenset(t.items())) for c, t in gs.chains.items()), gs.locks
 
 
-_RANK = {s: i for i, s in enumerate(RegState)}
-_N_STATES = len(_RANK)
-_OWNER = "owner"  # every enumerated cell's owner; _index indexes no other
+_STATES = frozenset(RegState)
+_N_STATES = len(_STATES)
+_OWNER = "owner"  # every enumerated cell's owner; _key's scope test admits no other
 _REG_STATE = attrgetter("reg_state")
 
 
-def _index_space(n_chains: int, n_assets: int) -> tuple[dict, dict]:
-    """Each chain's holder bit and each asset's weight B**i, with
-    B = 2 * len(RegState) * (2**n_chains - 1), the number of digits."""
-    base = 2 * _N_STATES * (2**n_chains - 1)
-    bits = {c: 1 << i for i, c in enumerate(chain_names(n_chains))}
-    return bits, {aid: base**i for i, aid in enumerate(asset_names(n_assets))}
-
-
-def _index(gs: engine.GlobalState, bits: dict, weights: dict) -> Optional[int]:
-    """The index of ``gs`` in the scope: the sum of each asset's weight times
-    its digit ``((holder mask - 1) * len(RegState) + state rank) * 2 +
-    locked``, or None if ``gs`` is outside that index space. Whether it is
-    outside is read from each cell's asset_id, state and owner, compared
-    with ``==``, from the chain names and from the locks."""
-    masks, ranks, locks = {}, {}, gs.locks
-    for c, table in gs.chains.items():
-        for aid, rec in table.items():
-            rank = _RANK.get(rec.reg_state)
-            if (rank is None or rec.owner != _OWNER or rec.asset_id != aid
-                    or ranks.setdefault(aid, rank) != rank):
-                return None
-            masks[aid] = masks.get(aid, 0) | bits.get(c, 0)
-    if masks.keys() != weights.keys() or gs.chains.keys() != bits.keys() or locks - weights.keys():
-        return None
-    return sum((((masks[a] - 1) * _N_STATES + ranks[a]) * 2 + (a in locks)) * w
-               for a, w in weights.items())
-
-
-def _key(gs: engine.GlobalState, bits: dict, weights: dict) -> Optional[tuple]:
-    """explore's key of ``gs``: None for an initial state (one that holds no
-    lock and has an index), else _state_key(gs)."""
-    return None if not gs.locks and _index(gs, bits, weights) is not None else _state_key(gs)
+def _key(gs: engine.GlobalState, chains: frozenset, assets: frozenset) -> Optional[tuple]:
+    """explore's key of ``gs``: None for an initial state, else _state_key(gs).
+    An initial state is engine.valid_state over exactly ``chains``, holding
+    exactly ``assets``, whose every cell is an enumerated record: its state
+    a RegState by value, its owner _OWNER and its asset_id its table key."""
+    cells = [(aid, rec) for table in gs.chains.values() for aid, rec in table.items()]
+    initial = (engine.valid_state(gs) and gs.chains.keys() == chains
+               and {aid for aid, _ in cells} == assets
+               and all(rec.reg_state in _STATES and rec.owner == _OWNER and rec.asset_id == aid
+                       for aid, rec in cells))
+    return None if initial else _state_key(gs)
 
 
 def to_domain_state_map(gs: engine.GlobalState, read: Callable = _REG_STATE) -> DomainStateMap:
@@ -312,11 +292,11 @@ def run_modelcheck(
         for a in RegAction
         for aid in asset_names(n_assets)
     ]
-    bits, weights = _index_space(n_chains, n_assets)
+    chains, assets = frozenset(chain_names(n_chains)), frozenset(asset_names(n_assets))
     found: list[Counterexample] = []
     states, syncs = explore(
         enumerate_initial_states(n_chains, n_assets), steps, depth, budget,
-        lambda gs: _key(gs, bits, weights), _visitor(sync_fn, found, steps),
+        lambda gs: _key(gs, chains, assets), _visitor(sync_fn, found, steps),
     )
     found.sort(key=lambda ce: (len(ce.steps), ce.rule))
     return ModelCheckResult(states, syncs, found)

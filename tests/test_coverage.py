@@ -2,7 +2,8 @@
 pinned run exercises. A local class is (the source holds the asset, the
 asset's state, its lock is held, the action): 2 * 5 * 2 * 7 = 140 in all.
 Each run's set is pinned exactly, so a change that widens or narrows one
-fails here, and says so when it updates the pin."""
+fails here, and says so when it updates the pin. The class table (ROADMAP
+item 31) checks one sync per class against what REG_TRANSITIONS says."""
 
 import contextlib
 import importlib.util
@@ -12,8 +13,9 @@ import os
 import pytest
 
 from regsync import cli, engine
+from regsync.engine import SyncFailure
 from regsync.modelcheck import run_modelcheck
-from regsync.regulatory import RegAction, RegState
+from regsync.regulatory import REG_TRANSITIONS, RegAction, RegState
 
 from test_scripts import ROOT
 
@@ -72,6 +74,82 @@ def _covered(monkeypatch, *argv):
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert cli.main(list(argv)) == 0
     return covered
+
+
+def _class_state(holds, state, held):
+    """One state of a class: a1 in ``state`` on c2, and on c1 iff the source
+    holds it, its lock held iff ``held``; a2 FROZEN on c1 and c3. Each cell's
+    owner names its chain, so a sync that mixes up owners shows."""
+    places = {"c1": ["a1", "a2"] if holds else ["a2"], "c2": ["a1"], "c3": ["a2"]}
+    return engine.GlobalState(
+        {c: {aid: engine.AssetState(aid, state if aid == "a1" else RegState.FROZEN, f"o{c}")
+             for aid in aids} for c, aids in places.items()},
+        frozenset({"a1"} if held else ()))
+
+
+def _specified(holds, state, held, action, gs):
+    """What a correct sync of a1 from c1 does in the class, read from
+    REG_TRANSITIONS alone in the paper's step order, as (failure, successor):
+    each holder's a1 cell takes the target state and keeps its owner, and
+    no other cell, lock or chain changes."""
+    target = REG_TRANSITIONS.get((state, action))
+    if not holds:
+        return SyncFailure.ASSET_NOT_FOUND, None
+    if target is None:
+        return SyncFailure.INVALID_TRANSITION, None
+    if held:
+        return SyncFailure.LOCKED, None
+    chains = {c: {aid: engine.AssetState(aid, target, rec.owner) if aid == "a1" else rec
+                  for aid, rec in table.items()} for c, table in gs.chains.items()}
+    return None, (chains, gs.locks)
+
+
+def _failed_classes(sync_fn):
+    """The classes on whose state ``sync_fn`` does not do what _specified says."""
+    failed = set()
+    for holds, state, held, action in CLASSES:
+        gs = _class_state(holds, state, held)
+        result = sync_fn("c1", action, "a1", gs)
+        got = result.reason, result.state and (result.state.chains, result.state.locks)
+        if got != _specified(holds, state, held, action, gs):
+            failed.add((holds, state, held, action))
+    return failed
+
+
+def _ignore_lock(source, action, aid, gs):
+    return engine.sync(source, action, aid, engine.GlobalState(gs.chains, gs.locks - {aid}))
+
+
+def _lock_first(source, action, aid, gs):
+    if aid in gs.locks:
+        return engine.SyncResult.failure(SyncFailure.LOCKED)
+    return engine.sync(source, action, aid, gs)
+
+
+def test_the_engine_meets_the_class_table():
+    """engine.sync does in each of the 140 classes, the 70 held ones among
+    them, what the table derived from REG_TRANSITIONS says (ROADMAP item
+    31's class check); the check syncs once in every class."""
+    covered = set()
+    assert _failed_classes(_spy(covered)) == set()
+    assert covered == CLASSES
+
+
+@pytest.mark.parametrize("mutant, failed", [
+    (_ignore_lock, {(True, s, True, a) for s, a in REG_TRANSITIONS}),
+    (_lock_first, {c for c in CLASSES
+                   if c[2] and (not c[0] or (c[1], c[3]) not in REG_TRANSITIONS)}),
+], ids=["ignore_lock", "lock_first"])
+def test_the_class_table_fails_each_lock_mutant(mutant, failed):
+    """A sync that ignores the lock fails the 12 held classes with a defined
+    move; one that checks the lock before reading the source fails the 58
+    held classes whose outcome comes first: 35 where the source lacks the
+    asset and 23 with an undefined move. run_modelcheck(3, 2, 2) passes both,
+    as it syncs on no held lock (ROADMAP item 3)."""
+    assert len(failed) == {_ignore_lock: 12, _lock_first: 35 + 23}[mutant]
+    assert _failed_classes(mutant) == failed
+    result = run_modelcheck(3, 2, 2, sync_fn=mutant)
+    assert (result.states_explored, result.syncs_checked, result.ok) == (1225, 51450, True)
 
 
 def test_the_model_checker_exercises_every_lock_free_class():

@@ -13,7 +13,7 @@ from regsync import engine, modelcheck
 from regsync.engine import SyncFailure, SyncResult
 from regsync.locales import check_multi_domain, check_sequential_preservation, identity_morphism
 from regsync.modelcheck import initial_state_count, run_modelcheck
-from regsync.preservation import DomainStateMap, sync_all
+from regsync.preservation import DomainStateMap, disagreements, sync_all
 from regsync.regulatory import RegAction, RegState, reg_machine_spec, reg_transition
 from regsync.report import BudgetExceededError
 from regsync.scenario import SyncCommand
@@ -104,7 +104,7 @@ def _drop_empty_chains(aid, gs):
 
 _appear_on_bare_chain = _succeeded(_appear)
 _flip_neighbour = _succeeded(_flip)
-# Only the moves to FROZEN leave the index space, so the prescribed
+# Only the moves to FROZEN leave the initial set, so the prescribed
 # successes that follow them are of states no initial state is.
 _change_owner_when_frozen = _succeeded(_steal_frozen)
 # A sync that adds or drops a chain holding no cell changes no cell.
@@ -214,13 +214,18 @@ def test_the_engine_run_keys_no_state(monkeypatch):
     assert "state" in log and handed
 
 
+def _scope(n_chains, n_assets):
+    """The chain and asset names run_modelcheck hands _key at these bounds."""
+    return frozenset(modelcheck.chain_names(n_chains)), frozenset(modelcheck.asset_names(n_assets))
+
+
 @pytest.mark.parametrize("bounds", [(d, a) for d in (1, 2, 3) for a in (1, 2)])
 def test_a_sync_from_an_initial_state_gives_an_initial_state(bounds):
     """The closure the visitor relies on when it hands back no prescribed
     success of an initial state: every successful engine.sync from every
     initial state gives a state that _key, like every initial state's,
     gives no key."""
-    space = modelcheck._index_space(*bounds)
+    space = _scope(*bounds)
     initial = list(modelcheck.enumerate_initial_states(*bounds))
     assert all(modelcheck._key(gs, *space) is None for gs in initial)
     steps = [(c, a, aid) for c in modelcheck.chain_names(bounds[0]) for a in RegAction
@@ -234,31 +239,38 @@ def test_a_sync_from_an_initial_state_gives_an_initial_state(bounds):
 def test_the_initial_states_are_the_lock_free_indexes(monkeypatch, bounds):
     """The key run_modelcheck hands explore is None on every enumerated
     state and on no variant of one that holds a lock, has another owner, a
-    state outside RegState or a cell whose asset_id is not its table key,
-    or lacks a chain. The enumerated states' indexes are the lock-free
-    indexes, those whose every digit is even, and number
-    initial_state_count."""
+    state outside RegState, a cell whose asset_id is not its table key, an
+    extra chain, an asset outside the scope or holders that disagree, or
+    lacks a chain or an asset; it is None on a twin whose states are plain
+    strs. The enumerated states are initial_state_count distinct states."""
     keys = []
     monkeypatch.setattr(modelcheck, "explore", lambda initial, steps, depth, budget, key, visit: (
         keys.append(key) or (0, 0)))
     run_modelcheck(*bounds, 1)
     [key] = keys
-    space = modelcheck._index_space(*bounds)
     initial = list(modelcheck.enumerate_initial_states(*bounds))
     assert all(key(gs) is None for gs in initial)
+    outside, assets = engine.AssetState("zz", RegState.ACTIVE, "owner"), _scope(*bounds)[1]
     for gs in initial:
-        variants = [engine.GlobalState(gs.chains, frozenset({aid})) for aid in space[1]] + [
+        holder, a1 = next((c, table["a1"]) for c, table in gs.chains.items() if "a1" in table)
+        other = engine.AssetState("a1", next(s for s in RegState if s != a1.reg_state), "owner")
+        variants = [engine.GlobalState(gs.chains, frozenset({aid})) for aid in assets] + [
             _rewrite(gs, lambda a: a == "a1", owner="thief"),
             _rewrite(gs, lambda a: a == "a1", reg_state="UNKNOWN"),
             _rewrite(gs, lambda a: a == "a1", asset_id="zz"),
             engine.GlobalState(dict(list(gs.chains.items())[1:]), gs.locks),
-        ]
+            engine.GlobalState({**gs.chains, "c9": {}}, gs.locks),  # an extra chain
+            _with_cell(gs, holder, outside),  # an asset outside the scope
+            engine.GlobalState({c: {a: rec for a, rec in t.items() if a != "a1"}
+                                for c, t in gs.chains.items()}, gs.locks),  # a1 held nowhere
+        ] + [_with_cell(gs, c, other) for c in gs.chains if c != holder]  # disagreeing holders
         assert all(key(v) == modelcheck._state_key(v) for v in variants)
-    weights = space[1].values()
-    lock_free = {i for i in range(max(weights) * 2 * len(RegState) * (2 ** bounds[0] - 1))
-                 if all(i // w % 2 == 0 for w in weights)}
-    assert {modelcheck._index(gs, *space) for gs in initial} == lock_free
-    assert len(lock_free) == initial_state_count(*bounds)
+        text = engine.GlobalState({c: {a: replace(rec, reg_state=rec.reg_state.value)
+                                       for a, rec in t.items()} for c, t in gs.chains.items()},
+                                  gs.locks)
+        assert {type(rec.reg_state) for t in text.chains.values() for rec in t.values()} == {str}
+        assert text == gs and key(text) is None
+    assert len({modelcheck._state_key(gs) for gs in initial}) == initial_state_count(*bounds)
 
 
 def test_the_initial_level_is_streamed(monkeypatch):
@@ -283,10 +295,27 @@ def test_the_initial_level_is_streamed(monkeypatch):
     assert log == (["draw"] + ["sync"] * per_state) * n
 
 
+def test_a_plain_str_twin_agrees_as_its_member_twin_does():
+    """Agreement is compared by value in every layer: a state with a1 as
+    RegState.ACTIVE on c1 and c2, and its twin with the plain str "ACTIVE"
+    on c2, are both valid, both free of disagreements in the judge's scan,
+    both initial (no key) and share one _state_key."""
+    member = engine.AssetState("a1", RegState.ACTIVE, "owner")
+    text = engine.AssetState("a1", RegState.ACTIVE.value, "owner")
+    gs = engine.GlobalState({"c1": {"a1": member}, "c2": {"a1": member}}, frozenset())
+    twin = engine.GlobalState({"c1": {"a1": member}, "c2": {"a1": text}}, frozenset())
+    assert type(text.reg_state) is str and twin == gs
+    for state in (twin, gs):
+        assert engine.valid_state(state)
+        assert disagreements(modelcheck.to_domain_state_map(state)) == {}
+        assert modelcheck._key(state, *_scope(2, 1)) is None
+    assert modelcheck._state_key(twin) == modelcheck._state_key(gs)
+
+
 def test_state_keys_are_equal_exactly_when_the_states_are(monkeypatch):
     """_state_key(a) == _state_key(b) exactly when a == b: over the initial
     states, over the states explore is handed on runs whose successors
-    leave the index space (disagreeing holders, held locks, changed owners,
+    leave the initial set (disagreeing holders, held locks, changed owners,
     added cells, a released lock kept, a seized asset frozen), and over
     hand-built states no sync reaches, twins among them."""
     handed = []
@@ -525,15 +554,15 @@ def checked_states(draw):
     return engine.GlobalState(chains, locks)
 
 
-# The checker's index over CHAINS and ASSETS.
-SPACE = modelcheck._index_space(len(CHAINS), len(ASSETS))
+# The checker's scope: the names of CHAINS and ASSETS.
+SPACE = frozenset(CHAINS), frozenset(ASSETS)
 
 
 @st.composite
-def indexed_states(draw):
-    """States in the index space over CHAINS and ASSETS: each asset on a
-    non-empty set of chains, in one state, owned by "owner", its lock held
-    or free."""
+def scope_states(draw):
+    """States over exactly CHAINS and ASSETS whose cells are enumerated
+    records: each asset on a non-empty set of chains, in one state, owned by
+    "owner", its lock held or free."""
     chains = {c: {} for c in CHAINS}
     for aid in ASSETS:
         cell = engine.AssetState(aid, draw(STATES), "owner")
@@ -615,19 +644,19 @@ def _verdicts(check, *args):
 
 
 @settings(max_examples=150, deadline=None)
-@given(checked_states() | indexed_states(), EDITS)
+@given(checked_states() | scope_states(), EDITS)
 def test_checker_matches_the_reference(gs, edits):
     """run_modelcheck's per-state checker reports, in order, exactly what
     the full rule scan reports, for every step and every kind of result,
     each through a visitor built over that one step. It yields each
     successor with its step, but for the prescribed successor of an
-    initial state (a valid state with an index, which explore draws with
+    initial state (a state _key gives no key, which explore draws with
     an empty trail), which is an initial state itself and which it does
     not yield. Any other state is visited one step past its initial state."""
     spec = reg_machine_spec()
     valid, projection = engine.valid_state(gs), modelcheck.to_domain_state_map(gs)
     found, pending = [], []
-    initial = valid and modelcheck._key(gs, *SPACE) is None
+    initial = modelcheck._key(gs, *SPACE) is None
     trail = () if initial else (SyncCommand("c1", RegAction.FREEZE, "a1"),)
 
     def checked(step, result):

@@ -366,3 +366,25 @@ def test_each_per_sync_rule_is_stated_once():
     assert not {"check_consistent_init", "disagreements"} & calls["locales.visit"]
     assert {f for f, called in calls.items() if "disagreements" in called} == {
         "preservation.judge", "locales.check_consistent_init"}
+
+
+def test_the_initial_state_test_is_stated_once():
+    """Read off the source: no function under ``src/regsync`` is named
+    _index or _index_space, and modelcheck._key reads validity, holder
+    agreement included, from engine.valid_state: it reads a cell's
+    reg_state only to test that it is in RegState, so it compares no two
+    holders' states itself."""
+    functions = {}
+    for path in sorted((ROOT / "src" / "regsync").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[f"{path.stem}.{func.name}"] = func
+    assert not {name.split(".")[1] for name in functions} & {"_index", "_index_space"}
+    key = list(ast.walk(functions["modelcheck._key"]))
+    called = {getattr(n.func, "attr", None) or getattr(n.func, "id", None)
+              for n in key if isinstance(n, ast.Call)}
+    assert "valid_state" in called
+    reads = [n for n in key if isinstance(n, ast.Attribute) and n.attr == "reg_state"]
+    tested = [n.left for n in key if isinstance(n, ast.Compare) and len(n.ops) == 1
+              and isinstance(n.ops[0], (ast.In, ast.NotIn))]
+    assert reads and all(any(r is t for t in tested) for r in reads)
