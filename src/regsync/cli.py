@@ -114,11 +114,9 @@ def cmd_simulate(args) -> int:
         raise UsageError(*(f"invalid BFT config: {v}" for v in bft.violations))
 
     # The drain ends within drain_horizon, so no longer schedule is needed.
-    bound = liveness.drain_horizon(len(scenario.requests), cfg)
-    horizon = bound if args.max_epochs is None else min(args.max_epochs, bound)
     gen = liveness.gen_adversarial_schedule if args.adversarial else liveness.gen_fair_schedule
     try:
-        sched = gen(cfg, horizon)
+        sched = gen(cfg, liveness.drain_horizon(len(scenario.requests), cfg))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -135,15 +133,6 @@ def cmd_simulate(args) -> int:
     completion = liveness.check_eventual_completion(trace)
     # A violation's line starts with its rule's name.
     print("starvation_bound: ok" if starvation.ok else starvation)
-    if not completion.ok and horizon < bound:
-        # --max-epochs cut the drain short: it may still have completed.
-        print("eventual_completion: undecided")
-        if starvation.ok:
-            raise UsageError(
-                f"--max-epochs {args.max_epochs} stopped the run with {trace[-1].pending_after}"
-                f" requests pending, before the drain bound of {bound} epochs"
-            )
-        return EXIT_VIOLATION
     print("eventual_completion: ok" if completion.ok else completion)
     return EXIT_OK if starvation.ok and completion.ok else EXIT_VIOLATION
 
@@ -188,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--adversarial", action="store_true")
-    p.add_argument("--max-epochs", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_simulate)
 
     return parser
