@@ -15,11 +15,12 @@ import traceback
 from typing import Optional
 
 from . import engine, liveness
-from .modelcheck import run_modelcheck
+from .modelcheck import run_modelcheck, to_domain_state_map
+from .preservation import disagreements
 from .priority import DuplicateKeyError, HorizonError
 from .regulatory import RegAction, RegState, reg_transition
 from .report import BudgetExceededError, enumeration_budget
-from .scenario import ScenarioError, canonical_json, parse_scenario
+from .scenario import Scenario, ScenarioError, canonical_json, parse_scenario
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -57,8 +58,18 @@ def cmd_transition(args) -> int:
     return EXIT_OK
 
 
+def _parse_agreed(path: str) -> Scenario:
+    """parse_scenario, refusing a state in which an asset's holders disagree
+    on its state: every check assumes they agree. Held locks stay legal."""
+    scenario = parse_scenario(path)
+    if split := disagreements(to_domain_state_map(scenario.state)):
+        aid = min(split)
+        raise UsageError(f"holders of {aid} disagree: {', '.join(sorted(split[aid]))}")
+    return scenario
+
+
 def cmd_sync(args) -> int:
-    scenario = parse_scenario(args.scenario)
+    scenario = _parse_agreed(args.scenario)
     gs = scenario.state
     mismatched = False
     for i, cmd in enumerate(scenario.sync):
@@ -98,7 +109,7 @@ def cmd_modelcheck(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = parse_scenario(args.scenario)
+    scenario = _parse_agreed(args.scenario)
     if scenario.sim is None or not scenario.requests:
         raise UsageError("scenario needs a 'sim' block and a 'requests' list")
     held = sorted(scenario.state.locks)

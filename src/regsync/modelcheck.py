@@ -178,9 +178,7 @@ def _violations(gs: engine.GlobalState, valid: bool, projection: DomainStateMap,
     if aid in gs.locks:
         yield "lock_respected", ""
     else:
-        # A sync from a chain the pre-state lacks must fail; sync_all raises on it.
-        known = step.source in projection.domains
-        generic = sync_all(projection, step.source, step.action, aid, spec) if known else None
+        generic = sync_all(projection, step.source, step.action, aid, spec)
         if generic is None:
             yield "generic_agreement", "generic sync_all failed where sync succeeded"
         elif generic.table != {cell: rec.reg_state for cell, rec in after.table.items()}:

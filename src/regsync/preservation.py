@@ -46,11 +46,10 @@ def sync_all(
 ) -> Optional[DomainStateMap]:
     """Propagate one transition to every domain holding the asset.
 
-    None if the asset is missing at the source or the transition is
-    undefined; all other cells are carried over unchanged.
+    None if the source is not in the map, the asset is missing at the
+    source or the transition is undefined; all other cells are carried
+    over unchanged.
     """
-    if source not in ds.domains:
-        raise ValueError(f"unknown source domain {source!r}")
     current = ds.table.get((source, aid))
     if current is None:
         return None
@@ -114,7 +113,8 @@ def judge(before: DomainStateMap, source: DomainId, action: ActionId, aid: Asset
     """The (rule, where, detail) of each per-sync guarantee that a success
     of ``sync_all(before, source, action, aid, sm)`` giving ``after``
     breaks: cross_domain_consistency at each holder whose cell does not
-    read the move's target (none exists where sync_all fails),
+    read the move's target (none exists where sync_all fails: the source
+    is not in the map, the asset is missing there or the move is undefined),
     sync_isolation at each cell of another asset that changed and at each
     cell that appeared, domain_set_changed, and valid_agreement at each
     asset, in sorted order, whose cells disagree in ``after`` if no asset's

@@ -121,9 +121,8 @@ class TestSyncAll:
         ds = two_domain_map()
         assert sync_all(ds, "d1", "FREEZE", "a1", REG).domains == ds.domains
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            sync_all(two_domain_map(), "nope", "FREEZE", "a1", REG)
+    def test_a_source_outside_the_map_fails(self):
+        assert sync_all(two_domain_map(), "nope", "FREEZE", "a1", REG) is None
 
 
 def _rewrite_other_assets(before, aid, after):
@@ -140,6 +139,12 @@ def _copy_old_state_elsewhere(before, aid, after):
     old = next(v for (d, a), v in before.table.items() if a == aid)
     elsewhere = next(d for d in sorted(before.domains) if (d, aid) not in before.table)
     return DomainStateMap(after.domains, {**after.table, (elsewhere, aid): old})
+
+
+def _drop_d3(before, aid, after):
+    """Domain d3 and its cells are gone."""
+    table = {(d, a): v for (d, a), v in after.table.items() if d != "d3"}
+    return DomainStateMap(after.domains - {"d3"}, table)
 
 
 def _copy_new_state_everywhere(before, aid, after):
@@ -181,19 +186,24 @@ class TestMultiDomainCheck:
         assert "cross_domain_consistency" in rules(report)
 
     @pytest.mark.parametrize(
-        "mutate, fired",
+        "mutate, depth, fired",
         [
-            pytest.param(_rewrite_other_assets, {"sync_isolation"}, id="sync_isolation"),
-            pytest.param(_add_domain, {"domain_set_changed"}, id="domain_set_changed"),
+            pytest.param(_rewrite_other_assets, 1, {"sync_isolation"}, id="sync_isolation"),
+            pytest.param(_add_domain, 1, {"domain_set_changed"}, id="domain_set_changed"),
             # The old state's cell appears on a domain that did not hold it.
-            pytest.param(_copy_old_state_elsewhere, {"valid_agreement", "sync_isolation"},
+            pytest.param(_copy_old_state_elsewhere, 1, {"valid_agreement", "sync_isolation"},
                          id="valid_agreement"),
             pytest.param(
-                _copy_new_state_everywhere, {"sync_isolation"}, id="synced_cell_appeared"
+                _copy_new_state_everywhere, 1, {"sync_isolation"}, id="synced_cell_appeared"
+            ),
+            # At depth 2 a step from d3 starts where d3 is gone, and fails.
+            pytest.param(
+                _drop_d3, 2, {"domain_set_changed", "cross_domain_consistency", "sync_isolation"},
+                id="domain_dropped",
             ),
         ],
     )
-    def test_rule_fires(self, mutate, fired):
+    def test_rule_fires(self, mutate, depth, fired):
         ds = DomainStateMap(
             frozenset({"d1", "d2", "d3"}),
             {("d1", "a1"): "ACTIVE", ("d2", "a1"): "ACTIVE", ("d3", "a2"): "RESTRICTED"},
@@ -203,7 +213,7 @@ class TestMultiDomainCheck:
             result = sync_all(current, source, action, aid, sm)
             return None if result is None else mutate(current, aid, result)
 
-        report = check_multi_domain(ds, REG, depth=1, sync_fn=mutant)
+        report = check_multi_domain(ds, REG, depth=depth, sync_fn=mutant)
         assert rules(report) == fired
 
     def test_a_success_where_the_sync_must_fail_breaks_consistency(self):

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import random
 import shutil
@@ -431,6 +433,28 @@ def test_lock_held_on_undeclared_asset_exits_2(capsys, tmp_path, command):
     path = write(tmp_path, doc)
     assert run_cli(capsys, command, str(path)) == (
         2, "", f"error: {path}/state: lock held on undeclared asset 'zz'\n")
+
+
+@pytest.mark.parametrize("command", ["sync", "simulate"])
+def test_holders_that_disagree_exit_2(capsys, tmp_path, command):
+    """Every check assumes that an asset's holders agree on its state, so a
+    start state in which they do not is an input error, named by its first
+    such asset in sorted order and that asset's states. Without the refusal
+    the answer depends on the holder read (ROADMAP finding 7): ``sync`` from
+    c2 unfreezes ``a`` on both chains and ``simulate`` fails the same request
+    from c1, and both exit 0."""
+    def cell(state):
+        return {"state": state, "owner": "o", "locked": False}
+
+    doc = simulate_doc()
+    doc["state"]["chains"] = {"c1": {"a": cell("ACTIVE"), "b": cell("SEIZED")},
+                              "c2": {"a": cell("FROZEN"), "b": cell("ACTIVE")}}
+    doc["sync"] = [{"source": "c2", "action": "UNFREEZE", "asset": "a"}]
+    doc["requests"] = [{"node": 1, "authority": "National", "timestamp": 0,
+                        "action": "UNFREEZE", "asset": "a"}]
+    path = write(tmp_path, doc)
+    assert run_cli(capsys, command, str(path)) == (
+        2, "", "error: holders of a disagree: ACTIVE, FROZEN\n")
 
 
 def test_undeclared_false_lock_is_dropped(capsys, tmp_path):
@@ -1035,3 +1059,80 @@ def test_any_json_value_parses_or_raises_scenario_error(doc):
         scenario_from_json(doc)
     except ScenarioError:
         pass
+
+
+EXTREME_INTS = st.integers() | st.sampled_from(
+    [0, -1, 2**31 - 1, 2**32 - 1, 2**32, 2**63 - 1, -(2**63), 2**64, DEFAULT_HORIZON + 1])
+IN_HORIZON = st.integers(0, DEFAULT_HORIZON) | st.sampled_from([0, DEFAULT_HORIZON])
+_NAMES = [a.value for a in RegAction], [s.value for s in RegState]
+
+
+@st.composite
+def command_docs(draw):
+    """A parse-valid scenario: 1-3 chains; 1-3 assets, each on a non-empty
+    set of them in one state, but one holder in ten draws its own; one time
+    in five a lock entry; up to 6 sync steps, with any expectation, and 1-6
+    requests, on declared chains and assets; and nine times in ten a sim
+    block, four times in five a valid BFT config (up to 9 nodes, f_max up to
+    2, unique ids) and else any nodes and f_max. Node ids, timestamps and
+    seeds are extreme integers, but a request's node id and timestamp lie
+    in the priority horizon three times in four; lock_timeout and
+    fairness_bound are at most 40, and one time in ten may be 0 or below.
+    A draw of 0, hypothesis's simplest, takes the common branch."""
+    actions, states = _NAMES
+    chains = draw(st.lists(st.sampled_from(["c1", "c2", "c3"]), min_size=1, max_size=3,
+                           unique=True))
+    assets = draw(st.lists(st.sampled_from(["a1", "a2", "a3"]), min_size=1, max_size=3,
+                           unique=True))
+    tables: dict = {c: {} for c in chains}
+    for aid in assets:
+        state = draw(st.sampled_from(states))
+        for c in draw(st.lists(st.sampled_from(chains), min_size=1, unique=True)):
+            own = draw(st.sampled_from(states)) if draw(st.integers(0, 9)) == 9 else state
+            tables[c][aid] = {"state": own, "owner": "o", "locked": False}
+    locks = st.dictionaries(st.sampled_from(assets), st.booleans(), max_size=1)
+    doc: dict = {"state": {"chains": tables,
+                           "locks": draw(locks) if draw(st.integers(0, 4)) == 4 else {}}}
+    doc["sync"] = draw(st.lists(st.fixed_dictionaries(
+        {"source": st.sampled_from(chains), "action": st.sampled_from(actions),
+         "asset": st.sampled_from(assets)},
+        optional={"expect": st.sampled_from(["ok", *engine.SyncFailure])}), max_size=6))
+    key = EXTREME_INTS if draw(st.integers(0, 3)) == 3 else IN_HORIZON
+    doc["requests"] = draw(st.lists(st.fixed_dictionaries(
+        {"node": key, "authority": st.sampled_from(["Regional", "National", "International"]),
+         "timestamp": key, "action": st.sampled_from(actions),
+         "asset": st.sampled_from(assets)}), min_size=1, max_size=6))
+    if draw(st.integers(0, 9)) == 9:
+        return doc
+    if draw(st.integers(0, 4)) < 4:
+        f_max = 2 - draw(st.integers(0, 2))
+        n = draw(st.integers(3 * f_max + 1, 3 * f_max + 3))
+        ids = draw(st.lists(EXTREME_INTS, min_size=n, max_size=n, unique=True))
+        byzantine = f_max - draw(st.integers(0, f_max))
+        nodes = [{"id": i, "honest": k >= byzantine} for k, i in enumerate(ids)]
+    else:
+        f_max = draw(EXTREME_INTS)
+        nodes = draw(st.lists(st.fixed_dictionaries({"id": EXTREME_INTS,
+                                                     "honest": st.booleans()}), max_size=5))
+    bound = st.integers(max_value=40) if draw(st.integers(0, 9)) == 9 else st.integers(1, 40)
+    doc["sim"] = {"nodes": nodes, "f_max": f_max, "lock_timeout": draw(bound),
+                  "fairness_bound": draw(bound), "seed": draw(EXTREME_INTS)}
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_docs())
+def test_every_command_run_exits_0_1_or_2(tmp_path_factory, doc):
+    """The exit-code contract over whole commands: each generated scenario
+    (command_docs) runs in process through ``simulate``, ``simulate
+    --adversarial`` and ``sync``; each run exits 0, 1 or 2, never 3 (an
+    internal error), and a run that exits 2 writes nothing to stdout."""
+    path = tmp_path_factory.getbasetemp() / "command-fuzz.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["simulate", str(path)], ["simulate", str(path), "--adversarial"],
+                 ["sync", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert code != 2 or out.getvalue() == "", (argv, err.getvalue())

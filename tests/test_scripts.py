@@ -340,7 +340,8 @@ def test_each_per_sync_rule_is_stated_once():
     in modelcheck._violations alone, and neither caller restates agreement:
     _violations reads no engine.valid_state, and check_multi_domain's
     visitor no consistent_init. The per-asset agreement scan,
-    preservation.disagreements, serves judge and check_consistent_init."""
+    preservation.disagreements, serves judge, check_consistent_init and
+    the command line's refusal of a scenario whose holders disagree."""
     shared = ["cross_domain_consistency", "sync_isolation", "domain_set_changed",
               "valid_agreement"]
     homes = {rule: set() for rule in [*shared, "valid_state_preservation",
@@ -365,7 +366,7 @@ def test_each_per_sync_rule_is_stated_once():
     assert "valid_state" not in calls["modelcheck._violations"]
     assert not {"check_consistent_init", "disagreements"} & calls["locales.visit"]
     assert {f for f, called in calls.items() if "disagreements" in called} == {
-        "preservation.judge", "locales.check_consistent_init"}
+        "preservation.judge", "locales.check_consistent_init", "cli._parse_agreed"}
 
 
 def test_the_initial_state_test_is_stated_once():
