@@ -16,7 +16,7 @@ import argparse
 import statistics
 import time
 
-from regsync.cli import _int_at_least
+from regsync.cli import _positive_int
 from regsync.liveness import (
     NodeInfo,
     SimConfig,
@@ -56,8 +56,8 @@ def main():
     parser.add_argument("--faults", type=int, default=1)
     parser.add_argument("--timeout", type=int, default=2)
     parser.add_argument("--fairness-bound", type=int, default=3)
-    parser.add_argument("--requests", type=_int_at_least(1), nargs="+", default=[5], metavar="N")
-    parser.add_argument("--seeds", type=_int_at_least(1), default=100)
+    parser.add_argument("--requests", type=_positive_int, nargs="+", default=[5], metavar="N")
+    parser.add_argument("--seeds", type=_positive_int, default=100)
     args = parser.parse_args()
     # The sweep's configs differ only in their seed, which no BFT rule reads.
     cfg = build_config(args.nodes, args.faults, args.timeout, args.fairness_bound, 0)

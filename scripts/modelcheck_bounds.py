@@ -32,7 +32,7 @@ import statistics
 import time
 
 from regsync import engine
-from regsync.cli import _int_at_least
+from regsync.cli import _positive_int
 from regsync.modelcheck import (
     asset_names, chain_names, enumerate_initial_states, initial_state_count, run_modelcheck,
 )
@@ -113,9 +113,9 @@ def spread(values: list[float], digits: int = 2) -> str:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-domains", type=_int_at_least(1), default=3)
-    parser.add_argument("--max-assets", type=_int_at_least(1), default=2)
-    parser.add_argument("--depth", type=_int_at_least(1), default=2)
+    parser.add_argument("--max-domains", type=_positive_int, default=3)
+    parser.add_argument("--max-assets", type=_positive_int, default=2)
+    parser.add_argument("--depth", type=_positive_int, default=2)
     args = parser.parse_args()
     try:
         budget = enumeration_budget()

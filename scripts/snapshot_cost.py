@@ -46,7 +46,7 @@ import time
 import timeit
 
 from regsync import engine
-from regsync.cli import _int_at_least
+from regsync.cli import _positive_int
 from regsync.regulatory import RegAction, RegState
 from regsync.scenario import ScenarioError, parse_scenario
 
@@ -108,9 +108,9 @@ def replay_split(path: str, repeat: int) -> str:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--assets", type=_int_at_least(1), nargs="+", default=[20, 200])
-    parser.add_argument("--number", type=_int_at_least(1), default=200, help="calls per repeat")
-    parser.add_argument("--repeat", type=_int_at_least(1), default=5)
+    parser.add_argument("--assets", type=_positive_int, nargs="+", default=[20, 200])
+    parser.add_argument("--number", type=_positive_int, default=200, help="calls per repeat")
+    parser.add_argument("--repeat", type=_positive_int, default=5)
     parser.add_argument("--scenario", metavar="FILE",
                         help="replay this scenario's sync steps instead")
     args = parser.parse_args()

@@ -148,17 +148,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if starvation.ok and completion.ok else EXIT_VIOLATION
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
+def _positive_int(text: str) -> int:
+    """argparse's type for a count flag: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sync)
 
     p = sub.add_parser("modelcheck", help="exhaustive small-scope model check")
-    p.add_argument("--domains", type=_int_at_least(1), default=2)
-    p.add_argument("--assets", type=_int_at_least(1), default=1)
-    p.add_argument("--depth", type=_int_at_least(1), default=3)
+    p.add_argument("--domains", type=_positive_int, default=2)
+    p.add_argument("--assets", type=_positive_int, default=1)
+    p.add_argument("--depth", type=_positive_int, default=3)
     p.add_argument("--counterexample-out", metavar="PATH")
     p.set_defaults(func=cmd_modelcheck)
 
@@ -210,7 +208,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

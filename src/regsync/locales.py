@@ -88,18 +88,27 @@ def rename_machine(
     return renamed, morphism
 
 
+def _closure(*maps: Morphism) -> ValidationReport:
+    """mapping_closed for each source state and action a map of ``maps``
+    does not send into its target. Every check below returns on one before
+    it reads an image, so a partial map is reported, not a KeyError."""
+    report = ValidationReport()
+    for m in maps:
+        for s in sorted(m.source.states):
+            if m.state_map.get(s) not in m.target.states:
+                report.add("mapping_closed", s)
+        for a in sorted(m.source.actions):
+            if m.action_map.get(a) not in m.target.actions:
+                report.add("mapping_closed", a)
+    return report
+
+
 def check_naturality(m: Morphism) -> ValidationReport:
     """Exhaustively check that mapping commutes with single transitions.
 
     Rules: mapping_closed, naturality (defined case), naturality_none.
     """
-    report = ValidationReport()
-    for s in sorted(m.source.states):
-        if m.state_map.get(s) not in m.target.states:
-            report.add("mapping_closed", s)
-    for a in sorted(m.source.actions):
-        if m.action_map.get(a) not in m.target.actions:
-            report.add("mapping_closed", a)
+    report = _closure(m)
     if not report.ok:
         return report
     for s in sorted(m.source.states):
@@ -120,14 +129,16 @@ def check_sequential_preservation(
     """Check preservation of apply_actions over all sequences up to max_len.
 
     Mapped apply_actions must agree with apply_actions-then-map, including
-    agreement on undefinedness.
+    agreement on undefinedness, once the map is closed (mapping_closed).
     """
     n_actions = len(m.source.actions)
     needed = len(m.source.states) * sum(n_actions**k for k in range(max_len + 1))
     if needed > budget:
         raise BudgetExceededError(needed, budget)
 
-    report = ValidationReport()
+    report = _closure(m)
+    if not report.ok:
+        return report
     actions = sorted(m.source.actions)
     for s in sorted(m.source.states):
         for length in range(max_len + 1):
@@ -147,14 +158,17 @@ def check_sequential_preservation(
 
 
 def check_roundtrip(sm: SymmetricMorphism) -> ValidationReport:
-    """Check both roundtrip identities and injectivity of the forward map."""
-    report = ValidationReport()
+    """Check both roundtrip identities and injectivity of the forward map,
+    once both maps are closed (mapping_closed)."""
     fwd, bwd = sm.forward, sm.backward
+    report = _closure(fwd, bwd)
+    if not report.ok:
+        return report
     for s in sorted(fwd.source.states):
         if bwd.state_map.get(fwd.state_map[s]) != s:
             report.add("roundtrip_source", s)
     for t in sorted(fwd.target.states):
-        if fwd.state_map.get(bwd.state_map[t]) != t:
+        if fwd.state_map.get(bwd.state_map.get(t)) != t:
             report.add("roundtrip_target", t)
     seen: dict[StateId, StateId] = {}
     for s in sorted(fwd.source.states):

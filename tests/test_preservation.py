@@ -86,6 +86,39 @@ class TestRoundtrip:
         report = check_roundtrip(SymmetricMorphism(collapsing_morphism(), sym.backward))
         assert "injectivity" in rules(report)
 
+    def test_a_backward_map_from_elsewhere_fails_both_roundtrips(self):
+        """A backward map that starts at the forward's source, not at its
+        target, maps no image back: a report, not a KeyError."""
+        report = check_roundtrip(SymmetricMorphism(RENAMING, identity_morphism(REG)))
+        assert rules(report) == {"roundtrip_source", "roundtrip_target"}
+        assert len(report.violations) == 2 * len(REG.states)
+
+
+def partial(m, left_out):
+    """``m`` with the state or action ``left_out`` missing from its maps."""
+    return Morphism(m.source, m.target,
+                    {s: t for s, t in m.state_map.items() if s != left_out},
+                    {a: b for a, b in m.action_map.items() if a != left_out})
+
+
+@pytest.mark.parametrize("left_out", ["FROZEN", "FREEZE"])
+@pytest.mark.parametrize("check, witness", [
+    (lambda x: check_naturality(partial(RENAMING, x)), "{}"),
+    (lambda x: check_sequential_preservation(partial(RENAMING, x), 2), "{}"),
+    (lambda x: check_roundtrip(SymmetricMorphism(partial(RENAMING, x),
+                                                 inverse_renaming().backward)), "{}"),
+    (lambda x: check_roundtrip(SymmetricMorphism(RENAMING,
+                                                 partial(inverse_renaming().backward, x + "'"))),
+     "{}'"),
+], ids=["naturality", "sequential", "roundtrip-forward", "roundtrip-backward"])
+def test_a_partial_map_is_reported_not_raised(check, witness, left_out):
+    """A map that leaves out a state or an action gets mapping_closed alone
+    from every check, as the forward or the backward map of a roundtrip:
+    each check returns before it reads an image, so none raises KeyError."""
+    report = check(left_out)
+    assert [(v.rule, v.witness) for v in report.violations] == [
+        ("mapping_closed", witness.format(left_out))]
+
 
 def two_domain_map(states=("ACTIVE", "ACTIVE")):
     return DomainStateMap(

@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import hashlib
-import importlib.util
 import io
 import json
 import random
@@ -19,6 +18,7 @@ from regsync.scenario import (
     ScenarioError, canonical_json, parse_scenario, scenario_from_json,
 )
 
+import pinned_inputs
 from test_acceptance import (
     _mutant_allow_seized_freeze,
     _mutant_skip_release,
@@ -238,13 +238,9 @@ class TestSyncCommand:
         assert out == "".join(expected)
 
     def test_bench_replay_stdout_matches_reference_snapshots(self, capsys, tmp_path):
-        """The bench's seed-1 replay scenario, as its generator writes it:
-        every snapshot ``regsync sync`` prints equals the json.dumps form."""
-        spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
-        path = tmp_path / "replay-1.json"
-        gen.write_scenario(gen.replay_scenario(1)[0], path)
+        """The bench's seed-1 replay scenario, the input CI pins: every
+        snapshot ``regsync sync`` prints equals the json.dumps form."""
+        path = pinned_inputs.write("replay-1", tmp_path)
         scenario = parse_scenario(path)
         gs, expected = scenario.state, []
         for i, cmd in enumerate(scenario.sync):
